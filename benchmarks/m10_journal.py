@@ -12,7 +12,7 @@ every 16th with a declassifier grant), checkpoints it, dirties a
   checksummed JSON-line append per durable mutation; we run the
   representative W5 write mix (a user-data file write, a profile
   update, and an app db write through the request plane) against the
-  ``incremental_persistence=False`` baseline and report the overhead
+  ``ProviderConfig.oracle()`` baseline (no journal) and report the overhead
   ratio, plus the worst-case direct-API ratio (no request plane to
   amortize the append);
 * **recovery** — base snapshot + journal replay back to a live
@@ -64,11 +64,10 @@ def build_provider(n_users: int, incremental: bool,
     ``compact_bytes`` is set high so measurements see pure deltas; the
     compaction path itself is exercised by the tier-1 tests.
     """
-    p = Provider(name=f"m10-{'incr' if incremental else 'naive'}"
-                      f"-{n_users}",
-                 config=ProviderConfig(
-                     incremental_persistence=incremental,
-                     journal_compact_bytes=compact_bytes))
+    plane = "fast" if incremental else "oracle"
+    p = Provider(name=f"m10-{plane}-{n_users}",
+                 config=ProviderConfig(plane=plane,
+                                       journal_compact_bytes=compact_bytes))
     install_standard_apps(p)
     for i in range(n_users):
         u = f"user{i:05d}"

@@ -2,7 +2,8 @@
 
 Builds a W5 deployment with N signed-up users (every one of them has
 enabled the blog app and granted the stock friends-only declassifier —
-the state that makes the naive request plane O(N)), then measures the
+the state that makes the oracle plane's request path O(N)), then
+measures the
 per-request latency of a fully labeled read: authenticate → launch the
 app with its commingled capabilities → labeled row read (taints the
 process) → export-authority check at the gateway.
@@ -34,9 +35,8 @@ def build_deployment(n_users: int, fast: bool,
     on the M11 span tracer (the M11 overhead bench reuses this exact
     deployment and request mix).
     """
-    w5 = W5System(name=f"m8-{'fast' if fast else 'slow'}-{n_users}",
-                  config=ProviderConfig(fast_request_plane=fast,
-                                        recycle_processes=fast),
+    config = ProviderConfig.fast() if fast else ProviderConfig.oracle()
+    w5 = W5System(name=f"m8-{config.plane}-{n_users}", config=config,
                   audit_max_events=20_000, tracing=tracing)
     driver = w5.add_user("user0", apps=("blog",))
     provider = w5.provider
@@ -71,9 +71,10 @@ def run_tier(n_users: int, fast: bool, n: int = 60,
     provider = w5.provider
     return {
         "users": n_users,
-        "fast_request_plane": fast,
+        "plane": provider.config.plane,
         "latency_us": round(seconds * 1e6, 2),
         "throughput_rps": round(1.0 / seconds, 1),
+        "plans": provider.plans.stats(),
         "launch_caps": provider.capindex.stats(),
         "authority": provider.declass.authority_stats(),
         "pool": provider.kernel.pool.stats(),

@@ -5,34 +5,28 @@ uncached), ``BENCH_M2.json`` (end-to-end request path),
 ``BENCH_M8.json`` (request-plane scaling vs. user count),
 ``BENCH_M9.json`` (data-plane scaling vs. distinct labels),
 ``BENCH_M10.json`` (incremental durability vs. full snapshots),
-``BENCH_M11.json`` (request-tracing overhead), ``BENCH_M12.json``
-(compiled request plans vs. the interpreted decision path),
-``BENCH_M13.json`` (the sharded request plane: 1-shard parity and
-multi-shard scaling), ``BENCH_M14.json`` (the squeezed mandated
-pipeline vs. its naive twins), ``BENCH_M15.json`` (journal-cursor
+``BENCH_M11.json`` (request-tracing overhead), ``BENCH_M13.json``
+(the sharded request plane: 1-shard parity and multi-shard
+scaling), ``BENCH_M15.json`` (journal-cursor
 delta federation sync vs. the naive reconciler, plus fabric routing
 latency across provider fleets) and ``BENCH_M16.json`` (fleet
 observability: disabled-path parity and the stitched-tracing
 premium) so CI can
 archive one number series per commit — the repo's before/after
 record for the fast-path label engine, the O(1) request plane, the
-label-partitioned storage engine, the write-ahead journal, the span
-tracer and planned dispatch lives in these files and in
-EXPERIMENTS.md.
+label-partitioned storage engine, the write-ahead journal and the
+span tracer lives in these files and in EXPERIMENTS.md.
 
 ``BENCH_M8`` through ``BENCH_M15`` double as regression guards: the
 run **fails** (exit code 1) if per-request latency at 1,000 users
-exceeds 3x the 10-user latency with the fast request plane on, if
+exceeds 3x the 10-user latency on the fast plane, if
 the partitioned select beats the naive engine by less than 3x on a
 10k-row / 128-label table, if the incremental snapshot beats the
 full snapshot by less than 3x at 1,000 users with 1% dirty state, if
-enabled tracing costs more than 1.4x on the M8 mix, or if the
-compiled decision read exceeds its 10us budget or beats the
-interpretation it replaced by less than 3x, or if shard scaling
-misses its bar (3x aggregate throughput at 4 shards on a 4+-core
-POSIX box; the graceful-degradation floor elsewhere), or if the M14
-fast pipeline beats its naive twins by less than 1.2x end to end,
-or if delta federation sync beats the naive content reconciler by
+enabled tracing costs more than 1.4x on the M8 mix, or if shard
+scaling misses its bar (3x aggregate throughput at 4 shards on a
+4+-core POSIX box; the graceful-degradation floor elsewhere), or if
+delta federation sync beats the naive content reconciler by
 less than 5x at 1,000 files with a 1% dirty set, or if the fleet
 observability plane costs more than 1.05x disabled or 15us per
 request armed.
@@ -137,10 +131,11 @@ M8_MAX_RATIO = 3.0
 
 
 def bench_m8(repeat: int) -> dict:
-    """Per-request latency vs. deployment size, fast plane on and off.
+    """Per-request latency vs. deployment size, fast and oracle planes.
 
-    The interesting number is the growth ratio: flat (~1x) with the
-    capability index + authority cache + pool, linear without.
+    The interesting number is the growth ratio: flat (~1x) on the fast
+    plane (compiled plans over the capability index + authority cache,
+    the pool), linear on the oracle plane.
     """
     from m8_scaling import run_tier
 
@@ -150,6 +145,7 @@ def bench_m8(repeat: int) -> dict:
         results[f"fast_{n_users}"] = {
             "latency_us": tier["latency_us"],
             "throughput_rps": tier["throughput_rps"],
+            "plan_hits": tier["plans"]["hits"],
             "launch_cap_hits": tier["launch_caps"]["hits"],
             "authority_hits": tier["authority"]["hits"],
             "audit_dropped": tier["audit_dropped"],
@@ -248,48 +244,6 @@ def bench_m11(repeat: int) -> dict:
     }
 
 
-#: The M12 regression bound, on the cached-read path: the compiled
-#: decision read must be at least 3x cheaper than the per-request
-#: interpretation it replaced (the unplanned-minus-planned gap).
-M12_MIN_DECISION_SPEEDUP = 3.0
-
-
-def bench_m12(repeat: int) -> dict:
-    """Planned dispatch: compiled decision reads vs. interpretation.
-
-    The interesting number is the cached read — the compiled decision
-    path on a plan hit (lookup + pool key + partition verdicts +
-    egress verdict), ~1-3us against the ~15us of interpretation the
-    unplanned plane spends re-deriving the same answers per request.
-    The guard is on that ratio: if the cached read path bloats, the
-    speedup collapses long before the end-to-end numbers notice.
-    """
-    from m12_plans import M12_MAX_CACHED_READ_US, run_comparison
-
-    del repeat  # the interleaved-slice protocol fixes its own reps
-    comparison = run_comparison(n_users=100)
-    speedup = comparison["decision_speedup"]
-    return {
-        "unplanned": comparison["unplanned"],
-        "planned": comparison["planned"],
-        "cached_read_us": comparison["cached_read_us"],
-        "interpretation_removed_us":
-            comparison["interpretation_removed_us"],
-        "unplanned_noise_ratio": comparison["unplanned_noise_ratio"],
-        "planned_ratio": comparison["planned_ratio"],
-        "scaling": {
-            "cached_read_us": comparison["cached_read_us"],
-            "max_cached_read_us": M12_MAX_CACHED_READ_US,
-            "decision_speedup": speedup,
-            "min_decision_speedup": M12_MIN_DECISION_SPEEDUP,
-            "regression": (
-                speedup < M12_MIN_DECISION_SPEEDUP
-                or comparison["cached_read_us"]
-                > M12_MAX_CACHED_READ_US),
-        },
-    }
-
-
 def bench_m13(repeat: int) -> dict:
     """The sharded request plane: 1-shard parity, multi-shard scaling.
 
@@ -314,41 +268,6 @@ def bench_m13(repeat: int) -> dict:
         guard["regression"]
         or parity["one_shard_ratio"] > M13_MAX_ONE_SHARD_RATIO)
     return {"parity": parity, **scaling, "scaling": guard}
-
-
-def bench_m14(repeat: int) -> dict:
-    """The squeezed mandated pipeline: fast vs. naive twins, M8 mix.
-
-    The interesting number is the end-to-end speedup with request
-    plans on *both* sides: the four M14 shortcuts (lazy audit,
-    compiled label transitions, batched charges, verdict slots)
-    against the naive implementations they replaced, byte-identical
-    observables pinned by the differential suite.  The guard is the
-    1.2x bar plus the M11-style naive-noise bound: if two identical
-    naive builds stop agreeing, the speedup number means nothing.
-    """
-    from m14_pipeline import (M14_MAX_NAIVE_NOISE, M14_MIN_SPEEDUP,
-                              run_comparison)
-
-    del repeat  # the interleaved-slice protocol fixes its own reps
-    comparison = run_comparison(n_users=100)
-    speedup = comparison["speedup"]
-    noise = comparison["naive_noise_ratio"]
-    return {
-        "naive": comparison["naive"],
-        "fast": comparison["fast"],
-        "pipeline_removed_us": comparison["pipeline_removed_us"],
-        "naive_noise_ratio": noise,
-        "speedup": speedup,
-        "scaling": {
-            "speedup": speedup,
-            "min_speedup": M14_MIN_SPEEDUP,
-            "naive_noise_ratio": noise,
-            "max_naive_noise": M14_MAX_NAIVE_NOISE,
-            "regression": (speedup < M14_MIN_SPEEDUP
-                           or noise > M14_MAX_NAIVE_NOISE),
-        },
-    }
 
 
 def bench_m15(repeat: int) -> dict:
@@ -460,8 +379,7 @@ def main(argv=None) -> int:
     failed = False
     for name, fn in (("M1", bench_m1), ("M2", bench_m2), ("M8", bench_m8),
                      ("M9", bench_m9), ("M10", bench_m10),
-                     ("M11", bench_m11), ("M12", bench_m12),
-                     ("M13", bench_m13), ("M14", bench_m14),
+                     ("M11", bench_m11), ("M13", bench_m13),
                      ("M15", bench_m15), ("M16", bench_m16)):
         payload = {"experiment": name, **meta,
                    "results": fn(args.repeat)}
@@ -492,15 +410,6 @@ def main(argv=None) -> int:
             print(f"M11 REGRESSION: enabled tracing costs {ratio}x on "
                   f"the M8 mix (bound: {M11_MAX_OVERHEAD}x)")
             failed = True
-        if name == "M12" and payload["results"]["scaling"]["regression"]:
-            scaling = payload["results"]["scaling"]
-            print(f"M12 REGRESSION: cached decision read costs "
-                  f"{scaling['cached_read_us']}us "
-                  f"(bound: {scaling['max_cached_read_us']}us) at "
-                  f"{scaling['decision_speedup']}x the interpretation "
-                  f"it replaces "
-                  f"(bound: {M12_MIN_DECISION_SPEEDUP}x minimum)")
-            failed = True
         if name == "M13" and payload["results"]["scaling"]["regression"]:
             scaling = payload["results"]["scaling"]
             print(f"M13 REGRESSION: 1-shard parity at "
@@ -510,14 +419,6 @@ def main(argv=None) -> int:
                   f"(bound: {scaling['min_speedup']}x, "
                   f"{'multicore' if scaling['multicore_bar'] else 'degraded'}"
                   f" bar)")
-            failed = True
-        if name == "M14" and payload["results"]["scaling"]["regression"]:
-            scaling = payload["results"]["scaling"]
-            print(f"M14 REGRESSION: fast pipeline only "
-                  f"{scaling['speedup']}x the naive pipeline "
-                  f"(bound: {scaling['min_speedup']}x minimum) with "
-                  f"naive-build noise at {scaling['naive_noise_ratio']}x "
-                  f"(bound: {scaling['max_naive_noise']}x)")
             failed = True
         if name == "M15" and payload["results"]["scaling"]["regression"]:
             scaling = payload["results"]["scaling"]

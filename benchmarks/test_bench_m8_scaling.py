@@ -3,8 +3,8 @@
 The ROADMAP north star is heavy traffic from millions of users; the
 mechanism claim of this milestone is that per-request work is
 independent of how many accounts exist.  We measure the same fully
-labeled read at 10 / 100 / 1,000 / 5,000 users with the O(1) request
-plane on, and at 10 / 100 / 1,000 with it off (the seed behavior:
+labeled read at 10 / 100 / 1,000 / 5,000 users on the fast plane, and
+at 10 / 100 / 1,000 on the oracle plane (the seed behavior:
 ``launch_caps`` scans every account and ``authority_for`` every grant,
 per request), and assert the shapes:
 
@@ -56,9 +56,13 @@ def test_bench_m8_slow_plane_grows(tiers):
 def test_bench_m8_caches_are_working(tiers):
     fast, slow = tiers
     big = fast[1_000]
-    assert big["launch_caps"]["hits"] > 0
-    assert big["authority"]["hits"] > 0
-    # with the plane off, nothing is served from memo
+    # on the fast plane compiled plans answer the measured reads; the
+    # launch-cap index and authority memo run only when a plan compiles
+    assert big["plans"]["hits"] > 0
+    assert big["plans"]["misses"] + big["plans"]["invalidated"] \
+        < big["plans"]["hits"]
+    assert big["launch_caps"]["misses"] >= 1
+    # on the oracle plane nothing is served from memo
     assert slow[1_000]["launch_caps"]["hits"] == 0
     assert slow[1_000]["authority"]["hits"] == 0
 

@@ -253,7 +253,7 @@ class Metrics:
     def persistence_snapshot(self) -> dict[str, Any]:
         """The attached provider's journal/compaction/replay counters
         (empty dict if none attached; ``incremental_persistence: False``
-        when the provider runs the naive full-snapshot baseline)."""
+        when the provider runs the oracle plane's full snapshots)."""
         provider = self._planes.get("persistence")
         if provider is None:
             return {}

@@ -10,13 +10,12 @@ a second security layer.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from ..apps import install_adversarial_apps, install_standard_apps
 from ..declassify import Declassifier
 from ..net import ExternalClient
 from ..platform import Provider, ProviderConfig
-from ..platform.config import _UNSET, resolve_config
 from ..resources import ResourceManager
 from ..search import DependencyGraph, coderank, top_k
 from ..workloads import SocialWorld
@@ -25,9 +24,8 @@ from ..workloads import SocialWorld
 class W5System:
     """A ready-to-use W5 deployment (single provider).
 
-    Performance/durability switches arrive as one
-    :class:`~repro.platform.config.ProviderConfig` (``config=``); the
-    individual keyword flags still work but are deprecated.
+    The plane and deployment knobs arrive as one
+    :class:`~repro.platform.config.ProviderConfig` (``config=``).
     """
 
     def __init__(self, name: str = "w5",
@@ -36,22 +34,10 @@ class W5System:
                  = None,
                  with_adversaries: bool = False,
                  js_policy: str = "block",
-                 fast_request_plane: Any = _UNSET,
-                 recycle_processes: Any = _UNSET,
-                 partitioned_store: Any = _UNSET,
-                 incremental_persistence: Any = _UNSET,
-                 journal_compact_bytes: Any = _UNSET,
                  audit_max_events: Optional[int] = None,
                  tracing: bool = False,
-                 config: Optional[ProviderConfig] = None,
-                 request_plans: Any = _UNSET) -> None:
-        config = resolve_config(config, dict(
-            fast_request_plane=fast_request_plane,
-            recycle_processes=recycle_processes,
-            partitioned_store=partitioned_store,
-            incremental_persistence=incremental_persistence,
-            journal_compact_bytes=journal_compact_bytes,
-            request_plans=request_plans), owner="W5System")
+                 config: Optional[ProviderConfig] = None) -> None:
+        config = config if config is not None else ProviderConfig()
         if config.shards > 1:
             # M13: N full provider shards behind one router.  Each
             # shard polices its own resources (shards share nothing);
@@ -63,13 +49,11 @@ class W5System:
                 engine=config.shard_engine, js_policy=js_policy,
                 audit_max_events=audit_max_events, tracing=tracing,
                 resources_factory=lambda: ResourceManager(
-                    default_quotas=quotas, overrides=quota_overrides,
-                    fast=config.batched_charges))
+                    default_quotas=quotas, overrides=quota_overrides))
             self.resources = self.provider.shards[0].kernel.resources
         else:
             self.resources = ResourceManager(default_quotas=quotas,
-                                             overrides=quota_overrides,
-                                             fast=config.batched_charges)
+                                             overrides=quota_overrides)
             self.provider = Provider(name=name, resources=self.resources,
                                      js_policy=js_policy,
                                      config=config,

@@ -184,17 +184,9 @@ class LabeledStore:
     oracle with identical observable behaviour.
     """
 
-    def __init__(self, kernel: Kernel, partitioned: bool = True,
-                 batch_charges: bool = True,
-                 verdict_slots: bool = True) -> None:
+    def __init__(self, kernel: Kernel, partitioned: bool = True) -> None:
         self.kernel = kernel
         self.partitioned = partitioned
-        #: M14: fuse the per-partition ``db_rows_scanned`` charges of
-        #: one scan into a single sequential-equivalent ``charge_many``.
-        self.batch_charges = batch_charges
-        #: M14: planned scans index a dense verdict list by small-int
-        #: partition slot instead of probing a dict per partition.
-        self.verdict_slots = verdict_slots
         #: Store-wide partition-slot registry: (slabel, ilabel) -> the
         #: small int the dense verdict rows are indexed by.  Assigned
         #: on first sight and never recycled (labels are interned).
@@ -413,8 +405,8 @@ class LabeledStore:
         updated = 0
         if self.partitioned:
             write_verdicts: dict[tuple[Label, Label], bool] = {}
-            for row in self._matching_rows_partitioned(
-                    process, table, where, predicate, plan):
+            for row in self._visible_rows(
+                    process, table, where, predicate, plan)[0]:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
@@ -471,8 +463,8 @@ class LabeledStore:
         doomed = []
         if self.partitioned:
             write_verdicts: dict[tuple[Label, Label], bool] = {}
-            for row in self._matching_rows_partitioned(
-                    process, table, where, predicate, plan):
+            for row in self._visible_rows(
+                    process, table, where, predicate, plan)[0]:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
@@ -647,19 +639,13 @@ class LabeledStore:
                 plan: Optional[Any] = None) -> list[dict[str, Any]]:
         table = self.table(table_name)
         if self.partitioned:
-            # batch engine: the query charge rides in the scan's
-            # charge_many as the first item — sequential-equivalent,
-            # since a loop of charges would apply it first anyway
-            if not self.batch_charges:
-                self.kernel.resources.charge(process, "db_queries", 1)
             matches, scanned = self._scan_partitioned(
                 process, table, where, predicate, limit, plan)
-            out = [row.snapshot() for row in matches]
         else:
             self.kernel.resources.charge(process, "db_queries", 1)
             matches, scanned = self._scan_naive(
                 process, table, where, predicate, limit)
-            out = [row.snapshot() for row in matches]
+        out = [row.snapshot() for row in matches]
         self._pad_scan(process, table, where, scanned)
         self.kernel.audit.record_lazy(A.DB_QUERY, True, process.name,
                                       "select %s (%d rows)",
@@ -707,8 +693,6 @@ class LabeledStore:
                plan: Optional[Any] = None) -> int:
         table = self.table(table_name)
         if self.partitioned:
-            if not self.batch_charges:
-                self.kernel.resources.charge(process, "db_queries", 1)
             matches, scanned = self._scan_partitioned(
                 process, table, where, predicate, None, plan)
         else:
@@ -768,151 +752,81 @@ class LabeledStore:
                           limit: Optional[int],
                           plan: Optional[Any] = None
                           ) -> tuple[list[Row], int]:
-        """One visibility verdict and one batched charge per partition.
+        """One visibility verdict per partition, one batched charge.
 
         Returns exactly the rows (in row-id order, honoring ``limit``)
-        and the scanned-row total the naive engine would produce; the
-        ``db_rows_scanned`` charges land in one call per partition, and
-        with a ``limit`` each partition is charged only up to the
-        naive engine's stopping point (a bisect, not a walk).
+        and the scanned-row total the naive engine would produce.  The
+        query charge and every partition's ``db_rows_scanned`` charge
+        land in one sequential-equivalent ``charge_many`` (the query
+        charge first, as the naive engine applies it), and with a
+        ``limit`` each partition is charged only up to the naive
+        engine's stopping point (a bisect, not a walk).
         """
-        stats = self._stats
-        matches: list[Row] = []
-        rows = table.rows
-        idlists: Any
-        if plan is not None and self.verdict_slots:
-            # Array-backed verdict slots (M14): one list index per
-            # partition in the inner loop instead of a dict probe.
-            pkeys, slots, idlists, prechecked = \
-                self._partition_arrays(table, where)
-            w = None if prechecked else where
-            vrow = plan.read_verdict_row(process, pkeys, slots)
-            for i, ids in enumerate(idlists):
-                if not vrow[slots[i]]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, w, predicate):
-                        matches.append(row)
-        else:
-            parts = self._partition_candidates(table, where)
-            if plan is not None:
-                # Plan verdicts are keyed by the process's *label
-                # state*, so the fresh process a tainted request
-                # spawned still hits.
-                verdicts = plan.read_verdicts(process, parts)
-            else:
-                verdicts = access.readable_pairs(process, list(parts),
-                                                 cache=self.kernel.flow_cache,
-                                                 category="db.read")
-            for pkey, ids in parts.items():
-                if not verdicts[pkey]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, where, predicate):
-                        matches.append(row)
-            idlists = parts.values()
-        matches.sort(key=lambda r: r.row_id)
-        resources = self.kernel.resources
-        batch = self.batch_charges
-        if limit is not None and matches:
+        matches, idlists = self._visible_rows(process, table, where,
+                                              predicate, plan)
+        items: list[tuple[str, float]] = [("db_queries", 1.0)]
+        scanned = 0
+        if limit is not None and matches and len(matches) >= max(limit, 1):
             # The naive loop breaks after appending its limit-th match
             # (with limit < 1 it still appends one row first), so rows
             # past that match are never charged.
-            cap = max(limit, 1)
-            if len(matches) >= cap:
-                matches = matches[:cap]
-                cutoff = matches[-1].row_id
-                scanned = 0
-                if batch:
-                    items = [("db_queries", 1.0)]
-                    for ids in idlists:
-                        n = bisect_right(ids, cutoff)
-                        if n:
-                            items.append(("db_rows_scanned", n))
-                        scanned += n
-                    resources.charge_many(process, items)
-                    stats["batched_charges"] += len(items)
-                    return matches, scanned
-                for ids in idlists:
-                    n = bisect_right(ids, cutoff)
-                    if n:
-                        resources.charge(process, "db_rows_scanned", n)
-                        stats["batched_charges"] += 1
-                    scanned += n
-                return matches, scanned
-        scanned = 0
-        if batch:
-            items = [("db_queries", 1.0)]
+            matches = matches[:max(limit, 1)]
+            cutoff = matches[-1].row_id
+            for ids in idlists:
+                n = bisect_right(ids, cutoff)
+                if n:
+                    items.append(("db_rows_scanned", n))
+                scanned += n
+        else:
             for ids in idlists:
                 n = len(ids)
                 if n:
                     items.append(("db_rows_scanned", n))
                 scanned += n
-            resources.charge_many(process, items)
-            stats["batched_charges"] += len(items)
-            return matches, scanned
-        for ids in idlists:
-            if ids:
-                resources.charge(process, "db_rows_scanned", len(ids))
-                stats["batched_charges"] += 1
-            scanned += len(ids)
+        self.kernel.resources.charge_many(process, items)
+        self._stats["batched_charges"] += len(items)
         return matches, scanned
 
-    def _matching_rows_partitioned(self, process: Process, table: Table,
-                                   where: Optional[dict[str, Any]],
-                                   predicate: Optional[Predicate],
-                                   plan: Optional[Any] = None
-                                   ) -> list[Row]:
-        """Visible matching rows in row-id order, one read verdict per
-        partition (the update/delete front half — no scan charges, the
-        historical write-path behaviour)."""
-        stats = self._stats
-        matches: list[Row] = []
-        rows = table.rows
-        if plan is not None and self.verdict_slots:
-            pkeys, slots, idlists, prechecked = \
-                self._partition_arrays(table, where)
-            w = None if prechecked else where
-            vrow = plan.read_verdict_row(process, pkeys, slots)
-            for i, ids in enumerate(idlists):
-                if not vrow[slots[i]]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, w, predicate):
-                        matches.append(row)
-            matches.sort(key=lambda r: r.row_id)
-            return matches
-        parts = self._partition_candidates(table, where)
+    def _visible_rows(self, process: Process, table: Table,
+                      where: Optional[dict[str, Any]],
+                      predicate: Optional[Predicate],
+                      plan: Optional[Any]) -> tuple[list[Row], list]:
+        """Visible matching rows in row-id order plus the candidate id
+        lists of every partition, with one read verdict per partition.
+        Charges nothing: :meth:`_scan_partitioned` charges the scan,
+        and update/delete never charged one.
+
+        The verdicts come from the bound plan's dense slot row (keyed
+        by the process's label state, so the fresh process a tainted
+        request spawned still hits) or, without a plan, from the flow
+        cache's batched :func:`~repro.core.access.readable_pairs`.
+        """
+        pkeys, slots, idlists, prechecked = \
+            self._partition_arrays(table, where)
         if plan is not None:
-            verdicts = plan.read_verdicts(process, parts)
+            verdicts: Any = plan.read_verdict_row(process, pkeys, slots)
+            keys = slots
         else:
-            verdicts = access.readable_pairs(process, list(parts),
+            verdicts = access.readable_pairs(process, pkeys,
                                              cache=self.kernel.flow_cache,
                                              category="db.read")
-        for pkey, ids in parts.items():
-            if not verdicts[pkey]:
+            keys = pkeys
+        w = None if prechecked else where
+        stats = self._stats
+        rows = table.rows
+        matches: list[Row] = []
+        for key, ids in zip(keys, idlists):
+            if not verdicts[key]:
                 stats["partitions_skipped"] += 1
                 stats["rows_skipped"] += len(ids)
                 continue
             stats["partitions_visible"] += 1
             for rid in ids:
                 row = rows.get(rid)
-                if row is not None and _matches(row, where, predicate):
+                if row is not None and _matches(row, w, predicate):
                     matches.append(row)
         matches.sort(key=lambda r: r.row_id)
-        return matches
+        return matches, idlists
 
     def _pad_scan(self, process: Process, table: Table,
                   where: Optional[dict[str, Any]], scanned: int) -> None:
@@ -981,10 +895,10 @@ class LabeledStore:
     def _partition_arrays(self, table: Table,
                           where: Optional[dict[str, Any]]
                           ) -> tuple[list, list, list]:
-        """Slot-aligned view of :meth:`_partition_candidates` for the
-        array-backed verdict path (M14): ``(pkeys, slots, idlists,
-        prechecked)`` with the three lists aligned index-for-index and
-        ``slots`` drawn from the store-wide registry.  ``prechecked``
+        """Slot-aligned view of :meth:`_partition_candidates` for
+        :meth:`_visible_rows`: ``(pkeys, slots, idlists, prechecked)``
+        with the three lists aligned index-for-index and ``slots``
+        drawn from the store-wide registry.  ``prechecked``
         is True when the where clause is a single column answered by
         that column's index — every candidate id then satisfies it by
         construction, and the scan loop can skip re-verifying it row

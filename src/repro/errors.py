@@ -61,5 +61,16 @@ class CrossShardWrite(W5Error):
     fails loudly instead of silently corrupting the stream."""
 
 
+class ShardDown(W5Error):
+    """A shard's worker is gone (a forked child died or closed its
+    pipe), so a request or control call routed to it cannot complete.
+    ``shard`` names the dead shard."""
+
+    def __init__(self, shard: int, reason: str = "") -> None:
+        self.shard = shard
+        super().__init__(f"shard {shard} is down"
+                         + (f": {reason}" if reason else ""))
+
+
 __all__ = ["W5Error", "FlowDenied", "WriteDenied", "NotFound",
-           "CrossShardWrite"]
+           "CrossShardWrite", "ShardDown"]

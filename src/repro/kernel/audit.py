@@ -147,7 +147,7 @@ class AuditLog:
         self._subscribers: list[Callable[[AuditEvent], None]] = []
         self._indexed = category_index
         #: When False, :meth:`record_lazy` renders templates eagerly —
-        #: the M14 naive opt-out, byte-identical either way.
+        #: the oracle plane's path, byte-identical either way.
         self.lazy = lazy
         # Fused per-category state: category -> [index deque (or None
         # when unindexed), n_allowed, n_denied].  One dict probe per
@@ -204,12 +204,11 @@ class AuditLog:
         bytes.
         """
         if not self.lazy:
-            # The naive twin reproduces the pre-M14 call shape exactly:
+            # The oracle path reproduces the pre-M14 call shape exactly:
             # render eagerly, then enter through the public record()
             # with the diagnostic payload spread as keyword arguments —
             # that is what every call site did before the lazy path
-            # existed, and it is the cost the M14 benchmark holds up as
-            # its baseline.
+            # existed.
             if args is not None:
                 template = template % args
             if extra:

@@ -64,10 +64,11 @@ class ResourceHook:
                     items: Iterable[tuple[str, float]]) -> None:
         """Charge several kinds at once, sequential-equivalent.
 
-        Must behave exactly like charging the items in order: the first
-        refusal raises with earlier items already applied.  Metered
-        hooks override this to do one usage lookup for the batch
-        (M14); the unlimited default just loops.
+        An item ``(kind, n)`` stands for ``n`` unit charges, and the
+        batch must behave exactly like that loop of unit charges: the
+        first refused unit raises with every earlier unit applied.
+        Metered hooks override this to do one usage lookup for the
+        batch (M14); the unlimited default just loops.
         """
         for kind, amount in items:
             self.charge(process, kind, amount)

@@ -1,66 +1,42 @@
-"""Provider configuration: one frozen record instead of flag sprawl.
+"""Provider configuration: two planes and three deployment knobs.
 
-The Provider constructor accumulated five independent performance
-switches over the M8–M11 milestones (``fast_request_plane``,
-``recycle_processes``, ``partitioned_store``,
-``incremental_persistence``, ``journal_compact_bytes``) plus the new
-M12 ``request_plans`` switch.  Each is still meaningful on its own —
-the differential suites toggle them individually — but callers should
-not have to recite six keywords to say "fast" or "naive".
+A provider runs on one of two planes:
 
-:class:`ProviderConfig` packages them as a frozen dataclass with three
-named presets:
+* ``"fast"`` (the default, :meth:`ProviderConfig.fast`) — the engine a
+  production deployment runs: compiled request plans with array-backed
+  partition verdicts, batched resource charges, lazy audit rendering,
+  compiled label transitions, the memoized launch-capability index and
+  authority oracle, process recycling, the label-partitioned store and
+  the write-ahead journal with O(dirty) snapshots.
+* ``"oracle"`` (:meth:`ProviderConfig.oracle`) — the paper's semantics
+  executed the slow, obviously-correct way: the per-row store scan,
+  eager audit, no memos, no process pool, full snapshots only.  It is
+  the single reference the fast plane is checked against: responses,
+  charges, denials and audit streams must match (the differential
+  helper in ``tests/_differential.py`` states the comparison).
 
-* :meth:`ProviderConfig.fast` — every acceleration on, including
-  compiled request plans (M12).  What a production deployment runs.
-* :meth:`ProviderConfig.naive` — everything off: the paper's semantics
-  executed the slow, obviously-correct way.  The differential baseline.
-* :meth:`ProviderConfig.durable` — the fast plane plus incremental
-  persistence tuned for journaled restarts.
-
-The *default* ``ProviderConfig()`` mirrors the Provider's historical
-keyword defaults (fast plane on, plans off), so ``Provider()`` built
-with no arguments behaves exactly as it did before this API existed.
-
-The old Provider/W5System keywords still work but emit
-:class:`W5DeprecationWarning`; a dedicated CI job runs the suite with
-that warning promoted to an error so internal callers stay migrated.
+:meth:`Provider.__init__ <repro.platform.provider.Provider>` is the one
+place that turns the plane into component arguments.  The remaining
+fields are real deployment knobs: the shard count, the shard engine and
+the journal compaction threshold.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
-
-class W5DeprecationWarning(DeprecationWarning):
-    """Deprecation warnings raised by this package's own APIs.
-
-    A subclass so CI can run ``-W error::repro.platform.config.W5DeprecationWarning``
-    without promoting unrelated third-party deprecations.
-    """
+#: The two planes a provider can run.
+PLANES = ("fast", "oracle")
 
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Every Provider performance/durability switch in one record."""
+    """A provider's plane plus its deployment knobs."""
 
-    #: Memoized request plane (M8): LaunchCapIndex + authority memo.
-    fast_request_plane: bool = True
-    #: Process pool recycling (M8): reuse exited app processes.
-    recycle_processes: bool = True
-    #: Label-partitioned store (M9): group rows by label pair.
-    partitioned_store: bool = True
-    #: Write-ahead journal + O(dirty) snapshots (M10).
-    incremental_persistence: bool = True
-    #: Journal size (bytes) that triggers compaction into a snapshot.
-    journal_compact_bytes: int = 1 << 20
-    #: Compiled per-(app, viewer) request plans (M12).  Off by default:
-    #: plans bypass the individual memo layers, so deployments (and
-    #: tests) that introspect those layers' hit/miss counters opt in.
-    request_plans: bool = False
+    #: ``"fast"`` or ``"oracle"`` (see the module docstring).
+    plane: str = "fast"
     #: Number of provider shards (M13).  1 means the classic unsharded
     #: plane; >1 makes W5System build a
     #: :class:`~repro.platform.shards.ShardedProvider` that partitions
@@ -72,60 +48,31 @@ class ProviderConfig:
     #: that actually scales with cores under the GIL), or ``None`` for
     #: the default (serial at 1 shard, thread above).
     shard_engine: "str | None" = None
-    #: Deferred audit-detail rendering (M14): hot call sites record an
-    #: interned template + args tuple; ``detail`` is formatted on first
-    #: access.  Byte-identical to eager formatting (args are interned
-    #: immutables), so on by default.
-    lazy_audit: bool = True
-    #: Compiled label transitions (M14): memoize the capability
-    #: legality of ``(from, to, caps)`` label changes behind the
-    #: FlowCache generation counter.
-    compiled_transitions: bool = True
-    #: Batched resource charges (M14): ``charge_many`` applies one
-    #: Usage lookup per request with sequential-equivalent denial
-    #: ordering.
-    batched_charges: bool = True
-    #: Array-backed partition verdict slots (M14): planned scans index
-    #: a dense verdict list by small-int partition slot instead of
-    #: probing a dict per partition.
-    verdict_slots: bool = True
+    #: Journal size (bytes) that triggers compaction into a snapshot
+    #: (fast plane only; the oracle keeps no journal).
+    journal_compact_bytes: int = 1 << 20
+
+    def __post_init__(self) -> None:
+        if self.plane not in PLANES:
+            raise ValueError(f"unknown plane {self.plane!r} "
+                             f"(have {', '.join(PLANES)})")
 
     # -- presets --------------------------------------------------------
 
     @classmethod
     def fast(cls, **overrides: Any) -> "ProviderConfig":
-        """All accelerations on, including compiled request plans."""
-        return cls(request_plans=True, **overrides)
+        """The fast engine (the same as ``ProviderConfig()``)."""
+        return cls(plane="fast", **overrides)
+
+    @classmethod
+    def oracle(cls, **overrides: Any) -> "ProviderConfig":
+        """The deliberately simple reference plane."""
+        return cls(plane="oracle", **overrides)
 
     @classmethod
     def sharded(cls, shards: int, **overrides: Any) -> "ProviderConfig":
         """The fast plane, partitioned across ``shards`` providers."""
-        base: dict[str, Any] = dict(request_plans=True, shards=shards)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def naive(cls, **overrides: Any) -> "ProviderConfig":
-        """Everything off — the differential baseline plane."""
-        base = dict(fast_request_plane=False, recycle_processes=False,
-                    partitioned_store=False, incremental_persistence=False,
-                    request_plans=False, lazy_audit=False,
-                    compiled_transitions=False, batched_charges=False,
-                    verdict_slots=False)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def durable(cls, **overrides: Any) -> "ProviderConfig":
-        """The fast plane with incremental persistence pinned on.
-
-        Today this matches the defaults (plans stay opt-in); the preset
-        exists so restart-heavy deployments state their intent and keep
-        journaling even if a future default changes.
-        """
-        base = dict(incremental_persistence=True)
-        base.update(overrides)
-        return cls(**base)
+        return cls(shards=shards, **overrides)
 
     def replace(self, **changes: Any) -> "ProviderConfig":
         """A copy with ``changes`` applied (configs are frozen)."""
@@ -134,39 +81,3 @@ class ProviderConfig:
     def describe(self) -> dict[str, Any]:
         """Plain-dict view (used by ``Provider.explain`` and tests)."""
         return dataclasses.asdict(self)
-
-
-#: Sentinel distinguishing "caller omitted the deprecated keyword" from
-#: every real value (including None and False).
-_UNSET: Any = object()
-
-#: The deprecated Provider/W5System keywords and the config field each
-#: maps onto.  Order matters only for warning text stability.
-LEGACY_FLAGS = ("fast_request_plane", "recycle_processes",
-                "partitioned_store", "incremental_persistence",
-                "journal_compact_bytes", "request_plans")
-
-
-def resolve_config(config: "ProviderConfig | None",
-                   legacy: dict[str, Any],
-                   owner: str = "Provider") -> ProviderConfig:
-    """Merge deprecated keyword arguments into a ProviderConfig.
-
-    ``legacy`` maps flag name → value-or-``_UNSET``.  Any flag actually
-    supplied emits a :class:`W5DeprecationWarning` and overrides the
-    corresponding config field.  Passing both a config *and* a legacy
-    override is allowed (the override wins) so migrations can proceed
-    one call site at a time.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        names = ", ".join(sorted(supplied))
-        warnings.warn(
-            f"{owner}({names}=...) keyword(s) are deprecated; pass "
-            f"config=ProviderConfig(...) instead (see ProviderConfig "
-            f"presets .fast()/.naive()/.durable())",
-            W5DeprecationWarning, stacklevel=3)
-    base = config if config is not None else ProviderConfig()
-    if supplied:
-        base = dataclasses.replace(base, **supplied)
-    return base

@@ -265,9 +265,9 @@ def _restore_into(provider: Provider, state: dict[str, Any],
     # Storage comes back verbatim (including /users and home dirs),
     # on the same engine the fresh provider was configured with.
     provider.fs = restore_fs(provider.kernel, state["fs"],
-                             grouped_walk=provider.partitioned_store)
+                             grouped_walk=provider.fs.grouped_walk)
     provider.db = restore_store(provider.kernel, state["db"],
-                                partitioned=provider.partitioned_store)
+                                partitioned=provider.db.partitioned)
 
     # Code reinstall.
     for module in app_catalog:

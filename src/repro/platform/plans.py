@@ -32,8 +32,8 @@ invalidation callback to forget.
 Plans only ever replace *pure recomputation*; every observable —
 process spawn/exit, label changes, resource charges, audit records —
 still happens through the ordinary kernel paths, which is what lets
-``tests/platform/test_plan_differential.py`` assert byte-identical
-responses and audit streams against the unplanned plane.
+``tests/platform/test_plan_differential.py`` assert identical
+responses, charges and audit streams against the oracle plane.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .provider import Provider
     from .registry import AppModule
 
-#: Bounds on the lazily-grown verdict tables: label *states* a process
-#: can be in while running one app (untainted + one per author read),
-#: and partitions per state.  Overflow clears — plans are caches.
+#: Bound on the lazily-grown verdict rows: label *states* a process can
+#: be in while running one app (untainted + one per author read).
+#: Overflow clears — plans are caches.
 _MAX_STATES = 64
-_MAX_VERDICTS = 4096
 
 
 class RequestPlan:
@@ -61,7 +60,7 @@ class RequestPlan:
     __slots__ = ("app_ref", "viewer", "app", "account", "caps",
                  "process_name", "pool_key", "authority", "allow_detail",
                  "admit_static", "cap_epoch", "auth_epoch", "reg_epoch",
-                 "_verdicts", "_slot_rows", "_slot_pkeys", "_row_memo")
+                 "_slot_rows", "_slot_pkeys", "_row_memo")
 
     def __init__(self, app_ref: str, viewer: Optional[str],
                  app: "AppModule", account: "Optional[UserAccount]",
@@ -88,13 +87,11 @@ class RequestPlan:
         self.cap_epoch = cap_epoch
         self.auth_epoch = auth_epoch
         self.reg_epoch = reg_epoch
-        #: (slabel, ilabel, caps) -> {(row_slabel, row_ilabel): bool}.
-        self._verdicts: dict[tuple, dict[tuple, bool]] = {}
-        #: Array-backed variant (M14): (slabel, ilabel, caps) -> dense
-        #: verdict list indexed by the store's small-int partition slot.
+        #: (slabel, ilabel, caps) -> dense verdict list indexed by the
+        #: store's small-int partition slot.
         self._slot_rows: dict[tuple, list] = {}
         #: slot -> partition key, maintained on miss so describe() can
-        #: render the dense rows the same way as the dict tables.
+        #: render the dense rows by partition.
         self._slot_pkeys: dict[int, tuple] = {}
         #: Last (state, slots-list, row) served by read_verdict_row —
         #: the steady state repeats one (state, where) pair per request.
@@ -109,51 +106,22 @@ class RequestPlan:
 
     # -- partition verdicts --------------------------------------------
 
-    def read_verdicts(self, process: Any,
-                      pkeys: "dict | list") -> dict[tuple, bool]:
-        """Read verdicts for the given partition keys, keyed by the
-        process's *label state* rather than its pid.
-
-        ``can_read`` is a pure function of (object labels, subject
-        labels, subject caps); with every participant interned, the
-        verdict for a state is a theorem that can never go stale while
-        the tag namespace lives (a registry restore rewires tag
-        identity, but it also bumps the cap-index epoch, which retires
-        this whole plan).  That makes the table safe to share across
-        the fresh processes that a tainted request path spawns every
-        request — exactly the reuse the pid-keyed flow cache cannot do.
-        """
-        slabel = process.slabel
-        ilabel = process.ilabel
-        caps = process.caps
-        state = (slabel, ilabel, caps)
-        tables = self._verdicts
-        table = tables.get(state)
-        if table is None:
-            if len(tables) >= _MAX_STATES:
-                tables.clear()
-            table = tables[state] = {}
-        out: dict[tuple, bool] = {}
-        for pkey in pkeys:
-            v = table.get(pkey)
-            if v is None:
-                if len(table) >= _MAX_VERDICTS:
-                    table.clear()
-                v = table[pkey] = can_read(pkey[0], pkey[1],
-                                           slabel, ilabel, caps)
-            out[pkey] = v
-        return out
-
     def read_verdict_row(self, process: Any, pkeys: list,
                          slots: list) -> list:
-        """Dense-list verdicts for array-backed partition scans (M14).
+        """Read verdicts for a partition scan, keyed by the process's
+        *label state* rather than its pid.
 
         ``slots[i]`` is the store-assigned small-int slot of partition
-        ``pkeys[i]``; the returned list answers ``row[slots[i]]`` with
-        the same pure ``can_read`` verdict :meth:`read_verdicts` would
-        give, but the scan inner loop indexes a list instead of probing
-        a dict.  The caching rationale (interned label states, epoch
-        retirement via the plan itself) is identical.
+        ``pkeys[i]``; the returned dense list answers ``row[slots[i]]``
+        so the scan inner loop indexes a list instead of probing a
+        dict.  ``can_read`` is a pure function of (object labels,
+        subject labels, subject caps); with every participant interned,
+        the verdict for a state is a theorem that can never go stale
+        while the tag namespace lives (a registry restore rewires tag
+        identity, but it also bumps the cap-index epoch, which retires
+        this whole plan).  That makes the row safe to share across the
+        fresh processes that a tainted request path spawns every
+        request — exactly the reuse the pid-keyed flow cache cannot do.
 
         The single-entry memo keys on the *identity* of the ``slots``
         list: the store memoizes the slot arrays per where-signature
@@ -191,15 +159,10 @@ class RequestPlan:
     def describe(self) -> dict[str, Any]:
         """A serializable rendering of the compiled plan."""
         verdicts = []
-        merged: dict[tuple, dict[tuple, bool]] = {}
-        for state, table in self._verdicts.items():
-            merged.setdefault(state, {}).update(table)
         for state, row in self._slot_rows.items():
-            table = merged.setdefault(state, {})
-            for slot, allowed in enumerate(row):
-                if allowed is not None:
-                    table[self._slot_pkeys[slot]] = allowed
-        for state, table in merged.items():
+            table = {self._slot_pkeys[slot]: allowed
+                     for slot, allowed in enumerate(row)
+                     if allowed is not None}
             verdicts.append({
                 "subject": {"slabel": repr(state[0]),
                             "ilabel": repr(state[1]),

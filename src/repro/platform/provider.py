@@ -32,7 +32,7 @@ from ..net import (Gateway, HttpRequest, HttpResponse, SESSION_COOKIE,
 from ..net.email import EmailGateway
 from ..obs import FlightRecorder, NULL_TRACER, Tracer
 from .accounts import UserAccount
-from .config import ProviderConfig, _UNSET, resolve_config
+from .config import ProviderConfig
 from .context import AppContext
 from .debug import DebugService
 from .endorsement import EndorsementService
@@ -66,34 +66,21 @@ class Provider:
                  resources: Optional[ResourceHook] = None,
                  js_policy: str = "block",
                  rate_limit: Optional[int] = None,
-                 fast_request_plane: Any = _UNSET,
-                 recycle_processes: Any = _UNSET,
-                 partitioned_store: Any = _UNSET,
                  audit_max_events: Optional[int] = None,
-                 incremental_persistence: Any = _UNSET,
-                 journal_compact_bytes: Any = _UNSET,
                  tracing: bool = False,
                  config: Optional[ProviderConfig] = None,
-                 request_plans: Any = _UNSET,
                  session_seed: Optional[int] = None) -> None:
         self.name = name
-        #: The resolved :class:`ProviderConfig`.  The individual flag
-        #: keywords are deprecated aliases that emit
-        #: :class:`~repro.platform.config.W5DeprecationWarning` and
-        #: override the matching config field.
-        config = resolve_config(config, dict(
-            fast_request_plane=fast_request_plane,
-            recycle_processes=recycle_processes,
-            partitioned_store=partitioned_store,
-            incremental_persistence=incremental_persistence,
-            journal_compact_bytes=journal_compact_bytes,
-            request_plans=request_plans), owner="Provider")
-        self.config = config
-        fast_request_plane = config.fast_request_plane
-        recycle_processes = config.recycle_processes
-        partitioned_store = config.partitioned_store
-        incremental_persistence = config.incremental_persistence
-        journal_compact_bytes = config.journal_compact_bytes
+        #: The :class:`ProviderConfig`; this constructor is the one
+        #: place its plane becomes component arguments.  On the fast
+        #: plane every component runs its accelerated engine; on the
+        #: oracle plane every component runs its reference path (the
+        #: per-row store scan and per-node fs walk, eager audit, no
+        #: transition/launch-cap/authority memos, no compiled plans, no
+        #: process pool, no journal).
+        self.config = config = config if config is not None \
+            else ProviderConfig()
+        fast = config.plane == "fast"
         #: ``tracing`` switches end-to-end request tracing (repro.obs):
         #: every handle_request builds a span tree through gateway,
         #: kernel, app, db/fs, declassifier and egress; per-span-name
@@ -108,44 +95,19 @@ class Provider:
         else:
             self.tracer = NULL_TRACER
             self.recorder = None
-        #: ``incremental_persistence`` switches the durability journal:
-        #: every durable mutation is appended to a checksummed log and
-        #: ``snapshot_provider(..., incremental=True)`` emits O(dirty)
-        #: deltas against the last full checkpoint, compacting when the
-        #: journal outgrows ``journal_compact_bytes``.  Off, snapshots
-        #: are always the naive full re-serialization (the M10
-        #: benchmark baseline), and crash recovery can only roll back
-        #: to the last full snapshot.
-        self.incremental_persistence = incremental_persistence
-        self.journal_compact_bytes = journal_compact_bytes
-        #: ``fast_request_plane`` switches the O(1) request plane: the
-        #: per-(app, viewer) launch-capability index and the memoized
-        #: export-authority oracle.  Off, every request recomputes both
-        #: from scratch (the M8 benchmark compares the two).
-        self.fast_request_plane = fast_request_plane
-        #: ``partitioned_store`` switches the label-partitioned data
-        #: plane: db queries resolve visibility once per distinct
-        #: ``(slabel, ilabel)`` partition and ``fs.walk`` prunes
-        #: unreadable subtrees with one verdict per child label pair.
-        #: Off, both fall back to the naive per-row / per-node engines
-        #: (the M9 benchmark baseline and differential-test oracle).
-        self.partitioned_store = partitioned_store
         self.kernel = Kernel(namespace=name, resources=resources,
-                             recycle=recycle_processes,
+                             recycle=fast,
                              audit_max_events=audit_max_events,
-                             lazy_audit=config.lazy_audit,
-                             compiled_transitions=config.compiled_transitions)
+                             lazy_audit=fast,
+                             compiled_transitions=fast)
         self.kernel.tracer = self.tracer
         if tracing:
             # every audit event recorded inside a traced request
             # carries the active trace/span id in its extra dict (the
             # log reads tracer.current directly — no callback)
             self.kernel.audit.trace_source = self.tracer
-        self.fs = LabeledFileSystem(self.kernel,
-                                    grouped_walk=partitioned_store)
-        self.db = LabeledStore(self.kernel, partitioned=partitioned_store,
-                               batch_charges=config.batched_charges,
-                               verdict_slots=config.verdict_slots)
+        self.fs = LabeledFileSystem(self.kernel, grouped_walk=fast)
+        self.db = LabeledStore(self.kernel, partitioned=fast)
         # shard k of a ShardedProvider seeds its session RNG with
         # seed+k so two shards never mint the same token (the router
         # maps token -> shard); shard 0 / unsharded keep the default
@@ -153,7 +115,7 @@ class Provider:
         self.sessions = (SessionManager() if session_seed is None
                          else SessionManager(seed=session_seed))
         self.declass = DeclassificationService(
-            self.kernel, cache_authority=fast_request_plane)
+            self.kernel, cache_authority=fast)
         self.apps = Registry()
         self.modules = self.apps  # one namespace; kinds distinguish
         #: (app, module) dynamic usage edges for the §3.2 code search.
@@ -194,29 +156,33 @@ class Provider:
         from .groups import GroupService
         self.groups = GroupService(self)
         from .capindex import LaunchCapIndex
-        self.capindex = LaunchCapIndex(self, enabled=fast_request_plane)
+        self.capindex = LaunchCapIndex(self, enabled=fast)
         #: Compiled per-(app, viewer) request plans (M12).  The cache
-        #: exists regardless of the switch — ``explain()`` can compile
-        #: a plan for inspection either way — but dispatch consults it
-        #: only when ``config.request_plans`` is on.
-        self.plans = PlanCache(self, enabled=config.request_plans)
-        #: The durability manager (journal + dirty tracking + replay).
-        #: Created last so the provider's own bootstrap (tags, /users,
-        #: /groups) lands in the initial base checkpoint, not the
-        #: journal.
+        #: exists on both planes — ``explain()`` can compile a plan for
+        #: inspection either way — but only the fast plane dispatches
+        #: through it.
+        self.plans = PlanCache(self, enabled=fast)
+        #: The durability manager (journal + dirty tracking + replay):
+        #: every durable mutation is appended to a checksummed log and
+        #: ``snapshot_provider(..., incremental=True)`` emits O(dirty)
+        #: deltas, compacting past ``journal_compact_bytes``.  The
+        #: oracle keeps none: its snapshots are always the full
+        #: re-serialization.  Created last so the provider's own
+        #: bootstrap (tags, /users, /groups) lands in the initial base
+        #: checkpoint, not the journal.
         self._durability = None
-        if incremental_persistence:
+        if fast:
             from .durability import DurabilityManager
             self._durability = DurabilityManager(
-                self, compact_threshold=journal_compact_bytes)
+                self, compact_threshold=config.journal_compact_bytes)
 
     # ------------------------------------------------------------------
     # durability plumbing
     # ------------------------------------------------------------------
 
     def _record(self, op: str, data: dict[str, Any]) -> None:
-        """Journal one platform-level durable mutation (no-op when
-        ``incremental_persistence`` is off or replay is running)."""
+        """Journal one platform-level durable mutation (no-op on the
+        oracle plane or while replay is running)."""
         if self._durability is not None:
             self._durability.record(op, data)
 

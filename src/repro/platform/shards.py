@@ -61,7 +61,7 @@ from bisect import bisect_right
 from hashlib import blake2b
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from ..errors import W5Error
+from ..errors import ShardDown, W5Error
 from ..kernel.audit import AuditEvent
 from ..net import SESSION_COOKIE, HttpRequest, HttpResponse
 from ..obs import NULL_TRACER, FlightRecorder, LatencyHistogram, Tracer
@@ -383,6 +383,8 @@ class _ForkEngine:
     control calls after the fork cross the pipe.  Requests pickle as
     plain dataclasses; responses come back as ``(status, body,
     headers, set_cookies)`` tuples (egress already stripped labels).
+    A child that has died surfaces as :class:`~repro.errors.ShardDown`
+    naming its shard (there is no respawn).
     """
 
     name = "fork"
@@ -415,34 +417,61 @@ class _ForkEngine:
         self._conns = conns
         return conns
 
-    @staticmethod
-    def _rpc(conn: Any, op: tuple) -> Any:
-        conn.send(op)
-        return _ForkEngine._recv(conn)
+    def _send(self, shard: int, op: tuple) -> None:
+        try:
+            self._ensure_started()[shard].send(op)
+        except OSError as exc:  # the child closed its end: it is gone
+            raise ShardDown(shard, type(exc).__name__) from exc
 
-    @staticmethod
-    def _recv(conn: Any) -> Any:
-        status, payload = conn.recv()
+    def _recv(self, shard: int) -> Any:
+        try:
+            status, payload = self._ensure_started()[shard].recv()
+        except (EOFError, OSError) as exc:
+            raise ShardDown(shard, type(exc).__name__) from exc
         if status == "err":
             raise payload
         return payload
 
+    def _rpc(self, shard: int, op: tuple) -> Any:
+        self._send(shard, op)
+        return self._recv(shard)
+
+    def _fan_out(self, ops: list[tuple[int, tuple]]) -> list[Any]:
+        """Send every ``(shard, op)`` before reading any reply (the
+        children overlap), then the replies in order.  A failure — a
+        dead shard or an error raised in a child — propagates only
+        after every other reply is read, so the pipes stay in step."""
+        failure: Optional[Exception] = None
+        sent = []
+        for shard, op in ops:
+            try:
+                self._send(shard, op)
+                sent.append(shard)
+            except Exception as exc:  # no reply will come for this op
+                failure = failure or exc
+        replies = {}
+        for shard in sent:
+            try:
+                replies[shard] = self._recv(shard)
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return [replies[shard] for shard, __ in ops]
+
     def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        conn = self._ensure_started()[shard]
-        return _rebuild_response(self._rpc(conn, ("request", request)))
+        return _rebuild_response(self._rpc(shard, ("request", request)))
 
     def run_batches(self, groups: dict[int, list[HttpRequest]],
                     ctx: Optional[TraceContext] = None
                     ) -> tuple[dict[int, list[HttpResponse]],
                                dict[int, list[dict]]]:
-        conns = self._ensure_started()
         ordered = sorted(groups.items())
-        for shard, reqs in ordered:  # fan out first: children overlap
-            conns[shard].send(("batch", reqs, ctx))
+        replies = self._fan_out([(shard, ("batch", reqs, ctx))
+                                 for shard, reqs in ordered])
         responses: dict[int, list[HttpResponse]] = {}
         skeletons: dict[int, list[dict]] = {}
-        for shard, _ in ordered:
-            plain, skels = self._recv(conns[shard])
+        for (shard, __), (plain, skels) in zip(ordered, replies):
             responses[shard] = [_rebuild_response(t) for t in plain]
             skeletons[shard] = skels
         return responses, skeletons
@@ -453,34 +482,33 @@ class _ForkEngine:
             # pre-fork: run in the parent so children inherit the effect
             return _resolve(self.shards[shard], method)(
                 *args, **(kwargs or {}))
-        return self._rpc(self._conns[shard],
-                         ("call", method, args, kwargs or {}))
+        return self._rpc(shard, ("call", method, args, kwargs or {}))
 
     def broadcast(self, method: str, args: tuple = (),
                   kwargs: Optional[dict] = None) -> list[Any]:
         if self._conns is None:
             return [_resolve(s, method)(*args, **(kwargs or {}))
                     for s in self.shards]
-        for conn in self._conns:
-            conn.send(("call", method, args, kwargs or {}))
-        return [self._recv(conn) for conn in self._conns]
+        op = ("call", method, args, kwargs or {})
+        return self._fan_out([(shard, op)
+                              for shard in range(len(self._conns))])
 
     def audit_events(self, shard: int) -> list[AuditEvent]:
         if self._conns is None:
             return list(self.shards[shard].kernel.audit)
-        rows = self._rpc(self._conns[shard], ("audit",))
+        rows = self._rpc(shard, ("audit",))
         return [AuditEvent(seq, category, allowed, subject, detail)
                 for seq, category, allowed, subject, detail in rows]
 
     def shutdown(self) -> None:
         if self._conns is None:
             return
-        for conn in self._conns:
+        for shard, conn in enumerate(self._conns):
             try:
-                self._rpc(conn, ("stop",))
-                conn.close()
-            except (EOFError, OSError, BrokenPipeError):
+                self._rpc(shard, ("stop",))
+            except ShardDown:
                 pass
+            conn.close()
         for pid in self._pids:
             try:
                 os.waitpid(pid, 0)
@@ -910,15 +938,13 @@ class ShardedProvider:
         engine's pipe).  ``router`` carries the router tracer's own
         counters and its flight recorder — whose ``router.batch``
         traces are the stitched cross-shard trees, one root per batch
-        with every request's subtree grafted under it.  ``shards`` is
-        the pre-M16 unmerged per-shard broadcast, kept as a deprecated
-        alias for callers that still want the raw per-shard view.
+        with every request's subtree grafted under it.
         """
         shard_reports = self._engine.broadcast("trace_report")
         tracing = self.tracer.enabled or bool(
             shard_reports and shard_reports[0].get("tracing"))
         if not tracing:
-            return {"tracing": False, "shards": shard_reports}
+            return {"tracing": False}
         stats = {"traces_started": 0, "traces_finished": 0,
                  "spans_dropped": 0}
         merged: dict[str, LatencyHistogram] = {}
@@ -944,7 +970,6 @@ class ShardedProvider:
                           for name, hist in sorted(merged.items())},
             "histograms": {name: hist.snapshot()
                            for name, hist in sorted(merged.items())},
-            "shards": shard_reports,  # deprecated: unmerged broadcast
         }
         if self.tracer.enabled and self.recorder is not None:
             report["router"] = {"stats": self.tracer.stats(),

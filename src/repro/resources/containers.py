@@ -18,6 +18,7 @@ Quotas attach at two granularities:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Optional
 
 from ..kernel import Process, ResourceHook
@@ -94,16 +95,9 @@ class ResourceManager(ResourceHook):
 
     def __init__(self, default_quotas: Optional[Mapping[str, float]] = None,
                  overrides: Optional[Mapping[str, Mapping[str, float]]]
-                 = None, fast: bool = True) -> None:
+                 = None) -> None:
         self.default_quotas = dict(default_quotas or {})
         self.overrides = {k: dict(v) for k, v in (overrides or {}).items()}
-        #: M14 batched-charges switch: with it on, an unmetered manager
-        #: (no quotas anywhere — every ceiling is infinity) accumulates
-        #: without resolving quotas.  Totals, denials and exceptions
-        #: are unchanged in every configuration; ``fast=False`` keeps
-        #: the pre-M14 resolve-then-compare arithmetic for the naive
-        #: twin of the differential suite.
-        self.fast = fast
         self._usage: dict[int, Usage] = {}
         self._names: dict[int, str] = {}
         #: Usage folded in from recycled activations, keyed by name
@@ -133,7 +127,7 @@ class ResourceManager(ResourceHook):
         if usage is None:
             usage = self._usage[pid] = Usage()
             self._names[pid] = process.name
-        if self.fast and not self.default_quotas and not self.overrides:
+        if not self.default_quotas and not self.overrides:
             # unmetered container: the quota would resolve to infinity
             usage.set(kind, usage.get(kind) + amount)
             return
@@ -149,17 +143,19 @@ class ResourceManager(ResourceHook):
                     items: Iterable[tuple[str, float]]) -> None:
         """Apply several charges with one usage-record lookup.
 
-        Sequential-equivalent: items are applied in order, the first
-        over-quota item raises the same :class:`ResourceExhausted` (and
-        bumps the same denial counter) a loop of :meth:`charge` calls
-        would, with every earlier item already applied.
+        Each item ``(kind, n)`` stands for ``n`` unit charges (a scan
+        charges one per row), and the batch is equivalent to that loop
+        of unit :meth:`charge` calls: items apply in order, and the
+        first unit over quota raises the same :class:`ResourceExhausted`
+        (bumping the same denial counter) with every earlier unit,
+        including the ones of its own item that fit, already applied.
         """
         pid = process.pid
         usage = self._usage.get(pid)
         if usage is None:
             usage = self._usage[pid] = Usage()
             self._names[pid] = process.name
-        if self.fast and not self.default_quotas and not self.overrides:
+        if not self.default_quotas and not self.overrides:
             # unmetered container: every quota resolves to infinity, so
             # no item can deny — accumulate without resolving quotas
             for kind, amount in items:
@@ -169,6 +165,9 @@ class ResourceManager(ResourceHook):
             new_total = usage.get(kind) + amount
             quota = self.quota_for(process, kind)
             if new_total > quota:
+                fits = math.floor(quota - usage.get(kind))
+                if fits > 0:
+                    usage.set(kind, usage.get(kind) + fits)
                 self.denials[kind] = self.denials.get(kind, 0) + 1
                 raise ResourceExhausted(
                     f"{process.name}: {kind} quota ({quota:g}) exhausted")

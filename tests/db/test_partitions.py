@@ -221,8 +221,7 @@ class TestMetricsObservation:
 
     def test_engine_flags_thread_through_system(self):
         from repro import W5System
-        w5 = W5System(name="m9-naive",
-                      config=ProviderConfig(partitioned_store=False))
+        w5 = W5System(name="m9-naive", config=ProviderConfig.oracle())
         assert w5.provider.db.partitioned is False
         assert w5.provider.fs.grouped_walk is False
 

@@ -278,8 +278,7 @@ class TestObservability:
         """crash() flips the fleet view to down; recover() brings the
         provider back but leaves the link degraded (stale cursors)
         until one sync round re-attaches them."""
-        fabric = FederationFabric(
-            2, provider_config=ProviderConfig.durable())
+        fabric = FederationFabric(2, provider_config=ProviderConfig())
         home = fabric.signup("bob", "pw")
         fabric.mirror("bob", 1 - home)
         fabric.store_user_data("bob", "f", "v1")

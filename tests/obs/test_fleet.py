@@ -311,7 +311,7 @@ class TestHealthModel:
     def test_provider_health_gauges(self):
         from repro.obs import provider_health
         from repro.platform import Provider, ProviderConfig
-        provider = Provider(config=ProviderConfig.durable())
+        provider = Provider(config=ProviderConfig())
         provider.signup("alice", "pw")
         report = provider_health(provider)
         assert report["state"] == "ok"
@@ -323,7 +323,7 @@ class TestHealthModel:
     def test_journal_lag_degrades(self):
         from repro.obs import provider_health
         from repro.platform import Provider, ProviderConfig
-        provider = Provider(config=ProviderConfig.durable())
+        provider = Provider(config=ProviderConfig())
         provider.signup("alice", "pw")
         report = provider_health(provider, journal_lag_limit=1)
         assert report["state"] == "degraded"

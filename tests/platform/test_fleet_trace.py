@@ -105,9 +105,11 @@ class TestStitchedTree:
         assert "router.batch" in report["latencies"]
         assert any(name.startswith("POST /app/blog/post")
                    for name in report["latencies"])
-        # the deprecated per-shard alias is still the raw broadcast
-        assert len(report["shards"]) == 2
-        assert all(r["tracing"] for r in report["shards"])
+        # the merge is exact: every shard's own counters plus the router's
+        assert report["stats"]["traces_finished"] == sum(
+            s.trace_report()["stats"]["traces_finished"]
+            for s in sp.shards) \
+            + report["router"]["stats"]["traces_finished"]
         # the stitched doc counts every shard-side span it absorbed
         (batch,) = stitched_batches(sp)
         assert batch["n_spans"] > 1 + len(USERS)
@@ -119,13 +121,11 @@ class TestStitchedTree:
         report = sp.trace_report()
         assert report["tracing"] is True
         assert report["stats"]["traces_finished"] >= 1
-        assert len(report["shards"]) == 1
+        assert report["stats"] == sp.shards[0].trace_report()["stats"]
 
     def test_tracing_off_report(self):
         sp = ShardedProvider(n_shards=2, engine="serial", tracing=False)
-        assert sp.trace_report() == {
-            "tracing": False,
-            "shards": [{"tracing": False}, {"tracing": False}]}
+        assert sp.trace_report() == {"tracing": False}
 
     def test_health_report_shape(self):
         sp, clients = build_traced(2, "serial")

@@ -131,8 +131,7 @@ class TestCompaction:
 
 class TestNaiveBaseline:
     def test_flag_off_means_no_journal(self):
-        p = Provider(name="naive",
-                     config=ProviderConfig(incremental_persistence=False))
+        p = Provider(name="naive", config=ProviderConfig.oracle())
         install_standard_apps(p)
         p.signup("bob", "pw")
         assert p._durability is None
@@ -143,9 +142,8 @@ class TestNaiveBaseline:
         assert canon(snap) == canon(snapshot_provider(p))
 
     def test_both_modes_snapshot_identically(self):
-        def world(incremental):
-            p = Provider(name="prod", config=ProviderConfig(
-                incremental_persistence=incremental))
+        def world(config):
+            p = Provider(name="prod", config=config)
             install_standard_apps(p)
             p.signup("bob", "pw")
             p.enable_app("bob", "blog")
@@ -153,7 +151,8 @@ class TestNaiveBaseline:
                                          {"friends": ["amy"]})
             p.store_user_data("bob", "d.txt", "day one")
             return snapshot_provider(p)
-        assert canon(world(True)) == canon(world(False))
+        assert canon(world(ProviderConfig.fast())) \
+            == canon(world(ProviderConfig.oracle()))
 
 
 class TestMetricsSurface:

@@ -1,14 +1,16 @@
-"""Differential property test: compiled request plans change nothing.
+"""Differential property test: the fast plane changes nothing.
 
-Two full deployments — identical except ``request_plans`` — are driven
-through the same randomly generated interleaving of requests and
-policy mutations.  The bar here is *stricter* than the pool/cache
-differentials: because plans only replace pure recomputation (never a
-spawn, a charge, or an audit record), the two audit streams must be
-**byte-identical** — same categories, same verdicts, same subjects,
-same detail strings, pids included — and every HTTP response must
-match exactly.  Hypothesis shrinks any divergence to a minimal
-witness.
+A ``ProviderConfig.fast()`` and a ``ProviderConfig.oracle()``
+deployment are driven through the same randomly generated interleaving
+of requests and policy mutations, and compared through the shared
+fast-vs-oracle helper (``tests/_differential.py``): identical
+responses, charge totals, denials and audit drops, and audit streams
+identical up to the pid renumbering process recycling implies.
+Hypothesis shrinks any divergence to a minimal witness.  Two suites
+run it: the plain planned history, and the mandated-pipeline history
+under a tight scan quota and a 64-event audit ring.  The batch
+entrypoint is checked against sequential dispatch on the fast plane,
+byte for byte.
 
 A second class pins each plan-invalidation edge individually:
 befriend/unfriend (authority epoch), app disable (cap-index epoch),
@@ -16,27 +18,21 @@ account deletion (cap-index epoch), upload/fork (registry epoch), and
 a journal-replay restore (which rewires tag identity wholesale).
 """
 
-import re
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import W5System
 from repro.net import HttpRequest
 from repro.platform import ProviderConfig
-from repro.resources.containers import KINDS
+
+from .._differential import PlanePair
 
 USERS = ("alice", "bob", "carol")
 APPS = ("blog", "social")
 
-#: The M14 mandated-pipeline fast paths and their opt-outs.
-M14_FLAGS = ("lazy_audit", "compiled_transitions", "batched_charges",
-             "verdict_slots")
-M14_NAIVE = {flag: False for flag in M14_FLAGS}
 
-
-def build_deployment(planned: bool) -> W5System:
-    config = ProviderConfig.fast() if planned else ProviderConfig()
+def build_deployment(config: ProviderConfig = ProviderConfig.fast()
+                     ) -> W5System:
     w5 = W5System(name="plans", config=config)
     for user in USERS:
         w5.add_user(user, apps=APPS)
@@ -118,25 +114,18 @@ class TestPlannedPlaneIsByteIdentical:
     @settings(max_examples=30, deadline=None)
     @given(ops())
     def test_identical_histories_identical_streams(self, seed_ops):
-        planned = build_deployment(planned=True)
-        unplanned = build_deployment(planned=False)
-        assert planned.provider.plans.enabled
-        assert not unplanned.provider.plans.enabled
-        assert audit_bytes(planned) == audit_bytes(unplanned)
-
+        pair = PlanePair(build_deployment)
+        pair.assert_equivalent()  # setup already agrees
         for op in seed_ops:
-            out_p = apply_op(planned, op)
-            out_u = apply_op(unplanned, op)
-            assert out_p == out_u, f"response divergence on {op}"
-
-        assert audit_bytes(planned) == audit_bytes(unplanned)
+            pair.run(apply_op, op)
+        pair.assert_equivalent()
 
     @settings(max_examples=15, deadline=None)
     @given(ops())
     def test_batch_entrypoint_matches_sequential(self, seed_ops):
         """handle_batch == N× handle_request, byte for byte."""
-        batched = build_deployment(planned=True)
-        sequential = build_deployment(planned=True)
+        batched = build_deployment()
+        sequential = build_deployment()
         # mutations first, then a burst of reads through both doors
         for op in seed_ops:
             if op[0] in ("befriend", "unfriend", "toggle", "post"):
@@ -159,16 +148,15 @@ class TestPlannedPlaneIsByteIdentical:
         assert audit_bytes(batched) == audit_bytes(sequential)
 
 
-def build_m14(fast: bool) -> W5System:
-    """A planned deployment with the M14 fast paths on or off.
+def build_m14(config: ProviderConfig = ProviderConfig.fast()
+              ) -> W5System:
+    """A deployment under a tight scan quota and a small audit ring.
 
     The quota and ring bound are deliberately tight so the interleaved
     streams genuinely exercise quota-exhaustion denials (batched
     charges must refuse at the same item with the same message) and
     audit ring eviction (lazy records must evict and count the same).
     """
-    config = (ProviderConfig.fast() if fast
-              else ProviderConfig.fast().replace(**M14_NAIVE))
     w5 = W5System(name="m14", config=config,
                   quotas={"db_rows_scanned": 6},
                   audit_max_events=64)
@@ -179,48 +167,23 @@ def build_m14(fast: bool) -> W5System:
 
 
 class TestM14FastPathsAreByteIdentical:
-    """Lazy audit + compiled transitions + batched charges + verdict
-    slots vs their ``ProviderConfig`` opt-outs: identical op streams
-    must produce byte-identical audit streams (ring eviction and pids
-    included), identical charge totals per kind, and identical denial
-    counters.  The op mix is label-change heavy (every cross-user blog
-    read taints a process and changes labels) and the tight
-    ``db_rows_scanned`` quota makes denials fire as posts accumulate.
+    """The mandated pipeline's fast paths (lazy audit, compiled
+    transitions, batched charges, verdict slots) vs the oracle plane.
+    The op mix is label-change heavy (every cross-user blog read taints
+    a process and changes labels) and the tight ``db_rows_scanned``
+    quota makes denials fire as posts accumulate.
     """
 
     @settings(max_examples=30, deadline=None)
     @given(ops())
     def test_fast_vs_naive_pipeline(self, seed_ops):
-        fast = build_m14(fast=True)
-        naive = build_m14(fast=False)
-        for flag in M14_FLAGS:
-            assert getattr(fast.provider.config, flag)
-            assert not getattr(naive.provider.config, flag)
-
+        pair = PlanePair(build_m14)
         for op in seed_ops:
-            out_f = apply_op(fast, op)
-            out_n = apply_op(naive, op)
-            assert out_f == out_n, f"response divergence on {op}"
-
-        audit_f = fast.provider.kernel.audit
-        audit_n = naive.provider.kernel.audit
-        assert audit_bytes(fast) == audit_bytes(naive)
-        assert audit_f.dropped == audit_n.dropped
-        res_f = fast.provider.kernel.resources
-        res_n = naive.provider.kernel.resources
-        for kind in KINDS:
-            assert res_f.total(kind) == res_n.total(kind), kind
-        assert res_f.denials == res_n.denials
-        # the O(1) counters agree with each other across both modes
-        for cat in ("spawn", "exit", "label_change", "db_query",
-                    "file_read", "export", "resource"):
-            for allowed in (None, True, False):
-                assert (audit_f.count(category=cat, allowed=allowed)
-                        == audit_n.count(category=cat, allowed=allowed)), \
-                    (cat, allowed)
+            pair.run(apply_op, op)
+        pair.assert_equivalent()
 
     def test_transition_cache_populates_and_survives_flush(self):
-        w5 = build_m14(fast=True)
+        w5 = build_m14()
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         r = w5.client("bob").get("/app/blog/read", author="alice",
                                  title="t")
@@ -245,7 +208,7 @@ class TestPlanInvalidation:
         return r
 
     def test_befriend_unfriend_rotates_authority(self):
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         assert self._warm(w5).status == 200
         plan = w5.provider.plans.lookup("blog", "bob")
@@ -260,7 +223,7 @@ class TestPlanInvalidation:
         assert r.status == 200  # and grew back
 
     def test_disable_app_retires_plan(self):
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         assert w5.client("alice").get("/app/blog/read", author="alice",
                                       title="t").status == 200
@@ -272,7 +235,7 @@ class TestPlanInvalidation:
         assert r.status == 403  # relaunch without alice's caps
 
     def test_delete_account_retires_plan(self):
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         self._warm(w5, viewer="carol", author="carol")
         plan = w5.provider.plans.lookup("blog", "carol")
         assert plan is not None
@@ -280,7 +243,7 @@ class TestPlanInvalidation:
         assert not plan.is_current(w5.provider)
 
     def test_upload_retires_plan_via_registry_epoch(self):
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         self._warm(w5)
         plan = w5.provider.plans.lookup("blog", "bob")
         w5.provider.fork_app("blog", "new-dev")
@@ -288,7 +251,7 @@ class TestPlanInvalidation:
 
     def test_account_policy_bypasses_live(self):
         """require_endorsed never bumps an epoch — checked per request."""
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         self._warm(w5)
         assert w5.provider.plans.lookup("blog", "bob") is not None
         w5.provider.set_integrity_policy("bob", require_endorsed=True)
@@ -306,7 +269,7 @@ class TestPlanInvalidation:
         from repro.apps import STANDARD_CATALOG
         from repro.platform import recover_provider, set_password
 
-        w5 = build_deployment(planned=True)
+        w5 = build_deployment()
         base = copy.deepcopy(w5.provider._durability.base)
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         self._warm(w5)
@@ -314,7 +277,7 @@ class TestPlanInvalidation:
         recovered, report = recover_provider(
             base, journal, STANDARD_CATALOG,
             config=ProviderConfig.fast())
-        assert recovered.config.request_plans
+        assert recovered.plans.enabled
         assert recovered.plans.stats()["entries"] == 0
         # a fresh login drives the planned path against restored state
         set_password(recovered, "alice", "pw")

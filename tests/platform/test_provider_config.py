@@ -1,112 +1,112 @@
-"""The redesigned Provider configuration API.
+"""The Provider configuration API: two planes and three deployment knobs.
 
-ProviderConfig presets, legacy-keyword deprecation (with exact
-equivalence between old and new spellings), config threading through
-W5System and persistence restore, the unified ``Metrics.attach``, and
-``Provider.explain`` / the ``plan`` CLI renderer.
+The ``fast`` and ``oracle`` presets, the plane each component is put
+on, config threading through W5System and persistence restore, the
+unified ``Metrics.attach``, and ``Provider.explain`` / the ``plan``
+CLI renderer.  Fast-vs-oracle equivalence itself is the differential
+suites' job (``tests/_differential.py``).
 """
 
+import dataclasses
 import json
-import warnings
 
 import pytest
 
 from repro.core import Metrics, W5System
-from repro.platform import (Provider, ProviderConfig, W5DeprecationWarning,
-                            restore_provider, snapshot_provider)
+from repro.platform import (Provider, ProviderConfig, restore_provider,
+                            snapshot_provider)
 
 
 class TestProviderConfig:
+    def test_fields_are_the_plane_and_deployment_knobs(self):
+        assert [f.name for f in dataclasses.fields(ProviderConfig)] == [
+            "plane", "shards", "shard_engine", "journal_compact_bytes"]
+
+    def test_unknown_plane_rejected(self):
+        with pytest.raises(ValueError, match="unknown plane"):
+            ProviderConfig(plane="naive")
+        with pytest.raises(ValueError):
+            ProviderConfig.fast().replace(plane="plans-off")
+
     def test_default_mirrors_historical_defaults(self):
         config = ProviderConfig()
-        assert config.fast_request_plane
-        assert config.recycle_processes
-        assert config.partitioned_store
-        assert config.incremental_persistence
+        assert config == ProviderConfig.fast()
+        assert config.plane == "fast"
+        assert config.shards == 1
+        assert config.shard_engine is None
         assert config.journal_compact_bytes == 1 << 20
-        assert not config.request_plans  # M12 is opt-in
 
     def test_fast_preset_enables_plans(self):
-        assert ProviderConfig.fast().request_plans
-        assert ProviderConfig.fast(partitioned_store=False).request_plans
+        p = Provider(name="x", config=ProviderConfig.fast())
+        assert p.plans.enabled
+        assert p.kernel.pool.enabled
+        assert p.db.partitioned and p.fs.grouped_walk
+        assert p._durability is not None
+        assert p.kernel.audit.lazy
+        assert p.kernel._transitions is not None
+        assert p.capindex.enabled and p.declass.cache_authority
 
-    def test_naive_preset_disables_everything(self):
-        config = ProviderConfig.naive()
-        assert not config.fast_request_plane
-        assert not config.recycle_processes
-        assert not config.partitioned_store
-        assert not config.incremental_persistence
-        assert not config.request_plans
-
-    def test_durable_preset_pins_persistence(self):
-        assert ProviderConfig.durable().incremental_persistence
-        assert ProviderConfig.durable(
-            request_plans=True).incremental_persistence
+    def test_oracle_uses_every_reference_path(self):
+        p = Provider(name="x", config=ProviderConfig.oracle())
+        assert not p.kernel.pool.enabled
+        assert not p.db.partitioned
+        assert not p.fs.grouped_walk
+        assert p._durability is None
+        assert not p.kernel.audit.lazy
+        assert p.kernel._transitions is None
+        assert p.kernel._label_adds is None
+        assert not p.plans.enabled
+        assert not p.capindex.enabled
+        assert not p.declass.cache_authority
 
     def test_frozen_with_replace(self):
         config = ProviderConfig()
         with pytest.raises(Exception):
-            config.request_plans = True
-        assert config.replace(request_plans=True).request_plans
-        assert not config.request_plans
+            config.shards = 2
+        assert config.replace(plane="oracle").plane == "oracle"
+        assert config.plane == "fast"
 
     def test_describe_round_trips_json(self):
-        desc = ProviderConfig.fast().describe()
+        desc = ProviderConfig.oracle().describe()
         assert json.loads(json.dumps(desc)) == desc
 
     def test_config_threads_through_provider(self):
-        p = Provider(name="x", config=ProviderConfig.naive())
-        assert p.config == ProviderConfig.naive()
-        assert not p.kernel.pool.enabled
-        assert not p.db.partitioned
-        assert not p.plans.enabled
-        assert p._durability is None
+        p = Provider(name="x", config=ProviderConfig.oracle())
+        assert p.config == ProviderConfig.oracle()
 
     def test_config_threads_through_system(self):
-        w5 = W5System(name="x", config=ProviderConfig.fast())
-        assert w5.provider.config.request_plans
-        assert w5.provider.plans.enabled
+        w5 = W5System(name="x", config=ProviderConfig.oracle())
+        assert w5.provider.config.plane == "oracle"
+        assert not w5.provider.plans.enabled
 
     def test_config_threads_through_restore(self):
-        p = Provider(name="x", config=ProviderConfig.fast())
+        p = Provider(name="x", config=ProviderConfig.oracle())
         p.signup("amy", "pw")
         restored, __ = restore_provider(snapshot_provider(p),
-                                        config=ProviderConfig.fast())
-        assert restored.config.request_plans
-        assert restored.plans.enabled
+                                        config=ProviderConfig.oracle())
+        assert restored.config.plane == "oracle"
+        assert not restored.db.partitioned
+        assert not restored.fs.grouped_walk
+        default, __ = restore_provider(snapshot_provider(p))
+        assert default.plans.enabled and default.db.partitioned
 
 
 class TestDeprecatedKeywords:
+    """The per-component flag keywords once warned; now they are gone.
+
+    The test names are kept from when the keywords were deprecated;
+    each now asserts that the old spelling is rejected outright.
+    """
+
     def test_legacy_provider_kwarg_warns(self):
-        with pytest.warns(W5DeprecationWarning, match="deprecated"):
-            p = Provider(name="x", partitioned_store=False)
-        assert not p.db.partitioned
+        with pytest.raises(TypeError):
+            Provider(name="x", request_plans=True)
+        with pytest.raises(TypeError):
+            ProviderConfig(lazy_audit=False)
 
     def test_legacy_system_kwarg_warns(self):
-        with pytest.warns(W5DeprecationWarning, match="W5System"):
-            w5 = W5System(name="x", recycle_processes=False)
-        assert not w5.provider.kernel.pool.enabled
-
-    def test_legacy_kwarg_overrides_config(self):
-        with pytest.warns(W5DeprecationWarning):
-            p = Provider(name="x", config=ProviderConfig.fast(),
-                         incremental_persistence=False)
-        assert p.config.request_plans  # config fields kept
-        assert not p.config.incremental_persistence  # override won
-
-    def test_config_alone_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", W5DeprecationWarning)
-            Provider(name="x", config=ProviderConfig())
-            W5System(name="y", config=ProviderConfig.fast())
-
-    def test_every_legacy_flag_still_functions(self):
-        legacy = dict(fast_request_plane=False, recycle_processes=False,
-                      partitioned_store=False, incremental_persistence=False,
-                      journal_compact_bytes=512, request_plans=True)
-        with pytest.warns(W5DeprecationWarning):
-            p = Provider(name="x", **legacy)
-        assert p.config == ProviderConfig(**legacy)
+        with pytest.raises(TypeError):
+            W5System(name="x", recycle_processes=False)
 
 
 class TestMetricsAttach:
@@ -137,12 +137,12 @@ class TestMetricsAttach:
 
 class TestExplain:
     def test_explain_renders_whether_or_not_enabled(self):
-        for config in (ProviderConfig(), ProviderConfig.fast()):
+        for config in (ProviderConfig.oracle(), ProviderConfig.fast()):
             w5 = W5System(name="x", config=config)
             w5.add_user("amy", apps=("blog",))
             desc = w5.provider.explain("blog", "amy")
             assert desc["planned"]
-            assert desc["dispatch_enabled"] == config.request_plans
+            assert desc["dispatch_enabled"] == (config.plane == "fast")
             assert desc["app"]["name"] == "blog"
             assert desc["config"] == config.describe()
             assert json.loads(json.dumps(desc)) == desc

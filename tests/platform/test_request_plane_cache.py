@@ -159,8 +159,7 @@ class TestAuthorityCache:
         assert declass.authority_stats()["bypasses"] == before + 1
 
     def test_disabled_plane_computes_fresh(self):
-        slow = W5System(name="slow-plane",
-                        config=ProviderConfig(fast_request_plane=False))
+        slow = W5System(name="slow-plane", config=ProviderConfig.oracle())
         slow.add_user("alice")
         slow.add_user("bob")
         slow.provider._authority_for("bob")

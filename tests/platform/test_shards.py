@@ -6,6 +6,8 @@ the consistent-hash ring, request routing, the merged audit view, the
 cross-shard ownership guards, and the engines' control-plane surface.
 """
 
+import os
+import signal
 import threading
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.apps import install_standard_apps
 from repro.core import W5System
 from repro.core.metrics import Metrics
-from repro.errors import CrossShardWrite
+from repro.errors import CrossShardWrite, ShardDown
 from repro.kernel.audit import AuditLog
 from repro.net import SESSION_COOKIE, ExternalClient
 from repro.net.http import HttpRequest
@@ -296,4 +298,29 @@ class TestControlPlane:
         desc = cfg.describe()
         assert desc["shards"] == 4
         assert desc["shard_engine"] == "thread"
-        assert desc["request_plans"] is True
+        assert desc["plane"] == "fast"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestDeadForkShard:
+    def test_killed_child_raises_shard_down(self):
+        sp, clients = build_sharded(2, engine="fork")
+        reqs = [HttpRequest("GET", "/app/blog/list",
+                            cookies=dict(clients[u].cookies))
+                for u in USERS]
+        assert all(r.ok for r in sp.handle_batch(reqs))  # children up
+        dead = sp.map.shard_of_user(USERS[0])
+        pid = sp._engine._pids[dead]
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        with pytest.raises(ShardDown) as exc:
+            sp.handle_batch(reqs)
+        assert exc.value.shard == dead
+        assert f"shard {dead}" in str(exc.value)
+        with pytest.raises(ShardDown):
+            sp.health_report()  # a broadcast reaches the dead child too
+        # the surviving shard's pipe stayed in step
+        live = next(u for u in USERS if sp.map.shard_of_user(u) != dead)
+        assert clients[live].get("/app/blog/list").ok
+        sp.shutdown()
+        assert sp._engine._pids == []

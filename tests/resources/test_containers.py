@@ -57,6 +57,27 @@ class TestCharging:
             rm.charge(p, "disk", 11)
         assert rm.usage_of(p).get("disk") == 0
 
+    def test_charge_many_equals_a_loop_of_unit_charges(self):
+        # a scan batches one item per partition; under a denial the
+        # rows that fit must land exactly as per-row charges leave them
+        batched, looped = (ResourceManager(
+            default_quotas={"db_rows_scanned": 6}) for _ in range(2))
+        items = [("db_queries", 1.0), ("db_rows_scanned", 4),
+                 ("db_rows_scanned", 5)]
+        for rm in (batched, looped):
+            p = Kernel(resources=rm).spawn_trusted("p")
+            with pytest.raises(ResourceExhausted) as exc:
+                if rm is batched:
+                    rm.charge_many(p, items)
+                else:
+                    for kind, n in items:
+                        for _ in range(int(n)):
+                            rm.charge(p, kind, 1)
+            assert rm.usage_of(p).get("db_rows_scanned") == 6
+            assert rm.usage_of(p).get("db_queries") == 1
+            assert rm.denial_count("db_rows_scanned") == 1
+            assert "db_rows_scanned quota (6) exhausted" in str(exc.value)
+
     def test_per_process_isolation(self):
         rm = ResourceManager(default_quotas={"disk": 10})
         k = Kernel(resources=rm)
