@@ -54,7 +54,11 @@ class FriendsOnly(Declassifier):
             return False
         if ctx.viewer == ctx.owner:
             return True
-        return ctx.viewer in set(self.config.get("friends", ()))
+        friends = self.config.get("friends", ())
+        # the constructor and update_config froze list/set/tuple values
+        if not isinstance(friends, frozenset):
+            friends = set(friends)
+        return ctx.viewer in friends
 
 
 class Group(Declassifier):
@@ -68,7 +72,11 @@ class Group(Declassifier):
             return False
         if ctx.viewer == ctx.owner:
             return True
-        return ctx.viewer in set(self.config.get("members", ()))
+        members = self.config.get("members", ())
+        # the constructor and update_config froze list/set/tuple values
+        if not isinstance(members, frozenset):
+            members = set(members)
+        return ctx.viewer in members
 
 
 class TimeEmbargo(Declassifier):

@@ -13,14 +13,21 @@ negative one is an audited refusal, so experiments can count both.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import (Any, Callable, Collection, Iterable, Iterator, Optional,
+                    Sequence)
 
 from ..kernel import Kernel
 from ..kernel import audit as A
 from ..labels import CapabilitySet, Tag, minus
 from .base import Declassifier, ReleaseContext
+
+#: Authority epochs the dirty log remembers.  A memo entry computed
+#: more edits ago than this is recomputed in full instead of refreshed.
+DIRTY_LOG_EPOCHS = 256
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,31 @@ class Grant:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Grant({self.owner}: tag {self.tag.tag_id} via "
                 f"{self.declassifier.name})")
+
+
+class _Authority:
+    """One memoized (viewer, own_tags) answer of the cacheable grants."""
+
+    __slots__ = ("epoch", "approved", "caps")
+
+    def __init__(self, epoch: int, approved: tuple[Grant, ...],
+                 caps: CapabilitySet) -> None:
+        #: ``authority_epoch`` the entry is current for.
+        self.epoch = epoch
+        #: The cacheable grants approving the viewer (each names its
+        #: owner, so a refresh can swap out one owner's approvals).
+        self.approved = approved
+        self.caps = caps
+
+
+def _tree(declassifier: Declassifier) -> Iterator[Declassifier]:
+    """``declassifier`` and every policy nested in it (combinators)."""
+    yield declassifier
+    for child in getattr(declassifier, "children", ()):
+        yield from _tree(child)
+    child = getattr(declassifier, "child", None)
+    if child is not None:
+        yield from _tree(child)
 
 
 class DeclassificationService:
@@ -55,6 +87,9 @@ class DeclassificationService:
         #: re-evaluated; kept separate so the hot path never scans the
         #: full grant list.
         self._uncacheable: list[Grant] = []
+        #: ``id`` of every declassifier in some grant's tree -> the
+        #: owners of those grants: whom an edit to that object concerns.
+        self._owners_of: dict[int, tuple[str, ...]] = {}
         #: Simulated platform clock, advanced by tests/benches.  No
         #: authority invalidation needed on advance: time-dependent
         #: declassifiers are ``cacheable = False`` and re-evaluated on
@@ -69,11 +104,18 @@ class DeclassificationService:
         #: Memoized per-viewer export authority (the cacheable part).
         self.cache_authority = cache_authority
         self._max_cache_entries = max_cache_entries
-        self._authority_memo: dict[Any, CapabilitySet] = {}
+        self._authority_memo: dict[Any, _Authority] = {}
         #: Bumped by every authority-changing event; readable by tests.
         self.authority_epoch = 0
-        self._stats = {"hits": 0, "misses": 0, "invalidations": 0,
-                       "bypasses": 0}
+        #: What each of the last epoch bumps changed: the owners whose
+        #: grants it touched, or ``None`` for everything.  The newest
+        #: record is the one that produced ``authority_epoch``.  (Owner
+        #: tuples, not sets, here and in ``_owners_of``: the collector
+        #: stops tracking tuples of strings, so they add no GC work.)
+        self._dirty_log: deque[Optional[tuple[str, ...]]] = deque(
+            maxlen=DIRTY_LOG_EPOCHS)
+        self._stats = {"hits": 0, "misses": 0, "refreshes": 0,
+                       "invalidations": 0, "bypasses": 0}
 
     # -- durability plumbing --------------------------------------------
 
@@ -128,17 +170,45 @@ class DeclassificationService:
 
     # -- authority-cache plumbing ---------------------------------------
 
-    def invalidate_authority(self, reason: str = "") -> None:
-        """Drop all memoized export authority.
+    def invalidate_authority(
+            self, reason: str = "", *,
+            owners: Optional[Iterable[str]] = None,
+            declassifiers: Optional[Iterable[Declassifier]] = None) -> None:
+        """Mark memoized export authority stale.
 
-        Called on every event that can change what some viewer may see:
-        grant, revoke, declassifier config update (friendship edits,
-        group roster changes route through those).
+        Called on every event that can change what some viewer may see.
+        ``grant``/``revoke`` name their owner; a config edit (friendship
+        edits, group roster changes) passes the declassifier objects it
+        mutated, which concern the owner of every grant whose policy
+        tree contains one of them.  With neither, everything changed
+        (restore, journal replay).  A stale memo entry re-runs only the
+        changed owners' grants on its next lookup.
         """
+        changed: Optional[tuple[str, ...]] = None
+        if declassifiers is not None:
+            scope = set(owners or ())
+            for declassifier in declassifiers:
+                scope.update(self._owners_of.get(id(declassifier), ()))
+            changed = tuple(scope)
+        elif owners is not None:
+            changed = tuple(owners)
         self.authority_epoch += 1
+        self._dirty_log.append(changed)
         if self._authority_memo:
-            self._authority_memo.clear()
             self._stats["invalidations"] += 1
+
+    def _dirtied_since(self, epoch: int) -> Optional[set[str]]:
+        """Owners changed after ``epoch``; ``None`` when some bump
+        changed everything or the log no longer reaches back."""
+        behind = self.authority_epoch - epoch
+        if behind > len(self._dirty_log):
+            return None
+        owners: set[str] = set()
+        for changed in itertools.islice(reversed(self._dirty_log), behind):
+            if changed is None:
+                return None
+            owners.update(changed)
+        return owners
 
     def authority_stats(self) -> dict[str, int]:
         stats = dict(self._stats)
@@ -158,10 +228,7 @@ class DeclassificationService:
         """
         g = Grant(owner=owner, tag=tag, declassifier=declassifier)
         self._grants.append(g)
-        self._by_owner.setdefault(owner, []).append(g)
-        self._by_tag.setdefault(tag, []).append(g)
-        if not declassifier.cacheable:
-            self._uncacheable.append(g)
+        self._index(g)
         self._dirty_owners.add(owner)
         if self.on_mutate is not None:
             record = self.grant_record(g)
@@ -170,7 +237,7 @@ class DeclassificationService:
             else:
                 self.on_mutate("grant.skip", {
                     "owner": owner, "declassifier": declassifier.name})
-        self.invalidate_authority("grant")
+        self.invalidate_authority("grant", owners=(owner,))
         self.kernel.audit.record(
             A.DECLASSIFY, True, owner,
             f"granted {declassifier.name} authority over tag {tag.tag_id}")
@@ -193,21 +260,29 @@ class DeclassificationService:
                 self.on_mutate("grant.revoke", {
                     "owner": owner, "tag_id": tag.tag_id,
                     "name": declassifier_name})
-            self.invalidate_authority("revoke")
+            self.invalidate_authority("revoke", owners=(owner,))
             self.kernel.audit.record(
                 A.DECLASSIFY, True, owner,
                 f"revoked {removed} grant(s) on tag {tag.tag_id}")
         return removed
 
+    def _index(self, g: Grant) -> None:
+        self._by_owner.setdefault(g.owner, []).append(g)
+        self._by_tag.setdefault(g.tag, []).append(g)
+        if not g.declassifier.cacheable:
+            self._uncacheable.append(g)
+        for node in _tree(g.declassifier):
+            owners = self._owners_of.get(id(node), ())
+            if g.owner not in owners:
+                self._owners_of[id(node)] = owners + (g.owner,)
+
     def _reindex(self) -> None:
         self._by_owner = {}
         self._by_tag = {}
         self._uncacheable = []
+        self._owners_of = {}
         for g in self._grants:
-            self._by_owner.setdefault(g.owner, []).append(g)
-            self._by_tag.setdefault(g.tag, []).append(g)
-            if not g.declassifier.cacheable:
-                self._uncacheable.append(g)
+            self._index(g)
 
     def grants_for(self, owner: str) -> list[Grant]:
         return list(self._by_owner.get(owner, ()))
@@ -259,11 +334,12 @@ class DeclassificationService:
 
         With ``cache_authority`` on, the decisions of *cacheable*
         declassifiers (pure functions of viewer + config) are memoized
-        per (viewer, own_tags) and invalidated whenever any grant or
-        config changes; non-cacheable grants (time embargoes, custom
-        predicates) are re-evaluated on every call and merged in, so
-        ``ReleaseContext.now`` semantics are untouched.  Calls with a
-        ``kind`` or attributes bypass the cache entirely — any
+        per (viewer, own_tags), grouped by grant owner.  A policy edit
+        marks the owners it concerns, and a stale entry re-runs only
+        those owners' grants; non-cacheable grants (time embargoes,
+        custom predicates) are re-evaluated on every call and merged
+        in, so ``ReleaseContext.now`` semantics are untouched.  Calls
+        with a ``kind`` or attributes bypass the cache entirely — any
         declassifier may read those.
         """
         return self._authority_for(viewer, own_tags, kind, attributes)
@@ -277,22 +353,33 @@ class DeclassificationService:
         if not cacheable_ok:
             if self.cache_authority:
                 self._stats["bypasses"] += 1
-            return self._compute_authority(self._grants, viewer, own_tags,
-                                           kind, attributes)
+            approved = self._evaluate(self._grants, len(self._by_owner),
+                                      viewer, kind, attributes)
+            return CapabilitySet([minus(t) for t in own_tags]
+                                 + [minus(g.tag) for g in approved])
 
         key = (viewer, frozenset(own_tags))
-        cached = self._authority_memo.get(key)
-        uncacheable = self._uncacheable
-        if cached is None:
+        entry = self._authority_memo.get(key)
+        owners: Optional[set[str]] = None
+        if entry is not None and entry.epoch != self.authority_epoch:
+            owners = self._dirtied_since(entry.epoch)
+            if owners is None:  # older than the log: recompute in full
+                entry = None
+        if entry is None:
             self._stats["misses"] += 1
-            cacheable = [g for g in self._grants if g.declassifier.cacheable]
-            cached = self._compute_authority(cacheable, viewer, own_tags,
-                                             kind, attributes)
             if len(self._authority_memo) >= self._max_cache_entries:
                 self._authority_memo.clear()
-            self._authority_memo[key] = cached
-        else:
+            entry = self._authority_memo[key] = self._memoize(viewer,
+                                                              own_tags)
+        elif owners:
+            self._stats["refreshes"] += 1
+            entry = self._authority_memo[key] = self._memoize(
+                viewer, own_tags, entry, owners)
+        else:  # current, or no edit since concerns any grant owner
             self._stats["hits"] += 1
+            entry.epoch = self.authority_epoch
+        cached = entry.caps
+        uncacheable = self._uncacheable
         if not uncacheable:
             return cached
         extra = [minus(g.tag) for g in uncacheable
@@ -301,24 +388,42 @@ class DeclassificationService:
                      attributes=dict(attributes)))]
         return cached | extra if extra else cached
 
-    def _compute_authority(self, grants: Iterable[Grant],
-                           viewer: Optional[str], own_tags: Iterable[Tag],
-                           kind: str,
-                           attributes: dict[str, Any]) -> CapabilitySet:
+    def _memoize(self, viewer: Optional[str], own_tags: tuple[Tag, ...],
+                 stale: Optional[_Authority] = None,
+                 owners: Collection[str] = ()) -> _Authority:
+        """A current memo entry for ``viewer``: every cacheable grant
+        evaluated, or ``stale`` with only those of ``owners``
+        re-evaluated."""
+        if stale is None:
+            owners = self._by_owner
+            grants = [g for g in self._grants if g.declassifier.cacheable]
+        else:
+            grants = [g for o in owners for g in self._by_owner.get(o, ())
+                      if g.declassifier.cacheable]
+        approved = self._evaluate(grants, len(owners), viewer, "", {})
+        if stale is not None:
+            replaced = {id(g) for g in stale.approved if g.owner in owners}
+            if replaced == {id(g) for g in approved}:
+                # the usual edit: nothing changed for this viewer
+                stale.epoch = self.authority_epoch
+                return stale
+            approved += [g for g in stale.approved if g.owner not in owners]
+        caps = CapabilitySet([minus(t) for t in own_tags]
+                             + [minus(g.tag) for g in approved])
+        return _Authority(self.authority_epoch, tuple(approved), caps)
+
+    def _evaluate(self, grants: Sequence[Grant], owners: int,
+                  viewer: Optional[str], kind: str,
+                  attributes: dict[str, Any]) -> list[Grant]:
+        """The grants among ``grants`` that approve ``viewer``."""
         # the declassifier evaluation loop is the expensive part of the
         # oracle, so the span lives here: memoized authority hits (the
         # steady-state request path) cost no span at all, while every
-        # real evaluation — cold cache, bypass, invalidation — shows up
-        # in the trace as declass.authority
-        grants = tuple(grants)
+        # real evaluation — cold cache, bypass, scoped refresh — shows
+        # up in the trace as declass.authority
         with self.kernel.tracer.span("declass.authority",
                                      viewer=viewer or "anonymous",
-                                     grants=len(grants)):
-            caps = [minus(t) for t in own_tags]
-            for g in grants:
-                ctx = ReleaseContext(owner=g.owner, viewer=viewer,
-                                     kind=kind, now=self.now,
-                                     attributes=dict(attributes))
-                if g.declassifier.decide(ctx):
-                    caps.append(minus(g.tag))
-            return CapabilitySet(caps)
+                                     grants=len(grants), owners=owners):
+            return [g for g in grants if g.declassifier.decide(
+                ReleaseContext(owner=g.owner, viewer=viewer, kind=kind,
+                               now=self.now, attributes=dict(attributes)))]

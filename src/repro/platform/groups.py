@@ -161,15 +161,16 @@ class GroupService:
 
         Routed through ``update_config`` (the supported policy-edit
         path) and followed by explicit invalidation: a roster change
-        moves both export authority (who the Group policy releases to)
-        and launch capabilities (which launches taint with the group's
-        tags).
+        moves both export authority (who the Group policy releases to,
+        in every grant whose policy tree holds it) and launch
+        capabilities (which launches taint with the group's tags).
         """
         group.policy.update_config(members=frozenset(group.members))
         self.provider.declass.note_config_update(
             group.owner, group.data_tag, "group",
             {"members": frozenset(group.members)})
-        self.provider.declass.invalidate_authority("group-roster")
+        self.provider.declass.invalidate_authority(
+            "group-roster", declassifiers=(group.policy,))
         self.provider.capindex.invalidate_all("group-roster")
 
     # -- capability wiring (called by the launcher) -----------------------

@@ -27,7 +27,11 @@ enable/disable/delete-account/group events/restore,
 updates (befriend/unfriend), and ``Registry.epoch`` covers uploads and
 forks that re-point ``name`` resolution.  A plan whose stamps disagree
 with any of the three is recompiled on next use — there is no
-invalidation callback to forget.
+invalidation callback to forget.  The authority stamp is global: one
+owner's friend-list edit retires every viewer's plan, and each
+recompile asks the authority memo, which re-runs only the grants that
+edit could change (its dirty log is scoped by owner), so a post-edit
+recompile costs one owner's grants, not every grant.
 
 Plans only ever replace *pure recomputation*; every observable —
 process spawn/exit, label changes, resource charges, audit records —

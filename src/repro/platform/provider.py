@@ -428,22 +428,23 @@ class Provider:
         grant by that name.
         """
         account = self.account(username)
-        updated = 0
+        updated = []
         for grant in self.declass.grants_for(username):
             if grant.tag == account.data_tag \
                     and grant.declassifier.name == name:
                 grant.declassifier.update_config(**changes)
-                updated += 1
+                updated.append(grant.declassifier)
         if not updated:
             raise NoSuchApp(
                 f"{username} has no {name!r} declassifier grant")
         self.declass.note_config_update(username, account.data_tag,
                                         name, changes)
-        self.declass.invalidate_authority("config-update")
+        self.declass.invalidate_authority("config-update",
+                                          declassifiers=updated)
         self.kernel.audit.record(
             A.DECLASSIFY, True, username,
             f"updated {name!r} config ({', '.join(sorted(changes))})")
-        return updated
+        return len(updated)
 
     def revoke_declassifier(self, username: str,
                             name: Optional[str] = None) -> int:

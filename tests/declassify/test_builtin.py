@@ -49,6 +49,17 @@ class TestFriendsOnly:
     def test_empty_config(self):
         assert not FriendsOnly().decide(ctx(viewer="amy"))
 
+    @pytest.mark.parametrize("cls,key", [(FriendsOnly, "friends"),
+                                         (Group, "members")])
+    def test_unfrozen_roster_keeps_set_semantics(self, cls, key):
+        # a bare string is not frozen, so it is still read as set("amy")
+        d = cls({key: "amy"})
+        assert d.decide(ctx(viewer="a"))
+        assert not d.decide(ctx(viewer="amy"))
+        d.update_config(**{key: ("amy",)})
+        assert d.decide(ctx(viewer="amy"))
+        assert not d.decide(ctx(viewer="a"))
+
 
 class TestGroup:
     def test_member_allowed(self):

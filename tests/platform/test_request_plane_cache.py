@@ -5,14 +5,25 @@ every policy-changing event drops the affected entries.  Each test
 here warms a cache, flips one policy mid-session, and asserts the next
 request sees the new world — plus the one *negative* case that must
 never be cached: a time-dependent declassifier.
+
+The authority memo's invalidation is scoped to the owners an edit
+concerns, so ``TestScopedAuthority`` also pins what that scope must
+cover (a group policy shared inside another owner's combinator), what
+it may cost (one owner's grants), its bounded dirty log, and a
+Hypothesis history checked against the oracle plane after every step.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import W5System
 from repro.platform import ProviderConfig
-from repro.declassify import TimeEmbargo
+from repro.declassify import AnyOf, Declassifier, TimeEmbargo
+from repro.declassify.service import DIRTY_LOG_EPOCHS
 from repro.labels import minus, plus
+
+from .._differential import PlanePair
 
 
 @pytest.fixture
@@ -167,6 +178,173 @@ class TestAuthorityCache:
         stats = slow.provider.declass.authority_stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
         assert slow.provider.capindex.stats()["hits"] == 0
+
+
+USERS = ("alice", "bob", "carol", "dave")
+
+
+def authority_view(w5, viewer):
+    """``viewer``'s export authority, comparable across deployments."""
+    caps = w5.provider._authority_for(viewer)
+    return sorted((c.tag.tag_id, c.tag.purpose, c.sign) for c in caps)
+
+
+def assert_authority_agrees(pair):
+    for viewer in USERS + (None,):
+        assert authority_view(pair.fast, viewer) \
+            == authority_view(pair.oracle, viewer), viewer
+
+
+def build_club(config):
+    """Four users; alice owns group ``club``; carol's grant wraps the
+    club's roster policy object in a combinator of her own."""
+    w5 = W5System(name="scoped", config=config)
+    for user in USERS:
+        w5.add_user(user, apps=("blog",))
+        w5.client(user).get("/app/blog/post", title="t", body=user)
+    club = w5.provider.groups.create("alice", "club")
+    w5.provider.grant_declassifier("carol", AnyOf(club.policy))
+    return w5
+
+
+class CountingFriends(Declassifier):
+    """A cacheable friends list that counts its own decisions."""
+
+    name = "counting"
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.calls = 0
+
+    def decide(self, ctx):
+        self.calls += 1
+        return ctx.viewer in self.config.get("friends", ())
+
+
+class TestScopedAuthority:
+    def test_shared_group_policy_invalidates_other_owner(self):
+        pair = PlanePair(build_club)
+        assert_authority_agrees(pair)  # warm every fast-plane entry
+        carol_tag = minus(pair.fast.provider.account("carol").data_tag)
+        assert carol_tag not in pair.fast.provider._authority_for("dave")
+        for w5 in (pair.fast, pair.oracle):
+            w5.provider.groups.add_member("alice", "club", "dave")
+        assert carol_tag in pair.fast.provider._authority_for("dave")
+        assert_authority_agrees(pair)
+        for w5 in (pair.fast, pair.oracle):
+            w5.provider.groups.remove_member("alice", "club", "dave")
+        assert carol_tag not in pair.fast.provider._authority_for("dave")
+        assert_authority_agrees(pair)
+        assert pair.fast.provider.declass.authority_stats()["refreshes"] > 0
+        pair.assert_equivalent()
+
+    def test_time_embargo_flips_on_top_of_a_refresh(self, w5):
+        w5.add_user("carol")
+        w5.provider.grant_declassifier(
+            "alice", TimeEmbargo({"release_at": 100.0}))
+        declass = w5.provider.declass
+        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        w5.befriend("carol", "bob")  # a scoped edit: bob's entry refreshes
+        before = declass.authority_stats()
+        carol = minus(w5.provider.account("carol").data_tag)
+        authority = w5.provider._authority_for("bob")
+        assert carol in authority and minus(alice_tag(w5)) not in authority
+        after = declass.authority_stats()
+        assert after["refreshes"] == before["refreshes"] + 1
+        assert after["misses"] == before["misses"]
+        # the clock alone lifts the embargo, and re-imposes it
+        declass.now = 150.0
+        authority = w5.provider._authority_for("bob")
+        assert carol in authority and minus(alice_tag(w5)) in authority
+        declass.now = 0.0
+        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+
+    def test_edit_re_evaluates_only_the_editors_grants(self):
+        w5 = W5System(name="counting")
+        owners = [f"u{i}" for i in range(8)]
+        for user in owners + ["bob"]:
+            w5.add_user(user)
+        policies = {}
+        for user in owners:
+            policies[user] = CountingFriends({"friends": ["bob"]})
+            w5.provider.grant_declassifier(user, policies[user])
+        w5.provider._authority_for("bob")  # warm: a full scan
+        assert all(p.calls == 1 for p in policies.values())
+        for p in policies.values():
+            p.calls = 0
+        w5.provider.update_declassifier_config("u3", "counting", friends=[])
+        authority = w5.provider._authority_for("bob")
+        assert {u: p.calls for u, p in policies.items() if p.calls} \
+            == {"u3": 1}
+        assert minus(w5.provider.account("u3").data_tag) not in authority
+        assert minus(w5.provider.account("u4").data_tag) in authority
+        assert w5.provider.declass.authority_stats()["refreshes"] == 1
+
+    def test_dirty_log_is_bounded_and_falls_back_to_a_full_scan(self, w5):
+        declass = w5.provider.declass
+        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        grant = declass.grant_for("alice", "friends-only")
+        for i in range(10_000):
+            friends = ["bob"] if i == 9_999 else [f"x{i % 7}"]
+            w5.provider.update_declassifier_config(
+                "alice", "friends-only", friends=friends)
+            assert len(declass._dirty_log) <= DIRTY_LOG_EPOCHS
+        assert grant.declassifier.config["friends"] == {"bob"}
+        before = declass.authority_stats()
+        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        after = declass.authority_stats()
+        assert after["misses"] == before["misses"] + 1
+        assert after["refreshes"] == before["refreshes"]
+
+
+def history_ops():
+    user = st.integers(0, len(USERS) - 1)
+    return st.lists(st.one_of(
+        st.tuples(st.sampled_from(["befriend", "unfriend"]), user, user),
+        st.tuples(st.sampled_from(["grant-public", "revoke-public",
+                                   "grant-club", "revoke-club"]), user),
+        st.tuples(st.sampled_from(["join", "leave"]), user),
+        st.tuples(st.just("read"), user, user),
+    ), max_size=20)
+
+
+def apply_history_op(w5, op):
+    kind, provider = op[0], w5.provider
+    name = USERS[op[1]]
+    if kind in ("befriend", "unfriend"):
+        other = USERS[op[2]]
+        if name != other:
+            getattr(w5, kind)(name, other)
+    elif kind == "grant-public":
+        provider.grant_builtin_declassifier(name, "public")
+    elif kind == "revoke-public":
+        return provider.revoke_declassifier(name, "public")
+    elif kind == "grant-club":
+        provider.grant_declassifier(
+            name, AnyOf(provider.groups.get("club").policy))
+    elif kind == "revoke-club":
+        return provider.revoke_declassifier(name, "any-of")
+    elif kind == "join":
+        provider.groups.add_member("alice", "club", name)
+    elif kind == "leave":
+        if name != "alice":
+            provider.groups.remove_member("alice", "club", name)
+    else:
+        r = w5.client(USERS[op[2]]).get("/app/blog/read", author=name,
+                                        title="t")
+        return r.status, r.body
+    return kind
+
+
+class TestScopedAuthorityHistory:
+    @settings(max_examples=50, deadline=None)
+    @given(history_ops())
+    def test_every_step_agrees_with_the_oracle(self, history):
+        pair = PlanePair(build_club)
+        for op in history:
+            pair.run(apply_history_op, op)
+            assert_authority_agrees(pair)
+            pair.assert_equivalent()
 
 
 class TestMetricsObservation:
