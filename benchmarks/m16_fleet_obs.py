@@ -61,9 +61,9 @@ except ImportError:  # script context (record.py)
 #: is the M13 routing (``shard_for``, grouping, reassembly,
 #: ``_note_response``) plus the M16 plumbing (one attribute load, a
 #: ctx=None argument, an empty skeleton list per shard): measured
-#: ~0.8us on the ~32us read, a 1.02-1.03x ratio — the serial
-#: engine's sub-batches keep the M12 shared-plan path, so routing is
-#: the only real work.  Because both paths share builds, the ratio is
+#: ~0.8us on the ~32us read, a 1.02-1.03x ratio — both sides run
+#: the same per-shard ``handle_batch``, so routing is the only real
+#: work.  Because both paths share builds, the ratio is
 #: free of the cross-deployment layout spread; 1.05 leaves ~2x the
 #: measured cost as headroom while catching any real per-request work
 #: the disabled fleet plane might grow.

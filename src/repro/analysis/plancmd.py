@@ -66,13 +66,6 @@ def render_plan(desc: dict[str, Any]) -> str:
     else:
         out.append("- export authority resolved live (a time-dependent "
                    "declassifier grant exists)")
-    out.append(f"- allow-audit detail: \"{egress.get('allow_detail')}\"")
-
-    admission = desc.get("admission", {})
-    out += ["", "## Admission", "",
-            "- statically admitted (no rate limit configured)"
-            if admission.get("static")
-            else "- rate-limited: admission runs live per request"]
 
     epochs = desc.get("epochs", {})
     out += ["", "## Validity (epoch stamps)", "",

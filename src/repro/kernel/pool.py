@@ -49,10 +49,10 @@ class ProcessPool:
     """Recycles trusted processes keyed by (name, labels, caps).
 
     ``enabled=False`` makes :meth:`checkout`/:meth:`release` exact
-    aliases for ``spawn_trusted``/``exit`` — the differential tests and
-    the M8 before/after benchmarks compare the two modes on the same
-    call sites.  ``max_idle`` bounds each key's free list; overflow
-    falls back to a real exit.
+    aliases for ``spawn_trusted``/``exit``: the oracle plane runs that
+    way, and the pool and plan differential suites compare the two
+    modes on the same call sites.  ``max_idle`` bounds each key's free
+    list; overflow falls back to a real exit.
     """
 
     def __init__(self, kernel: Any, enabled: bool = False,
@@ -84,40 +84,17 @@ class ProcessPool:
         with and without the pool.
         """
         tracer = self.kernel.tracer
+        key = (name, slabel, ilabel, caps)
         # _fold gates detail sampling; checking it here (instead of
         # unconditionally calling tracer.detail) keeps the unsampled
         # steady state free of the kwargs/annotate setup below
         if tracer._fold:
             before = self.reuses
             with tracer.detail("kernel.checkout", process=name) as sp:
-                proc = self._checkout(name, slabel, ilabel, caps,
-                                      owner_user)
-                sp.annotate(reused=self.reuses > before, pid=proc.pid)
-                return proc
-        return self._checkout(name, slabel, ilabel, caps, owner_user)
-
-    def checkout_planned(self, key: tuple,
-                         owner_user: Optional[str] = None) -> Process:
-        """:meth:`checkout` taking the finished launch key directly.
-
-        Request plans (M12) precompute ``(name, slabel, ilabel, caps)``
-        once per (app, viewer) pair; this entrypoint skips rebuilding
-        the tuple per request.  Audit and tracing are identical to
-        :meth:`checkout` on the same state.
-        """
-        tracer = self.kernel.tracer
-        if tracer._fold:
-            before = self.reuses
-            with tracer.detail("kernel.checkout", process=key[0]) as sp:
                 proc = self._checkout_key(key, owner_user)
                 sp.annotate(reused=self.reuses > before, pid=proc.pid)
                 return proc
         return self._checkout_key(key, owner_user)
-
-    def _checkout(self, name: str, slabel: Label, ilabel: Label,
-                  caps: CapabilitySet,
-                  owner_user: Optional[str]) -> Process:
-        return self._checkout_key((name, slabel, ilabel, caps), owner_user)
 
     def _checkout_key(self, key: tuple,
                       owner_user: Optional[str]) -> Process:

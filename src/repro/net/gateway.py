@@ -123,55 +123,54 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def export_check(self, content_label: Label,
-                     recipient: Optional[str]) -> None:
+                     recipient: Optional[str],
+                     authority: Optional[CapabilitySet] = None) -> None:
         """Raise :class:`ExportViolation` unless every secrecy tag on
         the content is within the recipient's export authority.
 
+        ``authority`` is the recipient's export authority when the
+        caller already holds a current copy (a request plan's, checked
+        against ``authority_epoch``); ``None`` asks the oracle live.
         Anonymous recipients (``None``) are asked of the oracle too:
         they hold no authority of their own, but an owner's *public*
-        declassifier may open specific tags to everyone.
+        declassifier may open specific tags to everyone.  Unlabeled
+        content exits under any authority, so it skips the oracle.
 
         Timed by the caller's ``gateway.egress`` span on detail-sampled
         traces (the nested ``declass.authority`` span still shows the
         oracle's share there).
         """
-        if content_label.is_empty():
-            # Unlabeled content exits under any authority — skip the
-            # oracle entirely (the dominant case for static/provider
-            # routes).  The audit record is identical to the general
-            # allow path, so nothing downstream can tell.
-            self.exports_allowed += 1
-            self.kernel.audit.record_lazy(
-                A.EXPORT, True, "gateway",
-                "allow export to %s", (recipient or "anonymous",))
-            return
-        authority = self.authority_for(recipient)
-        residue = self.kernel.flow_cache.exportable_residue(
-            content_label, authority, category="net.export")
-        if not residue.is_empty():
-            self.exports_denied += 1
-            self.kernel.audit.record(
-                A.EXPORT, False, "gateway",
-                f"deny export to {recipient or 'anonymous'}: residual tags "
-                f"{sorted(t.tag_id for t in residue)}")
-            raise ExportViolation(
-                f"response for {recipient or 'anonymous'} carries secrecy "
-                f"tags {sorted(t.tag_id for t in residue)} outside their "
-                f"export authority")
+        if not content_label.is_empty():
+            if authority is None:
+                authority = self.authority_for(recipient)
+            residue = self.kernel.flow_cache.exportable_residue(
+                content_label, authority, category="net.export")
+            if not residue.is_empty():
+                self.exports_denied += 1
+                tags = sorted(t.tag_id for t in residue)
+                self.kernel.audit.record(
+                    A.EXPORT, False, "gateway",
+                    f"deny export to {recipient or 'anonymous'}: "
+                    f"residual tags {tags}")
+                raise ExportViolation(
+                    f"response for {recipient or 'anonymous'} carries "
+                    f"secrecy tags {tags} outside their export authority")
         self.exports_allowed += 1
         self.kernel.audit.record_lazy(
             A.EXPORT, True, "gateway",
             "allow export to %s", (recipient or "anonymous",))
 
     def egress(self, response: HttpResponse, recipient: Optional[str],
-               js_policy: Optional[str] = None) -> HttpResponse:
+               js_policy: Optional[str] = None,
+               authority: Optional[CapabilitySet] = None) -> HttpResponse:
         """Run the export check and sanitize the response for the wire.
 
         On refusal the *client* receives a generic 403 that names no
         tags (naming them would itself leak); the specifics live in the
         audit log for the provider.  ``js_policy`` overrides the
         gateway default per request (W5 lets users choose their own
-        client-side posture, §3.5).
+        client-side posture, §3.5); ``authority`` is passed through to
+        :meth:`export_check`.
 
         The ``gateway.egress`` span is detail-tier: it appears on
         sampled traces.  A refusal is never invisible on the others —
@@ -182,87 +181,25 @@ class Gateway:
         with self.kernel.tracer.detail(
                 "gateway.egress", recipient=recipient or "anonymous") as sp:
             try:
-                self.export_check(response.content_label, recipient)
+                self.export_check(response.content_label, recipient,
+                                  authority)
             except ExportViolation:
                 sp.fail("ExportViolation")
                 sp.annotate(denied=True)
                 return HttpResponse(status=403,
                                     body={"error": "not authorized"},
                                     content_label=Label.EMPTY)
-            return self._deliver(response, js_policy)
-
-    # ------------------------------------------------------------------
-    # planned egress (M12)
-    # ------------------------------------------------------------------
-
-    def export_check_planned(self, content_label: Label,
-                             recipient: Optional[str],
-                             authority: CapabilitySet,
-                             allow_detail: str) -> None:
-        """:meth:`export_check` with the recipient's authority (and the
-        allow-audit detail string) precomputed by a request plan.
-
-        Counters, audit records and the raised :class:`ExportViolation`
-        are identical to the live check; only the oracle call is
-        skipped.  The caller is responsible for having re-validated the
-        plan's authority epoch before handing the authority in.
-        """
-        if content_label.is_empty():
-            self.exports_allowed += 1
-            self.kernel.audit.record_lazy(A.EXPORT, True, "gateway",
-                                          allow_detail)
-            return
-        residue = self.kernel.flow_cache.exportable_residue(
-            content_label, authority, category="net.export")
-        if not residue.is_empty():
-            self.exports_denied += 1
-            self.kernel.audit.record(
-                A.EXPORT, False, "gateway",
-                f"deny export to {recipient or 'anonymous'}: residual tags "
-                f"{sorted(t.tag_id for t in residue)}")
-            raise ExportViolation(
-                f"response for {recipient or 'anonymous'} carries secrecy "
-                f"tags {sorted(t.tag_id for t in residue)} outside their "
-                f"export authority")
-        self.exports_allowed += 1
-        self.kernel.audit.record_lazy(A.EXPORT, True, "gateway", allow_detail)
-
-    def egress_planned(self, response: HttpResponse,
-                       recipient: Optional[str],
-                       js_policy: Optional[str],
-                       authority: CapabilitySet,
-                       allow_detail: str) -> HttpResponse:
-        """:meth:`egress` driven by a request plan's precomputed export
-        authority.  Observable-identical to the live path."""
-        with self.kernel.tracer.detail(
-                "gateway.egress", recipient=recipient or "anonymous") as sp:
-            try:
-                self.export_check_planned(response.content_label, recipient,
-                                          authority, allow_detail)
-            except ExportViolation:
-                sp.fail("ExportViolation")
-                sp.annotate(denied=True)
-                return HttpResponse(status=403,
-                                    body={"error": "not authorized"},
-                                    content_label=Label.EMPTY)
-            return self._deliver(response, js_policy)
-
-    def _deliver(self, response: HttpResponse,
-                 js_policy: Optional[str]) -> HttpResponse:
-        """Post-export sanitization shared by both egress variants:
-        apply the JS policy and re-stamp the response unlabeled.
-
-        The re-stamp mutates in place: the pre-export response is
-        request-private (built by the app wrapper moments earlier and
-        never retained), so rebuilding the dataclass and copying its
-        header dicts bought nothing."""
-        effective_js = js_policy if js_policy in (JS_BLOCK, JS_ALLOW) \
-            else self.js_policy
-        body = response.body
-        if effective_js == JS_BLOCK and isinstance(body, str) \
-                and contains_javascript(body):
-            response.body = strip_javascript(body)
-            self.kernel.audit.record(A.EXPORT, True, "gateway",
-                                     "stripped javascript at perimeter")
-        response.content_label = Label.EMPTY
-        return response
+            # Sanitize in place: the pre-export response is
+            # request-private (built by the app wrapper moments earlier
+            # and never retained), so rebuilding the dataclass and
+            # copying its header dicts would buy nothing.
+            effective_js = js_policy if js_policy in (JS_BLOCK, JS_ALLOW) \
+                else self.js_policy
+            body = response.body
+            if effective_js == JS_BLOCK and isinstance(body, str) \
+                    and contains_javascript(body):
+                response.body = strip_javascript(body)
+                self.kernel.audit.record(A.EXPORT, True, "gateway",
+                                         "stripped javascript at perimeter")
+            response.content_label = Label.EMPTY
+            return response

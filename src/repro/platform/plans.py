@@ -4,21 +4,19 @@ The hot request is fully memoized by M8–M11 — the LaunchCapIndex, the
 authority memo, the flow cache's subject verdicts and the partition
 verdicts each answer in O(1) — but the pipeline still *interprets* its
 way through them: resolve the app, hash (app, viewer) into the cap
-index, rebuild the pool key, batch partition verdicts through a
-pid-keyed cache that a tainted-and-exited process misses every request,
-then re-derive the viewer's export authority.  A
+index, batch partition verdicts through a pid-keyed cache that a
+tainted-and-exited process misses every request, then re-derive the
+viewer's export authority.  A
 :class:`RequestPlan` compiles all of that, once per (app, viewer)
-pair, into one record the dispatch loop reads field by field:
+pair, into one record of inputs for the request pipeline:
 
 * the resolved :class:`~repro.platform.registry.AppModule`;
-* the launch :class:`~repro.labels.CapabilitySet` and the finished
-  process-pool checkout key;
+* the launch :class:`~repro.labels.CapabilitySet` and the shared
+  process name the pool checks out under;
 * value-keyed partition read verdicts — keyed by the *label state*
   ``(slabel, ilabel, caps)`` instead of the pid, so fresh processes
   (the tainted-read steady state) reuse them across requests;
-* the viewer's precomputed export authority and the egress audit
-  detail string;
-* whether gateway admission is statically allowed (no rate limit).
+* the viewer's precomputed export authority.
 
 Validity is epoch-guarded by the exact invalidation hooks the four
 memo layers already fire: :class:`LaunchCapIndex.epoch` covers
@@ -33,11 +31,13 @@ recompile asks the authority memo, which re-runs only the grants that
 edit could change (its dirty log is scoped by owner), so a post-edit
 recompile costs one owner's grants, not every grant.
 
-Plans only ever replace *pure recomputation*; every observable —
-process spawn/exit, label changes, resource charges, audit records —
-still happens through the ordinary kernel paths, which is what lets
-``tests/platform/test_plan_differential.py`` assert identical
-responses, charges and audit streams against the oracle plane.
+Plans only ever replace *pure recomputation*: the provider runs the
+same admission, launch, handler, audit and egress stages with or
+without one, so every observable — process spawn/exit, label changes,
+resource charges, audit records — happens on one code path, which is
+what lets ``tests/platform/test_plan_differential.py`` assert
+identical responses, charges and audit streams against the oracle
+plane.
 """
 
 from __future__ import annotations
@@ -59,35 +59,29 @@ _MAX_STATES = 64
 
 
 class RequestPlan:
-    """Everything the dispatch loop needs for one (app, viewer) pair."""
+    """The compiled pipeline inputs for one (app, viewer) pair."""
 
     __slots__ = ("app_ref", "viewer", "app", "account", "caps",
-                 "process_name", "pool_key", "authority", "allow_detail",
-                 "admit_static", "cap_epoch", "auth_epoch", "reg_epoch",
-                 "_slot_rows", "_slot_pkeys", "_row_memo")
+                 "process_name", "authority", "cap_epoch", "auth_epoch",
+                 "reg_epoch", "_slot_rows", "_slot_pkeys", "_row_memo")
 
     def __init__(self, app_ref: str, viewer: Optional[str],
                  app: "AppModule", account: "Optional[UserAccount]",
                  caps: CapabilitySet, authority: Optional[CapabilitySet],
-                 admit_static: bool, cap_epoch: int, auth_epoch: int,
-                 reg_epoch: int) -> None:
+                 cap_epoch: int, auth_epoch: int, reg_epoch: int) -> None:
         self.app_ref = app_ref
         self.viewer = viewer
         self.app = app
         self.account = account
         self.caps = caps
+        #: One name string shared by every request this plan serves:
+        #: each process and audit record launched under it keeps a
+        #: reference, not a fresh copy.
         self.process_name = f"app:{app.name}"
-        #: The finished pool-checkout key (apps launch unlabeled; taint
-        #: is acquired per request, never at launch).
-        self.pool_key = (self.process_name, Label.EMPTY, Label.EMPTY, caps)
         #: Precomputed export authority, or None when any uncacheable
         #: (time-dependent) declassifier grant exists — then egress
         #: falls back to the live oracle.
         self.authority = authority
-        self.allow_detail = f"allow export to {viewer or 'anonymous'}"
-        #: True iff the gateway had no rate limit at compile time, i.e.
-        #: admit() is a constant True with zero side effects.
-        self.admit_static = admit_static
         self.cap_epoch = cap_epoch
         self.auth_epoch = auth_epoch
         self.reg_epoch = reg_epoch
@@ -183,17 +177,16 @@ class RequestPlan:
             "viewer": self.viewer,
             "process_name": self.process_name,
             "launch_caps": sorted(str(c) for c in self.caps),
-            "pool_key": {"name": self.pool_key[0],
-                         "slabel": repr(self.pool_key[1]),
-                         "ilabel": repr(self.pool_key[2]),
-                         "caps": len(self.pool_key[3])},
+            # apps launch unlabeled; taint is acquired per request
+            "pool_key": {"name": self.process_name,
+                         "slabel": repr(Label.EMPTY),
+                         "ilabel": repr(Label.EMPTY),
+                         "caps": len(self.caps)},
             "egress": {
                 "authority": (sorted(str(c) for c in self.authority)
                               if self.authority is not None else None),
                 "precomputed": self.authority is not None,
-                "allow_detail": self.allow_detail,
             },
-            "admission": {"static": self.admit_static},
             "epochs": {"capindex": self.cap_epoch,
                        "authority": self.auth_epoch,
                        "registry": self.reg_epoch},
@@ -206,7 +199,7 @@ class PlanCache:
 
     Lookups are one dict probe plus three integer comparisons; a miss
     (cold pair or stale stamps) compiles a fresh plan through the same
-    provider services the unplanned path uses, so a plan is always the
+    provider services live resolution uses, so a plan is always the
     fixed point of the interpretation it replaces.
     """
 
@@ -271,9 +264,8 @@ class PlanCache:
         authority = None
         if not p.declass._uncacheable:
             authority = p._authority_for(viewer)
-        admit_static = p.gateway.rate_limit is None
         return RequestPlan(app_ref, viewer, app, account, caps, authority,
-                           admit_static, cap_epoch, auth_epoch, reg_epoch)
+                           cap_epoch, auth_epoch, reg_epoch)
 
     def invalidate_all(self, reason: str = "") -> None:
         """Drop every compiled plan (tests; epochs already make stale

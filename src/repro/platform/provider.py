@@ -680,6 +680,9 @@ class Provider:
 
     def _run_app(self, app_ref: str, request: HttpRequest,
                  viewer: Optional[str]) -> HttpResponse:
+        """Resolve a launch live — the app ref, the viewer's audited
+        version pin and integrity policy, the launch capabilities —
+        then run it through :meth:`_launch`."""
         app = self.apps.get(app_ref)
         if viewer is not None and viewer in self._accounts:
             account = self._accounts[viewer]
@@ -696,30 +699,43 @@ class Provider:
                         f"integrity policy: {app.name} has unendorsed "
                         f"components {missing} (viewer {viewer})")
                     return error(403, "application not endorsed")
-        process = self.kernel.pool.checkout(
-            f"app:{app.name}", caps=self.launch_caps(app, viewer),
-            owner_user=viewer)
+        return self._launch(app, self.launch_caps(app, viewer), request,
+                            viewer)
+
+    def _launch(self, app: AppModule, caps: CapabilitySet,
+                request: HttpRequest, viewer: Optional[str],
+                plan: Optional[RequestPlan] = None) -> HttpResponse:
+        """Run ``app`` with ``caps`` for one request: pool checkout,
+        the request charge, the confined handler, the kill/crash audit,
+        release, and the taint stamped on the internal response.
+
+        The one launch body for both planes.  A compiled ``plan``
+        supplies the process name every request it serves shares, and
+        its label-state partition verdicts for the scans the handler
+        runs.
+        """
+        name = f"app:{app.name}" if plan is None else plan.process_name
+        process = self.kernel.pool.checkout(name, caps=caps,
+                                            owner_user=viewer)
         self.kernel.resources.charge(process, "requests", 1)
         ctx = AppContext(self, app,
                          sys=self.kernel.syscalls_for(process),
                          fs=FsView(self.fs, process),
-                         db=DbView(self.db, process),
+                         db=DbView(self.db, process, plan=plan),
                          request=request, viewer=viewer)
         try:
             result = app.handler(ctx)
         except LabelError:
             # The reference monitor said no; the app died for it.
             self.kernel.audit.record(
-                A.EXPORT, False, f"app:{app.name}",
-                "killed by label violation")
+                A.EXPORT, False, name, "killed by label violation")
             return error(403, "forbidden")
         except Exception as exc:
             # §3.5 Debugging: the developer gets a sanitized report;
             # the audit log keeps the class name; the wire gets nothing.
             self.debug.record_crash(app, exc)
             self.kernel.audit.record(
-                A.EXIT, False, f"app:{app.name}",
-                f"crashed with {type(exc).__name__}")
+                A.EXIT, False, name, f"crashed with {type(exc).__name__}")
             return error(500, "application error")
         finally:
             taint = process.slabel
@@ -758,41 +774,41 @@ class Provider:
             return response
 
     def _handle_request(self, request: HttpRequest) -> HttpResponse:
+        """Admission, dispatch and egress: the one pipeline both planes
+        run.  On the fast plane an ``/app/<ref>`` request takes its
+        inputs from the compiled plan; every other request resolves
+        live through :meth:`_route`."""
+        tracer = self.kernel.tracer
         # one detail span for the whole ingress decision (cookie
         # resolution + rate-limit window), shown on sampled traces.
         # _fold is checked here so the unsampled steady state skips
         # even the detail-span ceremony (kwargs + null-span enter).
-        if self.kernel.tracer._fold:
-            with self.kernel.tracer.detail("gateway.admission") as sp:
+        if tracer._fold:
+            with tracer.detail("gateway.admission") as sp:
                 session = self.gateway.authenticate(request)
                 viewer = session.username if session else None
                 sp.annotate(user=viewer or "<anonymous>")
-                if not self.gateway.admit(viewer):
+                admitted = self.gateway.admit(viewer)
+                if not admitted:
                     sp.annotate(admitted=False)
-                    return HttpResponse(status=429,
-                                        body={"error": "slow down"})
-            parts = request.path_parts()
-            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
-                return self._handle_planned(request, viewer, parts,
-                                            admitted=True)
         else:
             session = self.gateway.authenticate(request)
             viewer = session.username if session else None
-            parts = request.path_parts()
-            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
-                # planned dispatch runs (or statically skips) admission
-                # itself; everything else is observable-identical
-                return self._handle_planned(request, viewer, parts)
-            if not self.gateway.admit(viewer):
-                return HttpResponse(status=429,
-                                    body={"error": "slow down"})
-        return self._finish_request(request, viewer, parts)
-
-    def _finish_request(self, request: HttpRequest, viewer: Optional[str],
-                        parts: list[str]) -> HttpResponse:
-        """Route + egress for an admitted request (the generic plane)."""
+            admitted = self.gateway.admit(viewer)
+        if not admitted:
+            return HttpResponse(status=429, body={"error": "slow down"})
+        parts = request.path_parts()
+        plan = None
         try:
-            internal = self._route(request, viewer, parts)
+            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
+                plan = self._lookup_plan(parts[1], viewer)
+            if plan is None:
+                internal = self._route(request, viewer, parts)
+            else:
+                with tracer.detail("app.run", app=parts[1],
+                                   viewer=viewer or "anonymous"):
+                    internal = self._launch(plan.app, plan.caps, request,
+                                            viewer, plan)
         except (NoSuchApp, NoSuchUser):
             internal = error(404, "not found")
         except NotAuthorized:
@@ -812,11 +828,13 @@ class Provider:
         js_policy = None
         if viewer is not None and viewer in self._accounts:
             js_policy = self._accounts[viewer].js_policy or None
-        return self.gateway.egress(internal, viewer, js_policy=js_policy)
-
-    # ------------------------------------------------------------------
-    # the compiled plane (M12): plan lookup + planned dispatch
-    # ------------------------------------------------------------------
+        # the plan's export authority only while no grant, revoke or
+        # config update has happened since it was compiled
+        authority = None
+        if plan is not None \
+                and plan.auth_epoch == self.declass.authority_epoch:
+            authority = plan.authority
+        return self.gateway.egress(internal, viewer, js_policy, authority)
 
     def _lookup_plan(self, app_ref: str,
                      viewer: Optional[str]) -> Optional[RequestPlan]:
@@ -833,154 +851,12 @@ class Provider:
                 return plan
         return plans.lookup(app_ref, viewer)
 
-    def _handle_planned(self, request: HttpRequest, viewer: Optional[str],
-                        parts: list[str], admitted: bool = False,
-                        plan: Optional[RequestPlan] = None) -> HttpResponse:
-        """The planned front door for ``/app/...`` requests.
-
-        Observable-identical to :meth:`_finish_request` on the same
-        input: the same audit events, charges and responses, with the
-        pure recomputation (app resolution, launch caps, pool key,
-        authority) read from the compiled plan instead.  ``plan`` may
-        be passed pre-validated by :meth:`handle_batch`; account policy
-        that never bumps an epoch (integrity requirement, audited pins)
-        is re-checked live either way.
-        """
-        if not admitted and self.gateway.rate_limit is not None:
-            # with a rate limit configured admission has observables
-            # (window counts, 429s, audit) and must run exactly as the
-            # generic plane does; without one, admit() is a constant
-            # True with no side effects — the plan's static verdict.
-            if not self.gateway.admit(viewer):
-                return HttpResponse(status=429, body={"error": "slow down"})
-        if plan is not None:
-            account = plan.account
-            if account is not None and (account.require_endorsed
-                                        or account.audited_versions):
-                plan = None  # stale hint; re-resolve (and bypass) below
-        try:
-            if plan is None:
-                plan = self._lookup_plan(parts[1], viewer)
-            if plan is None:
-                internal = self._route(request, viewer, parts)
-            else:
-                with self.kernel.tracer.detail(
-                        "app.run", app=parts[1],
-                        viewer=viewer or "anonymous"):
-                    internal = self._run_planned(plan, request, viewer)
-        except (NoSuchApp, NoSuchUser):
-            internal = error(404, "not found")
-        except NotAuthorized:
-            internal = error(403, "forbidden")
-        except (PlatformError, AuthError) as exc:
-            internal = error(400, str(exc))
-        except (ValueError, TypeError, KeyError):
-            internal = error(400, "bad request")
-        except Exception as exc:  # noqa: BLE001 - the front door is total
-            self.kernel.audit.record(
-                A.EXIT, False, "provider",
-                f"route crashed with {type(exc).__name__}")
-            internal = error(500, "internal error")
-        js_policy = None
-        if viewer is not None:
-            account = plan.account if plan is not None \
-                else self._accounts.get(viewer)
-            if account is not None:
-                js_policy = account.js_policy or None
-        if plan is not None and plan.authority is not None \
-                and plan.auth_epoch == self.declass.authority_epoch:
-            return self.gateway.egress_planned(
-                internal, viewer, js_policy, plan.authority,
-                plan.allow_detail)
-        return self.gateway.egress(internal, viewer, js_policy=js_policy)
-
-    def _run_planned(self, plan: RequestPlan, request: HttpRequest,
-                     viewer: Optional[str]) -> HttpResponse:
-        """:meth:`_run_app` with the pure prefix read from the plan.
-
-        Process lifecycle, charges and every audit record are the
-        ordinary kernel paths — a plan only skips recomputing what it
-        already proved (resolution, caps, pool key, partition
-        verdicts via the DbView binding).
-        """
-        process = self.kernel.pool.checkout_planned(plan.pool_key, viewer)
-        self.kernel.resources.charge(process, "requests", 1)
-        app = plan.app
-        ctx = AppContext(self, app,
-                         sys=self.kernel.syscalls_for(process),
-                         fs=FsView(self.fs, process),
-                         db=DbView(self.db, process, plan=plan),
-                         request=request, viewer=viewer)
-        try:
-            result = app.handler(ctx)
-        except LabelError:
-            self.kernel.audit.record(
-                A.EXPORT, False, plan.process_name,
-                "killed by label violation")
-            return error(403, "forbidden")
-        except Exception as exc:
-            self.debug.record_crash(app, exc)
-            self.kernel.audit.record(
-                A.EXIT, False, plan.process_name,
-                f"crashed with {type(exc).__name__}")
-            return error(500, "application error")
-        finally:
-            taint = process.slabel
-            self.kernel.pool.release(process)
-        if isinstance(result, HttpResponse):
-            result.content_label = result.content_label | taint
-            result.set_cookies.update(ctx.set_cookies)
-            return result
-        return HttpResponse(status=200, body=result,
-                            set_cookies=dict(ctx.set_cookies),
-                            content_label=taint)
-
     def handle_batch(self, requests: list[HttpRequest]
                      ) -> list[HttpResponse]:
-        """Handle N requests with one plan lookup per distinct
-        (app, viewer) pair — the M12 batch entrypoint.
-
-        Responses come back in request order and are byte-identical to
-        N separate :meth:`handle_request` calls.  Plan validity is
-        re-stamped per request (three integer compares), so a request
-        that edits policy mid-batch retires the shared plan for the
-        requests behind it.  With plans disabled or tracing enabled
-        the batch degrades to the ordinary per-request pipeline.
-        """
-        plans = self.plans
-        if not plans.enabled or self.kernel.tracer.enabled:
-            return [self.handle_request(r) for r in requests]
-        responses = []
-        shared: dict[tuple[str, Optional[str]], RequestPlan] = {}
-        for request in requests:
-            session = self.gateway.authenticate(request)
-            viewer = session.username if session else None
-            parts = request.path_parts()
-            if len(parts) >= 2 and parts[0] == "app":
-                key = (parts[1], viewer)
-                plan = shared.get(key)
-                if plan is not None and not plan.is_current(self):
-                    del shared[key]
-                    plan = None
-                if plan is None and key not in shared:
-                    try:
-                        plan = plans.lookup(parts[1], viewer)
-                    except Exception:
-                        # resolution errors re-raise identically on the
-                        # per-request path below
-                        plan = None
-                    if plan is not None:
-                        shared[key] = plan
-                responses.append(self._handle_planned(
-                    request, viewer, parts, plan=plan))
-            else:
-                if not self.gateway.admit(viewer):
-                    responses.append(HttpResponse(
-                        status=429, body={"error": "slow down"}))
-                    continue
-                responses.append(
-                    self._finish_request(request, viewer, parts))
-        return responses
+        """Handle N requests in order, exactly as N
+        :meth:`handle_request` calls — the entrypoint the sharded
+        router sends each shard's sub-batch through."""
+        return [self.handle_request(r) for r in requests]
 
     def handle_batch_traced(self, requests: list[HttpRequest],
                             ctx: Optional[Any] = None

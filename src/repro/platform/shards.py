@@ -745,9 +745,10 @@ class ShardedProvider:
 
         Requests are grouped by owning shard *preserving per-shard
         arrival order*, the groups execute concurrently (each through
-        the shard's own M12 ``handle_batch`` shared-plan path), and
-        responses reassemble in request order — so the result is
-        position-for-position identical to sequential dispatch.
+        the shard's own ``handle_batch``, i.e. its ordinary
+        per-request pipeline), and responses reassemble in request
+        order — so the result is position-for-position identical to
+        sequential dispatch.
         """
         requests = list(requests)
         if self.n_shards == 1:

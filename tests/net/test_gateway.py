@@ -84,6 +84,20 @@ class TestExportCheck:
         assert len(denies) == 1
         assert "amy" in denies[0].detail
 
+    def test_supplied_authority_replaces_the_oracle(self, world, kernel):
+        """A caller-held authority (a request plan's) decides the
+        check instead of the oracle, with the same records."""
+        gw, __, tag_bob, tag_amy = world
+        gw.authority_for = lambda u: pytest.fail("oracle consulted")
+        bob_only = CapabilitySet([minus(tag_bob)])
+        gw.export_check(Label([tag_bob]), "amy", authority=bob_only)
+        with pytest.raises(ExportViolation):
+            gw.export_check(Label([tag_amy]), "bob", authority=bob_only)
+        assert (gw.exports_allowed, gw.exports_denied) == (1, 1)
+        assert [e.detail for e in kernel.audit.events(category="export")] \
+            == ["allow export to amy",
+                f"deny export to bob: residual tags {[tag_amy.tag_id]}"]
+
 
 class TestEgress:
     def test_egress_strips_label(self, world):

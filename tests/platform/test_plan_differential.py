@@ -10,7 +10,8 @@ Hypothesis shrinks any divergence to a minimal witness.  Two suites
 run it: the plain planned history, and the mandated-pipeline history
 under a tight scan quota and a 64-event audit ring.  The batch
 entrypoint is checked against sequential dispatch on the fast plane,
-byte for byte.
+byte for byte, and a rate-limited pair of raw providers must agree on
+every 429 and admission audit record.
 
 A second class pins each plan-invalidation edge individually:
 befriend/unfriend (authority epoch), app disable (cap-index epoch),
@@ -21,11 +22,12 @@ a journal-replay restore (which rewires tag identity wholesale).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import install_standard_apps
 from repro.core import W5System
-from repro.net import HttpRequest
-from repro.platform import ProviderConfig
+from repro.net import ExternalClient, HttpRequest
+from repro.platform import Provider, ProviderConfig
 
-from .._differential import PlanePair
+from .._differential import PlanePair, normalized_audit
 
 USERS = ("alice", "bob", "carol")
 APPS = ("blog", "social")
@@ -123,7 +125,8 @@ class TestPlannedPlaneIsByteIdentical:
     @settings(max_examples=15, deadline=None)
     @given(ops())
     def test_batch_entrypoint_matches_sequential(self, seed_ops):
-        """handle_batch == N× handle_request, byte for byte."""
+        """handle_batch == N× handle_request, byte for byte, with the
+        viewer's own policy edits riding inside the burst."""
         batched = build_deployment()
         sequential = build_deployment()
         # mutations first, then a burst of reads through both doors
@@ -135,10 +138,23 @@ class TestPlannedPlaneIsByteIdentical:
         session_s = sequential.provider.sessions.login("alice", "pw").token
 
         def burst(session):
-            return [HttpRequest(method="GET", path="/app/blog/list",
-                                params={"author": "alice"},
-                                cookies={"w5_session": session})
-                    for _ in range(6)]
+            def request(method, path, **params):
+                return HttpRequest(method=method, path=path, params=params,
+                                   cookies={"w5_session": session})
+
+            def read():
+                return request("GET", "/app/blog/list", author="alice")
+
+            # a cap-index edit (disable/enable) and an account policy
+            # no epoch covers (require_endorsed), each between reads
+            return [read(), read(),
+                    request("POST", "/policy/disable", app="blog"), read(),
+                    request("POST", "/policy/enable", app="blog"), read(),
+                    read(),
+                    request("POST", "/policy/integrity",
+                            require_endorsed=True), read(), read(),
+                    request("POST", "/policy/integrity",
+                            require_endorsed=False), read(), read()]
 
         responses_b = batched.provider.handle_batch(burst(session_b))
         responses_s = [sequential.provider.handle_request(r)
@@ -146,6 +162,68 @@ class TestPlannedPlaneIsByteIdentical:
         assert [(r.status, r.body) for r in responses_b] \
             == [(r.status, r.body) for r in responses_s]
         assert audit_bytes(batched) == audit_bytes(sequential)
+
+
+class TestRateLimitedPlanesAgree:
+    """With a rate limit, admission has observables — per-principal
+    window counts, 429s, RESOURCE audit records — that both planes
+    must produce identically, for app and provider routes alike."""
+
+    LIMIT = 12
+
+    def _build(self, config: ProviderConfig) -> dict:
+        provider = Provider(name="rl", rate_limit=self.LIMIT, config=config)
+        install_standard_apps(provider)
+        clients = {None: ExternalClient("anonymous", provider.transport())}
+        for user in USERS:
+            provider.signup(user, "pw")
+            provider.enable_app(user, "blog")
+            provider.grant_builtin_declassifier(
+                user, "friends-only", {"friends": ["bob"]})
+            clients[user] = ExternalClient(user, provider.transport())
+            clients[user].login("pw")
+        return {"provider": provider, "clients": clients}
+
+    @staticmethod
+    def _request(deployment: dict, i: int, user, kind: str):
+        client = deployment["clients"][user]
+        if kind == "post":
+            return client.get("/app/blog/post", title=f"t{i}", body="b")
+        if kind == "read":
+            return client.get("/app/blog/read", author="alice",
+                              title=f"t{i - 3}")
+        if kind == "list":
+            return client.get("/app/blog/list", author="bob")
+        if kind == "missing":
+            return client.get("/app/nonesuch/run")
+        if kind == "apps":
+            return client.get("/apps")
+        if kind == "js":
+            return client.post("/policy/javascript",
+                               params={"policy": "allow"})
+        return client.get("/feed")
+
+    def test_fast_matches_oracle_past_the_limit(self):
+        fast = self._build(ProviderConfig.fast())
+        oracle = self._build(ProviderConfig.oracle())
+        kinds = ("post", "read", "list", "missing", "apps", "js", "feed")
+        principals = (None,) + USERS
+        statuses = []
+        # 150 requests cross the 100-tick window reset once
+        for i in range(150):
+            user = principals[i % len(principals)]
+            kind = kinds[(i // len(principals)) % len(kinds)]
+            r_fast = self._request(fast, i, user, kind)
+            r_oracle = self._request(oracle, i, user, kind)
+            assert (r_fast.status, r_fast.body) \
+                == (r_oracle.status, r_oracle.body), (i, user, kind)
+            statuses.append(r_fast.status)
+        fast_p, oracle_p = fast["provider"], oracle["provider"]
+        assert 429 in statuses and 200 in statuses
+        assert fast_p.gateway.rate_limited == oracle_p.gateway.rate_limited
+        assert fast_p.gateway.rate_limited > 0
+        assert normalized_audit(fast_p.kernel.audit) \
+            == normalized_audit(oracle_p.kernel.audit)
 
 
 def build_m14(config: ProviderConfig = ProviderConfig.fast()

@@ -168,3 +168,10 @@ class TestExplain:
         assert "# Request plan" in out
         assert "app:blog" in out
         assert "epoch" in out.lower()
+        # every plan field rendered is one the plan carries, so none
+        # prints as a None placeholder (the config section below it
+        # echoes the config's own values, e.g. shard_engine=None)
+        plan_part, __, config_part = out.partition("## Provider config")
+        assert config_part
+        assert "None" not in plan_part
+        assert "## Admission" not in out
