@@ -15,7 +15,8 @@ Then it crashes *again* — this time mid-write, with post-checkpoint
 mutations living only in the write-ahead journal — and shows that
 recovery is base snapshot + replay: the torn tail is detected and
 dropped, every complete record is replayed, and nothing before the
-tear is lost.
+tear is lost.  Finally, a user whose account predates each restart
+deletes it on the rebuilt provider: the right to leave survives both.
 
 Run: ``python examples/provider_restart.py``
 """
@@ -123,6 +124,15 @@ def main() -> None:
     print(f"   amy's notes: {p4.read_user_data('amy', 'notes.txt')!r}")
 
     print("\nOK: base + replay recovers to the last complete record.")
+
+    print("\n== the right to leave, after both restarts ==")
+    # both accounts predate the restart that rebuilt their provider
+    for kind, p, name in (("restored", p2, "bob"), ("recovered", p4, "amy")):
+        erased = p.delete_account(name)
+        print(f"   {name} leaves the {kind} provider: erased {erased}, "
+              f"users left {p.usernames()}")
+
+    print("\nOK: accounts made before a restart can still be deleted.")
 
 
 if __name__ == "__main__":

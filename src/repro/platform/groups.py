@@ -88,14 +88,9 @@ class GroupService:
                            write_tag=write_tag)
         group.members.add(owner)
         group.writers.add(owner)
-        # home directory under the group's labels; the account service
-        # minted the tags and therefore owns them, so it may create the
-        # labeled directory inside the provider-protected /groups
-        from ..fs import FsView
-        from ..labels import Label
-        FsView(self.provider.fs, svc_proc).mkdir(
-            group.home, slabel=Label([data_tag]),
-            ilabel=Label([write_tag]))
+        # home directory under the group's labels, inside the
+        # provider-protected /groups
+        self.provider._make_home(group.home, data_tag, write_tag)
         # the roster-following declassifier grant
         group.policy = GroupPolicy({"members": sorted(group.members)})
         self.provider.declass.grant(owner, data_tag, group.policy)

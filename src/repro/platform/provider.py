@@ -26,7 +26,7 @@ from ..declassify import BUILTINS, Declassifier, DeclassificationService
 from ..fs import FsView, LabeledFileSystem
 from ..kernel import Kernel, Process, ResourceHook
 from ..kernel import audit as A
-from ..labels import CapabilitySet, Label, LabelError, plus
+from ..labels import CapabilitySet, Label, LabelError, Tag, plus
 from ..net import (Gateway, HttpRequest, HttpResponse, SESSION_COOKIE,
                    SessionManager, AuthError, error, ok)
 from ..net.email import EmailGateway
@@ -262,9 +262,7 @@ class Provider:
             "username": username, "data_tag_id": data_tag.tag_id,
             "write_tag_id": write_tag.tag_id,
             "email": account.email_address})
-        svc_fs = FsView(self.fs, self._account_service)
-        svc_fs.mkdir(account.home, slabel=Label([data_tag]),
-                     ilabel=Label([write_tag]))
+        self._make_home(account.home, data_tag, write_tag)
         self.kernel.audit.record(A.SPAWN, True, "provider",
                                  f"account created for {username}")
         return account
@@ -317,12 +315,7 @@ class Provider:
                         erased["files"] += 1
             if fs_view.exists(account.home):
                 wipe(account.home)
-                # unlinking the home entry writes /users (provider-
-                # protected): the account service does it, and it owns
-                # the user's write tag (it minted it), so the node
-                # check passes too
-                svc_fs = FsView(self.fs, self._account_service)
-                svc_fs.delete(account.home)
+                self._unlink_home(account)
             # rows labeled exactly with the user's tag, purged through
             # the store's (journaled) cold-storage path
             for table_name in self.db.tables():
@@ -570,6 +563,36 @@ class Provider:
         data = FsView(self.fs, agent).read(f"{account.home}/{path}")
         self.kernel.exit(agent)
         return data
+
+    def _make_home(self, path: str, data_tag: Tag, write_tag: Tag) -> None:
+        """Create a user's or group's home under its new tag pair.
+
+        Minting made the account service own both tags.  It needs the
+        write tag's ``+`` only to label the directory, then hands both
+        back, so its standing privilege stays provider-write alone:
+        O(1) in users, and exactly what a restored provider rebuilds."""
+        svc = self._account_service
+        try:
+            FsView(self.fs, svc).mkdir(path, slabel=Label([data_tag]),
+                                       ilabel=Label([write_tag]))
+        finally:
+            self.kernel.drop_caps(
+                svc, CapabilitySet.owning(data_tag, write_tag))
+
+    def _unlink_home(self, account: UserAccount) -> None:
+        """Remove the (emptied) home entry from ``/users``.
+
+        The unlink writes ``/users`` (provider-write) and the home node
+        (the user's write tag), so a short-lived process holds exactly
+        those two tags' ownership for the one call."""
+        unlinker = self.kernel.spawn_trusted(
+            "account-service", ilabel=Label([self._provider_write]),
+            caps=CapabilitySet.owning(self._provider_write,
+                                      account.write_tag))
+        try:
+            FsView(self.fs, unlinker).delete(account.home)
+        finally:
+            self.kernel.exit(unlinker)
 
     def _user_agent(self, account: UserAccount) -> Process:
         """A short-lived trusted process with the user's full authority."""
