@@ -69,8 +69,8 @@ BURST_PER_USER = 4
 
 def scaling_engine() -> str:
     """The engine the scaling run uses: fork wherever POSIX allows
-    (the only engine that escapes the GIL), threads otherwise."""
-    return "fork" if hasattr(os, "fork") else "thread"
+    (the only engine that escapes the GIL), serial otherwise."""
+    return "fork" if hasattr(os, "fork") else "serial"
 
 
 def _populate(provider_like: Any, sharded: Optional[ShardedProvider],

@@ -52,15 +52,6 @@ class NotFound(W5Error):
     """A named entity does not exist (or is invisible to the caller)."""
 
 
-class CrossShardWrite(W5Error):
-    """A shard-owned structure was written from the wrong thread.
-
-    Raised by the M13 ownership guards on :class:`AuditLog` and
-    :class:`Metrics` when a record arrives from a thread other than
-    the shard worker the structure is bound to — a misrouted request
-    fails loudly instead of silently corrupting the stream."""
-
-
 class ShardDown(W5Error):
     """A shard's worker is gone (a forked child died or closed its
     pipe), so a request or control call routed to it cannot complete.
@@ -73,4 +64,4 @@ class ShardDown(W5Error):
 
 
 __all__ = ["W5Error", "FlowDenied", "WriteDenied", "NotFound",
-           "CrossShardWrite", "ShardDown"]
+           "ShardDown"]

@@ -12,11 +12,8 @@ provider-private and never flow back to applications.
 
 from __future__ import annotations
 
-from _thread import get_ident
 from collections import deque
 from typing import Any, Callable, Iterator, Optional, Union
-
-from ..errors import CrossShardWrite
 
 #: Event categories, used for filtering.
 SPAWN = "spawn"
@@ -160,24 +157,6 @@ class AuditLog:
         #: the active span (or None); stamped into every event's
         #: ``extra`` while a traced request is active.
         self.trace_source: Optional[Any] = None
-        #: M13 ownership guard: when bound (sharded deployments bind
-        #: each shard's log to its worker thread), records from any
-        #: other thread raise instead of corrupting the stream.
-        self._owner_ident: Optional[int] = None
-
-    def bind_owner(self, ident: Optional[int] = None) -> None:
-        """Bind append/eviction to one thread (default: the caller).
-
-        A sharded front end routes every request to the shard that
-        owns the subject; this guard makes a routing bug — two shards
-        writing one log — a loud :class:`CrossShardWrite` instead of
-        an interleaved, unreproducible audit stream.  Costs one
-        attribute load + ``None`` check per record while unbound."""
-        self._owner_ident = get_ident() if ident is None else ident
-
-    def unbind_owner(self) -> None:
-        """Remove the thread binding (shard teardown, tests)."""
-        self._owner_ident = None
 
     @property
     def max_events(self) -> Optional[int]:
@@ -215,11 +194,11 @@ class AuditLog:
                 return self.record(category, allowed, subject, template,
                                    **extra)
             return self.record(category, allowed, subject, template)
-        if self._owner_ident is not None or self.trace_source is not None:
+        if self.trace_source is not None:
             return self._append(category, allowed, subject, template,
                                 extra, args)
-        # Inlined append — the M14 fast path.  No owner guard, no trace
-        # stamp, no render: one dict probe maintains index and counters.
+        # Inlined append — the M14 fast path.  No trace stamp, no
+        # render: one dict probe maintains index and counters.
         self._seq += 1
         event = AuditEvent(self._seq, category, allowed, subject, template,
                            extra, args)
@@ -257,12 +236,6 @@ class AuditLog:
     def _append(self, category: str, allowed: bool, subject: str,
                 detail: str, extra: Optional[dict[str, Any]],
                 args: Optional[tuple]) -> AuditEvent:
-        owner = self._owner_ident
-        if owner is not None and get_ident() != owner:
-            raise CrossShardWrite(
-                f"audit record {category!r} for {subject!r} arrived on "
-                f"thread {get_ident()} but this log is bound to shard "
-                f"worker {owner}: a request was misrouted across shards")
         ts = self.trace_source
         if ts is not None:
             cur = ts.current

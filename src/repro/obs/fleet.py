@@ -87,7 +87,7 @@ class RemoteCapture:
     The wrap happens at the sink (once per finished trace), never on
     the span close path, and is fully undone on exit — nested windows
     restore correctly.  Skeletons are plain picklable dicts: they ride
-    the fork engine's pipe and the thread engine's result boxes as-is.
+    the fork engine's pipe as-is.
     """
 
     __slots__ = ("tracer", "ctx", "skeletons", "_saved_sink",
@@ -128,9 +128,7 @@ class FleetRegistry:
     Attach one :class:`~repro.core.metrics.Metrics` per member (a
     shard, a provider, a gateway tier); reads merge on demand —
     counters by addition, latency histograms bucket-exactly — so the
-    fleet view never goes stale and members never synchronize.  Reads
-    are safe from any thread (dict/counter reads under the GIL);
-    members keep ingesting on their own workers.
+    fleet view never goes stale and members never synchronize.
 
     Health sources (anything with a ``health_report()`` — a
     ``ShardedProvider``, a ``FederationFabric``) attach separately via

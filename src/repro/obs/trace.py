@@ -21,12 +21,10 @@ context for the in-process W5 stack.
   spans, aggregates per-span-name
   :class:`~repro.obs.histogram.LatencyHistogram` s, and feeds finished
   traces to an attached :class:`~repro.obs.recorder.FlightRecorder`.
-  The active-trace state (open trace, innermost span, fold flag)
-  lives in a per-execution-context :class:`_TraceContext` behind a
-  ``contextvars.ContextVar``, so shard worker threads (M13) each see
-  their own "current span" without locking; spans cache the context
-  object at creation, so the hot close path never touches the
-  contextvar machinery.
+  The active-trace state (open trace, innermost span, fold flag) is
+  three plain tracer attributes: every provider, shard and router
+  owns its own tracer and runs single-threaded, so the state needs
+  no per-thread isolation and no locks.
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled path.  It
   shares the ``enabled`` flag protocol so hot code can guard with one
   attribute load, and every method returns a preallocated singleton —
@@ -40,7 +38,6 @@ a traced request carries ``trace_id``/``span_id`` in ``extra``.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from time import perf_counter
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -54,13 +51,12 @@ class TraceContext(NamedTuple):
     """The wire form of an open span: what crosses a shard or
     federation boundary (M16).
 
-    Deliberately tiny and picklable — it rides the thread engine's
-    queue tuples and the fork engine's pipe frames unchanged.  The
-    remote side opens its own root trace under this context
-    (:class:`repro.obs.fleet.RemoteCapture`); ``fold`` pins the
-    sampling decision so a detail-sampled request is detail-sampled on
-    every shard it touches, and an unsampled one stays cheap
-    everywhere.
+    Deliberately tiny and picklable — it rides the fork engine's pipe
+    frames unchanged.  The remote side opens its own root trace under
+    this context (:class:`repro.obs.fleet.RemoteCapture`); ``fold``
+    pins the sampling decision so a detail-sampled request is
+    detail-sampled on every shard it touches, and an unsampled one
+    stays cheap everywhere.
     """
 
     #: The originating trace's id (unique per tracer, not globally;
@@ -79,25 +75,6 @@ class TraceContext(NamedTuple):
 #: money on a ~70µs request; sampling keeps per-name shapes while
 #: amortizing that to ~nothing (benchmarks/m11_tracing.py).
 FOLD_EVERY = 16
-
-
-class _TraceContext:
-    """Per-execution-context trace state.
-
-    One instance per (tracer, thread/task) pair, created lazily on the
-    first ``request()`` in that context and reused for every request
-    after it — so the steady-state cost of context isolation is a
-    single ``ContextVar.get`` per span creation, not an allocation.
-    ``current`` is the innermost open span; ``trace`` the open trace;
-    ``fold`` whether this context's active trace is detail-sampled.
-    """
-
-    __slots__ = ("trace", "current", "fold")
-
-    def __init__(self) -> None:
-        self.trace: Optional[Trace] = None
-        self.current: Optional[Span] = None
-        self.fold = True
 
 
 class Span:
@@ -135,10 +112,8 @@ class Span:
                 pc.append(self)
         # the span is born armed: the context switch and the clock
         # read happen here rather than in __enter__, saving a second
-        # full method call's worth of work per span on the hot path.
-        # The trace carries its _TraceContext, so arming is one plain
-        # attribute store — no ContextVar traffic on span open/close.
-        trace.ctx.current = self
+        # full method call's worth of work per span on the hot path
+        trace.tracer.current = self
         self.start = perf_counter()
 
     @property
@@ -174,8 +149,7 @@ class Span:
             self.attrs.setdefault("error", exc_type.__name__)
             trace.failed = True
         tracer = trace.tracer
-        ctx = trace.ctx
-        ctx.current = prev = self._prev
+        tracer.current = prev = self._prev
         self._prev = None  # drop the ancestor edge (GC, see __init__)
         # only the root span has no previous current span
         if prev is None and self is trace.root:
@@ -186,14 +160,13 @@ class Span:
             if hist is None:
                 hist = hists[self.name] = LatencyHistogram()
             hist.add(duration)
-            ctx.trace = None
-            trace.ctx = None  # type: ignore[assignment]
+            tracer._trace = None
             tracer.traces_finished += 1
             sink = tracer.sink
             if sink is not None:
                 sink(trace)
         else:
-            if ctx.fold:
+            if tracer._fold:
                 hists = tracer._histograms
                 hist = hists.get(self.name)
                 if hist is None:
@@ -241,17 +214,12 @@ _NULL_SPAN = _NullSpan()
 class Trace:
     """The span tree for one request."""
 
-    __slots__ = ("trace_id", "tracer", "ctx", "root", "n_spans",
+    __slots__ = ("trace_id", "tracer", "root", "n_spans",
                  "truncated", "failed", "grafts")
 
-    def __init__(self, trace_id: str, tracer: "Tracer",
-                 ctx: _TraceContext) -> None:
+    def __init__(self, trace_id: str, tracer: "Tracer") -> None:
         self.trace_id = trace_id
         self.tracer = tracer
-        #: The execution context this trace is open in.  Spans reach
-        #: the mutable current-span slot through it; cleared when the
-        #: root closes so a recorded trace doesn't pin the context.
-        self.ctx = ctx
         self.n_spans = 0
         self.truncated = 0
         #: Latched by any span closing with an exception in flight.
@@ -308,15 +276,10 @@ class Trace:
 class Tracer:
     """Owns the active trace and aggregates span latency histograms.
 
-    The active-span "stack" lives in a per-execution-context
-    :class:`_TraceContext` behind a ``ContextVar``, so N shard worker
-    threads can trace through one process concurrently without seeing
-    each other's spans (M13).  Within one context the semantics are
-    exactly the old single-attribute protocol: each span's
-    ``__exit__`` restores its predecessor by plain attribute store.
-    Aggregates (``traces_started``, histograms, the sink) are shared
-    across contexts; their updates are single dict/int ops, atomic
-    under the GIL, and each shard normally owns a whole Tracer anyway.
+    The active-span "stack" is the :attr:`current` attribute: each
+    span's ``__exit__`` restores its predecessor by plain attribute
+    store.  A tracer serves one single-threaded provider (each shard
+    and the shard router own their own), so nothing is shared.
     """
 
     enabled = True
@@ -329,9 +292,14 @@ class Tracer:
         #: always fold, so request-level latency stays exact).  1 means
         #: every span of every trace — what the unit tests use.
         self.fold_every = fold_every
-        #: Per-context trace state (lazily created per thread/task).
-        self._context: ContextVar[Optional[_TraceContext]] = ContextVar(
-            "w5-trace-context", default=None)
+        #: The innermost open span (public: ``AuditLog.trace_source``
+        #: reads it to stamp events).
+        self.current: Optional[Span] = None
+        #: The open trace, or None between requests.
+        self._trace: Optional[Trace] = None
+        #: Is the active trace detail-sampled?  Hot call sites read it
+        #: as an attribute (a plain ``False`` on :class:`NullTracer`).
+        self._fold = False
         self._next_trace = 0
         self._histograms: dict[str, LatencyHistogram] = {}
         #: Called with each finished root trace (FlightRecorder.offer).
@@ -345,21 +313,6 @@ class Tracer:
         self.traces_finished = 0
         self.spans_dropped = 0
 
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span in *this* execution context
-        (public: ``AuditLog.trace_source`` reads it to stamp events)."""
-        ctx = self._context.get()
-        return ctx.current if ctx is not None else None
-
-    @property
-    def _fold(self) -> bool:
-        """Is the active trace in this context detail-sampled?  Hot
-        call sites read this as an attribute (it is a plain ``False``
-        class attribute on :class:`NullTracer`)."""
-        ctx = self._context.get()
-        return ctx.fold if ctx is not None else False
-
     # ------------------------------------------------------------------
     # span creation
     # ------------------------------------------------------------------
@@ -371,23 +324,18 @@ class Tracer:
         provider) degrade gracefully to a child span of the active
         trace rather than starting a second trace.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            ctx = _TraceContext()
-            self._context.set(ctx)
-        elif ctx.trace is not None:
+        if self._trace is not None:
             return self.span(name, **attrs)
         self._next_trace += 1
         self.traces_started += 1
         remote = self._remote
         if remote is not None:
             # serving a remote parent: inherit its sampling decision
-            ctx.fold = remote.fold
+            self._fold = remote.fold
         else:
             fe = self.fold_every
-            ctx.fold = fe == 1 or self.traces_started % fe == 1
-        trace = Trace(f"{self._next_trace:08x}", self, ctx)
-        ctx.trace = trace
+            self._fold = fe == 1 or self.traces_started % fe == 1
+        self._trace = trace = Trace(f"{self._next_trace:08x}", self)
         trace.root = span = Span(name, trace, None, attrs)
         return span
 
@@ -398,17 +346,14 @@ class Tracer:
         this returns the shared null span, so instrumentation sites
         don't need their own "is a request in flight" checks.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return _NULL_SPAN
-        trace = ctx.trace
+        trace = self._trace
         if trace is None:
             return _NULL_SPAN
         if trace.n_spans >= self.max_spans:
             trace.truncated += 1
             self.spans_dropped += 1
             return _NULL_SPAN
-        return Span(name, trace, ctx.current, attrs)
+        return Span(name, trace, self.current, attrs)
 
     def detail(self, name: str, /, **attrs: Any):
         """Open a child span only on detail-sampled traces.
@@ -420,17 +365,16 @@ class Tracer:
         flag check.  The first trace always samples, which is what the
         integration tests and the example lean on.
         """
-        ctx = self._context.get()
-        if ctx is None or not ctx.fold:
+        if not self._fold:
             return _NULL_SPAN
-        trace = ctx.trace
+        trace = self._trace
         if trace is None:
             return _NULL_SPAN
         if trace.n_spans >= self.max_spans:
             trace.truncated += 1
             self.spans_dropped += 1
             return _NULL_SPAN
-        return Span(name, trace, ctx.current, attrs)
+        return Span(name, trace, self.current, attrs)
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to whatever span is currently open."""
@@ -457,14 +401,11 @@ class Tracer:
         ``RemoteCapture`` window against this context and ships span
         skeletons back for :meth:`graft`.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return None
-        current = ctx.current
+        current = self.current
         if current is None:
             return None
         return TraceContext(current.trace.trace_id, current.span_id,
-                            ctx.fold)
+                            self._fold)
 
     def graft(self, origin: str, skeleton: dict) -> None:
         """Stitch a remote span skeleton under the current span (M16).
@@ -477,11 +418,8 @@ class Tracer:
         close path never sees it.  Outside a trace this is a no-op
         (the skeleton survives in the remote side's own recorder).
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return
-        current = ctx.current
-        trace = ctx.trace
+        current = self.current
+        trace = self._trace
         if current is None or trace is None:
             return
         grafts = trace.grafts

@@ -43,10 +43,9 @@ class ProviderConfig:
     #: users across that many full per-shard providers.
     shards: int = 1
     #: Shard execution engine (M13): ``"serial"`` (in-line, the
-    #: deterministic baseline), ``"thread"`` (one worker thread per
-    #: shard), ``"fork"`` (one forked process per shard — the engine
-    #: that actually scales with cores under the GIL), or ``None`` for
-    #: the default (serial at 1 shard, thread above).
+    #: deterministic baseline), ``"fork"`` (one forked process per
+    #: shard — the engine that scales with cores under the GIL; POSIX
+    #: only), or ``None`` for the default, ``"serial"``.
     shard_engine: "str | None" = None
     #: Journal size (bytes) that triggers compaction into a snapshot
     #: (fast plane only; the oracle keeps no journal).

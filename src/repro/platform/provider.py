@@ -891,8 +891,8 @@ class Provider:
         ``router.batch`` span, every trace this shard finishes for the
         sub-batch inherits the router's sampling decision and comes
         back as a skeleton dict for the router to graft — plain
-        picklable data, so the same tuple shape crosses the thread
-        engine's queue and the fork engine's pipe.  Without a context
+        picklable data, so the same tuple shape crosses the fork
+        engine's pipe.  Without a context
         (or with tracing off) it is exactly ``handle_batch`` with an
         empty skeleton list.
         """

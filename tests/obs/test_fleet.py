@@ -141,7 +141,7 @@ class TestGraftStitching:
                 pass
             # graft names a parent span id that was never recorded
             # (e.g. unfolded): it must attach at the root, flagged
-            trace = origin._context.get().trace
+            trace = origin._trace
             trace.grafts = [(999999, "shard:9", skeleton)]
         (doc,) = docs
         assert doc["orphan_grafts"] == 1

@@ -136,23 +136,25 @@ class TestStitchedTree:
         assert report["router"]["engine"] == "serial"
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="fork engine needs os.fork")
+
+
 class TestDeterministicMerge:
+    @needs_fork
     def test_serial_and_thread_stitch_identically(self):
         """The graft order is (shard, request-order) — the same
         deterministic merge as the M13 audit view — so the stitched
-        shape is engine-independent even though the thread engine
-        finishes shards in racy order."""
+        shape is engine-independent even though forked shards finish
+        in racy order."""
         trees = {}
-        for engine in ("serial", "thread"):
+        for engine in ("serial", "fork"):
             sp, clients = build_traced(2, engine)
             sp.handle_batch(cross_shard_batch(sp, clients))
             (batch,) = stitched_batches(sp)
             trees[engine] = shape(batch["root"])
-        assert trees["serial"] == trees["thread"]
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="fork engine needs os.fork")
+            sp.shutdown()
+        assert trees["serial"] == trees["fork"]
 
 
 @needs_fork

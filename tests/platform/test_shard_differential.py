@@ -2,9 +2,9 @@
 
 Four claims, in decreasing order of strictness:
 
-1. **Concurrency changes nothing.**  At every shard count, the thread
-   engine (one worker per shard, concurrent) produces responses and a
-   merged ``(shard, seq)`` audit stream **byte-identical** to the
+1. **Concurrency changes nothing.**  At every shard count, the fork
+   engine (one child process per shard, concurrent) produces responses
+   and a merged ``(shard, seq)`` audit stream **byte-identical** to the
    serial engine (in-line, the deterministic schedule) on the same
    operation history.  Shards share no mutable state, so this is the
    structural linearizability claim, and hypothesis shrinks any
@@ -31,8 +31,10 @@ Four claims, in decreasing order of strictness:
 
 import copy
 import json
+import os
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,25 +179,26 @@ def normalized(events) -> list:
     return out
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork engine is POSIX")
 class TestConcurrencyIsInvisible:
-    """Claim 1: thread engine == serial engine, byte for byte."""
+    """Claim 1: fork engine == serial engine, byte for byte."""
 
     @settings(max_examples=10, deadline=None)
     @given(ops())
     def test_threaded_matches_serial_at_every_shard_count(self, seed_ops):
         for n in (1, 2, 3):
             serial, c_serial = build_sharded(n, engine="serial")
-            threaded, c_threaded = build_sharded(n, engine="thread")
+            forked, c_forked = build_sharded(n, engine="fork")
             try:
                 for op in seed_ops:
                     out_s = apply_op(serial, c_serial, op)
-                    out_t = apply_op(threaded, c_threaded, op)
-                    assert out_s == out_t, \
+                    out_f = apply_op(forked, c_forked, op)
+                    assert out_s == out_f, \
                         f"response divergence at {n} shards on {op}"
-                assert audit_bytes(serial) == audit_bytes(threaded), \
+                assert audit_bytes(serial) == audit_bytes(forked), \
                     f"merged audit divergence at {n} shards"
             finally:
-                threaded.shutdown()
+                forked.shutdown()
 
     @settings(max_examples=8, deadline=None)
     @given(ops())
@@ -203,7 +206,7 @@ class TestConcurrencyIsInvisible:
         """A burst through handle_batch (concurrent across shards) ==
         the same burst request-by-request, responses and audit."""
         from repro.net.http import HttpRequest
-        batched, c_batched = build_sharded(3, engine="thread")
+        batched, c_batched = build_sharded(3, engine="fork")
         sequential, c_sequential = build_sharded(3, engine="serial")
         try:
             for op in seed_ops:

@@ -2,8 +2,8 @@
 
 The differential proofs (byte-identity vs the single-threaded plane)
 live in ``test_shard_differential.py``; this file pins the mechanisms:
-the consistent-hash ring, request routing, the merged audit view, the
-cross-shard ownership guards, and the engines' control-plane surface.
+the consistent-hash ring, request routing, the merged audit view, and
+the engines' control-plane surface.
 """
 
 import os
@@ -14,9 +14,7 @@ import pytest
 
 from repro.apps import install_standard_apps
 from repro.core import W5System
-from repro.core.metrics import Metrics
-from repro.errors import CrossShardWrite, ShardDown
-from repro.kernel.audit import AuditLog
+from repro.errors import ShardDown, W5Error
 from repro.net import SESSION_COOKIE, ExternalClient
 from repro.net.http import HttpRequest
 from repro.platform import ProviderConfig, ShardMap, ShardedProvider
@@ -178,54 +176,6 @@ class TestBatchFanOut:
             == [(r.status, r.body) for r in sequential]
 
 
-class TestOwnershipGuards:
-    def test_audit_bound_log_rejects_foreign_thread(self):
-        log = AuditLog()
-        log.bind_owner()
-        log.record("spawn", True, "s", "same-thread ok")
-        failures = []
-
-        def intrude():
-            try:
-                log.record("spawn", True, "s", "cross-thread write")
-            except CrossShardWrite as exc:
-                failures.append(exc)
-
-        t = threading.Thread(target=intrude)
-        t.start()
-        t.join()
-        assert len(failures) == 1
-        assert len(log) == 1  # the stream was not corrupted
-
-    def test_unbind_restores_open_access(self):
-        log = AuditLog()
-        log.bind_owner(ident=12345)  # definitely not this thread
-        with pytest.raises(CrossShardWrite):
-            log.record("spawn", True, "s", "misrouted")
-        log.unbind_owner()
-        log.record("spawn", True, "s", "fine again")
-        assert len(log) == 1
-
-    def test_metrics_guard_rejects_foreign_thread(self):
-        log = AuditLog()
-        metrics = Metrics(log)
-        metrics.bind_owner(ident=12345)
-        with pytest.raises(CrossShardWrite):
-            log.record("export", False, "gateway", "misrouted")
-        metrics.unbind_owner()
-        log.record("export", False, "gateway", "ok")
-        assert metrics.count("export") == 1
-
-    def test_thread_engine_binds_each_shard_log(self):
-        sp, clients = build_sharded(2, engine="thread")
-        assert clients["alice"].get("/app/blog/list").ok
-        # every shard log is bound to its worker; a parent-thread
-        # write is, by definition, a cross-shard violation
-        with pytest.raises(CrossShardWrite):
-            sp.shards[0].kernel.audit.record("spawn", True, "t", "stray")
-        sp.shutdown()
-
-
 class TestMergedAudit:
     def test_merge_orders_by_shard_then_seq(self):
         sp, clients = build_sharded(3)
@@ -249,16 +199,17 @@ class TestMergedAudit:
             len(s.kernel.audit.denials()) for s in sp.shards)
         assert view.last() is not None
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_merge_identical_across_engines(self):
         streams = {}
-        for engine in ("serial", "thread"):
+        for engine in ("serial", "fork"):
             sp, clients = build_sharded(3, engine=engine)
             for u, c in clients.items():
                 assert c.get("/app/blog/post", title=f"t-{u}", body="b").ok
             streams[engine] = [(e.category, e.allowed, e.subject, e.detail)
                                for e in sp.kernel.audit]
             sp.shutdown()
-        assert streams["serial"] == streams["thread"]
+        assert streams["serial"] == streams["fork"]
 
 
 class TestControlPlane:
@@ -281,8 +232,27 @@ class TestControlPlane:
         assert "alice" in grant.declassifier.config["friends"]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedProvider(n_shards=2, engine="carrier-pigeon")
+        for engine in ("carrier-pigeon", "thread"):
+            with pytest.raises(ValueError):
+                ShardedProvider(n_shards=2, engine=engine)
+            with pytest.raises(ValueError):
+                W5System(config=ProviderConfig.sharded(
+                    2, shard_engine=engine))
+
+    def test_default_engine_is_serial_and_starts_no_threads(self):
+        before = threading.active_count()
+        sp, clients = build_sharded(3)
+        assert sp.engine_name == "serial"
+        reqs = [HttpRequest("GET", "/app/blog/list",
+                            cookies=dict(clients[u].cookies))
+                for u in USERS]
+        assert all(r.ok for r in sp.handle_batch(reqs))
+        w5 = W5System(config=ProviderConfig.sharded(3))
+        for u in ("alice", "bob", "carol"):
+            assert w5.add_user(u, apps=["blog"]).get("/app/blog/list").ok
+        assert threading.active_count() == before
+        sp.shutdown()
+        w5.provider.shutdown()
 
     def test_w5system_builds_sharded_provider(self):
         w5 = W5System(config=ProviderConfig.sharded(3))
@@ -294,10 +264,10 @@ class TestControlPlane:
         w5.provider.shutdown()
 
     def test_sharded_preset_round_trips_describe(self):
-        cfg = ProviderConfig.sharded(4, shard_engine="thread")
+        cfg = ProviderConfig.sharded(4, shard_engine="fork")
         desc = cfg.describe()
         assert desc["shards"] == 4
-        assert desc["shard_engine"] == "thread"
+        assert desc["shard_engine"] == "fork"
         assert desc["plane"] == "fast"
 
 
@@ -317,10 +287,48 @@ class TestDeadForkShard:
             sp.handle_batch(reqs)
         assert exc.value.shard == dead
         assert f"shard {dead}" in str(exc.value)
-        with pytest.raises(ShardDown):
-            sp.health_report()  # a broadcast reaches the dead child too
+        # each shard is asked on its own: the dead one reads down, the
+        # live one still answers, and the roll-up is the worst state
+        health = sp.health_report()
+        assert health["state"] == "down"
+        assert health["shards"][dead] == {
+            "state": "down", "reasons": [str(exc.value)], "gauges": {}}
+        assert health["shards"][1 - dead]["state"] == "ok"
         # the surviving shard's pipe stayed in step
         live = next(u for u in USERS if sp.map.shard_of_user(u) != dead)
         assert clients[live].get("/app/blog/list").ok
         sp.shutdown()
         assert sp._engine._pids == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkEngine:
+    def test_one_shard_batch_runs_in_the_child(self):
+        sp = ShardedProvider(n_shards=1, engine="fork")
+        signup = HttpRequest("POST", "/signup",
+                             params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(signup).ok  # lands in the forked child
+        login = HttpRequest("POST", "/login",
+                            params={"username": "alice", "password": "pw"})
+        (resp,) = sp.handle_batch([login])
+        assert resp.ok  # the batch saw the child's state, not the parent's
+        sp.shutdown()
+
+    def test_unpicklable_result_raises_instead_of_none(self, monkeypatch):
+        sp = ShardedProvider(n_shards=2, engine="fork")
+        home = sp.map.shard_of_user("alice")
+        # patched before the first request forks the children, so the
+        # home shard's child inherits the fault
+        monkeypatch.setattr(sp.shards[home], "set_profile",
+                            lambda *args, **kwargs: (lambda: None))
+        signup = HttpRequest("POST", "/signup",
+                             params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(signup).ok
+        with pytest.raises(W5Error, match="set_profile returned an "
+                                          "unpicklable function"):
+            sp.set_profile("alice", music="jazz")
+        # nothing half-written reached the pipe: it stays in step
+        login = HttpRequest("POST", "/login",
+                            params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(login).ok
+        sp.shutdown()
