@@ -36,6 +36,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
 from ..labels import (Capability, CapabilitySet, FlowCache, Label,
@@ -47,6 +48,16 @@ from .errors import (DeadProcess, EndpointMisuse, MailboxEmpty, NoSuchEndpoint,
                      NoSuchProcess)
 from .ipc import Message
 from .process import BOTH, RECV, SEND, Endpoint, Process
+
+#: How many exited processes :meth:`Kernel.process` still resolves.
+#: The table holds live processes only; a bounded ring of recent exits
+#: keeps post-mortem lookups (exit value, final labels) working without
+#: retaining one process per request served.  Kept small so most dead
+#: processes are freed before the garbage collector's next young
+#: collection: one that is promoted first and then freed from an older
+#: generation offsets a new allocation, so the young generation grows
+#: without triggering a collection and the later pause is longer.
+EXITED_RING = 16
 
 
 class ResourceHook:
@@ -136,6 +147,7 @@ class Kernel:
             {} if compiled_transitions else None)
         self._pids = itertools.count(1)
         self._procs: dict[int, Process] = {}
+        self._exited: deque[Process] = deque(maxlen=EXITED_RING)
         #: endpoint_id -> (pid, Endpoint), a global routing table
         self._endpoints: dict[int, tuple[int, Endpoint]] = {}
 
@@ -221,11 +233,18 @@ class Kernel:
         return child
 
     def exit(self, process: Process, value: Any = None) -> None:
-        """Terminate ``process``, closing its endpoints."""
+        """Terminate ``process``, closing its endpoints.
+
+        The process leaves the table for the ring of recent exits, and
+        the resource hook folds its usage into per-name history, so
+        kernel state grows with live processes, not requests served.
+        """
         if not process.alive:
             return
         process.alive = False
         process.exit_value = value
+        self._procs.pop(process.pid, None)
+        self._exited.append(process)
         for ep in process.endpoints.values():
             ep.closed = True
             self._endpoints.pop(ep.endpoint_id, None)
@@ -236,13 +255,18 @@ class Kernel:
                                {"pid": process.pid})
 
     def process(self, pid: int) -> Process:
-        """Look up a live-or-dead process by pid."""
-        try:
-            return self._procs[pid]
-        except KeyError:
-            raise NoSuchProcess(f"pid {pid}") from None
+        """Look up a process by pid: live, or among the last
+        :data:`EXITED_RING` exited."""
+        proc = self._procs.get(pid)
+        if proc is not None:
+            return proc
+        for proc in reversed(self._exited):
+            if proc.pid == pid:
+                return proc
+        raise NoSuchProcess(f"pid {pid}")
 
     def processes(self) -> list[Process]:
+        """The live processes (pooled idle ones included)."""
         return list(self._procs.values())
 
     # ------------------------------------------------------------------

@@ -128,6 +128,8 @@ class ProcessPool:
         taint; received delegations grant) disqualifies reuse.
         """
         if not process.alive:
+            # exited during the request (an app may exit itself)
+            self._launch_keys.pop(process.pid, None)
             return False
         key = self._launch_keys.get(process.pid)
         if not self.enabled or key is None:

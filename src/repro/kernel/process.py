@@ -18,7 +18,6 @@ not explicitly mark for declassification.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -76,6 +75,11 @@ class Process:
     correspond to breaking out of the OS in a real deployment).
     """
 
+    # one allocation and, once reaped, one free per tainted request
+    __slots__ = ("pid", "name", "label_epoch", "_slabel", "_ilabel",
+                 "_caps", "owner_user", "alive", "exit_value", "endpoints",
+                 "mailbox", "locals")
+
     def __init__(self, pid: int, name: str, slabel: Label, ilabel: Label,
                  caps: CapabilitySet, owner_user: Optional[str] = None) -> None:
         self.pid = pid
@@ -94,7 +98,9 @@ class Process:
         self.alive = True
         self.exit_value: Any = None
         self.endpoints: dict[int, Endpoint] = {}
-        self.mailbox: deque["Message"] = deque()
+        #: A list, not a deque: mailboxes hold a message or two, and an
+        #: empty deque costs 760 bytes on every spawn.
+        self.mailbox: list["Message"] = []
         #: Scratch space for application state; invisible to the kernel.
         self.locals: dict[str, Any] = {}
 

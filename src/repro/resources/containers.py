@@ -33,7 +33,9 @@ _STANDARD_KINDS = frozenset(KINDS)
 
 
 class Usage:
-    """Cumulative consumption for one process.
+    """Cumulative consumption for one process activation, or, in
+    :class:`ResourceManager`'s history, for every retired activation of
+    one process name.
 
     ``__slots__``-backed per-kind attributes for the standard
     :data:`KINDS` (one attribute store instead of a dict probe per
@@ -100,9 +102,10 @@ class ResourceManager(ResourceHook):
         self.overrides = {k: dict(v) for k, v in (overrides or {}).items()}
         self._usage: dict[int, Usage] = {}
         self._names: dict[int, str] = {}
-        #: Usage folded in from recycled activations, keyed by name
-        #: (recycling resets the live counters; history is kept here).
-        self._retired: dict[str, dict[str, float]] = {}
+        #: Usage folded in from exited and recycled activations, keyed
+        #: by name (exit drops the pid and recycling resets the live
+        #: counters; history is kept here).
+        self._retired: dict[str, Usage] = {}
         #: Total denied charges, per kind (benchmarks read this).
         self.denials: dict[str, int] = {}
 
@@ -174,9 +177,9 @@ class ResourceManager(ResourceHook):
             usage.set(kind, new_total)
 
     def on_exit(self, process: Process) -> None:
-        # Usage history is retained for reporting; nothing to free in
-        # a simulator.  Subclasses pooling real resources would release.
-        return
+        """Fold the dead process's usage into per-name history and
+        forget its pid, so accounting state tracks live processes."""
+        self._fold(process.pid, self._names.pop(process.pid, process.name))
 
     def on_recycle(self, process: Process) -> None:
         """Reset the process's live budget for its next activation.
@@ -186,23 +189,46 @@ class ResourceManager(ResourceHook):
         the spent usage is folded into the per-name history so
         :meth:`total` reports identically with and without recycling.
         """
-        usage = self._usage.pop(process.pid, None)
-        if usage is not None:
-            name = self._names.get(process.pid, process.name)
-            retired = self._retired.setdefault(name, {})
-            for kind, amount in usage.counts.items():
-                retired[kind] = retired.get(kind, 0.0) + amount
+        self._fold(process.pid, self._names.get(process.pid, process.name))
+
+    def _fold(self, pid: int, name: str) -> None:
+        usage = self._usage.pop(pid, None)
+        if usage is None:
+            return
+        retired = self._retired.get(name)
+        if retired is None:
+            # always a manager-owned record: adopting ``usage`` itself
+            # would let later folds mutate what usage_of() handed out
+            retired = self._retired[name] = Usage()
+        # slot by slot: Usage.counts builds a dict per call, and this
+        # runs once per request
+        retired.syscalls += usage.syscalls
+        retired.messages += usage.messages
+        retired.endpoints += usage.endpoints
+        retired.tags += usage.tags
+        retired.processes += usage.processes
+        retired.disk += usage.disk
+        retired.disk_read += usage.disk_read
+        retired.db_queries += usage.db_queries
+        retired.db_rows += usage.db_rows
+        retired.db_rows_scanned += usage.db_rows_scanned
+        retired.requests += usage.requests
+        if usage._extra:
+            for kind, amount in usage._extra.items():
+                retired.add(kind, amount)
 
     # -- reporting --------------------------------------------------------
 
     def usage_of(self, process: Process) -> Usage:
+        """The live activation's usage; a zero record once the process
+        has exited or been recycled (:meth:`total` still counts it)."""
         return self._usage.get(process.pid, Usage())
 
     def total(self, kind: str, name_prefix: str = "") -> float:
         live = sum(u.get(kind) for pid, u in self._usage.items()
                    if self._names.get(pid, "").startswith(name_prefix))
-        retired = sum(counts.get(kind, 0.0)
-                      for name, counts in self._retired.items()
+        retired = sum(usage.get(kind)
+                      for name, usage in self._retired.items()
                       if name.startswith(name_prefix))
         return live + retired
 

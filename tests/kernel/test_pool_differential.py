@@ -110,6 +110,35 @@ class TestPooledDeploymentIsEquivalent:
                 assert proc.caps == caps
 
 
+class TestBoundedRetention:
+    """Tainted reads never recycle, so each spawns and exits a process;
+    kernel and meter state must not grow with the number served."""
+
+    N = 40
+
+    def _read_own_post(self, w5, __):
+        r = w5.client("alice").get("/app/blog/read", author="alice",
+                                   title="t0")
+        return (r.status, r.body)
+
+    def test_tainted_reads_retain_nothing_per_request(self):
+        pair = PlanePair(build_deployment)
+        pair.run(apply_op, ("post", 0, 0))
+        sizes = []
+        for __ in range(2):
+            for i in range(self.N):
+                pair.run(self._read_own_post, i)
+            sizes.append({
+                plane: (len(w5.provider.kernel.processes()),
+                        len(w5.provider.kernel.resources._usage),
+                        len(w5.provider.kernel.resources._names))
+                for plane, w5 in (("fast", pair.fast),
+                                  ("oracle", pair.oracle))})
+        assert sizes[0] == sizes[1]
+        assert pair.fast.provider.kernel.pool.rejected_tainted >= 2 * self.N
+        pair.assert_equivalent()
+
+
 class TestTaintSafety:
     def _kernel(self):
         kernel = Kernel(recycle=True)
@@ -168,6 +197,13 @@ class TestTaintSafety:
         assert not p.endpoints
         assert not p.locals
         assert not p.mailbox
+
+    def test_process_that_exits_itself_leaves_no_launch_key(self):
+        kernel, tag = self._kernel()
+        p = kernel.pool.checkout("app:x")
+        kernel.exit(p)
+        assert kernel.pool.release(p) is False
+        assert p.pid not in kernel.pool._launch_keys
 
     def test_disabled_pool_is_passthrough(self):
         kernel = Kernel(recycle=False)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.labels import CapabilityError, CapabilitySet, Label, minus, plus
 from repro.kernel import (DeadProcess, Kernel, NoSuchProcess)
+from repro.kernel.kernel import EXITED_RING
 
 
 @pytest.fixture()
@@ -112,6 +113,36 @@ class TestExit:
     def test_unknown_pid_raises(self, kernel):
         with pytest.raises(NoSuchProcess):
             kernel.process(999)
+
+
+class TestReaping:
+    """The table holds live processes; exits go to a bounded ring."""
+
+    def test_processes_lists_live_only(self, kernel):
+        live = kernel.spawn_trusted("live")
+        dead = kernel.spawn_trusted("dead")
+        kernel.exit(dead)
+        assert kernel.processes() == [live]
+
+    def test_recent_exit_still_resolves(self, kernel):
+        p = kernel.spawn_trusted("p")
+        kernel.exit(p, value="bye")
+        found = kernel.process(p.pid)
+        assert found is p
+        assert not found.alive
+        assert found.exit_value == "bye"
+
+    def test_exit_pushed_out_of_ring_raises_typed_error(self, kernel):
+        first = kernel.spawn_trusted("first")
+        kernel.exit(first)
+        for i in range(EXITED_RING):
+            kernel.exit(kernel.spawn_trusted(f"p{i}"))
+        with pytest.raises(NoSuchProcess):
+            kernel.process(first.pid)
+        # the newest exit is still within reach
+        newest = kernel.spawn_trusted("newest")
+        kernel.exit(newest, value=7)
+        assert kernel.process(newest.pid).exit_value == 7
 
 
 class TestTagCreation:

@@ -142,7 +142,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 class TestDeterministicMerge:
     @needs_fork
-    def test_serial_and_thread_stitch_identically(self):
+    def test_serial_and_fork_stitch_identically(self):
         """The graft order is (shard, request-order) — the same
         deterministic merge as the M13 audit view — so the stitched
         shape is engine-independent even though forked shards finish

@@ -185,7 +185,7 @@ class TestConcurrencyIsInvisible:
 
     @settings(max_examples=10, deadline=None)
     @given(ops())
-    def test_threaded_matches_serial_at_every_shard_count(self, seed_ops):
+    def test_fork_matches_serial(self, seed_ops):
         for n in (1, 2, 3):
             serial, c_serial = build_sharded(n, engine="serial")
             forked, c_forked = build_sharded(n, engine="fork")

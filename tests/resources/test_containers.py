@@ -148,3 +148,54 @@ class TestKernelIntegration:
         store.insert(p, "t", {"a": 1})
         with pytest.raises(ResourceExhausted):
             store.select(p, "t")
+
+
+class TestReaping:
+    """Exit folds a pid's usage into per-name history and drops it, so
+    reports are unchanged while the manager forgets dead pids."""
+
+    KINDS = ("disk", "db_rows_scanned", "bandwidth")  # bandwidth: _extra
+
+    def _charge(self, rm, p, scale):
+        rm.charge(p, "disk", 3 * scale)
+        rm.charge_many(p, [("db_rows_scanned", 5 * scale),
+                           ("bandwidth", 7 * scale)])
+
+    def _totals(self, rm):
+        return {(kind, prefix): rm.total(kind, name_prefix=prefix)
+                for kind in self.KINDS for prefix in ("", "app:")}
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_totals_identical_across_exit(self, recycle):
+        rm = ResourceManager()
+        k = Kernel(resources=rm, recycle=recycle)
+        procs = [k.pool.checkout(name)
+                 for name in ("app:blog", "app:blog", "app:wiki", "gateway")]
+        for scale, p in enumerate(procs, start=1):
+            self._charge(rm, p, scale)
+        before = self._totals(rm)
+        assert before[("bandwidth", "app:")] == 7 * (1 + 2 + 3)
+        for p in procs:
+            k.pool.release(p)
+        assert self._totals(rm) == before
+        assert rm._usage == {}
+        if not recycle:
+            assert rm._names == {}
+        k.pool.drain()
+        assert self._totals(rm) == before
+        assert rm._usage == {} and rm._names == {}
+
+    def test_usage_handed_out_before_exit_never_changes(self):
+        rm = ResourceManager()
+        k = Kernel(resources=rm)
+        first = k.spawn_trusted("app:blog")
+        self._charge(rm, first, 1)
+        held = rm.usage_of(first)
+        snapshot = dict(held.counts)
+        k.exit(first)
+        for scale in (2, 3):
+            other = k.spawn_trusted("app:blog")
+            self._charge(rm, other, scale)
+            k.exit(other)
+        assert held.counts == snapshot
+        assert rm.total("bandwidth", name_prefix="app:blog") == 7 * 6
