@@ -83,7 +83,8 @@ class JournalCursor:
     Consumers that *tail* the journal — the federation delta-sync
     plane — hold one of these per (user, peer) and ask for
     :meth:`Journal.tail_from` it.  A cursor is only meaningful against
-    the exact journal instance and epoch it was minted from:
+    the exact journal instance it was minted from, and only for one
+    compaction:
 
     * ``journal_id`` is a process-unique instance id, so a cursor
       taken against a provider that has since been rebuilt (crash
@@ -91,8 +92,11 @@ class JournalCursor:
       the new journal's sequence numbers;
     * ``epoch`` counts :meth:`Journal.reset` calls — every compaction
       or checkpoint folds the journaled history into the base
-      snapshot and restarts ``seq`` at 0, so a cursor from a previous
-      epoch points at history that no longer exists as records.
+      snapshot and restarts ``seq`` at 0.  The journal keeps the
+      epoch that just ended as a read-only segment when a cursor was
+      minted in it, so a cursor from the previous epoch still tails;
+      one from two or more epochs back points at history that no
+      longer exists as records.
 
     ``Journal.tail_from`` returns ``None`` for a stale cursor instead
     of guessing; the consumer must fall back to a full resync (the
@@ -164,6 +168,22 @@ def decode_payload(value: Any) -> Any:
     return value
 
 
+def _parse_tail(buf: bytearray, offsets: list[int],
+                seq: int) -> list[JournalRecord]:
+    """Parse the records after ``seq`` out of one epoch's image.  The
+    slice is decoded straight from a view, so it is copied once."""
+    if seq == len(offsets):
+        return []
+    with memoryview(buf) as view:
+        text = str(view[offsets[seq]:], "utf-8")
+    records = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        records.append(JournalRecord(seq=obj["seq"], op=obj["op"],
+                                     data=obj["data"]))
+    return records
+
+
 class Journal:
     """An append-only, checksummed, replayable mutation log."""
 
@@ -177,8 +197,9 @@ class Journal:
         self.compact_threshold = compact_threshold
         #: Identity for cursors: never reused within a process.
         self.journal_id = next(Journal._ids)
-        #: Bumped on every :meth:`reset`; cursors from older epochs
-        #: are stale (their history was folded into the base snapshot).
+        #: Bumped on every :meth:`reset`; cursors from before the
+        #: previous epoch are stale (their history was folded into the
+        #: base snapshot and no segment of it is kept).
         self.epoch = 0
         self._buf = bytearray()
         self._seq = 0
@@ -187,6 +208,14 @@ class Journal:
         #: ``k + 1``.  One int per record, so tailing is an O(new
         #: records) parse — never a rescan of the whole image.
         self._offsets: list[int] = []
+        #: Whether :meth:`position` minted a cursor this epoch; only
+        #: then does :meth:`reset` keep the epoch for tailing.
+        self._cursor_minted = False
+        #: The previous epoch as a read-only ``(epoch, buf, offsets)``
+        #: segment, kept for cursors minted in it.  Never part of the
+        #: recoverable image: ``raw_bytes``, ``size_bytes`` and
+        #: ``needs_compaction`` see the current epoch only.
+        self._kept: Optional[tuple[int, bytearray, list[int]]] = None
         self._stats = {"appends": 0, "bytes_written": 0,
                        "opaque_appends": 0, "resets": 0}
 
@@ -226,11 +255,15 @@ class Journal:
         self._stats["bytes_written"] += len(line)
         return JournalRecord(seq=seq, op=op, data=encoded)
 
-    def reset(self, *, _compaction: bool = True) -> None:
+    def reset(self) -> None:
         """Start a fresh epoch (called after a full snapshot is taken:
-        everything the journal recorded is now in the base).  Cursors
-        minted before the reset go stale — :meth:`tail_from` will
-        refuse them rather than alias the restarted sequence."""
+        everything the journal recorded is now in the base).  The
+        ending epoch is kept for tailing if a cursor was minted in it,
+        replacing any older kept epoch, so cursors minted before the
+        reset stay valid for exactly one reset."""
+        self._kept = (self.epoch, self._buf, self._offsets) \
+            if self._cursor_minted else None
+        self._cursor_minted = False
         self._buf = bytearray()
         self._seq = 0
         self._offsets = []
@@ -259,38 +292,68 @@ class Journal:
     def position(self) -> JournalCursor:
         """The current end-of-log cursor: ``tail_from(position())`` is
         empty until the next append."""
+        self._cursor_minted = True
         return JournalCursor(self.journal_id, self.epoch, self._seq)
+
+    def _segments(self, cursor: Optional[JournalCursor]
+                  ) -> Optional[list[tuple[bytearray, list[int], int]]]:
+        """The ``(buf, offsets, seq)`` segments holding the records
+        after ``cursor``, oldest first, or ``None`` if it is stale.
+        The one staleness rule behind :meth:`tail_from` and
+        :meth:`lag`."""
+        if cursor is None or cursor.journal_id != self.journal_id:
+            return None
+        if cursor.epoch == self.epoch:
+            segments = [(self._buf, self._offsets, cursor.seq)]
+        elif self._kept is not None and cursor.epoch == self._kept[0]:
+            __, buf, offsets = self._kept
+            segments = [(buf, offsets, cursor.seq),
+                        (self._buf, self._offsets, 0)]
+        else:
+            return None
+        if cursor.seq > len(segments[0][1]):
+            return None  # past the end of its epoch
+        return segments
 
     def tail_from(self, cursor: Optional[JournalCursor]
                   ) -> Optional[list[JournalRecord]]:
-        """Every record appended after ``cursor``, or ``None`` if the
-        cursor is stale (different journal instance, an older epoch, or
-        a seq this epoch has not reached — any of which means the
-        history the cursor points into no longer exists as records and
-        the consumer must fall back to a full resync).
+        """Every record appended after ``cursor``, in append order, or
+        ``None`` if the cursor is stale: a different journal instance,
+        an epoch two or more resets back (or one back whose segment
+        was not kept), or a seq its epoch never reached — any of which
+        means the history the cursor points into no longer exists as
+        records and the consumer must fall back to a full resync.
+        A cursor from the kept previous epoch gets that epoch's
+        records past it, then every record of the current epoch.
 
         Cost is O(records past the cursor): the per-record offset
-        index turns the tail into one byte-slice parse.  Records come
-        back with their journaled (JSON-coerced) payloads; consumers
-        that need live objects treat them as *pointers* into current
-        state, not as the state itself.
+        index turns the tail into one byte-slice parse per segment.
+        Records come back with their journaled (JSON-coerced)
+        payloads; consumers that need live objects treat them as
+        *pointers* into current state, not as the state itself.
         """
-        if cursor is None or cursor.journal_id != self.journal_id \
-                or cursor.epoch != self.epoch or cursor.seq > self._seq:
+        segments = self._segments(cursor)
+        if segments is None:
             return None
-        if cursor.seq == self._seq:
-            return []
         records: list[JournalRecord] = []
-        start = self._offsets[cursor.seq]
-        for line in bytes(self._buf[start:]).splitlines():
-            obj = json.loads(line)
-            records.append(JournalRecord(seq=obj["seq"], op=obj["op"],
-                                         data=obj["data"]))
+        for buf, offsets, seq in segments:
+            records += _parse_tail(buf, offsets, seq)
         return records
+
+    def lag(self, cursor: Optional[JournalCursor]) -> Optional[int]:
+        """How many records :meth:`tail_from` would return for
+        ``cursor`` (``None`` exactly when it would return ``None``),
+        without parsing them."""
+        segments = self._segments(cursor)
+        if segments is None:
+            return None
+        return sum(len(offsets) - seq for __, offsets, seq in segments)
 
     def stats(self) -> dict[str, int]:
         return {**self._stats, "seq": self._seq,
                 "size_bytes": len(self._buf),
+                "retained_bytes": 0 if self._kept is None
+                else len(self._kept[1]),
                 "compact_threshold": self.compact_threshold}
 
     # -- recovery ----------------------------------------------------------

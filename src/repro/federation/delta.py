@@ -18,12 +18,17 @@ state through the reference monitor before shipping.  A forged or
 stale record can therefore cause wasted work, never a policy bypass.
 
 **Cursor safety.**  A cursor is only honored by the exact journal
-instance and epoch it was minted from (``Journal.tail_from`` returns
-``None`` otherwise).  Compaction, operator checkpoints, and crash
-recovery all reset the journal; the next sync round detects the stale
-cursor and falls back to one full content-based reconciliation — the
-naive algorithm, byte-identical in outcome — then re-attaches a fresh
-cursor.  Safety never depends on the cursor being right.
+instance it was minted from, in its own epoch or the one after
+(``Journal.tail_from`` returns ``None`` otherwise).  Compaction and
+operator checkpoints reset the journal, which keeps the ending epoch
+for the cursors reading it, so a round after one reset tails the kept
+records and then the new epoch's — still O(dirty).  Two resets between
+rounds, or crash recovery (a new journal instance), leave the cursor
+stale; the next sync round detects that and falls back to one full
+content-based reconciliation — the naive algorithm, byte-identical in
+outcome — then re-attaches a fresh cursor.  Safety never depends on
+the cursor being right: compaction only snapshots, it rewrites no
+live object, and tail records are re-resolved against live state.
 
 **Equivalence with the naive twin.**  Every divergence-prone corner of
 the naive reconciler is reproduced deliberately:
@@ -158,11 +163,12 @@ class DeltaSync:
         tail_a = journal_a.tail_from(user.cursors["a"])
         tail_b = journal_b.tail_from(user.cursors["b"])
         if tail_a is None or tail_b is None:
-            # First sync, compaction, checkpoint, or crash recovery:
-            # the cursor is stale, so run one full content-based
-            # reconciliation and mint fresh cursors against the
-            # *post-reconciliation* positions (our own writes are
-            # already reflected, so they are never echoed back).
+            # First sync, two resets since the last round, or crash
+            # recovery: the cursor is stale, so run one full
+            # content-based reconciliation and mint fresh cursors
+            # against the *post-reconciliation* positions (our own
+            # writes are already reflected, so they are never echoed
+            # back).
             moved = self._full_recon(state, user)
             user.cursors["a"] = journal_a.position()
             user.cursors["b"] = journal_b.position()
@@ -207,19 +213,15 @@ class DeltaSync:
 
     def cursor_lag(self) -> dict[str, dict[str, Optional[int]]]:
         """Per-user records each side has journaled past the link's
-        cursor (``None`` = no valid cursor yet)."""
+        cursor (``None`` = no valid cursor: a full reconciliation is
+        pending)."""
         lag: dict[str, dict[str, Optional[int]]] = {}
         for username, user in self._users.items():
             entry: dict[str, Optional[int]] = {}
             for side, provider in (("a", self.link.a), ("b", self.link.b)):
                 journal = self._journal(provider)
-                cursor = user.cursors[side]
-                if journal is None or cursor is None \
-                        or cursor.journal_id != journal.journal_id \
-                        or cursor.epoch != journal.epoch:
-                    entry[side] = None
-                else:
-                    entry[side] = journal.seq - cursor.seq
+                entry[side] = None if journal is None \
+                    else journal.lag(user.cursors[side])
             lag[username] = entry
         return lag
 

@@ -22,10 +22,11 @@ On top of placement the fabric manages:
   durable state (base snapshot + journal bytes, exactly what M10
   persists) and takes it offline; ``recover(i)`` rebuilds it with
   :func:`~repro.platform.recover_provider` and swaps it back into
-  every link.  The recovered journal has a fresh identity, so every
-  delta-sync cursor into it is stale by construction: the next sync
-  round per user runs one full content-based reconciliation, then
-  re-attaches fresh cursors.  Recovery can never cause a missed or
+  every link.  The recovered journal has a fresh identity (unlike a
+  compaction, which keeps the ending epoch for the cursors reading
+  it), so every delta-sync cursor into it is stale by construction:
+  the next sync round per user runs one full content-based
+  reconciliation, then re-attaches fresh cursors.  Recovery can never cause a missed or
   duplicated transfer — at worst it costs one naive round.
 """
 

@@ -24,8 +24,10 @@ Two reconciliation engines share those semantics (selected by
 * the **delta engine** (``delta_sync=True``, the default) tails each
   provider's write-ahead journal from a per-(user, peer) cursor and
   reconciles only what changed — O(dirty), falling back to one naive
-  round whenever a cursor goes stale (first sync, compaction, crash
-  recovery).  See :mod:`repro.federation.delta`.
+  round whenever a cursor goes stale (first sync, two compactions or
+  checkpoints between rounds, crash recovery; one compaction is
+  tailed through the journal's kept epoch).  See
+  :mod:`repro.federation.delta`.
 """
 
 from __future__ import annotations

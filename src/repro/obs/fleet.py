@@ -387,8 +387,10 @@ def fabric_health(fabric: Any) -> dict[str, Any]:
     otherwise :func:`provider_health`.  Per link: ``degraded`` while a
     peer is down or any linked user's :class:`JournalCursor` is stale
     (``None`` lag — first sync pending, or invalidated by crash
-    recovery / checkpoint / compaction), since the mirror may be
-    arbitrarily behind until the next sync round re-attaches cursors.
+    recovery or by two checkpoints/compactions since the last round;
+    one is tailed through the journal's kept epoch), since the mirror
+    may be arbitrarily behind until the next sync round re-attaches
+    cursors.
     The fabric state is the worst of all of it — ``crash()`` flips it
     to ``down`` observably, ``recover()`` plus one sync round brings
     it back to ``ok``.

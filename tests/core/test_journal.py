@@ -172,15 +172,57 @@ class TestCursorTailing:
         j = Journal()
         assert j.tail_from(None) is None
 
-    def test_reset_invalidates_cursor(self):
+    def test_one_reset_keeps_cursor_valid(self):
+        """The epoch a cursor was minted in survives one reset: its
+        tail is that epoch's remaining records, then the new epoch's."""
+        j = Journal()
+        j.append("a", {"n": 1})
+        cursor = j.position()
+        j.append("b", {"n": 2})
+        j.reset()
+        j.append("c", {"n": 3})
+        assert j.lag(cursor) == 2
+        tail = j.tail_from(cursor)
+        assert [(r.seq, r.op, r.data) for r in tail] == [
+            (2, "b", {"n": 2}), (1, "c", {"n": 3})]
+        assert j.stats()["retained_bytes"] > 0
+        # a cursor past the end of the kept epoch is still stale
+        past = JournalCursor(j.journal_id, cursor.epoch, 3)
+        assert j.tail_from(past) is None and j.lag(past) is None
+
+    def test_two_resets_make_cursor_stale(self):
         j = Journal()
         j.append("a", {})
         cursor = j.position()
         j.reset()
+        j.position()  # a cursor minted in the new epoch keeps it
+        j.reset()
         assert j.tail_from(cursor) is None
+        assert j.lag(cursor) is None
         # a fresh cursor works again
         j.append("b", {})
         assert j.tail_from(j.position()) == []
+
+    def test_unread_epoch_is_not_kept(self):
+        j = Journal()
+        j.append("a", {"payload": "x" * 100})
+        cursor = JournalCursor(j.journal_id, j.epoch, 0)
+        j.reset()  # position() was never called in epoch 0
+        assert j.stats()["retained_bytes"] == 0
+        assert j.tail_from(cursor) is None
+
+    def test_image_and_recovery_see_only_current_epoch(self):
+        j = Journal(compact_threshold=64)
+        j.append("a", {"payload": "x" * 100})
+        j.position()
+        j.reset()
+        j.append("b", {"n": 1})
+        assert j.stats()["retained_bytes"] > j.size_bytes
+        assert j.size_bytes == len(j.raw_bytes())
+        assert not j.needs_compaction()
+        records, report = Journal.recover(j.raw_bytes())
+        assert [(r.seq, r.op) for r in records] == [(1, "b")]
+        assert report.truncated_bytes == 0
 
     def test_cursor_from_another_journal_is_stale(self):
         j1, j2 = Journal(), Journal()

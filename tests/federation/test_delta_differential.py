@@ -2,9 +2,10 @@
 
 Two isolated worlds run the *same* random schedule of file edits,
 deletions, row inserts/updates/deletes, checkpoints (which reset the
-journal and force the delta engine's cursors stale) and sync points —
-one world on ``FederationConfig.naive()``, one on the default
-journal-cursor delta engine.  After the schedule the worlds must be
+journal; one checkpoint between syncs is tailed through the journal's
+kept epoch, two in a row make the delta engine's cursors stale) and
+sync points — one world on ``FederationConfig.naive()``, one on the
+default journal-cursor delta engine.  After the schedule the worlds must be
 indistinguishable: identical file bytes, identical row multisets with
 identical (symbolic) label protection on both providers, and the same
 per-sync transfer counts.  This is the M15 acceptance criterion: the

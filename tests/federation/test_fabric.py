@@ -312,3 +312,26 @@ class TestObservability:
         report = fabric.health_report()
         assert report["state"] == "ok"
         assert report["links"]["link:0<->1"]["reasons"] == []
+
+    def test_health_stays_ok_across_one_compaction(self):
+        """A compaction keeps the ending journal epoch for the link's
+        cursors, so no full reconciliation is pending: the link stays
+        ok and its lag counts the records the next round will tail."""
+        fabric = FederationFabric(
+            2, provider_config=ProviderConfig(journal_compact_bytes=1))
+        home = fabric.signup("bob", "pw")
+        fabric.mirror("bob", 1 - home)
+        fabric.store_user_data("bob", "f", "v1")
+        fabric.sync_user("bob")
+        fabric.store_user_data("bob", "g", "v1")
+        provider = fabric.provider(home)
+        provider.snapshot_incremental()
+        assert provider._durability.stats()["compactions"] == 1
+        fabric.store_user_data("bob", "h", "v1")
+        report = fabric.health_report()
+        link = report["links"]["link:0<->1"]
+        assert link["state"] == "ok" and link["reasons"] == []
+        side = "a" if home == 0 else "b"
+        lag = link["cursor_lag"]["bob"][side]
+        assert isinstance(lag, int) and lag >= 2
+        assert report["state"] == "ok"

@@ -269,15 +269,33 @@ class TestDeltaEngine:
         assert a.read_user_data("bob", "f") == "keep"
         assert converged(link, "bob")
 
-    def test_checkpoint_forces_one_full_recon(self, providers, link):
+    def test_one_checkpoint_keeps_delta_rounds(self, providers, link):
+        a, b = providers
+        self._full_link(link)
+        a.store_user_data("bob", "f", "v1")
+        link.sync_user("bob")
+        a.store_user_data("bob", "g", "v1")
+        a._durability.checkpoint()  # the kept epoch holds "g"'s write
+        a.store_user_data("bob", "h", "v1")
+        assert link.sync_user("bob") == 2
+        stats = link.federation_stats()
+        assert stats["full_recons"] == 1 and stats["delta_rounds"] == 1
+        assert b.read_user_data("bob", "g") == "v1"
+        assert converged(link, "bob")
+
+    def test_two_checkpoints_force_one_full_recon(self, providers, link):
         a, __ = providers
         self._full_link(link)
         a.store_user_data("bob", "f", "v1")
         link.sync_user("bob")
-        a._durability.checkpoint()  # journal reset: cursor goes stale
+        a._durability.checkpoint()
+        a._durability.checkpoint()  # the cursor's epoch is gone
+        assert link.federation_stats()["cursor_lag"]["bob"]["a"] is None
         link.sync_user("bob")
         stats = link.federation_stats()
         assert stats["full_recons"] == 2
+        link.sync_user("bob")
+        assert link.federation_stats()["full_recons"] == 2
 
     def test_replace_provider_requires_membership(self, providers, link):
         other = Provider(name="w5-gamma")
