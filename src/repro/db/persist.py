@@ -6,26 +6,33 @@ The database sibling of :mod:`repro.fs.persist`; same trust level
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..kernel import Kernel
-from ..labels import label_from_dict, label_to_dict
+from ..labels import Label, label_dict_memo, label_from_dict
 from .store import LabeledStore, Row, Table
 
 
-def _row_dict(row: Row, namespace: str) -> dict[str, Any]:
+def _row_dict(row: Row,
+              labels: Callable[[Label], dict[str, Any]]) -> dict[str, Any]:
     return {
         "row_id": row.row_id,
         "values": dict(row.values),
-        "slabel": label_to_dict(row.slabel, namespace),
-        "ilabel": label_to_dict(row.ilabel, namespace),
+        "slabel": labels(row.slabel),
+        "ilabel": labels(row.ilabel),
         "version": row.version,
     }
 
 
 def snapshot_store(store: LabeledStore) -> dict[str, Any]:
-    """Serialize every table, row, and label."""
+    """Serialize every table, row, and label.
+
+    Read-only result: each distinct label is serialized once and every
+    row carrying it shares that dict.  A caller that edits the
+    snapshot must ``copy.deepcopy`` it or JSON round-trip it first.
+    """
     namespace = store.kernel.tags.namespace
+    labels = label_dict_memo(namespace)
     tables = []
     max_row_id = 0
     for name in store.tables():
@@ -33,7 +40,7 @@ def snapshot_store(store: LabeledStore) -> dict[str, Any]:
         rows = []
         for row in sorted(table.rows.values(), key=lambda r: r.row_id):
             max_row_id = max(max_row_id, row.row_id)
-            rows.append(_row_dict(row, namespace))
+            rows.append(_row_dict(row, labels))
         tables.append({"name": table.name,
                        "indexes": list(table.indexed_columns),
                        "pad_scan_to": table.pad_scan_to,
@@ -53,6 +60,7 @@ def snapshot_store_delta(store: LabeledStore) -> dict[str, Any]:
     (base, latest delta) equals a full :func:`snapshot_store`.
     """
     namespace = store.kernel.tags.namespace
+    labels = label_dict_memo(namespace)
     state = store.dirty_state()
     created = []
     for name in sorted(state.get("created_tables", ())):
@@ -68,7 +76,7 @@ def snapshot_store_delta(store: LabeledStore) -> dict[str, Any]:
         if table is None:
             continue
         entry = tables.setdefault(name, {"rows": [], "removed": []})
-        entry["rows"] = [_row_dict(table.rows[i], namespace)
+        entry["rows"] = [_row_dict(table.rows[i], labels)
                          for i in sorted(ids) if i in table.rows]
     for name, ids in state.get("removed_rows", {}).items():
         if name not in store._tables:
@@ -87,9 +95,12 @@ def merge_store_delta(base: dict[str, Any],
 
     ``next_row_id`` is recomputed over the merged rows, matching the
     ``max live row id + 1`` a fresh :func:`snapshot_store` reports.
+    Each input is copied once (the delta's tables in one ``deepcopy``,
+    so rows that shared a label dict still share one copy); the result
+    aliases neither.
     """
     import copy
-    tables = {td["name"]: copy.deepcopy(td) for td in base["tables"]}
+    tables = {td["name"]: td for td in copy.deepcopy(base["tables"])}
     for name in delta.get("dropped_tables", ()):
         tables.pop(name, None)
     for td in delta.get("created_tables", ()):
@@ -97,7 +108,7 @@ def merge_store_delta(base: dict[str, Any],
                               "indexes": list(td["indexes"]),
                               "pad_scan_to": td["pad_scan_to"],
                               "rows": []}
-    for name, entry in delta.get("tables", {}).items():
+    for name, entry in copy.deepcopy(delta.get("tables", {})).items():
         table = tables.get(name)
         if table is None:
             continue
@@ -105,7 +116,7 @@ def merge_store_delta(base: dict[str, Any],
         for rid in entry.get("removed", ()):
             rows.pop(rid, None)
         for r in entry.get("rows", ()):
-            rows[r["row_id"]] = copy.deepcopy(r)
+            rows[r["row_id"]] = r
         table["rows"] = [rows[i] for i in sorted(rows)]
     max_row_id = max((r["row_id"] for td in tables.values()
                       for r in td["rows"]), default=0)

@@ -15,33 +15,38 @@ a real disk; arbitrary Python objects round-trip in memory.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..kernel import Kernel
-from ..labels import Label, TagRegistry, label_from_dict, label_to_dict
+from ..labels import Label, TagRegistry, label_dict_memo, label_from_dict
 from .filesystem import Directory, File, Inode, LabeledFileSystem
 
 
 def snapshot_fs(fs: LabeledFileSystem) -> dict[str, Any]:
-    """Serialize the whole tree (provider cold-storage path)."""
+    """Serialize the whole tree (provider cold-storage path).
+
+    Read-only result: each distinct label is serialized once and every
+    node carrying it shares that dict.  A caller that edits the
+    snapshot must ``copy.deepcopy`` it or JSON round-trip it first.
+    """
     namespace = fs.kernel.tags.namespace
     return {"namespace": namespace,
-            "root": _snapshot_node(fs.root, namespace)}
+            "root": _snapshot_node(fs.root, label_dict_memo(namespace))}
 
 
-def _snapshot_node(node: Inode, namespace: str,
+def _snapshot_node(node: Inode, labels: Callable[[Label], dict[str, Any]],
                    include_entries: bool = True) -> dict[str, Any]:
     common = {
         "name": node.name,
-        "slabel": label_to_dict(node.slabel, namespace),
-        "ilabel": label_to_dict(node.ilabel, namespace),
+        "slabel": labels(node.slabel),
+        "ilabel": labels(node.ilabel),
         "created_by": node.created_by,
     }
     if isinstance(node, Directory):
         common["kind"] = "dir"
         if include_entries:
             common["entries"] = {
-                name: _snapshot_node(child, namespace)
+                name: _snapshot_node(child, labels)
                 for name, child in sorted(node.entries.items())}
     else:
         assert isinstance(node, File)
@@ -66,14 +71,22 @@ def snapshot_fs_delta(fs: LabeledFileSystem) -> dict[str, Any]:
     :func:`snapshot_fs`.
     """
     namespace = fs.kernel.tags.namespace
+    labels = label_dict_memo(namespace)
     dirty, deleted = fs.dirty_state()
+    # Dirty paths are canonical, so their parent is everything before
+    # the last "/"; each parent directory is resolved once.
+    parents: dict[str, Any] = {}
     upserts: dict[str, Any] = {}
     for path in sorted(dirty):
-        node = _find_node(fs, path)
+        parent_path, _, leaf = path.rpartition("/")
+        if parent_path not in parents:
+            parents[parent_path] = _find_node(fs, parent_path)
+        parent = parents[parent_path]
+        node = (parent.entries.get(leaf)
+                if isinstance(parent, Directory) else None)
         if node is None:  # pragma: no cover - dirty set prunes deletes
             continue
-        upserts[path] = _snapshot_node(node, namespace,
-                                       include_entries=False)
+        upserts[path] = _snapshot_node(node, labels, include_entries=False)
     return {"namespace": namespace, "upserts": upserts,
             "removed": sorted(deleted)}
 
@@ -94,7 +107,9 @@ def merge_fs_delta(base: dict[str, Any],
 
     Removals apply deepest-first (a deleted directory's recorded
     children vanish before it does); upserts shallowest-first (a new
-    directory exists before its children land in it).
+    directory exists before its children land in it).  Each input is
+    copied once (the upserts in one ``deepcopy``, so nodes that shared
+    a label dict still share one copy); the result aliases neither.
     """
     import copy
     root = copy.deepcopy(base["root"])
@@ -103,12 +118,12 @@ def merge_fs_delta(base: dict[str, Any],
         parent, leaf = _merge_descend(root, path)
         if parent is not None:
             parent.get("entries", {}).pop(leaf, None)
-    upserts = delta.get("upserts", {})
+    upserts = copy.deepcopy(delta.get("upserts", {}))
     for path in sorted(upserts, key=lambda p: (p.count("/"), p)):
         parent, leaf = _merge_descend(root, path)
         if parent is None:
             continue
-        node = copy.deepcopy(upserts[path])
+        node = upserts[path]
         if node["kind"] == "dir":
             existing = parent.setdefault("entries", {}).get(leaf)
             if existing is not None and existing.get("kind") == "dir":

@@ -16,8 +16,8 @@ from .flow import (can_flow, can_flow_integrity, can_flow_secrecy, can_read,
                    tag_in_reach)
 from .label import Label
 from .serial import (capability_from_dict, capability_to_dict,
-                     capset_from_dict, capset_to_dict, label_from_dict,
-                     label_to_dict, tag_to_dict)
+                     capset_from_dict, capset_to_dict, label_dict_memo,
+                     label_from_dict, label_to_dict, tag_to_dict)
 from .tags import INTEGRITY, SECRECY, Tag, TagRegistry
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "reachable_secrecy_range", "tag_in_reach",
     "FlowCache", "Label",
     "capability_from_dict", "capability_to_dict", "capset_from_dict",
-    "capset_to_dict", "label_from_dict", "label_to_dict", "tag_to_dict",
+    "capset_to_dict", "label_dict_memo", "label_from_dict", "label_to_dict",
+    "tag_to_dict",
     "INTEGRITY", "SECRECY", "Tag", "TagRegistry",
 ]

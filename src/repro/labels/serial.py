@@ -9,7 +9,7 @@ tag id is only meaningful relative to its registry's namespace).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from .capabilities import Capability, CapabilitySet
 from .errors import TagError
@@ -33,6 +33,27 @@ def label_to_dict(label: Label, namespace: str) -> dict[str, Any]:
         "namespace": namespace,
         "tags": sorted((tag_to_dict(t) for t in label), key=lambda d: d["tag_id"]),
     }
+
+
+def label_dict_memo(namespace: str) -> Callable[[Label], dict[str, Any]]:
+    """A :func:`label_to_dict` that serializes each label object once.
+
+    Scoped to one snapshot call: every node or row carrying the same
+    interned label shares one dict, so callers must treat the dicts as
+    read-only.  Keyed on the label's identity, not its value — label
+    equality is by tag id alone, and two labels from different
+    registries may share ids with different metadata.  The memo holds
+    each label it saw, so an id cannot be reused while it lives.
+    """
+    memo: dict[int, tuple[Label, dict[str, Any]]] = {}
+
+    def to_dict(label: Label) -> dict[str, Any]:
+        hit = memo.get(id(label))
+        if hit is None:
+            hit = memo[id(label)] = (label, label_to_dict(label, namespace))
+        return hit[1]
+
+    return to_dict
 
 
 def label_from_dict(data: dict[str, Any], registry: TagRegistry) -> Label:

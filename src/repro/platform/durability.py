@@ -123,7 +123,13 @@ class DurabilityManager:
     def emit_snapshot(self) -> dict[str, Any]:
         """The operator's snapshot call: an O(dirty) delta, or a fresh
         full snapshot when there is no base yet or the journal crossed
-        its compaction threshold."""
+        its compaction threshold.
+
+        Read-only: a full snapshot returned here is the live
+        :attr:`base` every later delta is merged against, and within
+        any snapshot the label dicts are shared between nodes and
+        rows.  ``copy.deepcopy`` it (or JSON round-trip it) before
+        editing."""
         if self.base is None:
             return self.checkpoint()
         if self.journal.needs_compaction():

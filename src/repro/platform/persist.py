@@ -99,6 +99,12 @@ def snapshot_provider(provider: Provider,
     compaction threshold.  Feed the pair through :func:`merge_delta` to
     recover the full form; a provider without a manager falls back to
     a full snapshot.
+
+    The result is read-only.  Within one snapshot every node and row
+    carrying the same label shares one label dict, and at compaction
+    the returned dict *is* the durability manager's live ``base``.  A
+    caller that edits a snapshot must ``copy.deepcopy`` it or JSON
+    round-trip it first.
     """
     if incremental and provider._durability is not None:
         return provider._durability.emit_snapshot()
@@ -155,7 +161,14 @@ def merge_delta(base: dict[str, Any],
         return copy.deepcopy(delta)
     from ..db.persist import merge_store_delta
     from ..fs.persist import merge_fs_delta
-    base = copy.deepcopy(base)
+    # Copy each input once: the fs and db parts inside their own
+    # merges, the platform-level parts here.  The result aliases
+    # neither input.
+    fs = merge_fs_delta(base["fs"], delta["fs"])
+    db = merge_store_delta(base["db"], delta["db"])
+    base, delta = copy.deepcopy((
+        {k: v for k, v in base.items() if k not in ("fs", "db")},
+        {k: v for k, v in delta.items() if k not in ("fs", "db")}))
 
     accounts = {a["username"]: a for a in base["accounts"]}
     for username in delta.get("removed_accounts", ()):
@@ -199,8 +212,8 @@ def merge_delta(base: dict[str, Any],
         "usage_edges": ([list(x) for x in base["usage_edges"]]
                         + [list(x) for x in delta.get("usage_tail", ())]),
         "declass_clock": delta["declass_clock"],
-        "fs": merge_fs_delta(base["fs"], delta["fs"]),
-        "db": merge_store_delta(base["db"], delta["db"]),
+        "fs": fs,
+        "db": db,
     }
 
 

@@ -8,6 +8,9 @@ from repro.db import LabeledStore, restore_store, snapshot_store
 from repro.kernel import Kernel
 from repro.labels import Label, TagRegistry
 
+from ..fs.test_persist import (assert_one_dict_per_label, json_equal,
+                               label_dicts)
+
 
 def build_world():
     kernel = Kernel(namespace="prod")
@@ -80,3 +83,77 @@ class TestStorePersistence:
         p = nk.spawn_trusted("p")
         row = ns.select(p, "posts", where={"author": "pub"})[0]
         assert row["body"] == "edited"
+
+
+# ----------------------------------------------------------------------
+# label dicts are serialized once per snapshot and shared
+# ----------------------------------------------------------------------
+
+def build_tables():
+    """Two tables of public and bob-labeled rows."""
+    kernel, store, t = build_world()
+    provider = kernel.spawn_trusted("provider2")
+    writer = kernel.spawn_trusted("w2", slabel=Label([t]))
+    store.create_table(provider, "notes", indexes=["author"])
+    for i in range(3):
+        store.insert(provider, "posts", {"author": "pub", "body": f"o{i}"})
+        store.insert(writer, "posts", {"author": "bob", "body": f"p{i}"})
+        store.insert(writer, "notes", {"author": "bob", "n": i})
+    return kernel, store, t, provider, writer
+
+
+def store_decisions(kernel, store, t):
+    """What each principal sees, and what an update over all of it
+    does: the count it rewrote, or the violation it raised."""
+    tag = kernel.tags.lookup(t.tag_id)
+    grid = {}
+    for name, slabel in (("anon", Label()), ("bob", Label([tag]))):
+        proc = kernel.spawn_trusted(name, slabel=slabel)
+        for table in ("posts", "notes"):
+            grid[(name, table, "select")] = sorted(
+                json.dumps(r, sort_keys=True)
+                for r in store.select(proc, table))
+            try:
+                grid[(name, table, "update")] = store.update(
+                    proc, table, changes={"seen": True})
+            except Exception as exc:
+                grid[(name, table, "update")] = type(exc).__name__
+    return grid
+
+
+class TestSharedLabelDicts:
+    def test_full_snapshot_one_dict_per_label(self):
+        kernel, store, *__ = build_tables()
+        snap = snapshot_store(store)
+        assert_one_dict_per_label(snap)
+        assert len({id(d) for d in label_dicts(snap)}) == 2
+        assert json.loads(json.dumps(snap)) == snap
+
+    def test_delta_one_dict_per_label(self):
+        from repro.db import merge_store_delta, snapshot_store_delta
+        kernel, store, t, provider, writer = build_tables()
+        base = snapshot_store(store)
+        store.mark_clean()
+        store.update(writer, "posts", where={"author": "bob"},
+                     changes={"body": "edited"})
+        store.update(provider, "posts", where={"author": "pub"},
+                     changes={"body": "edited"})
+        store.insert(writer, "notes", {"author": "bob", "n": 9})
+        delta = snapshot_store_delta(store)
+        assert_one_dict_per_label(delta)
+        assert json.loads(json.dumps(delta)) == delta
+        assert json_equal(merge_store_delta(base, delta),
+                          snapshot_store(store))
+
+    def test_restore_from_shared_snapshot_keeps_decisions(self):
+        """Restoring straight from the shared-dict snapshot (no JSON
+        round trip) gives the same decisions as the original."""
+        kernel, store, t, *__ = build_tables()
+        snap = snapshot_store(store)
+        nk = Kernel(namespace="prod")
+        nk.tags = TagRegistry.import_state(kernel.tags.export_state())
+        ns = restore_store(nk, snap)
+        before = store_decisions(kernel, store, t)
+        assert before[("anon", "notes", "select")] == []
+        assert before[("bob", "notes", "update")] == 3
+        assert store_decisions(nk, ns, t) == before

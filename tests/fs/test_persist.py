@@ -126,3 +126,168 @@ class TestFsPersistence:
         st = new_fs.stat(anon, "/motd")
         assert st["version"] == 2
         assert st["created_by"] == "provider"
+
+
+# ----------------------------------------------------------------------
+# label dicts are serialized once per snapshot and shared
+# ----------------------------------------------------------------------
+
+USERS = ("alice", "bob", "carol")
+
+
+def build_tree():
+    """Three homes with their own tag pair, a public top level, and a
+    /scratch directory that the delta tests delete."""
+    kernel = Kernel(namespace="prod")
+    provider = kernel.spawn_trusted("provider")
+    fs = LabeledFileSystem(kernel)
+    fs.mkdir(provider, "/users")
+    agents = {}
+    for user in USERS:
+        t = kernel.create_tag(provider, purpose=f"{user}-data",
+                              tag_owner=user)
+        w = kernel.create_tag(provider, purpose=f"{user}-write",
+                              kind="integrity", tag_owner=user)
+        labels = {"slabel": Label([t]), "ilabel": Label([w])}
+        agent = kernel.spawn_trusted(f"{user}-agent", slabel=Label([t]),
+                                     caps=CapabilitySet.owning(t, w))
+        agents[user] = (agent, labels)
+        fs.mkdir(agent, f"/users/{user}", **labels)
+        for i in range(4):
+            fs.create(agent, f"/users/{user}/f{i}", f"{user} {i}", **labels)
+    fs.create(provider, "/motd", "welcome")
+    fs.mkdir(provider, "/scratch")
+    for name in ("x", "y"):
+        fs.create(provider, f"/scratch/{name}", name)
+    return kernel, fs, provider, agents
+
+
+def label_dicts(snapshot):
+    """Every ``slabel``/``ilabel`` dict in ``snapshot`` (with repeats)."""
+    found = []
+
+    def visit(value):
+        if isinstance(value, dict):
+            for key, child in value.items():
+                if key in ("slabel", "ilabel"):
+                    found.append(child)
+                else:
+                    visit(child)
+        elif isinstance(value, list):
+            for child in value:
+                visit(child)
+
+    visit(snapshot)
+    return found
+
+
+def assert_one_dict_per_label(snapshot):
+    dicts = label_dicts(snapshot)
+    distinct = {json.dumps(d, sort_keys=True) for d in dicts}
+    assert len(dicts) > len(distinct)  # something is actually shared
+    assert len({id(d) for d in dicts}) == len(distinct)
+
+
+def fs_decisions(kernel, fs, paths, agents):
+    """(principal, path, op) -> allowed, over a grid of principals
+    holding each home's tags as resolved in ``kernel``."""
+    principals = {"anon": kernel.spawn_trusted("anon")}
+    for user, (__, labels) in agents.items():
+        t, w = (kernel.tags.lookup(tag.tag_id)
+                for tag in (*labels["slabel"], *labels["ilabel"]))
+        principals[f"{user}-reader"] = kernel.spawn_trusted(
+            "r", slabel=Label([t]))
+        principals[f"{user}-editor"] = kernel.spawn_trusted(
+            "e", slabel=Label([t]), caps=CapabilitySet([plus(w)]))
+    grid = {}
+    for name, proc in principals.items():
+        for path in paths:
+            for op in ("read", "write"):
+                try:
+                    if op == "read":
+                        fs.read(proc, path)
+                    else:
+                        fs.write(proc, path, fs.read(proc, path))
+                    grid[(name, path, op)] = True
+                except Exception:
+                    grid[(name, path, op)] = False
+    return grid
+
+
+def json_equal(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestSharedLabelDicts:
+    def test_full_snapshot_one_dict_per_label(self):
+        kernel, fs, __, __ = build_tree()
+        snap = snapshot_fs(fs)
+        assert_one_dict_per_label(snap)
+        assert len({id(d) for d in label_dicts(snap)}) == 1 + 2 * len(USERS)
+        assert json.loads(json.dumps(snap)) == snap
+
+    def test_delta_one_dict_per_label(self):
+        from repro.fs import snapshot_fs_delta
+        kernel, fs, provider, agents = build_tree()
+        fs.mark_clean()
+        for user, (agent, labels) in agents.items():
+            fs.write(agent, f"/users/{user}/f0", "edited")
+            fs.create(agent, f"/users/{user}/new", "new", **labels)
+        fs.write(provider, "/motd", "v2")
+        delta = snapshot_fs_delta(fs)
+        assert_one_dict_per_label(delta)
+        assert json.loads(json.dumps(delta)) == delta
+
+    def test_restore_from_shared_snapshot_keeps_decisions(self):
+        """Restoring straight from the shared-dict snapshot (no JSON
+        round trip) gives the same access matrix as the original."""
+        kernel, fs, __, agents = build_tree()
+        paths = ["/motd"] + [f"/users/{u}/f{i}" for u in USERS
+                             for i in range(2)]
+        snap = snapshot_fs(fs)
+        new_kernel = Kernel(namespace="prod")
+        new_kernel.tags = TagRegistry.import_state(
+            kernel.tags.export_state())
+        new_fs = restore_fs(new_kernel, snap)
+        before = fs_decisions(kernel, fs, paths, agents)
+        assert set(before.values()) == {True, False}
+        assert fs_decisions(new_kernel, new_fs, paths, agents) == before
+        assert json_equal(snapshot_fs(new_fs), snapshot_fs(fs))
+
+
+class TestDeltaParentResolution:
+    def test_merge_equals_full_across_directory_shapes(self):
+        """The delta resolves each dirty path's parent once per
+        snapshot; merging it must still reproduce a full snapshot."""
+        from repro.fs import merge_fs_delta, snapshot_fs_delta
+        kernel, fs, provider, agents = build_tree()
+        base = snapshot_fs(fs)
+        fs.mark_clean()
+        # top level: a rewrite and a new file
+        fs.write(provider, "/motd", "v2")
+        fs.create(provider, "/news", "fresh")
+        # files in several sibling directories
+        for user, (agent, labels) in agents.items():
+            fs.write(agent, f"/users/{user}/f1", f"{user} edited")
+            fs.create(agent, f"/users/{user}/g", "g", **labels)
+        # a new nested directory and its children
+        bob, labels = agents["bob"]
+        fs.mkdir(bob, "/users/bob/photos", **labels)
+        fs.mkdir(bob, "/users/bob/photos/2024", **labels)
+        fs.create(bob, "/users/bob/photos/a.jpg", "a", **labels)
+        fs.create(bob, "/users/bob/photos/2024/b.jpg", "b", **labels)
+        # a deleted directory whose children had been dirtied
+        fs.write(provider, "/scratch/x", "dirtied")
+        fs.create(provider, "/scratch/z", "z")
+        for name in ("x", "y", "z"):
+            fs.delete(provider, f"/scratch/{name}")
+        fs.delete(provider, "/scratch")
+
+        delta = snapshot_fs_delta(fs)
+        dirty, deleted = fs.dirty_state()
+        assert set(delta["upserts"]) == dirty
+        assert "/scratch" in delta["removed"]
+        assert not any(p.startswith("/scratch") for p in delta["upserts"])
+        assert {"/motd", "/news", "/users/bob/photos/2024/b.jpg",
+                "/users/carol/g"} <= dirty
+        assert json_equal(merge_fs_delta(base, delta), snapshot_fs(fs))

@@ -174,3 +174,37 @@ class TestMetricsSurface:
         from repro.core import Metrics
         p = fresh_provider()
         assert Metrics(p.kernel.audit).persistence_snapshot() == {}
+
+
+def _containers(value, found=None):
+    """id -> object for every dict and list reachable from ``value``."""
+    found = {} if found is None else found
+    if isinstance(value, (dict, list)) and id(value) not in found:
+        found[id(value)] = value
+        for child in (value.values() if isinstance(value, dict) else value):
+            _containers(child, found)
+    return found
+
+
+class TestMergeDoesNotAlias:
+    def test_editing_merged_labels_leaves_inputs_alone(self):
+        p, __, __ = run_timeline(["signup", "signup2", "enable", "store",
+                                  "grant", "group", "member_add"])
+        delta = snapshot_provider(p, incremental=True)
+        assert delta["kind"] == "delta" and delta["fs"]["upserts"]
+        base = p._durability.base  # the manager's live base
+        before = canon(base), canon(delta)
+        merged = merge_delta(base, delta)
+
+        labels = [obj for obj in _containers(merged).values()
+                  if isinstance(obj, dict) and "tags" in obj
+                  and "namespace" in obj]
+        assert labels
+        for d in labels:
+            d["namespace"] = "edited"
+            d["tags"].append({"tag_id": -1, "purpose": "", "kind": "",
+                              "owner": None})
+        assert (canon(base), canon(delta)) == before
+        shared = (_containers(merged).keys()
+                  & (_containers(base).keys() | _containers(delta).keys()))
+        assert not shared
