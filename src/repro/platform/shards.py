@@ -28,7 +28,8 @@ only decides where it runs:
   deterministic baseline and the default at every shard count, so
   "sharding off" costs nothing over the classic plane.
 * ``fork`` — one forked child process per shard speaking a pickled
-  pipe protocol (batch-oriented).  This is the engine that scales
+  pipe protocol (batch-oriented; requests and responses cross it as
+  plain tuples).  This is the engine that scales
   with cores under the GIL; ``benchmarks/m13_shards.py`` measures it.
   It needs ``os.fork`` (POSIX).
 
@@ -44,10 +45,13 @@ responses and audit streams both.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 from bisect import bisect_right
+from dataclasses import fields
 from hashlib import blake2b
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..errors import ShardDown, W5Error
@@ -150,6 +154,8 @@ class _SerialEngine:
     schedule the fork engine must reproduce per shard."""
 
     name = "serial"
+    #: The shards run in this process: ``shards`` is the live state.
+    forked = False
 
     def __init__(self, shards: list[Provider]) -> None:
         self.shards = shards
@@ -184,6 +190,19 @@ class _SerialEngine:
         pass
 
 
+#: A request reduced to a plain tuple of its fields, in declaration
+#: order.  It crosses the pipe in this form, not as a pickled dataclass:
+#: a tuple pickles in about a fifth of the time and 56% of the bytes,
+#: and does not carry the ``_parts_cache`` the router's ``path_parts``
+#: left on it.  Derived from the dataclass, so a new field cannot be
+#: dropped.
+_plain_request = attrgetter(*(f.name for f in fields(HttpRequest)))
+
+
+def _rebuild_request(plain: tuple) -> HttpRequest:
+    return HttpRequest(*plain)
+
+
 def _plain_response(resp: HttpResponse) -> tuple:
     """Reduce a response to picklable plain data.  The gateway already
     re-stamped ``content_label`` to EMPTY at egress, so nothing is
@@ -216,17 +235,17 @@ def _fork_worker(shard: Provider, conn: Any) -> None:
         kind = op[0]
         try:
             if kind == "batch":
-                # op = ("batch", requests, trace_context|None): spans
-                # recorded in this child are serialized to skeleton
-                # dicts and shipped back with the responses — never
-                # silently lost to the process boundary (M16)
-                ctx = op[2] if len(op) > 2 else None
-                resps, skeletons = shard.handle_batch_traced(op[1], ctx)
+                # op = ("batch", plain requests, trace_context|None):
+                # spans recorded in this child are serialized to
+                # skeleton dicts and shipped back with the responses —
+                # never silently lost to the process boundary (M16)
+                resps, skeletons = shard.handle_batch_traced(
+                    [_rebuild_request(t) for t in op[1]], op[2])
                 conn.send(("ok", ([_plain_response(r) for r in resps],
                                   skeletons)))
             elif kind == "request":
-                conn.send(("ok",
-                           _plain_response(shard.handle_request(op[1]))))
+                conn.send(("ok", _plain_response(
+                    shard.handle_request(_rebuild_request(op[1])))))
             elif kind == "call":
                 result = _resolve(shard, op[1])(*op[2], **op[3])
                 try:
@@ -256,8 +275,8 @@ class _ForkEngine:
     The only engine that scales with cores under the GIL.  Children
     are forked lazily on first dispatch, so all setup done before then
     (signups, enables, grants) is inherited by every child for free;
-    control calls after the fork cross the pipe.  Requests pickle as
-    plain dataclasses; responses come back as ``(status, body,
+    control calls after the fork cross the pipe.  Requests cross as
+    plain field tuples; responses come back as ``(status, body,
     headers, set_cookies)`` tuples (egress already stripped labels).
     A child that has died surfaces as :class:`~repro.errors.ShardDown`
     naming its shard (there is no respawn).
@@ -273,6 +292,12 @@ class _ForkEngine:
         self._conns: Optional[list[Any]] = None
         self._pids: list[int] = []
 
+    @property
+    def forked(self) -> bool:
+        """True while children run the shards: the parent's ``shards``
+        then hold only what they inherited."""
+        return self._conns is not None
+
     def _ensure_started(self) -> list[Any]:
         if self._conns is not None:
             return self._conns
@@ -282,6 +307,16 @@ class _ForkEngine:
             parent, child = multiprocessing.Pipe()
             pid = os.fork()
             if pid == 0:  # child
+                # Move the inherited heap to the permanent generation:
+                # the child's full collections then walk only what it
+                # allocates, not every object the parent built (nor
+                # copy-on-write fault those pages).  The cost: inherited
+                # objects that later become cyclic garbage are never
+                # collected here, bounded by the inherited heap, whose
+                # pages the child shares with the parent anyway.  Never
+                # in the parent: it would keep every discarded
+                # deployment alive.
+                gc.freeze()
                 parent.close()
                 try:
                     _fork_worker(shard, child)
@@ -312,16 +347,20 @@ class _ForkEngine:
         self._send(shard, op)
         return self._recv(shard)
 
-    def _fan_out(self, ops: list[tuple[int, tuple]]) -> list[Any]:
-        """Send every ``(shard, op)`` before reading any reply (the
-        children overlap), then the replies in order.  A failure — a
-        dead shard or an error raised in a child — propagates only
-        after every other reply is read, so the pipes stay in step."""
+    def _fan_out(self, shards: Sequence[int],
+                 op_for: Callable[[int], tuple]) -> list[Any]:
+        """Send ``op_for(shard)`` to every shard before reading any
+        reply (the children overlap), then the replies in order.  Each
+        op is built just before its send and dropped after it, so the
+        requests it carries are not kept alive, and scanned by young
+        collections, while the parent waits.  A failure — a dead shard
+        or an error raised in a child — propagates only after every
+        other reply is read, so the pipes stay in step."""
         failure: Optional[Exception] = None
         sent = []
-        for shard, op in ops:
+        for shard in shards:
             try:
-                self._send(shard, op)
+                self._send(shard, op_for(shard))
                 sent.append(shard)
             except Exception as exc:  # no reply will come for this op
                 failure = failure or exc
@@ -333,21 +372,22 @@ class _ForkEngine:
                 failure = failure or exc
         if failure is not None:
             raise failure
-        return [replies[shard] for shard, __ in ops]
+        return [replies[shard] for shard in shards]
 
     def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        return _rebuild_response(self._rpc(shard, ("request", request)))
+        return _rebuild_response(
+            self._rpc(shard, ("request", _plain_request(request))))
 
     def run_batches(self, groups: dict[int, list[HttpRequest]],
                     ctx: Optional[TraceContext] = None
                     ) -> tuple[dict[int, list[HttpResponse]],
                                dict[int, list[dict]]]:
-        ordered = sorted(groups.items())
-        replies = self._fan_out([(shard, ("batch", reqs, ctx))
-                                 for shard, reqs in ordered])
+        ordered = sorted(groups)
+        replies = self._fan_out(ordered, lambda shard: (
+            "batch", list(map(_plain_request, groups[shard])), ctx))
         responses: dict[int, list[HttpResponse]] = {}
         skeletons: dict[int, list[dict]] = {}
-        for (shard, __), (plain, skels) in zip(ordered, replies):
+        for shard, (plain, skels) in zip(ordered, replies):
             responses[shard] = [_rebuild_response(t) for t in plain]
             skeletons[shard] = skels
         return responses, skeletons
@@ -366,8 +406,7 @@ class _ForkEngine:
             return [_resolve(s, method)(*args, **(kwargs or {}))
                     for s in self.shards]
         op = ("call", method, args, kwargs or {})
-        return self._fan_out([(shard, op)
-                              for shard in range(len(self._conns))])
+        return self._fan_out(range(len(self._conns)), lambda shard: op)
 
     def audit_events(self, shard: int) -> list[AuditEvent]:
         if self._conns is None:
@@ -431,7 +470,7 @@ class MergedAuditView:
             yield from stream
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.per_shard())
+        return self.count()
 
     def events(self, category: Optional[str] = None,
                subject: Optional[str] = None,
@@ -452,7 +491,10 @@ class MergedAuditView:
 
     def count(self, category: Optional[str] = None,
               allowed: Optional[bool] = None) -> int:
-        return len(self.events(category=category, allowed=allowed))
+        """Each shard's O(1) :meth:`AuditLog.count`, summed: only the
+        counts cross the fork engine's pipe, never the streams."""
+        return sum(self._owner._engine.broadcast(
+            "kernel.audit.count", (category, allowed)))
 
     def last(self) -> Optional[AuditEvent]:
         for stream in reversed(self.per_shard()):
@@ -762,7 +804,13 @@ class ShardedProvider:
     def register_app(self, module: Any) -> Any:
         """Broadcast: every shard serves the whole app catalog (apps
         are code, not user state — only *data* is partitioned)."""
-        return self._engine.broadcast("register_app", (module,))[0]
+        registered = self._engine.broadcast("register_app", (module,))[0]
+        if self._engine.forked:
+            # the broadcast reached only the children: register in the
+            # parent's shard-0 copy too, which is the catalog ``apps``
+            # lists
+            self.shards[0].register_app(module)
+        return registered
 
     def endorse_module(self, name: str) -> Any:
         return self._engine.broadcast("endorse_module", (name,))[0]
@@ -771,8 +819,11 @@ class ShardedProvider:
 
     @property
     def apps(self) -> Any:
-        """The app registry (shard 0's copy; registration broadcasts,
-        so every shard's registry holds the same catalog)."""
+        """The app catalog: shard 0's registry in this process.
+        Registration broadcasts to every shard; once the fork engine's
+        children run, the parent's copy of shard 0 is registered as
+        well, so this lists every registration under either engine.
+        Other parent-side shard state goes stale after the fork."""
         return self.shards[0].apps
 
     @property

@@ -6,18 +6,23 @@ the consistent-hash ring, request routing, the merged audit view, and
 the engines' control-plane surface.
 """
 
+import gc
 import os
+import pickle
 import signal
 import threading
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.apps import install_standard_apps
+from repro.apps import (ADVERSARIAL_CATALOG, install_adversarial_apps,
+                        install_standard_apps)
 from repro.core import W5System
 from repro.errors import ShardDown, W5Error
 from repro.net import SESSION_COOKIE, ExternalClient
-from repro.net.http import HttpRequest
+from repro.net.http import HttpRequest, HttpResponse
 from repro.platform import ProviderConfig, ShardMap, ShardedProvider
+from repro.platform.shards import _plain_request, _rebuild_request
 
 USERS = ["alice", "bob", "carol", "dave", "erin", "frank"]
 
@@ -121,6 +126,17 @@ class TestRouting:
         assert names[0] == names[1] == names[2]
         assert "blog" in names[0]
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_apps_lists_registrations_made_after_the_fork(self):
+        names = {}
+        for engine in ("serial", "fork"):
+            sp, _ = build_sharded(2, engine=engine)  # requests fork
+            install_adversarial_apps(sp)
+            names[engine] = sorted(m.name for m in sp.apps)
+            sp.shutdown()
+        assert names["serial"] == names["fork"]
+        assert {m.name for m in ADVERSARIAL_CATALOG} <= set(names["fork"])
+
     def test_one_shard_short_circuits(self):
         sp, clients = build_sharded(1)
         assert sp.engine_name == "serial"
@@ -198,6 +214,38 @@ class TestMergedAudit:
         assert len(view.denials()) == sum(
             len(s.kernel.audit.denials()) for s in sp.shards)
         assert view.last() is not None
+
+    @pytest.mark.parametrize("engine", ["serial", pytest.param(
+        "fork", marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                         reason="needs os.fork"))])
+    @pytest.mark.parametrize("ring", [None, 40])
+    def test_counts_match_the_events(self, engine, ring, monkeypatch):
+        sp = ShardedProvider(n_shards=2, engine=engine,
+                             audit_max_events=ring)
+        install_standard_apps(sp)
+        for u in USERS:
+            c = ExternalClient(u, sp.transport())
+            c.post("/signup", params={"username": u, "password": "pw"})
+            c.login("pw")
+            c.post("/policy/enable", params={"app": "blog"})
+            assert c.get("/app/blog/post", title="t", body="b").ok
+            assert not c.get("/app/blog/read", author="nobody",
+                             title="t").ok
+        view = sp.kernel.audit
+        events = list(view)
+        if ring is not None:
+            assert len(events) == 2 * ring  # both rings evicted
+        # answered from each shard's counters: no stream is shipped
+        monkeypatch.setattr(sp._engine, "audit_events", None)
+        assert len(view) == len(events)
+        for category in sorted({e.category for e in events}) + [None,
+                                                                "nope"]:
+            for allowed in (None, True, False):
+                assert view.count(category, allowed) == sum(
+                    1 for e in events
+                    if category in (None, e.category)
+                    and allowed in (None, e.allowed))
+        sp.shutdown()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_merge_identical_across_engines(self):
@@ -332,3 +380,57 @@ class TestForkEngine:
                             params={"username": "alice", "password": "pw"})
         assert sp.handle_request(login).ok
         sp.shutdown()
+
+    def test_child_freezes_its_inherited_heap(self):
+        sp = ShardedProvider(n_shards=2, engine="fork")
+        # set before the fork, so shard 0's child inherits the probe
+        sp.shards[0].gc_probe = gc.get_freeze_count
+        before = gc.get_freeze_count()
+        signup = HttpRequest("POST", "/signup",
+                             params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(signup).ok  # forks the children
+        assert sp._engine.call(0, "gc_probe") > 0
+        assert gc.get_freeze_count() == before  # the parent froze nothing
+        sp.shutdown()
+
+    def test_requests_cross_the_pipe_whole(self):
+        sp = ShardedProvider(n_shards=1, engine="fork")
+        names = [f.name for f in fields(HttpRequest)]
+
+        def echo(req):
+            return HttpResponse(body=[getattr(req, n) for n in names])
+
+        # patched before the fork: the child answers with every field
+        # of the request it rebuilt from the wire
+        sp.shards[0].handle_request = echo
+        sp.shards[0].handle_batch_traced = \
+            lambda reqs, ctx: ([echo(r) for r in reqs], [])
+        req = HttpRequest("POST", "/app/blog/post",
+                          params={"title": "t", "n": 3},
+                          cookies={SESSION_COOKIE: "tok"},
+                          body={"text": ["a", "b"]},
+                          headers={"X-Trace": "1"})
+        want = [getattr(req, n) for n in names]
+        assert sp.handle_request(req).body == want
+        assert [r.body for r in sp.handle_batch([req, req])] == [want] * 2
+        sp.shutdown()
+
+
+class TestRequestWire:
+    REQ = HttpRequest("PUT", "/app/blog/post", params={"title": "t"},
+                      cookies={SESSION_COOKIE: "tok"}, body=b"\x00body",
+                      headers={"Content-Type": "text/plain"})
+
+    def test_tuple_covers_every_field_in_order(self):
+        plain = _plain_request(self.REQ)
+        assert plain == tuple(getattr(self.REQ, f.name)
+                              for f in fields(HttpRequest))
+
+    def test_round_trip(self):
+        req = replace(self.REQ)
+        req.path_parts()  # the router leaves its split on the request
+        wire = pickle.dumps(_plain_request(req))
+        assert b"_parts_cache" not in wire
+        rebuilt = _rebuild_request(pickle.loads(wire))
+        assert rebuilt == req
+        assert rebuilt.path_parts() == ["app", "blog", "post"]
