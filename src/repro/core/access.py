@@ -65,7 +65,7 @@ def readable_pairs(process: Process,
     The partitioned storage engine resolves visibility once per
     *partition* through this helper, so a query's label cost scales
     with distinct label pairs rather than rows.  With a cache the whole
-    batch rides one epoch-guarded subject entry
+    batch rides the verdict entry of the process's label state
     (:meth:`~repro.labels.FlowCache.readable_many`).
     """
     if cache is not None:

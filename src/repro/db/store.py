@@ -31,8 +31,8 @@ structure Flume's label algebra and HiStar's category model predict.
 :class:`Table` therefore physically groups rows into **partitions**
 keyed by that pair, and the default engine
 (``LabeledStore(kernel, partitioned=True)``) resolves visibility *once
-per partition* against the caller's epoch-guarded
-:class:`~repro.labels.FlowCache` verdict: invisible partitions are
+per partition* against the :class:`~repro.labels.FlowCache` verdict
+for the caller's label state: invisible partitions are
 skipped wholesale, the ``db_rows_scanned`` charge is batched into one
 call per partition, and only rows that survive the where/predicate
 filter are snapshotted.  Query label cost scales with distinct labels,
@@ -624,8 +624,8 @@ class LabeledStore:
         The result is *identical* to what it would be if invisible rows
         did not exist — the covert-channel-free semantics.  ``plan`` is
         an optional :class:`~repro.platform.plans.RequestPlan` whose
-        value-keyed verdict table answers partition visibility without
-        the pid-keyed flow cache (M12); it never changes which rows are
+        dense slot rows answer partition visibility instead of the flow
+        cache's verdict dicts (M12); it never changes which rows are
         visible, only where the verdict is remembered.
         """
         with self.kernel.tracer.detail("db.select", table=table_name):
@@ -796,10 +796,11 @@ class LabeledStore:
         Charges nothing: :meth:`_scan_partitioned` charges the scan,
         and update/delete never charged one.
 
-        The verdicts come from the bound plan's dense slot row (keyed
-        by the process's label state, so the fresh process a tainted
-        request spawned still hits) or, without a plan, from the flow
-        cache's batched :func:`~repro.core.access.readable_pairs`.
+        The verdicts come from the bound plan's dense slot row or,
+        without a plan, from the flow cache's batched
+        :func:`~repro.core.access.readable_pairs`.  Both key on the
+        process's label state, so the fresh process a tainted request
+        spawned hits either way.
         """
         pkeys, slots, idlists, prechecked = \
             self._partition_arrays(table, where)
@@ -962,8 +963,8 @@ class DbView:
 
     ``plan`` optionally binds a compiled
     :class:`~repro.platform.plans.RequestPlan` (M12) so label-filtered
-    reads answer partition visibility from the plan's value-keyed
-    verdict table instead of the pid-keyed flow cache.
+    reads answer partition visibility from the plan's dense slot rows
+    instead of the flow cache's verdict dicts.
     """
 
     def __init__(self, store: LabeledStore, process: Process,

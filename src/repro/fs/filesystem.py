@@ -145,11 +145,6 @@ class LabeledFileSystem:
         self._dirty_paths: set[str] = set()
         self._deleted_paths: set[str] = set()
 
-    @staticmethod
-    def canonical(path: str) -> str:
-        """One spelling per path, for dirty-set membership."""
-        return "/" + "/".join(split_path(path))
-
     def mark_clean(self) -> None:
         """Forget dirty state (a full snapshot was just taken)."""
         self._dirty_paths.clear()
@@ -158,13 +153,13 @@ class LabeledFileSystem:
     def dirty_state(self) -> tuple[set[str], set[str]]:
         return set(self._dirty_paths), set(self._deleted_paths)
 
-    def _note_upsert(self, path: str) -> None:
-        canon = self.canonical(path)
+    def _note_upsert(self, canon: str) -> None:
+        """Mark the canonical path ``canon`` created or rewritten."""
         self._dirty_paths.add(canon)
         self._deleted_paths.discard(canon)
 
-    def _note_delete(self, path: str) -> None:
-        canon = self.canonical(path)
+    def _note_delete(self, canon: str) -> None:
+        """Mark the canonical path ``canon`` removed."""
         self._dirty_paths.discard(canon)
         self._deleted_paths.add(canon)
         # children of a deleted dir can no longer be upserted
@@ -186,41 +181,56 @@ class LabeledFileSystem:
     # resolution
     # ------------------------------------------------------------------
 
-    def _resolve(self, process: Process, path: str,
-                 want_parent: bool = False) -> Inode:
-        """Walk the tree, read-checking every directory traversed.
+    def _resolve(self, process: Process, parts: list[str]) -> Inode:
+        """Walk the tree along ``parts`` (from :func:`split_path`),
+        read-checking every directory traversed.
 
         Directory traversal is a read of the directory's entry list, so
         each component must be readable by ``process`` — otherwise the
         existence of names inside a secret directory would itself leak.
+
+        The walk fetches the read verdicts of the process's label state
+        once (:meth:`~repro.labels.FlowCache.read_table`) and probes
+        them once per directory.  Only a cached allow skips the check:
+        a miss or a cached deny goes through :meth:`_check_read`, which
+        computes and stores the verdict, or raises and audits the
+        refusal.  The table lives for this one walk only, in which the
+        process's labels cannot change.
         """
-        parts = split_path(path)
-        if want_parent:
-            if not parts:
-                raise FsError("path has no parent")
-            parts = parts[:-1]
+        cache = self.kernel.flow_cache
+        table = cache.read_table(process)
         node: Inode = self.root
-        walked = ""
-        for part in parts:
-            if not node.is_dir():
-                raise NotADirectory(f"{walked or '/'} is not a directory")
-            self._check_read(process, node, walked or "/")
-            assert isinstance(node, Directory)
-            try:
-                node = node.entries[part]
-            except KeyError:
-                raise NoSuchPath(f"{walked}/{part}") from None
-            walked = f"{walked}/{part}"
+        hits = 0
+        try:
+            for i, part in enumerate(parts):
+                if not isinstance(node, Directory):
+                    raise NotADirectory(
+                        "/" + "/".join(parts[:i]) + " is not a directory")
+                if table is not None and \
+                        table.get((node.slabel, node.ilabel)) is True:
+                    hits += 1
+                else:
+                    self._check_read(process, node, "/" + "/".join(parts[:i]))
+                try:
+                    node = node.entries[part]
+                except KeyError:
+                    raise NoSuchPath("/" + "/".join(parts[:i + 1])) from None
+        finally:
+            if hits:
+                cache.count_hits("fs.read", hits)
         return node
 
     def _parent_and_leaf(self, process: Process,
-                         path: str) -> tuple[Directory, str]:
-        parent = self._resolve(process, path, want_parent=True)
-        if not parent.is_dir():
+                         path: str) -> tuple[Directory, str, str]:
+        """The parent directory of ``path``, its leaf name and the
+        canonical spelling of ``path``, from one split."""
+        parts = split_path(path)
+        if not parts:
+            raise FsError("path has no parent")
+        parent = self._resolve(process, parts[:-1])
+        if not isinstance(parent, Directory):
             raise NotADirectory(f"parent of {path} is not a directory")
-        assert isinstance(parent, Directory)
-        leaf = split_path(path)[-1]
-        return parent, leaf
+        return parent, parts[-1], "/" + "/".join(parts)
 
     # ------------------------------------------------------------------
     # checks
@@ -264,7 +274,7 @@ class LabeledFileSystem:
     def _mkdir(self, process: Process, path: str,
                slabel: Optional[Label],
                ilabel: Optional[Label]) -> Directory:
-        parent, leaf = self._parent_and_leaf(process, path)
+        parent, leaf, canon = self._parent_and_leaf(process, path)
         self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         if leaf in parent.entries:
@@ -275,10 +285,10 @@ class LabeledFileSystem:
                       created_by=process.name)
         self._validate_new_labels(process, d, path)
         parent.entries[leaf] = d
-        self._note_upsert(path)
+        self._note_upsert(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.mkdir", {
-                "path": self.canonical(path),
+                "path": canon,
                 "slabel": sorted(t.tag_id for t in d.slabel),
                 "ilabel": sorted(t.tag_id for t in d.ilabel),
                 "created_by": d.created_by})
@@ -301,7 +311,7 @@ class LabeledFileSystem:
     def _create(self, process: Process, path: str, data: Any,
                 slabel: Optional[Label],
                 ilabel: Optional[Label]) -> File:
-        parent, leaf = self._parent_and_leaf(process, path)
+        parent, leaf, canon = self._parent_and_leaf(process, path)
         self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         if leaf in parent.entries:
@@ -313,10 +323,10 @@ class LabeledFileSystem:
         self._validate_new_labels(process, f, path)
         self.kernel.resources.charge(process, "disk", f.size())
         parent.entries[leaf] = f
-        self._note_upsert(path)
+        self._note_upsert(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.create", {
-                "path": self.canonical(path),
+                "path": canon,
                 "slabel": sorted(t.tag_id for t in f.slabel),
                 "ilabel": sorted(t.tag_id for t in f.ilabel),
                 "created_by": f.created_by, "data": f.data})
@@ -342,7 +352,7 @@ class LabeledFileSystem:
             return self._read(process, path)
 
     def _read(self, process: Process, path: str) -> Any:
-        node = self._resolve(process, path)
+        node = self._resolve(process, split_path(path))
         if node.is_dir():
             raise IsADirectory(path)
         self._check_read(process, node, path)
@@ -358,7 +368,8 @@ class LabeledFileSystem:
             return self._write(process, path, data)
 
     def _write(self, process: Process, path: str, data: Any) -> File:
-        node = self._resolve(process, path)
+        parts = split_path(path)
+        node = self._resolve(process, parts)
         if node.is_dir():
             raise IsADirectory(path)
         self._check_write(process, node, path)
@@ -368,10 +379,10 @@ class LabeledFileSystem:
                     data=data).size() - node.size()))
         node.data = copy.deepcopy(data)
         node.version += 1
-        self._note_upsert(path)
+        canon = "/" + "/".join(parts)
+        self._note_upsert(canon)
         if self.on_mutate is not None:
-            self.on_mutate("fs.write", {
-                "path": self.canonical(path), "data": node.data})
+            self.on_mutate("fs.write", {"path": canon, "data": node.data})
         self.kernel.audit.record_lazy(A.FILE_WRITE, True, process.name,
                                       "write %s", (path,))
         return node
@@ -382,7 +393,7 @@ class LabeledFileSystem:
             self._delete(process, path)
 
     def _delete(self, process: Process, path: str) -> None:
-        parent, leaf = self._parent_and_leaf(process, path)
+        parent, leaf, canon = self._parent_and_leaf(process, path)
         self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         try:
@@ -393,9 +404,9 @@ class LabeledFileSystem:
         if node.is_dir() and getattr(node, "entries", None):
             raise FsError(f"directory {path} not empty")
         del parent.entries[leaf]
-        self._note_delete(path)
+        self._note_delete(canon)
         if self.on_mutate is not None:
-            self.on_mutate("fs.delete", {"path": self.canonical(path)})
+            self.on_mutate("fs.delete", {"path": canon})
         self.kernel.audit.record(A.FILE_WRITE, True, process.name,
                                  f"delete {path}")
 
@@ -405,7 +416,7 @@ class LabeledFileSystem:
             return self._listdir(process, path)
 
     def _listdir(self, process: Process, path: str = "/") -> list[str]:
-        node = self.root if path in ("", "/") else self._resolve(process, path)
+        node = self._resolve(process, split_path(path))
         if not node.is_dir():
             raise NotADirectory(path)
         self._check_read(process, node, path)
@@ -414,7 +425,7 @@ class LabeledFileSystem:
 
     def stat(self, process: Process, path: str) -> dict[str, Any]:
         """Metadata for a path (requires readability of the object)."""
-        node = self._resolve(process, path)
+        node = self._resolve(process, split_path(path))
         self._check_read(process, node, path)
         info: dict[str, Any] = {
             "name": node.name,
@@ -435,7 +446,7 @@ class LabeledFileSystem:
         directory reports ``False`` rather than leaking existence.
         """
         try:
-            self._resolve(process, path)
+            self._resolve(process, split_path(path))
             return True
         except (NoSuchPath, SecrecyViolation, IntegrityViolation,
                 NotADirectory):
@@ -457,7 +468,7 @@ class LabeledFileSystem:
         violation per node.  Yield order and the audit stream are
         identical to the naive engine.
         """
-        node = self.root if path in ("", "/") else self._resolve(process, path)
+        node = self._resolve(process, split_path(path))
         root_key = path if path != "/" else ""
         if not self.grouped_walk:
             stack: list[tuple[str, Inode]] = [(root_key, node)]

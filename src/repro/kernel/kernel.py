@@ -248,7 +248,6 @@ class Kernel:
         for ep in process.endpoints.values():
             ep.closed = True
             self._endpoints.pop(ep.endpoint_id, None)
-        self.flow_cache.invalidate_subject(process.pid, reason="exit")
         self.resources.on_exit(process)
         self.audit.record_lazy(A.EXIT, True, process.name,
                                "exit pid=%d", (process.pid,),
@@ -282,7 +281,6 @@ class Kernel:
         tag = self.tags.create(purpose=purpose, kind=kind,
                                owner=tag_owner or process.owner_user)
         process.caps = CapabilitySet.owning(tag) | process.caps
-        self.flow_cache.invalidate_subject(process.pid, reason="create-tag")
         self.audit.record(A.TAG_CREATE, True, process.name,
                           f"create tag {tag.tag_id} ({purpose})",
                           tag_id=tag.tag_id)
@@ -337,7 +335,6 @@ class Kernel:
             process.slabel = secrecy
         if integrity is not None:
             process.ilabel = integrity
-        self.flow_cache.invalidate_subject(process.pid, reason="label-change")
         if process.endpoints:
             closed = process.revalidate_endpoints(cache=self.flow_cache)
             for ep in closed:
@@ -353,7 +350,6 @@ class Kernel:
         """Irrevocably discard capabilities (attenuation is always legal)."""
         self._require_alive(process)
         process.caps = process.caps.revoke(*caps)
-        self.flow_cache.invalidate_subject(process.pid, reason="drop-caps")
         self.audit.record(A.GRANT, True, process.name, "dropped capabilities")
 
     # ------------------------------------------------------------------
@@ -517,8 +513,6 @@ class Kernel:
             del process.mailbox[i]
             if len(msg.granted):
                 process.caps = process.caps | msg.granted
-                self.flow_cache.invalidate_subject(process.pid,
-                                                   reason="cap-grant")
                 self.audit.record(A.GRANT, True, process.name,
                                   f"received {len(msg.granted)} capabilities")
             self.audit.record(A.RECEIVE, True, process.name,

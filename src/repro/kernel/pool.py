@@ -151,9 +151,8 @@ class ProcessPool:
             self.kernel.exit(process)
             return False
         # Scrub every piece of request-scoped state.  Labels and caps
-        # were just verified identical to launch, so the flow cache's
-        # epoch-guarded subject verdicts remain valid — deliberately
-        # NOT invalidated, that carry-over is the win.
+        # were just verified identical to launch, so the process comes
+        # back in its launch label state.
         for ep in process.endpoints.values():
             ep.closed = True
             self.kernel._endpoints.pop(ep.endpoint_id, None)

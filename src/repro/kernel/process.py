@@ -76,20 +76,18 @@ class Process:
     """
 
     # one allocation and, once reaped, one free per tainted request
-    __slots__ = ("pid", "name", "label_epoch", "_slabel", "_ilabel",
-                 "_caps", "owner_user", "alive", "exit_value", "endpoints",
-                 "mailbox", "locals")
+    __slots__ = ("pid", "name", "slabel", "ilabel", "caps", "owner_user",
+                 "alive", "exit_value", "endpoints", "mailbox", "locals")
 
     def __init__(self, pid: int, name: str, slabel: Label, ilabel: Label,
                  caps: CapabilitySet, owner_user: Optional[str] = None) -> None:
         self.pid = pid
         self.name = name
-        #: Bumped on every label/capability assignment; the flow cache
-        #: keys its per-subject verdicts on (pid, epoch), so a stale
-        #: verdict can never outlive the state it was computed under —
-        #: even if trusted code mutates these attributes directly
-        #: instead of going through a kernel syscall.
-        self.label_epoch = 0
+        #: The label state.  The flow cache keys its storage verdicts
+        #: on the values ``(slabel, ilabel, caps)``, not on the pid, so
+        #: a verdict can never outlive the state it was computed under,
+        #: even if trusted code assigns these directly instead of going
+        #: through a kernel syscall.
         self.slabel = slabel
         self.ilabel = ilabel
         self.caps = caps
@@ -103,35 +101,6 @@ class Process:
         self.mailbox: list["Message"] = []
         #: Scratch space for application state; invisible to the kernel.
         self.locals: dict[str, Any] = {}
-
-    # -- label state (epoch-tracked for the flow cache) -------------------
-
-    @property
-    def slabel(self) -> Label:
-        return self._slabel
-
-    @slabel.setter
-    def slabel(self, value: Label) -> None:
-        self._slabel = value
-        self.label_epoch += 1
-
-    @property
-    def ilabel(self) -> Label:
-        return self._ilabel
-
-    @ilabel.setter
-    def ilabel(self, value: Label) -> None:
-        self._ilabel = value
-        self.label_epoch += 1
-
-    @property
-    def caps(self) -> CapabilitySet:
-        return self._caps
-
-    @caps.setter
-    def caps(self, value: CapabilitySet) -> None:
-        self._caps = value
-        self.label_epoch += 1
 
     # -- endpoint bookkeeping (kernel-internal) ---------------------------
 

@@ -18,23 +18,20 @@ Two layers
   verdict is a theorem, not a snapshot.  They are bounded (clear-on-
   overflow) purely to cap memory.
 
-* **Subject verdicts** cache storage read/write decisions *per
-  subject* (a kernel process) so a database scan or directory walk
-  re-checks each distinct (secrecy, integrity) row label pair once.
-  Subjects are mutable — their labels and capabilities change through
-  kernel syscalls — so this layer is guarded twice:
+* **Subject verdicts** cache storage read/write decisions per subject
+  *label state* ``(slabel, ilabel, caps)``, so a database scan or
+  directory walk re-checks each distinct (secrecy, integrity) object
+  label pair once.  ``can_read`` and ``can_write`` are pure functions
+  of the object labels and that state, and every part of the key is
+  an interned value, so these entries are theorems too: a process
+  whose labels change simply looks up a different state, and a fresh
+  process in an already-seen state (every request spawns one) reuses
+  the verdicts its predecessors computed.  The table keeps at most
+  :data:`MAX_STATES` states and clears on overflow.
 
-  - every subject entry records the subject's ``label_epoch`` (bumped
-    by :class:`~repro.kernel.process.Process` on *any* label or
-    capability assignment) and is discarded on mismatch, and
-  - the kernel's label-change syscalls call
-    :meth:`FlowCache.invalidate_subject` explicitly, which also keeps
-    the invalidation observable in :meth:`stats`.
-
-  The classic cache-poisoning bug — serving a verdict recorded under
-  labels the process no longer has — is impossible under either guard
-  alone; we keep both because the epoch also protects against trusted
-  code mutating a process outside the syscall surface.
+Only :meth:`FlowCache.invalidate_all` ever drops entries for
+correctness: a registry restore or journal replay rewires tag
+*identity* underneath the interned values.
 
 Semantics are preserved exactly: a cached *allow* replays a decision
 computed by the very functions in :mod:`repro.labels.flow`, and every
@@ -57,24 +54,28 @@ from .label import Label
 #: Signature of the optional latency observer: (category, seconds).
 LatencyObserver = Callable[[str, float], None]
 
+#: Bound on the subject-verdict table: distinct label states kept
+#: before it clears, the bound the request plans use too
+#: (:data:`repro.platform.plans._MAX_STATES`).  At 256 states each fork
+#: shard kept about 1 MiB more; at 16, ``labeled_write``'s edit and
+#: read-back states thrash.
+MAX_STATES = 64
+
 
 class Subject(Protocol):
     """What the subject-verdict layer needs from a kernel process."""
 
-    pid: int
-    label_epoch: int
     slabel: Label
     ilabel: Label
     caps: CapabilitySet
 
 
 class _SubjectEntry:
-    """Cached storage verdicts for one subject at one label epoch."""
+    """Cached storage verdicts for one subject label state."""
 
-    __slots__ = ("epoch", "read", "write")
+    __slots__ = ("read", "write")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
+    def __init__(self) -> None:
         self.read: dict[tuple[Label, Label], bool] = {}
         self.write: dict[tuple[Label, Label], bool] = {}
 
@@ -105,12 +106,11 @@ class FlowCache:
         self._endpoint: dict[tuple, bool] = {}
         self._residue: dict[tuple, Label] = {}
         # subject verdicts
-        self._subjects: dict[int, _SubjectEntry] = {}
+        self._subjects: dict[tuple, _SubjectEntry] = {}
         # observability
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._invalidations: dict[str, int] = {}
-        self._stale_drops = 0
         self._evictions = 0
         #: Bumped by every :meth:`invalidate_all`.  Derived caches that
         #: sit on top of this one (the kernel's compiled
@@ -286,18 +286,38 @@ class FlowCache:
                           lambda: flow.exportable_tags(s, caps))
 
     # ------------------------------------------------------------------
-    # subject verdicts (mutable subjects: epoch-guarded + invalidated)
+    # subject verdicts (keyed on the subject's label state)
     # ------------------------------------------------------------------
 
     def _subject_entry(self, subject: Subject) -> _SubjectEntry:
-        entry = self._subjects.get(subject.pid)
-        epoch = subject.label_epoch
-        if entry is None or entry.epoch != epoch:
-            if entry is not None:
-                self._stale_drops += 1
-            entry = _SubjectEntry(epoch)
-            self._subjects[subject.pid] = entry
+        state = (subject.slabel, subject.ilabel, subject.caps)
+        subjects = self._subjects
+        entry = subjects.get(state)
+        if entry is None:
+            if len(subjects) >= MAX_STATES:
+                subjects.clear()
+                self._evictions += 1
+            entry = subjects[state] = _SubjectEntry()
         return entry
+
+    def read_table(self, subject: Subject
+                   ) -> Optional[dict[tuple[Label, Label], bool]]:
+        """The read verdicts of ``subject``'s current label state, for a
+        caller that probes many objects in a row (a path walk).
+
+        ``None`` when the cache is disabled or an observer is attached:
+        then every check must take the per-check path.  The table is
+        only valid while the subject's labels stay put, so a caller
+        must not keep it past one walk.  Hits taken from it are
+        reported through :meth:`count_hits`.
+        """
+        if not self.enabled or self.observer is not None:
+            return None
+        return self._subject_entry(subject).read
+
+    def count_hits(self, category: str, n: int) -> None:
+        """Record ``n`` verdicts served straight from a :meth:`read_table`."""
+        self._hits[category] = self._hits.get(category, 0) + n
 
     def readable(self, subject: Subject, slabel: Label, ilabel: Label,
                  category: str = "read") -> bool:
@@ -366,10 +386,10 @@ class FlowCache:
         """Resolve read verdicts for many (slabel, ilabel) pairs at once.
 
         Semantically identical to calling :meth:`readable` per pair,
-        but the subject entry (and its epoch guard) is fetched once for
-        the whole batch — this is what the label-partitioned storage
-        engine calls with one pair per *partition*, so a scan's label
-        cost is O(distinct labels), not O(rows).
+        but the subject entry is fetched once for the whole batch —
+        this is what the label-partitioned storage engine calls with
+        one pair per *partition*, so a scan's label cost is
+        O(distinct labels), not O(rows).
         """
         if self.observer is not None:
             return self._observed(category, lambda: self._many(
@@ -413,28 +433,14 @@ class FlowCache:
         return out
 
     # ------------------------------------------------------------------
-    # invalidation (fired by kernel label-change syscalls)
+    # invalidation
     # ------------------------------------------------------------------
-
-    def invalidate_subject(self, pid: int,
-                           reason: str = "label-change") -> None:
-        """Evict every cached verdict for ``pid``.
-
-        The kernel calls this from every syscall that changes a
-        process's labels or capabilities (``change_label``,
-        ``create_tag``, ``drop_caps``, capability delegation on
-        ``receive``) and from process exit.  The epoch guard would
-        already refuse stale entries; the explicit hook reclaims the
-        memory and makes invalidation observable in :meth:`stats`.
-        """
-        if self._subjects.pop(pid, None) is not None:
-            self._invalidations[reason] = \
-                self._invalidations.get(reason, 0) + 1
 
     def invalidate_all(self, reason: str = "explicit") -> None:
         """Drop everything — pure memos included.  Only needed when tag
-        *identity* is rewired underneath the kernel (registry restore);
-        ordinary label changes never require it."""
+        *identity* is rewired underneath the kernel (registry restore,
+        journal replay); label changes never require it, since a new
+        label state is a new key."""
         self._secrecy.clear()
         self._integrity.clear()
         self._message.clear()
@@ -459,7 +465,6 @@ class FlowCache:
             "hit_total": sum(self._hits.values()),
             "miss_total": sum(self._misses.values()),
             "invalidation_total": sum(self._invalidations.values()),
-            "stale_drops": self._stale_drops,
             "evictions": self._evictions,
             "entries": (len(self._secrecy) + len(self._integrity)
                         + len(self._message) + len(self._change)

@@ -4,9 +4,8 @@ The hot request is fully memoized by M8–M11 — the LaunchCapIndex, the
 authority memo, the flow cache's subject verdicts and the partition
 verdicts each answer in O(1) — but the pipeline still *interprets* its
 way through them: resolve the app, hash (app, viewer) into the cap
-index, batch partition verdicts through a pid-keyed cache that a
-tainted-and-exited process misses every request, then re-derive the
-viewer's export authority.  A
+index, batch partition verdicts through the flow cache's
+per-state dicts, then re-derive the viewer's export authority.  A
 :class:`RequestPlan` compiles all of that, once per (app, viewer)
 pair, into one record of inputs for the request pipeline:
 
@@ -14,8 +13,9 @@ pair, into one record of inputs for the request pipeline:
 * the launch :class:`~repro.labels.CapabilitySet` and the shared
   process name the pool checks out under;
 * value-keyed partition read verdicts — keyed by the *label state*
-  ``(slabel, ilabel, caps)`` instead of the pid, so fresh processes
-  (the tainted-read steady state) reuse them across requests;
+  ``(slabel, ilabel, caps)``, like the flow cache's, so fresh processes
+  (the tainted-read steady state) reuse them across requests; the row
+  is dense, indexed by the store's partition slot;
 * the viewer's precomputed export authority.
 
 Validity is epoch-guarded by the exact invalidation hooks the four
@@ -119,7 +119,8 @@ class RequestPlan:
         identity, but it also bumps the cap-index epoch, which retires
         this whole plan).  That makes the row safe to share across the
         fresh processes that a tainted request path spawns every
-        request — exactly the reuse the pid-keyed flow cache cannot do.
+        request.  The flow cache keys its verdicts the same way; this
+        row differs only in being dense, indexed by slot.
 
         The single-entry memo keys on the *identity* of the ``slots``
         list: the store memoizes the slot arrays per where-signature

@@ -48,6 +48,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import traceback
 from bisect import bisect_right
 from dataclasses import fields
 from hashlib import blake2b
@@ -332,6 +333,9 @@ class _ForkEngine:
         try:
             self._ensure_started()[shard].send(op)
         except OSError as exc:  # the child closed its end: it is gone
+            # the failed send's frames hold the pickled op's exported
+            # buffer; whoever keeps this ShardDown must not keep that
+            traceback.clear_frames(exc.__traceback__)
             raise ShardDown(shard, type(exc).__name__) from exc
 
     def _recv(self, shard: int) -> Any:
@@ -340,7 +344,10 @@ class _ForkEngine:
         except (EOFError, OSError) as exc:
             raise ShardDown(shard, type(exc).__name__) from exc
         if status == "err":
-            raise payload
+            try:
+                raise payload
+            finally:
+                payload = None  # the traceback holds this frame
         return payload
 
     def _rpc(self, shard: int, op: tuple) -> Any:
@@ -355,7 +362,11 @@ class _ForkEngine:
         requests it carries are not kept alive, and scanned by young
         collections, while the parent waits.  A failure — a dead shard
         or an error raised in a child — propagates only after every
-        other reply is read, so the pipes stay in step."""
+        other reply is read, so the pipes stay in step.
+
+        The raised failure's traceback holds this frame, so the local
+        naming it is cleared on the way out: a frame–exception cycle
+        would live until a collection."""
         failure: Optional[Exception] = None
         sent = []
         for shard in shards:
@@ -371,7 +382,10 @@ class _ForkEngine:
             except Exception as exc:
                 failure = failure or exc
         if failure is not None:
-            raise failure
+            try:
+                raise failure
+            finally:
+                failure = None
         return [replies[shard] for shard in shards]
 
     def request(self, shard: int, request: HttpRequest) -> HttpResponse:

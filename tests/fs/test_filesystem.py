@@ -1,12 +1,14 @@
 """Unit tests for the labeled filesystem."""
 
+import re
+
 import pytest
 
 from repro.fs import (FsError, FsView, IsADirectory, LabeledFileSystem,
                       NoSuchPath, NotADirectory, PathExists, split_path)
 from repro.kernel import Kernel
-from repro.labels import (CapabilitySet, IntegrityViolation, Label,
-                          SecrecyViolation, minus, plus)
+from repro.labels import (CapabilitySet, FlowCache, IntegrityViolation,
+                          Label, SecrecyViolation, minus, plus)
 
 
 @pytest.fixture()
@@ -143,6 +145,52 @@ class TestSecrecyEnforcement:
         with pytest.raises(SecrecyViolation):
             fs.read(snoop, "/secret")
         assert kernel.audit.count(category="file_read", allowed=False) == 1
+
+
+class TestWalkDenial:
+    """A path walk through an unreadable directory fails identically
+    with and without the flow cache, also once the deny is cached."""
+
+    @staticmethod
+    def denied_walks(cache):
+        """Three walks into a secret directory: their masked messages,
+        the refusal records, and the ``fs.read`` (misses, hits) they
+        added to the cache's counters."""
+        kernel = Kernel(flow_cache=cache)
+        fs = LabeledFileSystem(kernel)
+        provider = kernel.spawn_trusted("provider")
+        t = kernel.create_tag(provider, purpose="bob")
+        fs.mkdir(provider, "/users")
+        fs.mkdir(provider, "/users/bob", slabel=Label([t]))
+        fs.create(provider, "/users/bob/diary", "x", slabel=Label([t]))
+
+        def counts():
+            s = cache.stats()
+            return (s["misses"].get("fs.read", 0),
+                    s["hits"].get("fs.read", 0))
+
+        before = counts()
+        messages = []
+        for _ in range(3):  # a fresh process each time, same label state
+            snoop = kernel.spawn_trusted("snoop")
+            with pytest.raises(SecrecyViolation) as err:
+                fs.read(snoop, "/users/bob/diary")
+            messages.append(re.sub(r"\d+", "#", str(err.value)))
+        refusals = [(e.category, e.subject, e.detail)
+                    for e in kernel.audit if not e.allowed]
+        after = counts()
+        return messages, refusals, (after[0] - before[0],
+                                    after[1] - before[1])
+
+    def test_cached_deny_raises_and_audits_like_uncached(self):
+        messages, refusals, counted = self.denied_walks(FlowCache())
+        assert (messages, refusals) == \
+            self.denied_walks(FlowCache(enabled=False))[:2]
+        assert refusals == [("file_read", "snoop",
+                             "read /users/bob refused")] * 3
+        # walk 1 computed "/" and "/users/bob" and hit "/users"; walks 2
+        # and 3 took all three verdicts, the deny too, from the cache
+        assert counted == (2, 7)
 
 
 class TestWriteProtection:

@@ -4,10 +4,12 @@ Two kernels — one with the default ``FlowCache``, one with a
 pass-through ``FlowCache(enabled=False)`` — are driven through the
 *same* randomly generated syscall history.  Every operation must agree:
 same success or same exception type with the same message, same final
-labels, same delivered payloads.  Hypothesis shrinks any divergence to
-a minimal witness.
+labels, same delivered payloads, same audit stream.  The histories
+interleave label changes with path walks and spawn fresh processes
+into label states the cache has already seen.  Hypothesis shrinks any
+divergence to a minimal witness.
 
-A separate regression class pins the invalidation contract: a verdict
+A separate regression class pins the keying contract: a verdict
 cached before a label-change syscall must never be served after it.
 """
 
@@ -16,23 +18,34 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fs import FsError, LabeledFileSystem
 from repro.kernel import Kernel, KernelError, RECV, SEND
 from repro.labels import CapabilitySet, FlowCache, Label, LabelError, minus, plus
 
+#: What a "walk" op reads or lists: public, secret, and a path that
+#: only resolves through the secret directory.
+WALK_PATHS = ("/pub/note", "/sec/note", "/sec", "/sec/missing")
+
 
 def build_system(kernel):
-    """One tainted source + three mules with graded privilege."""
+    """One tainted source + three mules with graded privilege, and a
+    filesystem with a public and a secret directory."""
     root = kernel.spawn_trusted("root")
     t = kernel.create_tag(root, purpose="secret")
+    fs = LabeledFileSystem(kernel)
+    fs.mkdir(root, "/pub")
+    fs.mkdir(root, "/sec", slabel=Label([t]))
+    fs.create(root, "/pub/note", "public")
+    fs.create(root, "/sec/note", "secret", slabel=Label([t]))
     procs = [kernel.spawn_trusted("source", slabel=Label([t]))]
     for i, caps in enumerate([CapabilitySet.EMPTY,
                               CapabilitySet([plus(t)]),
                               CapabilitySet([plus(t), minus(t)])]):
         procs.append(kernel.spawn_trusted(f"mule{i}", caps=caps))
-    return t, procs
+    return t, procs, fs
 
 
-def apply_op(kernel, t, procs, endpoints, op):
+def apply_op(kernel, t, procs, endpoints, op, fs=None):
     """Run one op; return a comparable outcome record."""
     kind = op[0]
     try:
@@ -74,8 +87,25 @@ def apply_op(kernel, t, procs, endpoints, op):
             p = procs[pi % len(procs)]
             kernel.drop_caps(p, [minus(t)])
             return ("dropped",)
+        elif kind == "spawn":
+            # a fresh process in an already-seen label state
+            _, pi = op
+            p = procs[pi % len(procs)]
+            fresh = kernel.spawn_trusted(f"fresh{len(procs)}",
+                                         slabel=p.slabel, ilabel=p.ilabel,
+                                         caps=p.caps)
+            procs.append(fresh)
+            endpoints[fresh.pid] = []
+            return ("spawned",)
+        elif kind == "walk":
+            _, pi, wi = op
+            p = procs[pi % len(procs)]
+            path = WALK_PATHS[wi % len(WALK_PATHS)]
+            if path == "/sec":
+                return ("listed", fs.listdir(p, path))
+            return ("read", fs.read(p, path), fs.exists(p, path))
         return ("noop",)
-    except (LabelError, KernelError) as e:
+    except (LabelError, KernelError, FsError) as e:
         # endpoint/message ids come from module-global counters the two
         # kernels share, so mask them: only the *shape* must agree
         return ("error", type(e).__name__, re.sub(r"#?\d+", "#", str(e)))
@@ -90,8 +120,16 @@ def ops():
     raise_ = st.tuples(st.just("raise"), st.integers(0, 3))
     lower = st.tuples(st.just("lower"), st.integers(0, 3))
     drop = st.tuples(st.just("drop"), st.integers(0, 3))
-    return st.lists(st.one_of(endpoint, send, recv, raise_, lower, drop),
+    spawn = st.tuples(st.just("spawn"), st.integers(0, 7))
+    walk = st.tuples(st.just("walk"), st.integers(0, 7), st.integers(0, 3))
+    return st.lists(st.one_of(endpoint, send, recv, raise_, lower, drop,
+                              spawn, walk),
                     max_size=50)
+
+
+def audit_stream(kernel):
+    return [(e.category, e.allowed, e.subject,
+             re.sub(r"#?\d+", "#", e.detail)) for e in kernel.audit]
 
 
 class TestCachedKernelIsEquivalent:
@@ -103,15 +141,16 @@ class TestCachedKernelIsEquivalent:
         assert cached.flow_cache.enabled
         assert not uncached.flow_cache.enabled
 
-        tc, procs_c = build_system(cached)
-        tu, procs_u = build_system(uncached)
+        tc, procs_c, fs_c = build_system(cached)
+        tu, procs_u, fs_u = build_system(uncached)
         eps_c = {p.pid: [] for p in procs_c}
         eps_u = {p.pid: [] for p in procs_u}
 
         for op in seed_ops:
-            out_c = apply_op(cached, tc, procs_c, eps_c, op)
-            out_u = apply_op(uncached, tu, procs_u, eps_u, op)
+            out_c = apply_op(cached, tc, procs_c, eps_c, op, fs_c)
+            out_u = apply_op(uncached, tu, procs_u, eps_u, op, fs_u)
             assert out_c == out_u, f"divergence on {op}"
+        assert audit_stream(cached) == audit_stream(uncached)
 
         # final states agree too
         for pc, pu in zip(procs_c, procs_u):
@@ -162,8 +201,9 @@ class TestInvalidationRegression:
         kernel.change_label(reader, secrecy=Label([t]))
         assert access.readable(reader, obj_s, obj_i,
                                cache=kernel.flow_cache)
-        stats = kernel.flow_cache.stats()
-        assert stats["invalidations"].get("label-change", 0) >= 1
+        # the raised label is a new state: its verdict is computed, not
+        # replayed from the old state's entry
+        assert kernel.flow_cache.stats()["misses"]["read"] == 2
 
     def test_drop_caps_invalidates_write_verdict(self):
         from repro.core import access
@@ -180,8 +220,7 @@ class TestInvalidationRegression:
         kernel.drop_caps(writer, [minus(t)])
         assert not access.writable(writer, obj_s, obj_i,
                                    cache=kernel.flow_cache)
-        assert kernel.flow_cache.stats()["invalidations"].get(
-            "drop-caps", 0) >= 1
+        assert kernel.flow_cache.stats()["misses"]["write"] == 2
 
     def test_create_tag_invalidates(self):
         from repro.core import access
@@ -197,5 +236,8 @@ class TestInvalidationRegression:
         u = kernel.create_tag(p, purpose="mine")
         assert access.readable(p, Label([u]), Label.EMPTY,
                                cache=kernel.flow_cache)
-        assert kernel.flow_cache.stats()["invalidations"].get(
-            "create-tag", 0) >= 1
+        # the grown capability set is a new state: the verdict for t
+        # recorded under the old one is recomputed, not replayed
+        assert not access.readable(p, Label([t]), Label.EMPTY,
+                                   cache=kernel.flow_cache)
+        assert kernel.flow_cache.stats()["misses"]["read"] == 3

@@ -4,7 +4,8 @@ Covers the two pillars of the fast-path label engine: (1) ``Label`` and
 ``CapabilitySet`` intern, so equal values are the *same object* and the
 cache may key on them forever; (2) ``FlowCache`` returns exactly what
 the uncached decision procedure returns, while counting hits, misses,
-and invalidations.
+and invalidations.  Storage verdicts key on the subject's label state,
+so they need no per-process invalidation.
 """
 
 import copy
@@ -15,6 +16,7 @@ import pytest
 from repro.labels import (CapabilitySet, FlowCache, Label, SecrecyViolation,
                           TagRegistry, can_flow, exportable_tags, minus, plus)
 from repro.labels import flow
+from repro.labels.cache import MAX_STATES
 
 
 @pytest.fixture
@@ -88,7 +90,6 @@ class _FakeSubject:
 
     def __init__(self, pid, slabel, ilabel, caps):
         self.pid = pid
-        self.label_epoch = 0
         self.slabel = slabel
         self.ilabel = ilabel
         self.caps = caps
@@ -162,29 +163,49 @@ class TestSubjectVerdicts:
         s = cache.stats()
         assert s["misses"]["read"] == 1 and s["hits"]["read"] == 49
 
-    def test_epoch_bump_drops_stale_verdicts(self, reg):
+    def test_state_verdicts_serve_a_fresh_process(self, reg):
+        t = reg.create()
+        state = (Label([t]), Label.EMPTY, CapabilitySet.EMPTY)
+        cache = FlowCache()
+        first = _FakeSubject(1, *state)
+        assert cache.readable(first, Label([t]), Label.EMPTY) is True
+        assert cache.writable(first, Label.EMPTY, Label.EMPTY) is False
+        # a fresh process (new pid) in the same label state
+        fresh = _FakeSubject(2, *state)
+        assert cache.readable(fresh, Label([t]), Label.EMPTY) is True
+        assert cache.writable(fresh, Label.EMPTY, Label.EMPTY) is False
+        s = cache.stats()
+        assert s["misses"] == {"read": 1, "write": 1}
+        assert s["hits"] == {"read": 1, "write": 1}
+
+    def test_label_change_reaches_a_different_entry(self, reg):
         t = reg.create()
         subj = _FakeSubject(1, Label.EMPTY, Label.EMPTY, CapabilitySet.EMPTY)
         cache = FlowCache()
         assert cache.readable(subj, Label([t]), Label.EMPTY) is False
-        # trusted code mutates the subject without a kernel syscall:
-        # the epoch is the only guard, and it must be enough
+        # trusted code assigns the label without a kernel syscall: the
+        # new state is a new key, so nothing stale can be served
         subj.slabel = Label([t])
-        subj.label_epoch += 1
         assert cache.readable(subj, Label([t]), Label.EMPTY) is True
-        assert cache.stats()["stale_drops"] == 1
+        subj.caps = CapabilitySet.owning(t)
+        subj.slabel = Label.EMPTY
+        assert cache.readable(subj, Label([t]), Label.EMPTY) is True
+        assert cache.stats()["misses"]["read"] == 3
+        # back in the first state, its verdict is served again
+        subj.caps = CapabilitySet.EMPTY
+        assert cache.readable(subj, Label([t]), Label.EMPTY) is False
+        assert cache.stats()["hits"]["read"] == 1
 
-    def test_invalidate_subject_observable(self, reg):
-        t = reg.create()
-        subj = _FakeSubject(7, Label([t]), Label.EMPTY,
-                            CapabilitySet.owning(t))
+    def test_table_never_exceeds_the_bound(self, reg):
         cache = FlowCache()
-        cache.readable(subj, Label([t]), Label.EMPTY)
-        cache.invalidate_subject(7, reason="label-change")
-        cache.invalidate_subject(7, reason="label-change")  # no entry: no-op
-        s = cache.stats()
-        assert s["invalidations"] == {"label-change": 1}
-        assert 7 not in cache._subjects
+        obj = Label([reg.create()])
+        for _ in range(3 * MAX_STATES + 1):
+            subj = _FakeSubject(1, Label([reg.create()]), Label.EMPTY,
+                                CapabilitySet.EMPTY)
+            cache.readable(subj, obj, Label.EMPTY)
+            cache.read_table(subj)
+            assert len(cache._subjects) <= MAX_STATES
+        assert cache.stats()["evictions"] == 3
 
     def test_invalidate_all_clears_everything(self, reg):
         t = reg.create()

@@ -11,6 +11,7 @@ import os
 import pickle
 import signal
 import threading
+import types
 from dataclasses import fields, replace
 
 import pytest
@@ -347,6 +348,35 @@ class TestDeadForkShard:
         assert clients[live].get("/app/blog/list").ok
         sp.shutdown()
         assert sp._engine._pids == []
+
+    def test_failures_leave_no_frame_cycle(self):
+        # a cycle between an RPC frame and the failure it raised keeps
+        # a dead shard's pickled op exported until a collection, which
+        # then frees it in an order that raises BufferError
+        sp, clients = build_sharded(2, engine="fork")
+        reqs = [HttpRequest("GET", "/app/blog/list",
+                            cookies=dict(clients[u].cookies))
+                for u in USERS]
+        assert all(r.ok for r in sp.handle_batch(reqs))
+        dead = sp.map.shard_of_user(USERS[0])
+        os.kill(sp._engine._pids[dead], signal.SIGKILL)
+        os.waitpid(sp._engine._pids[dead], 0)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with pytest.raises(ShardDown):
+                sp.handle_batch(reqs)
+            with pytest.raises(AttributeError):  # raised in the child
+                sp._engine.call(1 - dead, "no_such_method")
+            gc.collect()
+            cyclic = [o.f_code.co_name for o in gc.garbage
+                      if isinstance(o, types.FrameType)
+                      and o.f_code.co_name in ("_fan_out", "_recv")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            sp.shutdown()
+        assert cyclic == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
