@@ -3,9 +3,8 @@
 ``Provider.explain(app, viewer)`` dumps the compiled
 :class:`~repro.platform.plans.RequestPlan` for one (app, viewer) pair
 as a JSON-serializable dict — the launch capabilities, pool key,
-partition verdicts, egress verdict and the epoch stamps that guard the
-plan's validity.  This module turns a saved copy of that dict into the
-operator view::
+egress verdict and the epoch stamps that guard the plan's validity.
+This module turns a saved copy of that dict into the operator view::
 
     python -m repro.analysis plan explain.json
 
@@ -72,22 +71,6 @@ def render_plan(desc: dict[str, Any]) -> str:
             f"- capability index: {epochs.get('capindex')}",
             f"- export authority: {epochs.get('authority')}",
             f"- app registry: {epochs.get('registry')}"]
-
-    verdicts = desc.get("partition_verdicts", [])
-    if verdicts:
-        out += ["", "## Partition verdicts", ""]
-        for entry in verdicts:
-            subj = entry.get("subject", {})
-            out.append(f"- subject S={subj.get('slabel')} "
-                       f"I={subj.get('ilabel')} "
-                       f"({subj.get('caps', 0)} caps):")
-            for part in entry.get("partitions", []):
-                verdict = "read" if part.get("readable") else "skip"
-                out.append(f"  - {verdict}: S={part.get('slabel')} "
-                           f"I={part.get('ilabel')}")
-    else:
-        out += ["", "## Partition verdicts", "",
-                "- none cached yet (populated lazily as requests scan)"]
 
     config = desc.get("config")
     if config:

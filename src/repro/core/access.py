@@ -62,29 +62,16 @@ def readable_pairs(process: Process,
     """Batch form of :func:`readable`: one verdict per distinct
     ``(slabel, ilabel)`` pair.
 
-    The partitioned storage engine resolves visibility once per
-    *partition* through this helper, so a query's label cost scales
-    with distinct label pairs rather than rows.  With a cache the whole
-    batch rides the verdict entry of the process's label state
+    The grouped directory walk resolves visibility once per distinct
+    child label through this helper, so a listing's label cost scales
+    with distinct label pairs rather than entries.  With a cache the
+    whole batch rides the verdict entry of the process's label state
     (:meth:`~repro.labels.FlowCache.readable_many`).
     """
     if cache is not None:
         return cache.readable_many(process, pairs, category=category)
     return {key: can_read(key[0], key[1], process.slabel, process.ilabel,
                           process.caps)
-            for key in pairs}
-
-
-def writable_pairs(process: Process,
-                   pairs: "list[tuple[Label, Label]]",
-                   cache: Optional[FlowCache] = None,
-                   category: str = "write"
-                   ) -> dict[tuple[Label, Label], bool]:
-    """Batch form of :func:`writable` (see :func:`readable_pairs`)."""
-    if cache is not None:
-        return cache.writable_many(process, pairs, category=category)
-    return {key: can_write(key[0], key[1], process.slabel, process.ilabel,
-                           process.caps)
             for key in pairs}
 
 

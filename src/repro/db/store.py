@@ -59,7 +59,7 @@ from .errors import NoSuchRow, NoSuchTable, SchemaError, TableExists
 
 Predicate = Callable[[dict[str, Any]], bool]
 
-#: Sentinel namespacing the slot-aligned entries inside a table's
+#: Sentinel namespacing the partition-array entries inside a table's
 #: ``_cand_cache`` so they can never collide with an index choice key.
 _ARRAYS = object()
 
@@ -187,10 +187,6 @@ class LabeledStore:
     def __init__(self, kernel: Kernel, partitioned: bool = True) -> None:
         self.kernel = kernel
         self.partitioned = partitioned
-        #: Store-wide partition-slot registry: (slabel, ilabel) -> the
-        #: small int the dense verdict rows are indexed by.  Assigned
-        #: on first sight and never recycled (labels are interned).
-        self._slots: dict[tuple[Label, Label], int] = {}
         self._tables: dict[str, Table] = {}
         self._row_ids = itertools.count(1)
         #: Partition-scan observability (read via :meth:`stats`).
@@ -353,8 +349,7 @@ class LabeledStore:
     def update(self, process: Process, table_name: str,
                where: Optional[dict[str, Any]] = None,
                predicate: Optional[Predicate] = None,
-               changes: Optional[dict[str, Any]] = None,
-               plan: Optional[Any] = None) -> int:
+               changes: Optional[dict[str, Any]] = None) -> int:
         """Update every *visible and writable* matching row.
 
         Rows the caller cannot read are silently skipped (they are not
@@ -364,13 +359,12 @@ class LabeledStore:
         """
         with self.kernel.tracer.detail("db.update", table=table_name):
             return self._update(process, table_name, where, predicate,
-                                changes, plan)
+                                changes)
 
     def _update(self, process: Process, table_name: str,
                 where: Optional[dict[str, Any]],
                 predicate: Optional[Predicate],
-                changes: Optional[dict[str, Any]],
-                plan: Optional[Any] = None) -> int:
+                changes: Optional[dict[str, Any]]) -> int:
         if changes is None:
             raise SchemaError("update requires changes")
         table = self.table(table_name)
@@ -406,7 +400,7 @@ class LabeledStore:
         if self.partitioned:
             write_verdicts: dict[tuple[Label, Label], bool] = {}
             for row in self._visible_rows(
-                    process, table, where, predicate, plan)[0]:
+                    process, table, where, predicate)[0]:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
@@ -449,22 +443,20 @@ class LabeledStore:
 
     def delete(self, process: Process, table_name: str,
                where: Optional[dict[str, Any]] = None,
-               predicate: Optional[Predicate] = None,
-               plan: Optional[Any] = None) -> int:
+               predicate: Optional[Predicate] = None) -> int:
         """Delete every visible and writable matching row (count returned)."""
         with self.kernel.tracer.detail("db.delete", table=table_name):
-            return self._delete(process, table_name, where, predicate, plan)
+            return self._delete(process, table_name, where, predicate)
 
     def _delete(self, process: Process, table_name: str,
                 where: Optional[dict[str, Any]],
-                predicate: Optional[Predicate],
-                plan: Optional[Any] = None) -> int:
+                predicate: Optional[Predicate]) -> int:
         table = self.table(table_name)
         doomed = []
         if self.partitioned:
             write_verdicts: dict[tuple[Label, Label], bool] = {}
             for row in self._visible_rows(
-                    process, table, where, predicate, plan)[0]:
+                    process, table, where, predicate)[0]:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
@@ -617,30 +609,26 @@ class LabeledStore:
     def select(self, process: Process, table_name: str,
                where: Optional[dict[str, Any]] = None,
                predicate: Optional[Predicate] = None,
-               limit: Optional[int] = None,
-               plan: Optional[Any] = None) -> list[dict[str, Any]]:
+               limit: Optional[int] = None) -> list[dict[str, Any]]:
         """Label-filtered query: returns copies of visible matching rows.
 
         The result is *identical* to what it would be if invisible rows
-        did not exist — the covert-channel-free semantics.  ``plan`` is
-        an optional :class:`~repro.platform.plans.RequestPlan` whose
-        dense slot rows answer partition visibility instead of the flow
-        cache's verdict dicts (M12); it never changes which rows are
-        visible, only where the verdict is remembered.
+        did not exist — the covert-channel-free semantics.  Partition
+        visibility is decided by the flow cache's verdicts for the
+        process's label state (:meth:`_visible_rows`).
         """
         with self.kernel.tracer.detail("db.select", table=table_name):
             return self._select(process, table_name, where, predicate,
-                                limit, plan)
+                                limit)
 
     def _select(self, process: Process, table_name: str,
                 where: Optional[dict[str, Any]],
                 predicate: Optional[Predicate],
-                limit: Optional[int],
-                plan: Optional[Any] = None) -> list[dict[str, Any]]:
+                limit: Optional[int]) -> list[dict[str, Any]]:
         table = self.table(table_name)
         if self.partitioned:
             matches, scanned = self._scan_partitioned(
-                process, table, where, predicate, limit, plan)
+                process, table, where, predicate, limit)
         else:
             self.kernel.resources.charge(process, "db_queries", 1)
             matches, scanned = self._scan_naive(
@@ -675,8 +663,7 @@ class LabeledStore:
 
     def count(self, process: Process, table_name: str,
               where: Optional[dict[str, Any]] = None,
-              predicate: Optional[Predicate] = None,
-              plan: Optional[Any] = None) -> int:
+              predicate: Optional[Predicate] = None) -> int:
         """Label-filtered count (same visibility rule as select).
 
         Shares the scan core with :meth:`select` but never snapshots a
@@ -685,16 +672,15 @@ class LabeledStore:
         historical record shape).
         """
         with self.kernel.tracer.detail("db.count", table=table_name):
-            return self._count(process, table_name, where, predicate, plan)
+            return self._count(process, table_name, where, predicate)
 
     def _count(self, process: Process, table_name: str,
                where: Optional[dict[str, Any]],
-               predicate: Optional[Predicate],
-               plan: Optional[Any] = None) -> int:
+               predicate: Optional[Predicate]) -> int:
         table = self.table(table_name)
         if self.partitioned:
             matches, scanned = self._scan_partitioned(
-                process, table, where, predicate, None, plan)
+                process, table, where, predicate, None)
         else:
             self.kernel.resources.charge(process, "db_queries", 1)
             matches, scanned = self._scan_naive(
@@ -749,9 +735,7 @@ class LabeledStore:
     def _scan_partitioned(self, process: Process, table: Table,
                           where: Optional[dict[str, Any]],
                           predicate: Optional[Predicate],
-                          limit: Optional[int],
-                          plan: Optional[Any] = None
-                          ) -> tuple[list[Row], int]:
+                          limit: Optional[int]) -> tuple[list[Row], int]:
         """One visibility verdict per partition, one batched charge.
 
         Returns exactly the rows (in row-id order, honoring ``limit``)
@@ -763,7 +747,7 @@ class LabeledStore:
         engine's stopping point (a bisect, not a walk).
         """
         matches, idlists = self._visible_rows(process, table, where,
-                                              predicate, plan)
+                                              predicate)
         items: list[tuple[str, float]] = [("db_queries", 1.0)]
         scanned = 0
         if limit is not None and matches and len(matches) >= max(limit, 1):
@@ -789,35 +773,38 @@ class LabeledStore:
 
     def _visible_rows(self, process: Process, table: Table,
                       where: Optional[dict[str, Any]],
-                      predicate: Optional[Predicate],
-                      plan: Optional[Any]) -> tuple[list[Row], list]:
+                      predicate: Optional[Predicate]
+                      ) -> tuple[list[Row], list]:
         """Visible matching rows in row-id order plus the candidate id
         lists of every partition, with one read verdict per partition.
         Charges nothing: :meth:`_scan_partitioned` charges the scan,
         and update/delete never charged one.
 
-        The verdicts come from the bound plan's dense slot row or,
-        without a plan, from the flow cache's batched
-        :func:`~repro.core.access.readable_pairs`.  Both key on the
-        process's label state, so the fresh process a tainted request
-        spawned hits either way.
+        The verdicts are the flow cache's, keyed on the process's label
+        state, so the fresh process a tainted request spawned reuses
+        its predecessors' verdicts.  The scan fetches that state's read
+        table once (:meth:`~repro.labels.FlowCache.read_table`) and
+        probes it once per partition, as the file system's path walk
+        does; a miss goes through :func:`~repro.core.access.readable`,
+        which computes and stores the verdict.  A cached deny needs no
+        re-derivation: the scan skips the partition and never raises.
         """
-        pkeys, slots, idlists, prechecked = \
-            self._partition_arrays(table, where)
-        if plan is not None:
-            verdicts: Any = plan.read_verdict_row(process, pkeys, slots)
-            keys = slots
-        else:
-            verdicts = access.readable_pairs(process, pkeys,
-                                             cache=self.kernel.flow_cache,
-                                             category="db.read")
-            keys = pkeys
+        pkeys, idlists, prechecked = self._partition_arrays(table, where)
+        cache = self.kernel.flow_cache
+        known = cache.read_table(process)
+        hits = 0
         w = None if prechecked else where
         stats = self._stats
         rows = table.rows
         matches: list[Row] = []
-        for key, ids in zip(keys, idlists):
-            if not verdicts[key]:
+        for pkey, ids in zip(pkeys, idlists):
+            allowed = known.get(pkey) if known is not None else None
+            if allowed is None:
+                allowed = access.readable(process, pkey[0], pkey[1],
+                                          cache=cache, category="db.read")
+            else:
+                hits += 1
+            if not allowed:
                 stats["partitions_skipped"] += 1
                 stats["rows_skipped"] += len(ids)
                 continue
@@ -826,6 +813,8 @@ class LabeledStore:
                 row = rows.get(rid)
                 if row is not None and _matches(row, w, predicate):
                     matches.append(row)
+        if hits:
+            cache.count_hits("db.read", hits)
         matches.sort(key=lambda r: r.row_id)
         return matches, idlists
 
@@ -895,13 +884,12 @@ class LabeledStore:
 
     def _partition_arrays(self, table: Table,
                           where: Optional[dict[str, Any]]
-                          ) -> tuple[list, list, list]:
-        """Slot-aligned view of :meth:`_partition_candidates` for
-        :meth:`_visible_rows`: ``(pkeys, slots, idlists, prechecked)``
-        with the three lists aligned index-for-index and ``slots``
-        drawn from the store-wide registry.  ``prechecked``
-        is True when the where clause is a single column answered by
-        that column's index — every candidate id then satisfies it by
+                          ) -> tuple[list, list, bool]:
+        """List view of :meth:`_partition_candidates` for
+        :meth:`_visible_rows`: ``(pkeys, idlists, prechecked)`` with
+        the two lists aligned index-for-index.  ``prechecked`` is True
+        when the where clause is a single column answered by that
+        column's index — every candidate id then satisfies it by
         construction, and the scan loop can skip re-verifying it row
         by row.  Memoized alongside the candidate mapping (same
         invalidation: any membership change clears the table's cache).
@@ -910,7 +898,7 @@ class LabeledStore:
         column/value pairs), not the index choice: :meth:`_best_index`
         re-walks bucket sizes to pick the smallest, and on a warm
         table that walk is the single most expensive step of a hot
-        planned scan.  The signature determines the choice until any
+        scan.  The signature determines the choice until any
         membership change — which clears this memo too.
         """
         cache = table._cand_cache
@@ -927,17 +915,9 @@ class LabeledStore:
             if cached is not None:
                 return cached
         parts = self._partition_candidates(table, where)
-        slot_of = self._slots
-        pkeys = list(parts)
-        slots = []
-        for pkey in pkeys:
-            slot = slot_of.get(pkey)
-            if slot is None:
-                slot = slot_of[pkey] = len(slot_of)
-            slots.append(slot)
         prechecked = (bool(where) and len(where) == 1
                       and next(iter(where)) in table.indexes)
-        arrays = (pkeys, slots, list(parts.values()), prechecked)
+        arrays = (list(parts), list(parts.values()), prechecked)
         if wkey is not None:
             cache[wkey] = arrays
         return arrays
@@ -959,19 +939,11 @@ def _matches(row: Row, where: Optional[dict[str, Any]],
 
 
 class DbView:
-    """A store handle bound to one process (mirrors :class:`FsView`).
+    """A store handle bound to one process (mirrors :class:`FsView`)."""
 
-    ``plan`` optionally binds a compiled
-    :class:`~repro.platform.plans.RequestPlan` (M12) so label-filtered
-    reads answer partition visibility from the plan's dense slot rows
-    instead of the flow cache's verdict dicts.
-    """
-
-    def __init__(self, store: LabeledStore, process: Process,
-                 plan: Optional[Any] = None) -> None:
+    def __init__(self, store: LabeledStore, process: Process) -> None:
         self._store = store
         self._process = process
-        self._plan = plan
 
     def create_table(self, name: str, indexes: Iterable[str] = ()) -> Table:
         return self._store.create_table(self._process, name, indexes=indexes)
@@ -987,20 +959,16 @@ class DbView:
         return self._store.insert(self._process, table, values, **kw)
 
     def select(self, table: str, **kw: Any) -> list[dict[str, Any]]:
-        return self._store.select(self._process, table, plan=self._plan,
-                                  **kw)
+        return self._store.select(self._process, table, **kw)
 
     def update(self, table: str, **kw: Any) -> int:
-        return self._store.update(self._process, table, plan=self._plan,
-                                  **kw)
+        return self._store.update(self._process, table, **kw)
 
     def delete(self, table: str, **kw: Any) -> int:
-        return self._store.delete(self._process, table, plan=self._plan,
-                                  **kw)
+        return self._store.delete(self._process, table, **kw)
 
     def count(self, table: str, **kw: Any) -> int:
-        return self._store.count(self._process, table, plan=self._plan,
-                                 **kw)
+        return self._store.count(self._process, table, **kw)
 
     def get(self, table: str, row_id: int) -> dict[str, Any]:
         return self._store.get(self._process, table, row_id)

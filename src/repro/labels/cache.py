@@ -27,7 +27,7 @@ Two layers
   whose labels change simply looks up a different state, and a fresh
   process in an already-seen state (every request spawns one) reuses
   the verdicts its predecessors computed.  The table keeps at most
-  :data:`MAX_STATES` states and clears on overflow.
+  :data:`MAX_STATES` states and evicts the oldest on overflow.
 
 Only :meth:`FlowCache.invalidate_all` ever drops entries for
 correctness: a registry restore or journal replay rewires tag
@@ -55,11 +55,11 @@ from .label import Label
 LatencyObserver = Callable[[str, float], None]
 
 #: Bound on the subject-verdict table: distinct label states kept
-#: before it clears, the bound the request plans use too
-#: (:data:`repro.platform.plans._MAX_STATES`).  At 256 states each fork
-#: shard kept about 1 MiB more; at 16, ``labeled_write``'s edit and
-#: read-back states thrash.
-MAX_STATES = 64
+#: before the oldest is evicted.  It must hold one batch's working set:
+#: a ``policy_churn`` batch of 64 viewers touches 65 states, so at 64
+#: the partition scans of every batch miss.  Each fork shard keeps
+#: about 1 MiB more at 128 than at 64 (``shard_batch`` ``peak_rss_mb``).
+MAX_STATES = 128
 
 
 class Subject(Protocol):
@@ -111,6 +111,8 @@ class FlowCache:
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._invalidations: dict[str, int] = {}
+        #: Pure-memo and per-state verdict tables cleared on overflow,
+        #: plus label states evicted from the subject table.
         self._evictions = 0
         #: Bumped by every :meth:`invalidate_all`.  Derived caches that
         #: sit on top of this one (the kernel's compiled
@@ -295,7 +297,7 @@ class FlowCache:
         entry = subjects.get(state)
         if entry is None:
             if len(subjects) >= MAX_STATES:
-                subjects.clear()
+                del subjects[next(iter(subjects))]
                 self._evictions += 1
             entry = subjects[state] = _SubjectEntry()
         return entry
@@ -308,7 +310,7 @@ class FlowCache:
         ``None`` when the cache is disabled or an observer is attached:
         then every check must take the per-check path.  The table is
         only valid while the subject's labels stay put, so a caller
-        must not keep it past one walk.  Hits taken from it are
+        must not keep it past one walk or scan.  Hits taken from it are
         reported through :meth:`count_hits`.
         """
         if not self.enabled or self.observer is not None:
@@ -376,7 +378,7 @@ class FlowCache:
         return value
 
     # ------------------------------------------------------------------
-    # batched subject verdicts (the partition-scan fast path)
+    # batched subject verdicts (the grouped directory walk)
     # ------------------------------------------------------------------
 
     def readable_many(self, subject: Subject,
@@ -387,42 +389,29 @@ class FlowCache:
 
         Semantically identical to calling :meth:`readable` per pair,
         but the subject entry is fetched once for the whole batch —
-        this is what the label-partitioned storage engine calls with
-        one pair per *partition*, so a scan's label cost is
-        O(distinct labels), not O(rows).
+        the grouped directory walk calls it with one pair per distinct
+        child label, so a directory's label cost is O(distinct labels),
+        not O(children).
         """
         if self.observer is not None:
             return self._observed(category, lambda: self._many(
-                subject, pairs, category, write=False))
-        return self._many(subject, pairs, category, write=False)
+                subject, pairs, category))
+        return self._many(subject, pairs, category)
 
-    def writable_many(self, subject: Subject,
-                      pairs: "list[tuple[Label, Label]]",
-                      category: str = "write"
-                      ) -> dict[tuple[Label, Label], bool]:
-        """Batched :meth:`writable` (same contract as
-        :meth:`readable_many`)."""
-        if self.observer is not None:
-            return self._observed(category, lambda: self._many(
-                subject, pairs, category, write=True))
-        return self._many(subject, pairs, category, write=True)
-
-    def _many(self, subject: Subject, pairs, category: str,
-              write: bool) -> dict[tuple[Label, Label], bool]:
-        decide = flow.can_write if write else flow.can_read
+    def _many(self, subject: Subject, pairs,
+              category: str) -> dict[tuple[Label, Label], bool]:
         if not self.enabled:
-            return {key: decide(key[0], key[1], subject.slabel,
-                                subject.ilabel, subject.caps)
+            return {key: flow.can_read(key[0], key[1], subject.slabel,
+                                       subject.ilabel, subject.caps)
                     for key in pairs}
-        entry = self._subject_entry(subject)
-        table = entry.write if write else entry.read
+        table = self._subject_entry(subject).read
         out: dict[tuple[Label, Label], bool] = {}
         for key in pairs:
             cached = table.get(key)
             if cached is None:
                 self._miss(category)
-                cached = decide(key[0], key[1], subject.slabel,
-                                subject.ilabel, subject.caps)
+                cached = flow.can_read(key[0], key[1], subject.slabel,
+                                       subject.ilabel, subject.caps)
                 if len(table) >= self.max_entries:
                     table.clear()
                     self._evictions += 1

@@ -3,11 +3,12 @@
 A provider runs on one of two planes:
 
 * ``"fast"`` (the default, :meth:`ProviderConfig.fast`) — the engine a
-  production deployment runs: compiled request plans with array-backed
-  partition verdicts, batched resource charges, lazy audit rendering,
-  compiled label transitions, the memoized launch-capability index and
-  authority oracle, process recycling, the label-partitioned store and
-  the write-ahead journal with O(dirty) snapshots.
+  production deployment runs: compiled request plans, the flow
+  cache's label-state verdicts, batched resource charges, lazy audit
+  rendering, compiled label transitions, the memoized
+  launch-capability index and authority oracle, process recycling,
+  the label-partitioned store and the write-ahead journal with
+  O(dirty) snapshots.
 * ``"oracle"`` (:meth:`ProviderConfig.oracle`) — the paper's semantics
   executed the slow, obviously-correct way: the per-row store scan,
   eager audit, no memos, no process pool, full snapshots only.  It is

@@ -1,25 +1,25 @@
 """Compiled request plans: the M12 dispatch fast path.
 
 The hot request is fully memoized by M8–M11 — the LaunchCapIndex, the
-authority memo, the flow cache's subject verdicts and the partition
-verdicts each answer in O(1) — but the pipeline still *interprets* its
-way through them: resolve the app, hash (app, viewer) into the cap
-index, batch partition verdicts through the flow cache's
-per-state dicts, then re-derive the viewer's export authority.  A
-:class:`RequestPlan` compiles all of that, once per (app, viewer)
-pair, into one record of inputs for the request pipeline:
+authority memo and the flow cache's subject verdicts each answer in
+O(1) — but the pipeline still *interprets* its way through them:
+resolve the app, hash (app, viewer) into the cap index, then re-derive
+the viewer's export authority.  A :class:`RequestPlan` compiles that,
+once per (app, viewer) pair, into one record of inputs for the request
+pipeline:
 
 * the resolved :class:`~repro.platform.registry.AppModule`;
 * the launch :class:`~repro.labels.CapabilitySet` and the shared
   process name the pool checks out under;
-* value-keyed partition read verdicts — keyed by the *label state*
-  ``(slabel, ilabel, caps)``, like the flow cache's, so fresh processes
-  (the tainted-read steady state) reuse them across requests; the row
-  is dense, indexed by the store's partition slot;
 * the viewer's precomputed export authority.
 
-Validity is epoch-guarded by the exact invalidation hooks the four
-memo layers already fire: :class:`LaunchCapIndex.epoch` covers
+A plan holds no read verdicts: the partition scans the handler runs
+take theirs from the flow cache, keyed on the process's label state,
+so fresh processes (the tainted-read steady state) reuse them across
+requests.
+
+Validity is epoch-guarded by the exact invalidation hooks the memo
+layers below it already fire: :class:`LaunchCapIndex.epoch` covers
 enable/disable/delete-account/group events/restore,
 ``DeclassificationService.authority_epoch`` covers grant/revoke/config
 updates (befriend/unfriend), and ``Registry.epoch`` covers uploads and
@@ -45,17 +45,11 @@ from __future__ import annotations
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..labels import CapabilitySet, Label
-from ..labels.flow import can_read
 
 if TYPE_CHECKING:  # pragma: no cover
     from .accounts import UserAccount
     from .provider import Provider
     from .registry import AppModule
-
-#: Bound on the lazily-grown verdict rows: label *states* a process can
-#: be in while running one app (untainted + one per author read).
-#: Overflow clears — plans are caches.
-_MAX_STATES = 64
 
 
 class RequestPlan:
@@ -63,7 +57,7 @@ class RequestPlan:
 
     __slots__ = ("app_ref", "viewer", "app", "account", "caps",
                  "process_name", "authority", "cap_epoch", "auth_epoch",
-                 "reg_epoch", "_slot_rows", "_slot_pkeys", "_row_memo")
+                 "reg_epoch")
 
     def __init__(self, app_ref: str, viewer: Optional[str],
                  app: "AppModule", account: "Optional[UserAccount]",
@@ -85,15 +79,6 @@ class RequestPlan:
         self.cap_epoch = cap_epoch
         self.auth_epoch = auth_epoch
         self.reg_epoch = reg_epoch
-        #: (slabel, ilabel, caps) -> dense verdict list indexed by the
-        #: store's small-int partition slot.
-        self._slot_rows: dict[tuple, list] = {}
-        #: slot -> partition key, maintained on miss so describe() can
-        #: render the dense rows by partition.
-        self._slot_pkeys: dict[int, tuple] = {}
-        #: Last (state, slots-list, row) served by read_verdict_row —
-        #: the steady state repeats one (state, where) pair per request.
-        self._row_memo: Optional[tuple] = None
 
     # -- validity -------------------------------------------------------
 
@@ -102,76 +87,10 @@ class RequestPlan:
                 and self.auth_epoch == provider.declass.authority_epoch
                 and self.reg_epoch == provider.apps.epoch)
 
-    # -- partition verdicts --------------------------------------------
-
-    def read_verdict_row(self, process: Any, pkeys: list,
-                         slots: list) -> list:
-        """Read verdicts for a partition scan, keyed by the process's
-        *label state* rather than its pid.
-
-        ``slots[i]`` is the store-assigned small-int slot of partition
-        ``pkeys[i]``; the returned dense list answers ``row[slots[i]]``
-        so the scan inner loop indexes a list instead of probing a
-        dict.  ``can_read`` is a pure function of (object labels,
-        subject labels, subject caps); with every participant interned,
-        the verdict for a state is a theorem that can never go stale
-        while the tag namespace lives (a registry restore rewires tag
-        identity, but it also bumps the cap-index epoch, which retires
-        this whole plan).  That makes the row safe to share across the
-        fresh processes that a tainted request path spawns every
-        request.  The flow cache keys its verdicts the same way; this
-        row differs only in being dense, indexed by slot.
-
-        The single-entry memo keys on the *identity* of the ``slots``
-        list: the store memoizes the slot arrays per where-signature
-        and rebuilds them on any membership change, so the same list
-        object guarantees the same slots — and a row already verified
-        to cover them can be returned without the per-slot walk.
-        """
-        slabel = process.slabel
-        ilabel = process.ilabel
-        caps = process.caps
-        state = (slabel, ilabel, caps)
-        memo = self._row_memo
-        if memo is not None and memo[1] is slots and memo[0] == state:
-            return memo[2]
-        rows = self._slot_rows
-        row = rows.get(state)
-        if row is None:
-            if len(rows) >= _MAX_STATES:
-                rows.clear()
-            row = rows[state] = []
-        slot_pkeys = self._slot_pkeys
-        for i, slot in enumerate(slots):
-            if slot >= len(row):
-                row.extend([None] * (slot + 1 - len(row)))
-            if row[slot] is None:
-                pkey = pkeys[i]
-                row[slot] = can_read(pkey[0], pkey[1],
-                                     slabel, ilabel, caps)
-                slot_pkeys[slot] = pkey
-        self._row_memo = (state, slots, row)
-        return row
-
     # -- inspection (Provider.explain / the analysis CLI) --------------
 
     def describe(self) -> dict[str, Any]:
         """A serializable rendering of the compiled plan."""
-        verdicts = []
-        for state, row in self._slot_rows.items():
-            table = {self._slot_pkeys[slot]: allowed
-                     for slot, allowed in enumerate(row)
-                     if allowed is not None}
-            verdicts.append({
-                "subject": {"slabel": repr(state[0]),
-                            "ilabel": repr(state[1]),
-                            "caps": len(state[2])},
-                "partitions": [
-                    {"slabel": repr(pkey[0]), "ilabel": repr(pkey[1]),
-                     "readable": allowed}
-                    for pkey, allowed in sorted(
-                        table.items(), key=lambda kv: repr(kv[0]))],
-            })
         return {
             "app": {"name": self.app.name, "version": self.app.version,
                     "developer": self.app.developer},
@@ -191,7 +110,6 @@ class RequestPlan:
             "epochs": {"capindex": self.cap_epoch,
                        "authority": self.auth_epoch,
                        "registry": self.reg_epoch},
-            "partition_verdicts": verdicts,
         }
 
 

@@ -733,9 +733,7 @@ class Provider:
         release, and the taint stamped on the internal response.
 
         The one launch body for both planes.  A compiled ``plan``
-        supplies the process name every request it serves shares, and
-        its label-state partition verdicts for the scans the handler
-        runs.
+        supplies the process name every request it serves shares.
         """
         name = f"app:{app.name}" if plan is None else plan.process_name
         process = self.kernel.pool.checkout(name, caps=caps,
@@ -744,7 +742,7 @@ class Provider:
         ctx = AppContext(self, app,
                          sys=self.kernel.syscalls_for(process),
                          fs=FsView(self.fs, process),
-                         db=DbView(self.db, process, plan=plan),
+                         db=DbView(self.db, process),
                          request=request, viewer=viewer)
         try:
             result = app.handler(ctx)
@@ -908,10 +906,10 @@ class Provider:
     def explain(self, app_ref: str,
                 viewer: Optional[str] = None) -> dict[str, Any]:
         """The compiled :class:`RequestPlan` for (app, viewer), as a
-        serializable dict — caps, labels, partition verdicts, egress
-        verdict, epoch stamps.  Works whether or not planned dispatch
-        is enabled (the plan is compiled on demand), so the fast path
-        is inspectable rather than opaque.  Rendered by
+        serializable dict — caps, labels, egress verdict, epoch
+        stamps.  Works whether or not planned dispatch is enabled (the
+        plan is compiled on demand), so the fast path is inspectable
+        rather than opaque.  Rendered by
         ``python -m repro.analysis plan``.
         """
         plan = self.plans.lookup(app_ref, viewer)

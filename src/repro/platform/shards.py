@@ -842,7 +842,12 @@ class ShardedProvider:
 
     @property
     def usage_edges(self) -> list:
-        return self.shards[0].usage_edges
+        """Every shard's observed (app, module) usage, in shard order.
+        Read through the engine: a request records its edge on the
+        shard that served it, in a child process under the fork
+        engine."""
+        return [edge for edges in self._engine.broadcast("usage_edges.copy")
+                for edge in edges]
 
     def merged_audit(self) -> MergedAuditView:
         """The deterministic ``(shard, seq)`` merge of every shard's

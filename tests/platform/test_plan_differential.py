@@ -13,17 +13,23 @@ entrypoint is checked against sequential dispatch on the fast plane,
 byte for byte, and a rate-limited pair of raw providers must agree on
 every 429 and admission audit record.
 
-A second class pins each plan-invalidation edge individually:
+A crowd history drives more viewer label states than the flow cache's
+state table holds, so eviction runs under the same comparison.
+
+A further class pins each plan-invalidation edge individually:
 befriend/unfriend (authority epoch), app disable (cap-index epoch),
 account deletion (cap-index epoch), upload/fork (registry epoch), and
 a journal-replay restore (which rewires tag identity wholesale).
 """
+
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import install_standard_apps
 from repro.core import W5System
+from repro.labels.cache import MAX_STATES
 from repro.net import ExternalClient, HttpRequest
 from repro.platform import Provider, ProviderConfig
 
@@ -275,6 +281,46 @@ class TestM14FastPathsAreByteIdentical:
         # the generation guard flushed and re-primed the cache
         assert kernel._transitions_gen == kernel.flow_cache.generation
         assert kernel._transitions
+
+
+#: Enough users that reading every author's list as every viewer puts
+#: more than MAX_STATES (viewer caps, author taint) states through the
+#: fast plane's flow cache.
+CROWD = tuple(f"c{i:02d}" for i in range(isqrt(MAX_STATES) + 1))
+
+
+def build_crowd(config: ProviderConfig = ProviderConfig.fast()
+                ) -> W5System:
+    w5 = W5System(name="crowd", config=config)
+    for user in CROWD:
+        w5.add_user(user, apps=("blog",))
+    for user in CROWD[::2]:
+        w5.befriend(user, CROWD[-1])
+    return w5
+
+
+def crowd_op(w5: W5System, op) -> tuple:
+    kind, viewer, author = op
+    client = w5.client(viewer)
+    if kind == "post":
+        r = client.get("/app/blog/post", title=f"by-{viewer}", body="b")
+    else:
+        r = client.get("/app/blog/list", author=author)
+    return (r.status, r.body)
+
+
+class TestStateEvictionIsByteIdentical:
+    def test_more_states_than_the_table_holds(self):
+        pair = PlanePair(build_crowd)
+        for user in CROWD:
+            pair.run(crowd_op, ("post", user, user))
+        cross = [(v, a) for v in CROWD for a in CROWD]
+        assert len(cross) > MAX_STATES
+        # the second pass revisits states the first one evicted
+        for viewer, author in cross + cross[::-1]:
+            pair.run(crowd_op, ("list", viewer, author))
+        pair.assert_equivalent()
+        assert pair.fast.provider.kernel.flow_cache.stats()["evictions"] > 0
 
 
 class TestPlanInvalidation:

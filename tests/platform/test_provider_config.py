@@ -175,3 +175,5 @@ class TestExplain:
         assert config_part
         assert "None" not in plan_part
         assert "## Admission" not in out
+        # read verdicts live in the flow cache, not in the plan
+        assert "## Partition verdicts" not in out

@@ -11,6 +11,10 @@ concerns, so ``TestScopedAuthority`` also pins what that scope must
 cover (a group policy shared inside another owner's combinator), what
 it may cost (one owner's grants), its bounded dirty log, and a
 Hypothesis history checked against the oracle plane after every step.
+
+Partition scans take their read verdicts from the flow cache's
+label-state table, so ``TestScanVerdictBound`` pins that the table holds
+one batch's working set.
 """
 
 import pytest
@@ -22,6 +26,8 @@ from repro.platform import ProviderConfig
 from repro.declassify import AnyOf, Declassifier, TimeEmbargo
 from repro.declassify.service import DIRTY_LOG_EPOCHS
 from repro.labels import minus, plus
+from repro.labels.cache import MAX_STATES
+from repro.net import HttpRequest
 
 from .._differential import PlanePair
 
@@ -357,3 +363,36 @@ class TestMetricsObservation:
                 "audit_dropped"} <= set(snap)
         assert snap["pool"]["enabled"]
         assert snap["launch_caps"]["misses"] >= 1
+
+
+class TestScanVerdictBound:
+    #: One ``policy_churn`` batch: 64 viewers plus the probe, one label
+    #: state each.  A table of 64 states cleared on overflow lost every
+    #: verdict between two such batches.
+    VIEWERS = 65
+
+    def test_second_batch_scans_from_the_table(self):
+        assert self.VIEWERS >= MAX_STATES // 2 + 1
+        w5 = W5System(name="bound", config=ProviderConfig.fast())
+        users = [f"u{i:03d}" for i in range(self.VIEWERS)]
+        for u in users:
+            assert w5.add_user(u, apps=("blog",)).get(
+                "/app/blog/post", title="t", body="b").ok
+        provider = w5.provider
+        tokens = {u: provider.sessions.login(u, "pw").token for u in users}
+        batch = [HttpRequest(method="GET", path="/app/blog/list",
+                             params={"author": u},
+                             cookies={"w5_session": tokens[u]})
+                 for u in users]
+        cache = provider.kernel.flow_cache
+
+        def misses():
+            return cache.stats()["misses"].get("db.read", 0)
+
+        assert all(r.status == 200 for r in provider.handle_batch(batch))
+        cold = misses()
+        assert cold >= self.VIEWERS  # one fresh state per viewer
+        hits = cache.stats()["hits"].get("db.read", 0)
+        assert all(r.status == 200 for r in provider.handle_batch(batch))
+        assert misses() == cold
+        assert cache.stats()["hits"]["db.read"] - hits >= self.VIEWERS

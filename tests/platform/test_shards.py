@@ -320,6 +320,44 @@ class TestControlPlane:
         assert desc["plane"] == "fast"
 
 
+class TestUsageEdges:
+    """Observed module usage is recorded on the shard that served the
+    request, so the router must gather it from every shard."""
+
+    USERS = [f"user{i}" for i in range(8)]
+
+    def _build(self, config):
+        # users homed off shard 0 prefer crop-smart: their usage edges
+        # exist only on the other shard
+        smart = {u for u in self.USERS if ShardMap(2).shard_of_user(u)}
+        assert smart and len(smart) < len(self.USERS)
+        w5 = W5System(name="edges", config=config)
+        for u in self.USERS:
+            c = w5.add_user(u, apps=("photo-share",))
+            assert c.get("/app/photo-share/upload", filename="a.jpg",
+                         data="RAW").ok
+            if u in smart:
+                assert c.post("/policy/prefer", params={
+                    "slot": "cropper", "module": "crop-smart"}).ok
+            assert c.get("/app/photo-share/crop", filename="a.jpg").ok
+        return w5
+
+    @pytest.mark.parametrize("engine", [
+        "serial",
+        pytest.param("fork", marks=pytest.mark.skipif(
+            not hasattr(os, "fork"), reason="needs os.fork"))])
+    def test_every_shards_edges_reach_code_search(self, engine):
+        plain = self._build(ProviderConfig.fast())
+        w5 = self._build(ProviderConfig.sharded(2, shard_engine=engine))
+        try:
+            edges = w5.provider.usage_edges
+            assert len(edges) == len(self.USERS)
+            assert sorted(edges) == sorted(plain.provider.usage_edges)
+            assert w5.code_search(k=50) == plain.code_search(k=50)
+        finally:
+            w5.provider.shutdown()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestDeadForkShard:
     def test_killed_child_raises_shard_down(self):
