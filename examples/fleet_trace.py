@@ -87,6 +87,9 @@ def sharded_batch_trace() -> list[dict]:
     print("-> prometheus exposition (first lines):")
     for line in exposition.splitlines()[:6]:
         print(f"   {line}")
+    spans = [line for line in exposition.splitlines()
+             if line.startswith("w5_span_latency_seconds_count")]
+    print(f"-> {len(spans)} span-latency series, e.g. {spans[0]}")
     print(f"-> health: {registry.health_report()['state']}")
     return batches
 

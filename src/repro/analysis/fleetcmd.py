@@ -8,8 +8,8 @@ deployment) renders into tables and states::
     python -m repro.analysis metrics fleet.json --prometheus
     python -m repro.analysis fleet fleet.json
 
-``metrics`` prints the merged audit counters and per-category latency
-percentiles; ``--prometheus`` re-renders the same snapshot as the text
+``metrics`` prints the merged audit counters and per-span latency
+percentiles (the members' tracer histograms); ``--prometheus`` re-renders the same snapshot as the text
 exposition (:func:`repro.obs.prometheus_text`).  ``fleet`` adds the
 health rollup: every provider/shard/link with its ok/degraded/down
 state and the reasons behind anything non-ok.
@@ -47,16 +47,16 @@ def counters_table(counters: dict[str, int]) -> str:
 
 
 def latency_table(latency: dict[str, dict[str, Any]]) -> str:
-    lines = ["| category | count | mean | p50 | p95 | p99 | max |",
+    lines = ["| span | count | mean | p50 | p95 | p99 | max |",
              "|---|---|---|---|---|---|---|"]
     rows = sorted(latency.items(),
                   key=lambda kv: -kv[1].get("total_s", 0.0))
-    for category, snap in rows:
+    for span, snap in rows:
         h = LatencyHistogram.from_snapshot(snap)
         if not h.count:
             continue
         lines.append(
-            f"| `{category}` | {h.count} "
+            f"| `{span}` | {h.count} "
             f"| {h.total / h.count * 1e6:.1f}µs "
             f"| {h.percentile(0.5) * 1e6:.1f}µs "
             f"| {h.percentile(0.95) * 1e6:.1f}µs "
@@ -77,7 +77,7 @@ def render_metrics(doc: dict[str, Any]) -> str:
                 counters_table(counters)]
     latency = snapshot.get("latency", {})
     if latency:
-        out += ["", "## Merged flow latency", "", latency_table(latency)]
+        out += ["", "## Merged span latency", "", latency_table(latency)]
     if not counters and not latency:
         out += ["", "(no samples recorded)"]
     return "\n".join(out)

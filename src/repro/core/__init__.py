@@ -8,10 +8,10 @@ guards shared by the filesystem and database.
 from . import access
 from .journal import (Journal, JournalRecord, ReplayReport,
                       decode_payload, encode_payload)
-from .metrics import FederationStatsSource, Metrics
+from .metrics import Metrics
 from .snapshot import Snapshotable
 from .system import W5System
 
 __all__ = ["access", "Journal", "JournalRecord", "ReplayReport",
            "decode_payload", "encode_payload",
-           "Metrics", "FederationStatsSource", "Snapshotable", "W5System"]
+           "Metrics", "Snapshotable", "W5System"]

@@ -404,9 +404,8 @@ class LabeledStore:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
-                    allowed = access.writable(
-                        process, row.slabel, row.ilabel,
-                        cache=self.kernel.flow_cache, category="db.write")
+                    allowed = self.kernel.flow_cache.writable(
+                        process, row.slabel, row.ilabel, category="db.write")
                     write_verdicts[pkey] = allowed
                 if not allowed:
                     self._refuse_write(process, row, table_name, "update")
@@ -414,9 +413,8 @@ class LabeledStore:
                 updated += 1
         else:
             for row in self._candidate_rows(process, table, where):
-                if not access.readable(process, row.slabel, row.ilabel,
-                                       cache=self.kernel.flow_cache,
-                                       category="db.read"):
+                if not self.kernel.flow_cache.readable(
+                        process, row.slabel, row.ilabel, category="db.read"):
                     continue
                 if not _matches(row, where, predicate):
                     continue
@@ -460,18 +458,16 @@ class LabeledStore:
                 pkey = row.partition_key()
                 allowed = write_verdicts.get(pkey)
                 if allowed is None:
-                    allowed = access.writable(
-                        process, row.slabel, row.ilabel,
-                        cache=self.kernel.flow_cache, category="db.write")
+                    allowed = self.kernel.flow_cache.writable(
+                        process, row.slabel, row.ilabel, category="db.write")
                     write_verdicts[pkey] = allowed
                 if not allowed:
                     self._refuse_write(process, row, table_name, "delete")
                 doomed.append(row)
         else:
             for row in self._candidate_rows(process, table, where):
-                if not access.readable(process, row.slabel, row.ilabel,
-                                       cache=self.kernel.flow_cache,
-                                       category="db.read"):
+                if not self.kernel.flow_cache.readable(
+                        process, row.slabel, row.ilabel, category="db.read"):
                     continue
                 if not _matches(row, where, predicate):
                     continue
@@ -701,9 +697,8 @@ class LabeledStore:
         table = self.table(table_name)
         self.kernel.resources.charge(process, "db_queries", 1)
         row = table.rows.get(row_id)
-        if row is None or not access.readable(
-                process, row.slabel, row.ilabel,
-                cache=self.kernel.flow_cache, category="db.read"):
+        if row is None or not self.kernel.flow_cache.readable(
+                process, row.slabel, row.ilabel, category="db.read"):
             raise NoSuchRow(f"{table_name}#{row_id}")
         return row.snapshot()
 
@@ -721,9 +716,8 @@ class LabeledStore:
         for row in self._candidate_rows(process, table, where):
             scanned += 1
             self.kernel.resources.charge(process, "db_rows_scanned", 1)
-            if not access.readable(process, row.slabel, row.ilabel,
-                                   cache=self.kernel.flow_cache,
-                                   category="db.read"):
+            if not self.kernel.flow_cache.readable(
+                    process, row.slabel, row.ilabel, category="db.read"):
                 continue
             if not _matches(row, where, predicate):
                 continue
@@ -785,8 +779,9 @@ class LabeledStore:
         its predecessors' verdicts.  The scan fetches that state's read
         table once (:meth:`~repro.labels.FlowCache.read_table`) and
         probes it once per partition, as the file system's path walk
-        does; a miss goes through :func:`~repro.core.access.readable`,
-        which computes and stores the verdict.  A cached deny needs no
+        does; a miss goes through
+        :meth:`~repro.labels.FlowCache.readable`, which computes and
+        stores the verdict.  A cached deny needs no
         re-derivation: the scan skips the partition and never raises.
         """
         pkeys, idlists, prechecked = self._partition_arrays(table, where)
@@ -798,10 +793,10 @@ class LabeledStore:
         rows = table.rows
         matches: list[Row] = []
         for pkey, ids in zip(pkeys, idlists):
-            allowed = known.get(pkey) if known is not None else None
+            allowed = known.get(pkey)
             if allowed is None:
-                allowed = access.readable(process, pkey[0], pkey[1],
-                                          cache=cache, category="db.read")
+                allowed = cache.readable(process, pkey[0], pkey[1],
+                                         category="db.read")
             else:
                 hits += 1
             if not allowed:

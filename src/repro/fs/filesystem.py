@@ -206,8 +206,7 @@ class LabeledFileSystem:
                 if not isinstance(node, Directory):
                     raise NotADirectory(
                         "/" + "/".join(parts[:i]) + " is not a directory")
-                if table is not None and \
-                        table.get((node.slabel, node.ilabel)) is True:
+                if table.get((node.slabel, node.ilabel)) is True:
                     hits += 1
                 else:
                     self._check_read(process, node, "/" + "/".join(parts[:i]))
@@ -462,7 +461,7 @@ class LabeledFileSystem:
         With ``grouped_walk`` (the default) each directory's children
         are grouped by their ``(slabel, ilabel)`` pair and visibility
         is resolved once per distinct pair
-        (:func:`repro.core.access.readable_pairs`); unreadable nodes
+        (:meth:`repro.labels.FlowCache.readable_many`); unreadable nodes
         are pruned at pop time with the same audit refusal record the
         naive traversal emits, but without re-deriving the full
         violation per node.  Yield order and the audit stream are
@@ -483,9 +482,9 @@ class LabeledFileSystem:
                     for name, child in sorted(current.entries.items()):
                         stack.append((f"{prefix}/{name}", child))
             return
-        root_ok = access.readable(process, node.slabel, node.ilabel,
-                                  cache=self.kernel.flow_cache,
-                                  category="fs.read")
+        cache = self.kernel.flow_cache
+        root_ok = cache.readable(process, node.slabel, node.ilabel,
+                                 category="fs.read")
         gstack: list[tuple[str, Inode, bool]] = [(root_key, node, root_ok)]
         while gstack:
             prefix, current, ok = gstack.pop()
@@ -500,9 +499,8 @@ class LabeledFileSystem:
             if isinstance(current, Directory) and current.entries:
                 children = sorted(current.entries.items())
                 pairs = {(c.slabel, c.ilabel) for _, c in children}
-                verdicts = access.readable_pairs(process, list(pairs),
-                                                 cache=self.kernel.flow_cache,
-                                                 category="fs.read")
+                verdicts = cache.readable_many(process, list(pairs),
+                                               category="fs.read")
                 self._stats["label_batches"] += 1
                 for name, child in children:
                     gstack.append((f"{prefix}/{name}", child,

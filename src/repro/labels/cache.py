@@ -44,15 +44,11 @@ allow/deny matches.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Protocol
 
 from . import flow
 from .capabilities import CapabilitySet
 from .label import Label
-
-#: Signature of the optional latency observer: (category, seconds).
-LatencyObserver = Callable[[str, float], None]
 
 #: Bound on the subject-verdict table: distinct label states kept
 #: before the oldest is evicted.  It must hold one batch's working set:
@@ -92,12 +88,10 @@ class FlowCache:
     is cleared (O(1) amortized, no LRU bookkeeping on the hot path).
     """
 
-    def __init__(self, enabled: bool = True, max_entries: int = 65536,
-                 observer: Optional[LatencyObserver] = None) -> None:
+    def __init__(self, enabled: bool = True,
+                 max_entries: int = 65536) -> None:
         self.enabled = enabled
         self.max_entries = max_entries
-        #: Optional latency sink, set by Metrics.attach_flow_cache.
-        self.observer = observer
         # pure memos
         self._secrecy: dict[tuple, bool] = {}
         self._integrity: dict[tuple, bool] = {}
@@ -134,22 +128,6 @@ class FlowCache:
         if len(table) >= self.max_entries:
             table.clear()
             self._evictions += 1
-
-    def _observed(self, category: str, fn: Callable[[], Any]) -> Any:
-        """Run ``fn``, reporting its latency to the attached observer.
-
-        Used by the raising/consumer-facing checks so Metrics can track
-        per-category flow-check latency; zero overhead beyond one
-        attribute test when no observer is attached.
-        """
-        obs = self.observer
-        if obs is None:
-            return fn()
-        t0 = perf_counter()
-        try:
-            return fn()
-        finally:
-            obs(category, perf_counter() - t0)
 
     def _memo(self, table: dict, key: tuple, category: str,
               compute: Callable[[], Any]) -> Any:
@@ -227,13 +205,8 @@ class FlowCache:
         precise :class:`SecrecyViolation`/:class:`IntegrityViolation`
         (with the offending tag ids) through the uncached path, so the
         diagnostics are identical to a cache-free kernel's."""
-        if self.observer is not None:
-            allowed = self._observed(category, lambda: self.can_flow(
-                s_from, i_from, s_to, i_to, d_from, d_to, category=category))
-        else:
-            allowed = self.can_flow(s_from, i_from, s_to, i_to, d_from, d_to,
-                                    category=category)
-        if allowed:
+        if self.can_flow(s_from, i_from, s_to, i_to, d_from, d_to,
+                         category=category):
             return
         flow.check_flow(s_from, i_from, s_to, i_to, d_from, d_to, what=what)
         raise AssertionError(
@@ -275,13 +248,6 @@ class FlowCache:
                            category: str = "export") -> Label:
         """Memoized :func:`repro.labels.flow.exportable_tags` — the
         gateway/email perimeter check."""
-        if self.observer is not None:
-            return self._observed(category, lambda: self._exportable_residue(
-                s, caps, category))
-        return self._exportable_residue(s, caps, category)
-
-    def _exportable_residue(self, s: Label, caps: CapabilitySet,
-                            category: str) -> Label:
         if not self.enabled:
             return flow.exportable_tags(s, caps)
         return self._memo(self._residue, (s, caps), category,
@@ -303,18 +269,18 @@ class FlowCache:
         return entry
 
     def read_table(self, subject: Subject
-                   ) -> Optional[dict[tuple[Label, Label], bool]]:
+                   ) -> dict[tuple[Label, Label], bool]:
         """The read verdicts of ``subject``'s current label state, for a
         caller that probes many objects in a row (a path walk).
 
-        ``None`` when the cache is disabled or an observer is attached:
-        then every check must take the per-check path.  The table is
-        only valid while the subject's labels stay put, so a caller
-        must not keep it past one walk or scan.  Hits taken from it are
-        reported through :meth:`count_hits`.
+        A disabled cache returns a fresh empty dict, so every probe
+        misses and takes the per-check path.  The table is only valid
+        while the subject's labels stay put, so a caller must not keep
+        it past one walk or scan.  Hits taken from it are reported
+        through :meth:`count_hits`.
         """
-        if not self.enabled or self.observer is not None:
-            return None
+        if not self.enabled:
+            return {}
         return self._subject_entry(subject).read
 
     def count_hits(self, category: str, n: int) -> None:
@@ -323,14 +289,8 @@ class FlowCache:
 
     def readable(self, subject: Subject, slabel: Label, ilabel: Label,
                  category: str = "read") -> bool:
-        """Cached storage read verdict (files and rows share the rule)."""
-        if self.observer is not None:
-            return self._observed(category, lambda: self._readable(
-                subject, slabel, ilabel, category))
-        return self._readable(subject, slabel, ilabel, category)
-
-    def _readable(self, subject: Subject, slabel: Label, ilabel: Label,
-                  category: str) -> bool:
+        """Cached storage read verdict (files and rows share the rule,
+        :func:`repro.labels.flow.can_read`)."""
         if not self.enabled:
             return flow.can_read(slabel, ilabel, subject.slabel,
                                  subject.ilabel, subject.caps)
@@ -351,14 +311,8 @@ class FlowCache:
 
     def writable(self, subject: Subject, slabel: Label, ilabel: Label,
                  category: str = "write") -> bool:
-        """Cached storage write verdict."""
-        if self.observer is not None:
-            return self._observed(category, lambda: self._writable(
-                subject, slabel, ilabel, category))
-        return self._writable(subject, slabel, ilabel, category)
-
-    def _writable(self, subject: Subject, slabel: Label, ilabel: Label,
-                  category: str) -> bool:
+        """Cached storage write verdict
+        (:func:`repro.labels.flow.can_write`)."""
         if not self.enabled:
             return flow.can_write(slabel, ilabel, subject.slabel,
                                   subject.ilabel, subject.caps)
@@ -393,13 +347,6 @@ class FlowCache:
         child label, so a directory's label cost is O(distinct labels),
         not O(children).
         """
-        if self.observer is not None:
-            return self._observed(category, lambda: self._many(
-                subject, pairs, category))
-        return self._many(subject, pairs, category)
-
-    def _many(self, subject: Subject, pairs,
-              category: str) -> dict[tuple[Label, Label], bool]:
         if not self.enabled:
             return {key: flow.can_read(key[0], key[1], subject.slabel,
                                        subject.ilabel, subject.caps)
@@ -445,8 +392,8 @@ class FlowCache:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Counters for metrics/benchmarks (see
-        :meth:`repro.core.metrics.Metrics.cache_snapshot`)."""
+        """Counters for operators and benchmarks (the ``flow`` branch of
+        :meth:`repro.platform.Provider.stats`)."""
         return {
             "hits": dict(self._hits),
             "misses": dict(self._misses),

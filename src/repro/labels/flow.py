@@ -93,9 +93,9 @@ def can_read(obj_s: Label, obj_i: Label, subj_s: Label, subj_i: Label,
     * secrecy: ``S_obj ⊆ S_subj`` extended only by fully-owned tags;
     * integrity: ``I_subj − D⁻ ⊆ I_obj`` (read-down waivable with w-).
 
-    This is the single normative definition;
-    :func:`repro.core.access.readable` and the memoized
-    :meth:`repro.labels.cache.FlowCache.readable` both delegate here.
+    This is the single normative definition; the memoized
+    :meth:`repro.labels.cache.FlowCache.readable` and
+    :func:`repro.core.access.check_read` both delegate here.
     """
     readable_as = subj_s | caps.owned_tags()
     return (can_flow_secrecy(obj_s, readable_as)

@@ -22,16 +22,18 @@ half of ``repro.obs`` (M16), three coupled pieces:
 
 * **Fleet metrics.**  :class:`FleetRegistry` attaches every member's
   :class:`~repro.core.metrics.Metrics` and exactly-merges audit
-  counters and the log2 :class:`~repro.obs.histogram.LatencyHistogram`
-  s (bucket-wise addition — merged percentiles equal the percentiles
-  of the union of observations).  It renders JSON snapshots, delta
+  counters and each member's span-latency
+  :class:`~repro.obs.histogram.LatencyHistogram` s (bucket-wise
+  addition through :func:`~repro.obs.histogram.merge_histograms` —
+  merged percentiles equal the percentiles of the union of
+  observations).  It renders JSON snapshots, delta
   snapshots between scrapes, and a Prometheus-style text exposition
   (:func:`prometheus_text`, round-trippable through
   :func:`parse_prometheus`).
 
 * **Health.**  :func:`provider_health` derives ok/degraded gauges from
-  state every provider already keeps — journal byte lag since the
-  last checkpoint, process-pool occupancy, plan-cache hit ratio,
+  the provider's ``stats()`` tree — journal byte lag since the last
+  checkpoint, process-pool occupancy, plan-cache hit ratio,
   audit-ring drops — and :func:`fabric_health` rolls per-provider
   states and per-link :class:`~repro.core.journal.JournalCursor`
   staleness into one ``ok``/``degraded``/``down`` report that
@@ -49,7 +51,7 @@ from collections import Counter
 from typing import Any, Iterator, Optional
 
 from .export import trace_to_dict
-from .histogram import LatencyHistogram
+from .histogram import LatencyHistogram, merge_histograms
 from .trace import Trace, TraceContext, Tracer
 
 __all__ = [
@@ -123,12 +125,13 @@ class RemoteCapture:
 # ----------------------------------------------------------------------
 
 class FleetRegistry:
-    """Merged counters and histograms across a fleet of Metrics.
+    """Merged counters and span histograms across a fleet of Metrics.
 
     Attach one :class:`~repro.core.metrics.Metrics` per member (a
-    shard, a provider, a gateway tier); reads merge on demand —
-    counters by addition, latency histograms bucket-exactly — so the
-    fleet view never goes stale and members never synchronize.
+    shard, a provider, a gateway tier), each attached to its
+    provider's tracer; reads merge on demand — counters by addition,
+    span-latency histograms bucket-exactly — so the fleet view never
+    goes stale and members never synchronize.
 
     Health sources (anything with a ``health_report()`` — a
     ``ShardedProvider``, a ``FederationFabric``) attach separately via
@@ -173,21 +176,15 @@ class FleetRegistry:
         return merged
 
     def merged_latency(self) -> dict[str, LatencyHistogram]:
-        """Per-category latency histograms merged bucket-exactly.
+        """Per-span-name latency histograms merged bucket-exactly.
 
         The merge is exact (bucket-wise addition), so percentiles read
         from the result equal percentiles of a histogram fed the union
         of every member's observations — the property test in
         ``tests/obs/test_fleet.py`` pins this.
         """
-        merged: dict[str, LatencyHistogram] = {}
-        for _, metrics in self._sorted_members():
-            for category, hist in metrics.latency_histograms().items():
-                acc = merged.get(category)
-                if acc is None:
-                    acc = merged[category] = LatencyHistogram()
-                acc.merge(hist)
-        return merged
+        return merge_histograms(metrics.latency_histograms()
+                                for _, metrics in self._sorted_members())
 
     def _flat_counters(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -204,9 +201,8 @@ class FleetRegistry:
         return {
             "members": self.members(),
             "counters": self._flat_counters(),
-            "latency": {category: hist.snapshot()
-                        for category, hist
-                        in sorted(self.merged_latency().items())},
+            "latency": {name: hist.snapshot()
+                        for name, hist in self.merged_latency().items()},
             "per_member": {name: metrics.snapshot()
                            for name, metrics in self._sorted_members()},
         }
@@ -218,11 +214,11 @@ class FleetRegistry:
         so the delta is a plain subtraction; zero-delta keys are
         dropped.  Histogram shapes don't subtract meaningfully (the
         buckets do, but a scraper wants rates), so latency reports the
-        per-category observation-count delta.
+        per-span observation-count delta.
         """
         counters = self._flat_counters()
-        observations = {category: hist.count
-                        for category, hist in self.merged_latency().items()}
+        observations = {name: hist.count
+                        for name, hist in self.merged_latency().items()}
         delta = {
             "counters": {k: v - self._last_counters.get(k, 0)
                          for k, v in sorted(counters.items())
@@ -264,9 +260,10 @@ def prometheus_text(snapshot: dict[str, Any], prefix: str = "w5") -> str:
     """Render a :meth:`FleetRegistry.snapshot` as Prometheus text.
 
     Counters become ``{prefix}_audit_total{category=...,verdict=...}``;
-    merged latency histograms become the standard cumulative-bucket
-    triplet (``_bucket``/``_sum``/``_count``) with ``le`` edges at the
-    log2 bucket boundaries.  Output is deterministic (sorted) and
+    merged span histograms become ``{prefix}_span_latency_seconds``,
+    the standard cumulative-bucket triplet (``_bucket``/``_sum``/
+    ``_count``) labelled ``span=...`` with ``le`` edges at the log2
+    bucket boundaries.  Output is deterministic (sorted) and
     round-trips through :func:`parse_prometheus`.
     """
     lines: list[str] = []
@@ -282,9 +279,9 @@ def prometheus_text(snapshot: dict[str, Any], prefix: str = "w5") -> str:
                 f'verdict="{verdict}"}} {n}')
     latency = snapshot.get("latency", {})
     if latency:
-        name = f"{prefix}_flow_latency_seconds"
+        name = f"{prefix}_span_latency_seconds"
         lines.append(f"# TYPE {name} histogram")
-        for category, snap in sorted(latency.items()):
+        for span, snap in sorted(latency.items()):
             cumulative = 0
             buckets = snap.get("buckets") or {}
             for index in sorted(int(i) for i in buckets):
@@ -292,13 +289,13 @@ def prometheus_text(snapshot: dict[str, Any], prefix: str = "w5") -> str:
                                   if str(index) in buckets
                                   else buckets[index])
                 lines.append(
-                    f'{name}_bucket{{category="{category}",'
+                    f'{name}_bucket{{span="{span}",'
                     f'le="{_bucket_le(index)}"}} {cumulative}')
-            lines.append(f'{name}_bucket{{category="{category}",'
+            lines.append(f'{name}_bucket{{span="{span}",'
                          f'le="+Inf"}} {snap.get("count", cumulative)}')
-            lines.append(f'{name}_sum{{category="{category}"}} '
+            lines.append(f'{name}_sum{{span="{span}"}} '
                          f'{snap.get("total_s", 0.0)!r}')
-            lines.append(f'{name}_count{{category="{category}"}} '
+            lines.append(f'{name}_count{{span="{span}"}} '
                          f'{snap.get("count", cumulative)}')
     return "\n".join(lines) + "\n"
 
@@ -345,7 +342,8 @@ def _worst(states: Any) -> str:
 def provider_health(provider: Any,
                     journal_lag_limit: int = JOURNAL_LAG_DEGRADED_BYTES
                     ) -> dict[str, Any]:
-    """One provider's gauges + readiness, from state it already keeps.
+    """One provider's gauges + readiness, read from its ``stats()``
+    tree (:meth:`repro.platform.Provider.stats`).
 
     Gauges: journal bytes since the last checkpoint (lag — ``None``
     without a durability manager), process-pool occupancy (idle
@@ -355,27 +353,26 @@ def provider_health(provider: Any,
     accountability record is no longer complete); ``down`` never
     originates here — only a fabric knows a provider is unreachable.
     """
-    kernel = provider.kernel
-    manager = provider._durability
-    journal_lag = (None if manager is None
-                   else manager.journal.stats()["size_bytes"])
-    plans = provider.plans.stats()
+    stats = provider.stats()
+    journal_lag = stats["persistence"].get("size_bytes")
+    plans = stats["plans"]
     decided = plans.get("hits", 0) + plans.get("misses", 0)
-    pool = kernel.pool.stats()
+    pool = stats["pool"]
+    dropped = stats["audit"]["dropped"]
     gauges: dict[str, Any] = {
         "journal_lag_bytes": journal_lag,
         "pool_idle": pool.get("idle", 0),
         "pool_reuses": pool.get("reuses", 0),
         "plan_cache_hit_ratio": (plans.get("hits", 0) / decided
                                  if decided else None),
-        "audit_dropped": kernel.audit.dropped,
+        "audit_dropped": dropped,
     }
     reasons: list[str] = []
     if journal_lag is not None and journal_lag > journal_lag_limit:
         reasons.append(f"journal lag {journal_lag}B exceeds "
                        f"{journal_lag_limit}B (compaction overdue)")
-    if kernel.audit.dropped:
-        reasons.append(f"audit ring dropped {kernel.audit.dropped} events")
+    if dropped:
+        reasons.append(f"audit ring dropped {dropped} events")
     return {"state": "degraded" if reasons else "ok",
             "reasons": reasons, "gauges": gauges}
 

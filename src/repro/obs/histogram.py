@@ -27,7 +27,7 @@ compatibly; the percentile keys ride alongside.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, Union
 
 #: Number of power-of-two buckets: bucket i covers [2^i, 2^(i+1)) ns,
 #: bucket 0 additionally absorbs 0 ns.  2^63 ns is ~292 years, so the
@@ -184,3 +184,23 @@ class LatencyHistogram:
         d = self.as_dict()
         return (f"LatencyHistogram(n={self.count}, "
                 f"p50={d['p50_us']:.1f}us, p99={d['p99_us']:.1f}us)")
+
+
+def merge_histograms(tables: Iterable[Mapping[str, Union[
+        LatencyHistogram, dict[str, Any]]]]) -> dict[str, LatencyHistogram]:
+    """Merge name -> histogram tables into fresh histograms, sorted by
+    name.  A table may hold live histograms (an in-process tracer's) or
+    their :meth:`~LatencyHistogram.snapshot` dicts (one that crossed a
+    pipe or a JSON dump).  Bucket-wise addition is exact, so merged
+    percentiles equal those of one histogram fed every observation;
+    the inputs are never mutated."""
+    merged: dict[str, LatencyHistogram] = {}
+    for table in tables:
+        for name, hist in table.items():
+            if isinstance(hist, dict):
+                hist = LatencyHistogram.from_snapshot(hist)
+            acc = merged.get(name)
+            if acc is None:
+                acc = merged[name] = LatencyHistogram()
+            acc.merge(hist)
+    return dict(sorted(merged.items()))

@@ -439,6 +439,10 @@ class Tracer:
     def histogram(self, name: str) -> Optional[LatencyHistogram]:
         return self._histograms.get(name)
 
+    def histograms(self) -> dict[str, LatencyHistogram]:
+        """Every span name's live histogram (the dict is a copy)."""
+        return dict(self._histograms)
+
     def stats(self) -> dict[str, int]:
         return {
             "traces_started": self.traces_started,
@@ -491,6 +495,9 @@ class NullTracer:
 
     def histogram(self, name: str) -> None:
         return None
+
+    def histograms(self) -> dict[str, Any]:
+        return {}
 
     def stats(self) -> dict[str, int]:
         return {"traces_started": 0, "traces_finished": 0,

@@ -10,11 +10,18 @@ A provider runs on one of two planes:
   the label-partitioned store and the write-ahead journal with
   O(dirty) snapshots.
 * ``"oracle"`` (:meth:`ProviderConfig.oracle`) — the paper's semantics
-  executed the slow, obviously-correct way: the per-row store scan,
-  eager audit, no memos, no process pool, full snapshots only.  It is
-  the single reference the fast plane is checked against: responses,
-  charges, denials and audit streams must match (the differential
-  helper in ``tests/_differential.py`` states the comparison).
+  executed the slow, obviously-correct way: the per-row store scan and
+  per-node fs walk, eager audit, no compiled plans, no transition,
+  launch-capability or authority memos, no process pool, full
+  snapshots only.  It is the single reference the fast plane is
+  checked against: responses, charges, denials and audit streams must
+  match (the differential helper in ``tests/_differential.py`` states
+  the comparison).
+
+  The oracle's kernel still runs the default, enabled flow cache, so
+  the fast-vs-oracle comparison does not check the flow cache against
+  an uncached reference; ``tests/kernel/test_cache_differential.py``
+  does that at the kernel level, with ``FlowCache(enabled=False)``.
 
 :meth:`Provider.__init__ <repro.platform.provider.Provider>` is the one
 place that turns the plane into component arguments.  The remaining

@@ -77,7 +77,8 @@ class Provider:
         #: oracle plane every component runs its reference path (the
         #: per-row store scan and per-node fs walk, eager audit, no
         #: transition/launch-cap/authority memos, no compiled plans, no
-        #: process pool, no journal).
+        #: process pool, no journal) — except the kernel's flow cache,
+        #: which stays on for both (see repro.platform.config).
         self.config = config = config if config is not None \
             else ProviderConfig()
         fast = config.plane == "fast"
@@ -226,13 +227,37 @@ class Provider:
                 # stitched trace_report merges exactly (M16)
                 "histograms": {
                     name: hist.snapshot() for name, hist
-                    in sorted(self.tracer._histograms.items())},
+                    in sorted(self.tracer.histograms().items())},
                 "recorder": self.recorder.dump()}
 
+    def stats(self) -> dict[str, Any]:
+        """Every plane's counters in one tree: the flow cache, compiled
+        plans, the launch-capability index, the authority memo, the
+        process pool, the data plane (``db``/``fs``) and the durability
+        plane (each its component's own ``stats()``), plus the gateway
+        edge's and the audit ring's counters.  The operator view and
+        :func:`repro.obs.fleet.provider_health` read it."""
+        kernel, gateway = self.kernel, self.gateway
+        return {
+            "flow": kernel.flow_cache.stats(),
+            "plans": self.plans.stats(),
+            "launch_caps": self.capindex.stats(),
+            "authority": self.declass.authority_stats(),
+            "pool": kernel.pool.stats(),
+            "db": self.db.stats(),
+            "fs": self.fs.stats(),
+            "persistence": self.persistence_stats(),
+            "gateway": {"exports_allowed": gateway.exports_allowed,
+                        "exports_denied": gateway.exports_denied,
+                        "rate_limited": gateway.rate_limited},
+            "audit": {"recorded": kernel.audit.total_recorded,
+                      "dropped": kernel.audit.dropped},
+        }
+
     def health_report(self) -> dict[str, Any]:
-        """Readiness gauges from state the provider already keeps:
-        journal byte lag, pool occupancy, plan-cache hit ratio, audit
-        drops (M16; see :func:`repro.obs.fleet.provider_health`)."""
+        """Readiness gauges read from :meth:`stats`: journal byte lag,
+        pool occupancy, plan-cache hit ratio, audit drops (M16; see
+        :func:`repro.obs.fleet.provider_health`)."""
         from ..obs.fleet import provider_health
         return provider_health(self)
 

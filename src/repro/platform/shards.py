@@ -58,8 +58,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from ..errors import ShardDown, W5Error
 from ..kernel.audit import AuditEvent
 from ..net import SESSION_COOKIE, HttpRequest, HttpResponse
-from ..obs import NULL_TRACER, FlightRecorder, LatencyHistogram, Tracer
+from ..obs import NULL_TRACER, FlightRecorder, Tracer
 from ..obs.fleet import _worst
+from ..obs.histogram import merge_histograms
 from ..obs.trace import TraceContext
 from .config import ProviderConfig
 from .provider import Provider
@@ -881,7 +882,9 @@ class ShardedProvider:
 
         ``stats``/``latencies``/``histograms`` are exact merges across
         every shard plus the router itself (histograms merge
-        bucket-wise through their snapshots, so the numbers are
+        bucket-wise from the shards' snapshots through
+        :func:`~repro.obs.histogram.merge_histograms`, the helper
+        :class:`~repro.obs.FleetRegistry` uses, so the numbers are
         identical whether the shards ran in-process or behind the fork
         engine's pipe).  ``router`` carries the router tracer's own
         counters and its flight recorder — whose ``router.batch``
@@ -895,29 +898,21 @@ class ShardedProvider:
             return {"tracing": False}
         stats = {"traces_started": 0, "traces_finished": 0,
                  "spans_dropped": 0}
-        merged: dict[str, LatencyHistogram] = {}
         sources = [r for r in shard_reports if r.get("tracing")]
         if self.tracer.enabled:
             sources.append({"stats": self.tracer.stats(),
-                            "histograms": {
-                                name: hist.snapshot() for name, hist
-                                in self.tracer._histograms.items()}})
+                            "histograms": self.tracer.histograms()})
         for report in sources:
             for key in stats:
                 stats[key] += report["stats"].get(key, 0)
-            for name, snap in report.get("histograms", {}).items():
-                hist = LatencyHistogram.from_snapshot(snap)
-                if name in merged:
-                    merged[name].merge(hist)
-                else:
-                    merged[name] = hist
+        merged = merge_histograms(r.get("histograms", {}) for r in sources)
         report: dict[str, Any] = {
             "tracing": True,
             "stats": stats,
             "latencies": {name: hist.as_dict()
-                          for name, hist in sorted(merged.items())},
+                          for name, hist in merged.items()},
             "histograms": {name: hist.snapshot()
-                           for name, hist in sorted(merged.items())},
+                           for name, hist in merged.items()},
         }
         if self.tracer.enabled and self.recorder is not None:
             report["router"] = {"stats": self.tracer.stats(),
@@ -946,11 +941,16 @@ class ShardedProvider:
         }
 
     def stats(self) -> dict[str, Any]:
+        """The router's own counters plus every shard's
+        :meth:`Provider.stats` tree under ``per_shard``, asked of the
+        shard itself: under the fork engine that is the child's live
+        state, not the parent's pre-fork copy."""
         return {
             "shards": self.n_shards,
             "engine": self.engine_name,
             "routed": list(self.routed),
             "tokens_tracked": len(self._token_shard),
+            "per_shard": self._engine.broadcast("stats"),
         }
 
     def shutdown(self) -> None:

@@ -80,9 +80,11 @@ class TestWriteDeniedFamily:
         t = kernel.create_tag(root, purpose="secret")
         tainted = kernel.spawn_trusted("tainted", slabel=Label([t]))
         with pytest.raises(WriteDenied):
-            access.check_write(tainted, Label.EMPTY, Label.EMPTY, "obj")
+            access.check_write(tainted, Label.EMPTY, Label.EMPTY, "obj",
+                               cache=kernel.flow_cache)
         with pytest.raises(SecrecyViolation):
-            access.check_write(tainted, Label.EMPTY, Label.EMPTY, "obj")
+            access.check_write(tainted, Label.EMPTY, Label.EMPTY, "obj",
+                               cache=kernel.flow_cache)
 
 
 class TestNotFoundFamily:

@@ -211,13 +211,10 @@ class TestPartitionPersistence:
 class TestMetricsObservation:
     def test_data_plane_snapshot(self):
         from repro import W5System
-        from repro.core import Metrics
         w5 = W5System(name="m9-metrics")
-        m = Metrics(w5.audit()).attach_data_plane(w5.provider)
-        snap = m.data_plane_snapshot()
+        snap = w5.provider.stats()
         assert snap["db"]["partitioned"] is True
         assert snap["fs"]["grouped_walk"] is True
-        assert Metrics(w5.audit()).data_plane_snapshot() == {}
 
     def test_engine_flags_thread_through_system(self):
         from repro import W5System

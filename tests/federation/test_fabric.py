@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import Metrics
 from repro.federation import (FederationFabric, ProviderDown, SyncError,
                               converged)
 from repro.platform import NoSuchUser, ProviderConfig
@@ -166,7 +165,7 @@ class TestFailureRecovery:
 
 
 class TestObservability:
-    def test_metrics_attach_fabric(self, fabric):
+    def test_fabric_federation_stats(self, fabric):
         from repro.fs import FsView
         home, mirror = setup_mirrored_user(fabric)
         fabric.store_user_data("bob", "f", "x" * 100)
@@ -177,9 +176,7 @@ class TestObservability:
         FsView(provider.fs, agent).write("/users/bob/f", "y" * 120)
         provider.kernel.exit(agent)
         fabric.sync_user("bob")  # delta round: moves via envelopes
-        metrics = Metrics(fabric.provider(home).kernel.audit)
-        metrics.attach(fabric)
-        snap = metrics.federation_snapshot()
+        snap = fabric.federation_stats()
         assert snap["providers"] == 4 and snap["links"] == 1
         assert snap["transfers"] == 2
         assert snap["envelopes_sent"] == 1
@@ -188,11 +185,10 @@ class TestObservability:
         assert per_link["delta_sync"] is True
         assert per_link["full_recons"] == 1 and per_link["delta_rounds"] == 1
 
-    def test_metrics_attach_single_link(self, fabric):
+    def test_link_federation_stats(self, fabric):
         home, mirror = setup_mirrored_user(fabric)
         link = fabric.link_between(home, mirror)
-        metrics = Metrics(fabric.provider(home).kernel.audit).attach(link)
-        assert metrics.federation_snapshot()["linked_users"] == 1
+        assert link.federation_stats()["linked_users"] == 1
 
     def test_envelope_dedup_counts(self, fabric):
         """A file rewritten with identical bytes is suppressed at the

@@ -124,30 +124,24 @@ class TestMetrics:
     def test_gateway_snapshot(self):
         from repro import W5System
         w5 = W5System()
-        metrics = Metrics(w5.audit())
-        assert metrics.gateway_snapshot() == {}  # nothing attached yet
-        metrics.attach_gateway(w5.provider.gateway)
+        assert w5.provider.stats()["gateway"] == {
+            "exports_allowed": 0, "exports_denied": 0, "rate_limited": 0}
         bob = w5.add_user("bob", apps=["blog"])
         eve = w5.add_user("eve", apps=["blog"])
         bob.get("/app/blog/post", title="t", body="b")
         eve.get("/app/blog/read", author="bob", title="t")
-        snap = metrics.gateway_snapshot()
+        snap = w5.provider.stats()["gateway"]
         assert snap["exports_allowed"] >= 1
         assert snap["exports_denied"] >= 1
         assert snap["rate_limited"] == 0
 
-    def test_attach_methods_all_chain(self):
+    def test_stats_tree_has_every_plane(self):
         from repro import W5System
         w5 = W5System()
-        metrics = (Metrics(w5.audit())
-                   .attach_flow_cache(w5.provider.kernel.flow_cache)
-                   .attach_request_plane(w5.provider)
-                   .attach_data_plane(w5.provider)
-                   .attach_persistence(w5.provider)
-                   .attach_gateway(w5.provider.gateway))
         w5.add_user("bob", apps=["blog"])
-        assert metrics.cache_snapshot()
-        assert metrics.request_plane_snapshot()
-        assert metrics.data_plane_snapshot()
-        assert metrics.persistence_snapshot()
-        assert "exports_allowed" in metrics.gateway_snapshot()
+        stats = w5.provider.stats()
+        assert set(stats) == {"flow", "plans", "launch_caps", "authority",
+                              "pool", "db", "fs", "persistence",
+                              "gateway", "audit"}
+        assert all(isinstance(branch, dict) for branch in stats.values())
+        assert stats["audit"]["recorded"] > 0

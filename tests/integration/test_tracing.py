@@ -167,22 +167,3 @@ class TestDisabledPath:
         assert w5.trace_report() == {"tracing": False}
         # no trace ids leak into the audit log
         assert all("trace_id" not in e.extra for e in w5.audit())
-
-
-class TestFlowLatencyPercentiles:
-    def test_existing_keys_plus_percentiles(self):
-        from repro.core import Metrics
-        w5 = W5System()
-        metrics = Metrics(w5.audit()).attach_flow_cache(
-            w5.provider.kernel.flow_cache)
-        w5.add_user("bob", apps=["blog"])
-        w5.client("bob").get("/app/blog/list")
-        lat = metrics.flow_latency()
-        assert lat, "no flow checks observed"
-        for stats in lat.values():
-            # historical _LatencyStat keys, unchanged
-            assert {"count", "total_s", "mean_us", "min_us",
-                    "max_us"} <= set(stats)
-            # new histogram-estimated percentile keys
-            assert {"p50_us", "p95_us", "p99_us"} <= set(stats)
-            assert stats["min_us"] <= stats["p50_us"] <= stats["max_us"]

@@ -188,7 +188,6 @@ class TestInvalidationRegression:
         assert kernel.receive(dst).payload == "secret"
 
     def test_storage_verdict_invalidated_on_label_change(self):
-        from repro.core import access
         kernel = Kernel()
         root = kernel.spawn_trusted("root")
         t = kernel.create_tag(root, purpose="secret")
@@ -196,17 +195,14 @@ class TestInvalidationRegression:
                                       caps=CapabilitySet([plus(t)]))
         obj_s, obj_i = Label([t]), Label.EMPTY
 
-        assert not access.readable(reader, obj_s, obj_i,
-                                   cache=kernel.flow_cache)
+        assert not kernel.flow_cache.readable(reader, obj_s, obj_i)
         kernel.change_label(reader, secrecy=Label([t]))
-        assert access.readable(reader, obj_s, obj_i,
-                               cache=kernel.flow_cache)
+        assert kernel.flow_cache.readable(reader, obj_s, obj_i)
         # the raised label is a new state: its verdict is computed, not
         # replayed from the old state's entry
         assert kernel.flow_cache.stats()["misses"]["read"] == 2
 
     def test_drop_caps_invalidates_write_verdict(self):
-        from repro.core import access
         kernel = Kernel()
         root = kernel.spawn_trusted("root")
         t = kernel.create_tag(root, purpose="secret")
@@ -215,29 +211,23 @@ class TestInvalidationRegression:
         obj_s, obj_i = Label.EMPTY, Label.EMPTY
 
         # t- lets the tainted writer write down into a public object
-        assert access.writable(writer, obj_s, obj_i,
-                               cache=kernel.flow_cache)
+        assert kernel.flow_cache.writable(writer, obj_s, obj_i)
         kernel.drop_caps(writer, [minus(t)])
-        assert not access.writable(writer, obj_s, obj_i,
-                                   cache=kernel.flow_cache)
+        assert not kernel.flow_cache.writable(writer, obj_s, obj_i)
         assert kernel.flow_cache.stats()["misses"]["write"] == 2
 
     def test_create_tag_invalidates(self):
-        from repro.core import access
         kernel = Kernel()
         root = kernel.spawn_trusted("root")
         t = kernel.create_tag(root, purpose="secret")
         p = kernel.spawn_trusted("p")
-        assert not access.readable(p, Label([t]), Label.EMPTY,
-                                   cache=kernel.flow_cache)
+        assert not kernel.flow_cache.readable(p, Label([t]), Label.EMPTY)
         # minting a tag grants ownership: p can now read its own tag's
         # data via owned-tag extension — but the verdict above was for
         # t, which p still cannot read; mint then grant scenario:
         u = kernel.create_tag(p, purpose="mine")
-        assert access.readable(p, Label([u]), Label.EMPTY,
-                               cache=kernel.flow_cache)
+        assert kernel.flow_cache.readable(p, Label([u]), Label.EMPTY)
         # the grown capability set is a new state: the verdict for t
         # recorded under the old one is recomputed, not replayed
-        assert not access.readable(p, Label([t]), Label.EMPTY,
-                                   cache=kernel.flow_cache)
+        assert not kernel.flow_cache.readable(p, Label([t]), Label.EMPTY)
         assert kernel.flow_cache.stats()["misses"]["read"] == 3

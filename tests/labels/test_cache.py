@@ -117,6 +117,12 @@ class TestFlowCacheMemos:
         s = cache.stats()
         assert s["hit_total"] == 0 and s["miss_total"] == 0
         assert s["entries"] == 0 and s["enabled"] is False
+        # a path walk's table is a fresh empty dict: every probe misses
+        subj = _FakeSubject(1, Label.EMPTY, Label.EMPTY, CapabilitySet.EMPTY)
+        table = cache.read_table(subj)
+        assert table == {}
+        table[(Label([t]), Label.EMPTY)] = True
+        assert cache.read_table(subj) == {}
 
     def test_check_flow_denial_matches_uncached_diagnostics(self, reg):
         t = reg.create(purpose="secret")

@@ -10,11 +10,13 @@ gauges.  Integration (real shards, real federation links) lives in
 ``tests/federation/test_fabric.py``.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.audit import AuditLog
-from repro.core.metrics import FederationStatsSource, Metrics
+from repro.core.metrics import Metrics
 from repro.obs import (FleetRegistry, LatencyHistogram, RemoteCapture,
                        TraceContext, Tracer, parse_prometheus,
                        prometheus_text, trace_to_dict)
@@ -23,7 +25,16 @@ from repro.obs.trace import NULL_TRACER
 
 
 def make_metrics():
-    return Metrics(AuditLog())
+    """A member whose latency comes from its own (stand-in) provider's
+    tracer, as ``Metrics(p.kernel.audit).attach(p)`` reads it."""
+    return Metrics(AuditLog()).attach(SimpleNamespace(tracer=Tracer()))
+
+
+def observe(metrics, span, seconds):
+    """Record one span duration straight into the member's tracer
+    histogram (exact values, unlike a timed span)."""
+    hists = metrics._provider.tracer._histograms
+    hists.setdefault(span, LatencyHistogram()).add(seconds)
 
 
 class TestTraceContext:
@@ -182,7 +193,7 @@ class TestFleetRegistry:
     def test_merge_leaves_member_histograms_untouched(self):
         registry = FleetRegistry()
         a = make_metrics()
-        a._observe_latency("ipc", 1e-6)
+        observe(a, "ipc", 1e-6)
         registry.attach("a", a)
         merged = registry.merged_latency()["ipc"]
         merged.add(5.0)
@@ -193,7 +204,7 @@ class TestFleetRegistry:
         a = make_metrics()
         registry.attach("a", a)
         a._by_category[("flow", True)] = 2
-        a._observe_latency("ipc", 1e-6)
+        observe(a, "ipc", 1e-6)
         first = registry.delta_snapshot()
         assert first == {"counters": {"flow.allow": 2},
                          "observations": {"ipc": 1}}
@@ -234,7 +245,7 @@ class TestFleetRegistry:
         for i, observations in enumerate(fleets):
             m = make_metrics()
             for s in observations:
-                m._observe_latency("flow", s)
+                observe(m, "flow", s)
                 union.add(s)
             registry.attach(f"m{i}", m)
         merged = registry.merged_latency().get("flow")
@@ -256,8 +267,8 @@ class TestPrometheus:
         a._by_category[("flow", False)] = 2
         b._by_category[("login", True)] = 1
         for s in (1e-7, 3e-6, 2e-3, 0.5):
-            a._observe_latency("ipc", s)
-            b._observe_latency("fs.read", s * 2)
+            observe(a, "ipc", s)
+            observe(b, "fs.read", s * 2)
         return registry.attach("shard:0", a).attach("shard:1", b)
 
     def test_text_round_trips_through_parser(self):
@@ -269,12 +280,12 @@ class TestPrometheus:
         assert samples[("w5_audit_total",
                         (("category", "flow"), ("verdict", "deny")))] == 2
         hist = registry.merged_latency()["ipc"]
-        assert samples[("w5_flow_latency_seconds_count",
-                        (("category", "ipc"),))] == hist.count
-        assert samples[("w5_flow_latency_seconds_sum",
-                        (("category", "ipc"),))] == hist.total
-        inf = samples[("w5_flow_latency_seconds_bucket",
-                       (("category", "ipc"), ("le", "+Inf")))]
+        assert samples[("w5_span_latency_seconds_count",
+                        (("span", "ipc"),))] == hist.count
+        assert samples[("w5_span_latency_seconds_sum",
+                        (("span", "ipc"),))] == hist.total
+        inf = samples[("w5_span_latency_seconds_bucket",
+                       (("le", "+Inf"), ("span", "ipc")))]
         assert inf == hist.count
 
     def test_buckets_are_cumulative_and_monotone(self):
@@ -283,8 +294,8 @@ class TestPrometheus:
         buckets = sorted(
             (float(dict(labels)["le"].replace("+Inf", "inf")), value)
             for (name, labels) in samples
-            if name == "w5_flow_latency_seconds_bucket"
-            and dict(labels)["category"] == "ipc"
+            if name == "w5_span_latency_seconds_bucket"
+            and dict(labels)["span"] == "ipc"
             for value in [samples[(name, labels)]])
         values = [v for _, v in buckets]
         assert values == sorted(values)
@@ -342,21 +353,16 @@ class TestHealthModel:
 
 
 class TestFederationStatsProtocol:
+    """``federation_stats()`` is duck-typed: the contract is the key
+    set ``docs/OBSERVABILITY.md`` documents, not a Protocol class."""
+
     def test_fabric_and_link_satisfy_the_protocol(self):
         from repro.federation import FederationFabric
         fabric = FederationFabric(2)
-        assert isinstance(fabric, FederationStatsSource)
         fabric.signup("bob", "pw")
         fabric.mirror("bob", 1 - fabric.home_of("bob"))
+        stats = fabric.federation_stats()
+        assert {"providers", "live", "links", "per_link"} <= set(stats)
         for link in fabric.links():
-            assert isinstance(link, FederationStatsSource)
-
-    def test_attach_federation_accepts_any_source(self):
-        metrics = make_metrics()
-
-        class Custom:
-            def federation_stats(self):
-                return {"providers": 1, "live": 1, "links": 0}
-
-        metrics.attach_federation(Custom())
-        assert metrics.federation_snapshot()["live"] == 1
+            assert {"link", "delta_sync", "linked_users",
+                    "transfers"} <= set(link.federation_stats())

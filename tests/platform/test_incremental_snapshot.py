@@ -157,11 +157,9 @@ class TestNaiveBaseline:
 
 class TestMetricsSurface:
     def test_attach_persistence(self):
-        from repro.core import Metrics
         p = fresh_provider()
-        m = Metrics(p.kernel.audit).attach_persistence(p)
         p.signup("bob", "pw")
-        snap = m.persistence_snapshot()
+        snap = p.stats()["persistence"]
         assert snap["incremental_persistence"] is True
         assert snap["appends"] > 0
         assert snap["bytes_written"] > 0
@@ -171,9 +169,9 @@ class TestMetricsSurface:
             assert key in snap
 
     def test_unattached_is_empty(self):
-        from repro.core import Metrics
-        p = fresh_provider()
-        assert Metrics(p.kernel.audit).persistence_snapshot() == {}
+        oracle = Provider(config=ProviderConfig.oracle())
+        assert oracle.stats()["persistence"] == {
+            "incremental_persistence": False}
 
 
 def _containers(value, found=None):

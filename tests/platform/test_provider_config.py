@@ -2,7 +2,7 @@
 
 The ``fast`` and ``oracle`` presets, the plane each component is put
 on, config threading through W5System and persistence restore, the
-unified ``Metrics.attach``, and ``Provider.explain`` / the ``plan``
+``Provider.stats()`` tree with ``Metrics.attach``, and ``Provider.explain`` / the ``plan``
 CLI renderer.  Fast-vs-oracle equivalence itself is the differential
 suites' job (``tests/_differential.py``).
 """
@@ -111,28 +111,23 @@ class TestDeprecatedKeywords:
 
 class TestMetricsAttach:
     def test_attach_covers_every_plane(self):
-        w5 = W5System(name="x", config=ProviderConfig.fast())
+        """``Metrics.attach`` names the provider whose span histograms
+        it reads; every plane's counters come from ``stats()``."""
+        w5 = W5System(name="x", config=ProviderConfig.fast(), tracing=True)
         w5.add_user("amy", apps=("blog",))
         metrics = Metrics(w5.audit()).attach(w5.provider)
         w5.client("amy").get("/app/blog/post", title="t", body="b")
         w5.client("amy").get("/app/blog/list", author="amy")
-        assert metrics.cache_snapshot() != {}
-        request_plane = metrics.request_plane_snapshot()
-        assert request_plane["plans"]["enabled"]
-        assert request_plane["plans"]["misses"] >= 1
-        assert request_plane["pool"]["enabled"]
-        assert metrics.data_plane_snapshot()["db"]["partitioned"]
-        assert metrics.persistence_snapshot()["incremental_persistence"]
-        assert metrics.gateway_snapshot()["exports_allowed"] >= 2
-
-    def test_old_attach_methods_still_compose(self):
-        w5 = W5System(name="x")
-        metrics = (Metrics(w5.audit())
-                   .attach_request_plane(w5.provider)
-                   .attach_gateway(w5.provider.gateway))
-        assert "plans" in metrics.request_plane_snapshot()
-        assert metrics.gateway_snapshot() == {
-            "exports_allowed": 0, "exports_denied": 0, "rate_limited": 0}
+        assert "gateway.admission" in metrics.latency_histograms()
+        stats = w5.provider.stats()
+        assert stats["flow"]["hit_total"] > 0
+        assert stats["plans"]["enabled"]
+        assert stats["plans"]["misses"] >= 1
+        assert stats["pool"]["enabled"]
+        assert stats["db"]["partitioned"]
+        assert stats["persistence"]["incremental_persistence"]
+        assert stats["gateway"]["exports_allowed"] >= 2
+        assert stats["audit"]["dropped"] == 0
 
 
 class TestExplain:

@@ -355,12 +355,10 @@ class TestScopedAuthorityHistory:
 
 class TestMetricsObservation:
     def test_request_plane_snapshot(self, w5):
-        from repro.core import Metrics
-        m = Metrics(w5.audit()).attach_request_plane(w5.provider)
         w5.client("alice").get("/app/blog/list")
-        snap = m.request_plane_snapshot()
-        assert {"launch_caps", "authority", "pool",
-                "audit_dropped"} <= set(snap)
+        snap = w5.provider.stats()
+        assert {"launch_caps", "authority", "pool", "plans",
+                "audit"} <= set(snap)
         assert snap["pool"]["enabled"]
         assert snap["launch_caps"]["misses"] >= 1
 
