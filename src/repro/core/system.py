@@ -10,15 +10,17 @@ a second security layer.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from ..apps import install_adversarial_apps, install_standard_apps
 from ..declassify import Declassifier
 from ..net import ExternalClient
 from ..platform import Provider, ProviderConfig
 from ..resources import ResourceManager
-from ..search import DependencyGraph, coderank, top_k
-from ..workloads import SocialWorld
+
+if TYPE_CHECKING:
+    from ..workloads import SocialWorld
 
 
 class W5System:
@@ -38,11 +40,11 @@ class W5System:
                  tracing: bool = False,
                  config: Optional[ProviderConfig] = None) -> None:
         config = config if config is not None else ProviderConfig()
+        self._resources: Optional[ResourceManager] = None
         if config.shards > 1:
             # M13: N full provider shards behind one router.  Each
             # shard polices its own resources (shards share nothing);
-            # `self.resources` aliases shard 0's manager for
-            # introspection compatibility.
+            # `resources` reads shard 0's manager through the engine.
             from ..platform.shards import ShardedProvider
             self.provider = ShardedProvider(
                 name=name, n_shards=config.shards, config=config,
@@ -50,11 +52,10 @@ class W5System:
                 audit_max_events=audit_max_events, tracing=tracing,
                 resources_factory=lambda: ResourceManager(
                     default_quotas=quotas, overrides=quota_overrides))
-            self.resources = self.provider.shards[0].kernel.resources
         else:
-            self.resources = ResourceManager(default_quotas=quotas,
-                                             overrides=quota_overrides)
-            self.provider = Provider(name=name, resources=self.resources,
+            self._resources = ResourceManager(default_quotas=quotas,
+                                              overrides=quota_overrides)
+            self.provider = Provider(name=name, resources=self._resources,
                                      js_policy=js_policy,
                                      config=config,
                                      audit_max_events=audit_max_events,
@@ -63,6 +64,17 @@ class W5System:
         if with_adversaries:
             install_adversarial_apps(self.provider)
         self._clients: dict[str, ExternalClient] = {}
+
+    @property
+    def resources(self) -> ResourceManager:
+        """The resource manager policing this deployment.  Sharded,
+        it is shard 0's, read through the shard engine: the live
+        manager under ``serial``, and under ``fork`` a copy fetched
+        from shard 0's child on each read, so its counts are current
+        but changes made to it stay in this process."""
+        if self._resources is not None:
+            return self._resources
+        return self.provider.shard_call(0, attrgetter("kernel.resources"))
 
     # ------------------------------------------------------------------
     # people
@@ -170,6 +182,7 @@ class W5System:
     def code_search(self, k: int = 5) -> list[str]:
         """Rank registered modules by CodeRank over declared imports
         plus observed usage (§3.2)."""
+        from ..search import DependencyGraph, coderank, top_k
         deps = DependencyGraph.from_registry(self.provider.apps,
                                              self.provider.usage_edges)
         return top_k(coderank(deps), k)

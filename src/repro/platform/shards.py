@@ -51,9 +51,10 @@ import pickle
 import traceback
 from bisect import bisect_right
 from dataclasses import fields
+from functools import partial
 from hashlib import blake2b
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..errors import ShardDown, W5Error
 from ..kernel.audit import AuditEvent
@@ -143,12 +144,36 @@ class ShardMap:
 # execution engines
 # ----------------------------------------------------------------------
 
-def _resolve(provider: Provider, dotted: str) -> Callable[..., Any]:
-    """``"declass.grant_for"`` → the bound method on ``provider``."""
+#: What a control call names: a dotted method path on the shard's
+#: provider, or a picklable function taking the provider first (a
+#: module-level function, or ``attrgetter`` to read an attribute).
+Method = Union[str, Callable[..., Any]]
+
+
+def _resolve(provider: Provider, method: Method) -> Callable[..., Any]:
+    """``"declass.grant_for"`` → the bound method on ``provider``; a
+    function → that function with ``provider`` as its first argument."""
+    if callable(method):
+        return partial(method, provider)
     obj: Any = provider
-    for part in dotted.split("."):
+    for part in method.split("."):
         obj = getattr(obj, part)
     return obj
+
+
+def _placement(shard: Provider, ring: ShardMap, k: int) -> tuple[int, int]:
+    """``(partitions, misplaced)`` over shard ``k``'s M9 partition keys,
+    checked against the ring where the partitions live."""
+    partitions = misplaced = 0
+    for table in shard.db._tables.values():
+        for slabel, ilabel in getattr(table, "partitions", None) or ():
+            partitions += 1
+            # unowned pairs are replicated state, at home anywhere;
+            # owned pairs must live on their ring shard
+            if any(t.owner for t in slabel) \
+                    and ring.shard_of_pair(slabel, ilabel) != k:
+                misplaced += 1
+    return partitions, misplaced
 
 
 class _SerialEngine:
@@ -156,8 +181,6 @@ class _SerialEngine:
     schedule the fork engine must reproduce per shard."""
 
     name = "serial"
-    #: The shards run in this process: ``shards`` is the live state.
-    forked = False
 
     def __init__(self, shards: list[Provider]) -> None:
         self.shards = shards
@@ -176,11 +199,11 @@ class _SerialEngine:
                 self.shards[shard].handle_batch_traced(reqs, ctx)
         return responses, skeletons
 
-    def call(self, shard: int, method: str,
+    def call(self, shard: int, method: Method,
              args: tuple = (), kwargs: Optional[dict] = None) -> Any:
         return _resolve(self.shards[shard], method)(*args, **(kwargs or {}))
 
-    def broadcast(self, method: str, args: tuple = (),
+    def broadcast(self, method: Method, args: tuple = (),
                   kwargs: Optional[dict] = None) -> list[Any]:
         return [_resolve(s, method)(*args, **(kwargs or {}))
                 for s in self.shards]
@@ -277,11 +300,14 @@ class _ForkEngine:
     The only engine that scales with cores under the GIL.  Children
     are forked lazily on first dispatch, so all setup done before then
     (signups, enables, grants) is inherited by every child for free;
-    control calls after the fork cross the pipe.  Requests cross as
-    plain field tuples; responses come back as ``(status, body,
-    headers, set_cookies)`` tuples (egress already stripped labels).
-    A child that has died surfaces as :class:`~repro.errors.ShardDown`
-    naming its shard (there is no respawn).
+    control calls after the fork cross the pipe.  Once the children
+    run, the parent drops ``shards``: each child holds the only copy
+    of its shard, so nothing in the router can read stale state.
+    Requests cross as plain field tuples; responses come back as
+    ``(status, body, headers, set_cookies)`` tuples (egress already
+    stripped labels).  A child that has died surfaces as
+    :class:`~repro.errors.ShardDown` naming its shard (there is no
+    respawn).
     """
 
     name = "fork"
@@ -290,19 +316,16 @@ class _ForkEngine:
         if not hasattr(os, "fork"):  # pragma: no cover - platform gate
             raise W5Error("the fork shard engine needs os.fork (POSIX); "
                           "use engine='serial' here")
-        self.shards = shards
+        #: The shard providers until the children fork, then ``None``.
+        self.shards: Optional[list[Provider]] = shards
         self._conns: Optional[list[Any]] = None
         self._pids: list[int] = []
-
-    @property
-    def forked(self) -> bool:
-        """True while children run the shards: the parent's ``shards``
-        then hold only what they inherited."""
-        return self._conns is not None
 
     def _ensure_started(self) -> list[Any]:
         if self._conns is not None:
             return self._conns
+        if self.shards is None:
+            raise W5Error("this fork deployment was shut down")
         import multiprocessing
         conns = []
         for shard in self.shards:
@@ -320,6 +343,11 @@ class _ForkEngine:
                 # deployment alive.
                 gc.freeze()
                 parent.close()
+                # the router's ends of the earlier siblings' pipes: kept
+                # open here, they would hide the router's exit from
+                # those siblings until this child exited too
+                for sibling in conns:
+                    sibling.close()
                 try:
                     _fork_worker(shard, child)
                 finally:
@@ -328,6 +356,7 @@ class _ForkEngine:
             conns.append(parent)
             self._pids.append(pid)
         self._conns = conns
+        self.shards = None
         return conns
 
     def _send(self, shard: int, op: tuple) -> None:
@@ -407,24 +436,25 @@ class _ForkEngine:
             skeletons[shard] = skels
         return responses, skeletons
 
-    def call(self, shard: int, method: str,
+    def call(self, shard: int, method: Method,
              args: tuple = (), kwargs: Optional[dict] = None) -> Any:
-        if self._conns is None:
+        if self.shards is not None:
             # pre-fork: run in the parent so children inherit the effect
             return _resolve(self.shards[shard], method)(
                 *args, **(kwargs or {}))
         return self._rpc(shard, ("call", method, args, kwargs or {}))
 
-    def broadcast(self, method: str, args: tuple = (),
+    def broadcast(self, method: Method, args: tuple = (),
                   kwargs: Optional[dict] = None) -> list[Any]:
-        if self._conns is None:
+        if self.shards is not None:
             return [_resolve(s, method)(*args, **(kwargs or {}))
                     for s in self.shards]
         op = ("call", method, args, kwargs or {})
-        return self._fan_out(range(len(self._conns)), lambda shard: op)
+        return self._fan_out(range(len(self._ensure_started())),
+                             lambda shard: op)
 
     def audit_events(self, shard: int) -> list[AuditEvent]:
-        if self._conns is None:
+        if self.shards is not None:
             return list(self.shards[shard].kernel.audit)
         rows = self._rpc(shard, ("audit",))
         return [AuditEvent(seq, category, allowed, subject, detail)
@@ -582,12 +612,13 @@ class ShardedProvider:
         self.name = name
         self.n_shards = n_shards
         self.map = ShardMap(n_shards, replicas=replicas)
-        #: The shard providers.  Shard 0 keeps the default session
-        #: seed (a 1-shard deployment is byte-identical to the classic
-        #: plane); shard k seeds with base+k so tokens never collide.
-        self.shards: list[Provider] = []
+        # The shard providers, handed to the engine (see ``shards``).
+        # Shard 0 keeps the default session seed (a 1-shard deployment
+        # is byte-identical to the classic plane); shard k seeds with
+        # base+k so tokens never collide.
+        shards: list[Provider] = []
         for k in range(n_shards):
-            self.shards.append(Provider(
+            shards.append(Provider(
                 name=name,
                 resources=(resources_factory() if resources_factory
                            else None),
@@ -603,7 +634,7 @@ class ShardedProvider:
             raise ValueError(f"unknown shard engine {engine!r} "
                              f"(have {sorted(_ENGINES)})")
         self.engine_name = engine
-        self._engine = _ENGINES[engine](self.shards)
+        self._engine = _ENGINES[engine](shards)
         #: The router's own tracer (M16): cross-shard batches open a
         #: ``router.batch`` root here, export its context to every
         #: shard they fan out to, and graft the returned span
@@ -622,6 +653,18 @@ class ShardedProvider:
         self.routed: list[int] = [0] * n_shards
         self.kernel = _ShardedKernelView(self)
         self.declass = _ShardedDeclassView(self)
+
+    @property
+    def shards(self) -> list[Provider]:
+        """The shard providers held in this process: every shard under
+        ``serial``; under ``fork`` only until the children start, after
+        which each child holds the only copy of its shard.  Ask a shard
+        through :meth:`shard_call` instead."""
+        shards = self._engine.shards
+        if shards is None:
+            raise W5Error("the fork engine's shards run in its children; "
+                          "ask them through shard_call")
+        return shards
 
     # -- routing -------------------------------------------------------
 
@@ -744,11 +787,21 @@ class ShardedProvider:
 
     # -- control plane (routed / broadcast) ----------------------------
 
+    def shard_call(self, shard: int, method: Method,
+                   *args: Any, **kwargs: Any) -> Any:
+        """Run ``method`` on one shard through the engine: a dotted
+        method name on its provider (``"kernel.resources.total"``) or
+        a picklable function taking the provider first (such as
+        ``attrgetter("apps")``).  Under the fork engine it runs in the
+        shard's child, and the result comes back pickled: a copy, not
+        the live object."""
+        return self._engine.call(shard, method, args, kwargs)
+
     def _user_call(self, username: str, method: str,
                    *args: Any, **kwargs: Any) -> Any:
         """Run a per-user verb on the user's home shard."""
-        shard = self.map.shard_of_user(username)
-        return self._engine.call(shard, method, args, kwargs)
+        return self.shard_call(self.map.shard_of_user(username), method,
+                               *args, **kwargs)
 
     def shard_of_user(self, username: str) -> int:
         return self.map.shard_of_user(username)
@@ -819,13 +872,7 @@ class ShardedProvider:
     def register_app(self, module: Any) -> Any:
         """Broadcast: every shard serves the whole app catalog (apps
         are code, not user state — only *data* is partitioned)."""
-        registered = self._engine.broadcast("register_app", (module,))[0]
-        if self._engine.forked:
-            # the broadcast reached only the children: register in the
-            # parent's shard-0 copy too, which is the catalog ``apps``
-            # lists
-            self.shards[0].register_app(module)
-        return registered
+        return self._engine.broadcast("register_app", (module,))[0]
 
     def endorse_module(self, name: str) -> Any:
         return self._engine.broadcast("endorse_module", (name,))[0]
@@ -834,12 +881,12 @@ class ShardedProvider:
 
     @property
     def apps(self) -> Any:
-        """The app catalog: shard 0's registry in this process.
-        Registration broadcasts to every shard; once the fork engine's
-        children run, the parent's copy of shard 0 is registered as
-        well, so this lists every registration under either engine.
-        Other parent-side shard state goes stale after the fork."""
-        return self.shards[0].apps
+        """The app catalog: shard 0's registry, asked of shard 0
+        through the engine (registration broadcasts, so every shard
+        holds the same catalog).  Under the fork engine it is a copy
+        pickled in shard 0's child; register through
+        :meth:`register_app`, not through the copy."""
+        return self.shard_call(0, attrgetter("apps"))
 
     @property
     def usage_edges(self) -> list:
@@ -856,25 +903,17 @@ class ShardedProvider:
         return self.kernel.audit
 
     def placement_report(self) -> dict[str, Any]:
-        """Verify data placement against the ring: walk every shard's
-        M9 partition keys and check the owning shard derived from the
-        interned ``(slabel, ilabel)`` pair is the shard holding it.
-        Reads parent-side state, so under the fork engine it sees only
-        what was placed before the children forked."""
+        """Verify data placement against the ring: each shard walks its
+        own M9 partition keys (in its child under the fork engine) and
+        checks that the owning shard derived from the interned
+        ``(slabel, ilabel)`` pair is itself."""
         report: dict[str, Any] = {"shards": self.n_shards,
                                   "partitions": 0, "misplaced": 0}
-        for k, shard in enumerate(self.shards):
-            for table in shard.db._tables.values():
-                partitions = getattr(table, "partitions", None)
-                if not partitions:
-                    continue
-                for slabel, ilabel in partitions:
-                    report["partitions"] += 1
-                    owner_shard = self.map.shard_of_pair(slabel, ilabel)
-                    # unowned pairs are replicated state, at home
-                    # anywhere; owned pairs must live on their ring shard
-                    if any(t.owner for t in slabel) and owner_shard != k:
-                        report["misplaced"] += 1
+        for k in range(self.n_shards):
+            partitions, misplaced = self.shard_call(k, _placement,
+                                                    self.map, k)
+            report["partitions"] += partitions
+            report["misplaced"] += misplaced
         return report
 
     def trace_report(self) -> dict[str, Any]:
@@ -943,8 +982,7 @@ class ShardedProvider:
     def stats(self) -> dict[str, Any]:
         """The router's own counters plus every shard's
         :meth:`Provider.stats` tree under ``per_shard``, asked of the
-        shard itself: under the fork engine that is the child's live
-        state, not the parent's pre-fork copy."""
+        shard itself (the child, under the fork engine)."""
         return {
             "shards": self.n_shards,
             "engine": self.engine_name,

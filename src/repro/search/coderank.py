@@ -19,19 +19,27 @@ nothing reputable points at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 IMPORT = "import"
 EMBED = "embed"
+
+
+def _digraph() -> nx.DiGraph:
+    """An empty graph.  networkx is imported here, where a graph is
+    built, so a process that serves requests never loads it."""
+    import networkx as nx
+    return nx.DiGraph()
 
 
 @dataclass
 class DependencyGraph:
     """Typed dependency edges among registry modules."""
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: nx.DiGraph = field(default_factory=_digraph)
 
     def add_module(self, name: str) -> None:
         self.graph.add_node(name)

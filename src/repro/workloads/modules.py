@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -50,6 +52,7 @@ def make_module_ecosystem(n_apps: int = 60, n_core: int = 6,
       burst of fake "usage" edges from throwaway apps nobody links to —
       high raw counts, no reputable provenance.
     """
+    import networkx as nx
     rng = random.Random(seed)
     g = nx.DiGraph()
     core = [f"core-{i}" for i in range(n_core)]

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Supported friend-graph models.
 WATTS_STROGATZ = "watts-strogatz"
@@ -92,6 +94,7 @@ def make_social_world(n_users: int = 20, model: str = WATTS_STROGATZ,
 
 
 def _make_graph(n: int, model: str, mean_degree: int, seed: int) -> nx.Graph:
+    import networkx as nx
     if n <= 1:
         g = nx.Graph()
         g.add_nodes_from(range(n))

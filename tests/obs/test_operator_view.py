@@ -6,12 +6,14 @@ Observing a deployment must not change what it runs: ``Metrics`` and
 ``stats()`` tree, and neither touches the flow cache.  The fleet merge
 and the sharded trace report go through the same histogram helper, so
 they agree bucket for bucket, and a fork shard reports its own
-counters rather than the router's pre-fork copy.
+counters: once the children run, the router holds no shard copy.
 """
 
+import gc
 import json
 import os
 import sys
+import weakref
 
 import pytest
 
@@ -67,7 +69,11 @@ class TestObservationIsPassive:
 
 
 def build_traced(engine):
-    sp = ShardedProvider(n_shards=2, engine=engine, tracing=True)
+    return serve_traced(
+        ShardedProvider(n_shards=2, engine=engine, tracing=True))
+
+
+def serve_traced(sp):
     sp.tracer.fold_every = 1
     install_standard_apps(sp)
     clients = {}
@@ -112,15 +118,17 @@ class TestOneMerge:
     def test_fork_shards_report_their_own_stats(self):
         per_shard = {}
         for engine in ("serial", "fork"):
-            sp = build_traced(engine)
+            sp = ShardedProvider(n_shards=2, engine=engine, tracing=True)
+            refs = [weakref.ref(s) for s in sp.shards]
+            serve_traced(sp)
             try:
                 stats = sp.stats()
                 per_shard[engine] = stats["per_shard"]
                 assert stats["engine"] == engine
-                if engine == "fork":
-                    # the router's copies stopped at the fork
-                    stale = [s.stats() for s in sp.shards]
-                    assert stale != stats["per_shard"]
+                gc.collect()
+                alive = [ref() is not None for ref in refs]
+                # the fork router keeps no shard copy that could go stale
+                assert alive == [engine == "serial"] * 2
             finally:
                 sp.shutdown()
         assert per_shard["fork"] == per_shard["serial"]

@@ -27,6 +27,10 @@ Four claims, in decreasing order of strictness:
    shard's write-ahead journal (the M10 journal is the per-shard log)
    replays over its base checkpoint to a canonical snapshot
    byte-identical to the live shard's.
+
+The router's own reads (``apps``, ``usage_edges``,
+``placement_report``) ask the shards, so they too agree across
+engines, including on state made after the fork.
 """
 
 import copy
@@ -38,7 +42,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import STANDARD_CATALOG, install_standard_apps
+from repro.apps import (ADVERSARIAL_CATALOG, STANDARD_CATALOG,
+                        install_adversarial_apps, install_standard_apps)
 from repro.net import ExternalClient
 from repro.platform import (Provider, ProviderConfig, ShardedProvider,
                             recover_provider, snapshot_provider)
@@ -228,6 +233,40 @@ class TestConcurrencyIsInvisible:
             assert audit_bytes(batched) == audit_bytes(sequential)
         finally:
             batched.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork engine is POSIX")
+class TestRouterReadsAskTheShards:
+    """The router's catalog, usage and placement reads match across
+    engines, on registrations, posts and module usage made after the
+    fork engine's children started."""
+
+    def _reads(self, engine):
+        sp, clients = build_sharded(2, engine=engine)  # signups fork
+        try:
+            install_adversarial_apps(sp)
+            for u, c in clients.items():
+                assert c.get("/app/blog/post", title=f"late-{u}",
+                             body="b").ok
+                assert c.post("/policy/enable",
+                              params={"app": "photo-share"}).ok
+                assert c.get("/app/photo-share/upload", filename="a.jpg",
+                             data="RAW").ok
+                assert c.get("/app/photo-share/crop", filename="a.jpg").ok
+            return ({(m.qualified, m.version) for m in sp.apps},
+                    sorted(sp.usage_edges), sp.placement_report())
+        finally:
+            sp.shutdown()
+
+    def test_fork_reads_match_serial(self):
+        serial, forked = self._reads("serial"), self._reads("fork")
+        assert serial == forked
+        apps, edges, placement = forked
+        assert {(m.qualified, m.version) for m in ADVERSARIAL_CATALOG} \
+            <= apps
+        assert len(edges) == len(USERS)
+        assert placement["partitions"] >= len(USERS)
+        assert placement["misplaced"] == 0
 
 
 class TestShardingOffIsTheClassicPlane:

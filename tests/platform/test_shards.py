@@ -10,6 +10,7 @@ import gc
 import os
 import pickle
 import signal
+import stat
 import threading
 import types
 from dataclasses import fields, replace
@@ -26,6 +27,10 @@ from repro.platform import ProviderConfig, ShardMap, ShardedProvider
 from repro.platform.shards import _plain_request, _rebuild_request
 
 USERS = ["alice", "bob", "carol", "dave", "erin", "frank"]
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+ENGINES = ["serial", pytest.param("fork", marks=needs_fork)]
 
 
 def build_sharded(n_shards, engine=None, users=USERS, apps=("blog",)):
@@ -312,6 +317,22 @@ class TestControlPlane:
         assert w5.audit().count("spawn") > 0
         w5.provider.shutdown()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_w5system_resources_count_what_shard_0_served(self, engine):
+        w5 = W5System(config=ProviderConfig.sharded(2,
+                                                    shard_engine=engine))
+        user = next(u for u in (f"user{i}" for i in range(50))
+                    if w5.provider.shard_of_user(u) == 0)
+        try:
+            client = w5.add_user(user, apps=["blog"])
+            before = w5.resources.total("syscalls")
+            for i in range(5):
+                assert client.get("/app/blog/post", title=f"t{i}",
+                                  body="b").ok
+            assert w5.resources.total("syscalls") == before + 5
+        finally:
+            w5.provider.shutdown()
+
     def test_sharded_preset_round_trips_describe(self):
         cfg = ProviderConfig.sharded(4, shard_engine="fork")
         desc = cfg.describe()
@@ -461,6 +482,27 @@ class TestForkEngine:
         assert gc.get_freeze_count() == before  # the parent froze nothing
         sp.shutdown()
 
+    def test_children_hold_only_their_own_pipe(self):
+        sp = ShardedProvider(n_shards=3, engine="fork")
+        for shard in sp.shards:  # before the fork: each child inherits it
+            shard.socket_probe = _open_sockets
+        signup = HttpRequest("POST", "/signup",
+                             params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(signup).ok  # forks the children
+        # an earlier sibling's pipe end left open in a later child would
+        # hide the router's exit from that sibling
+        counts = [sp.shard_call(k, "socket_probe") for k in range(3)]
+        assert counts[0] > 0 and len(set(counts)) == 1, counts
+        sp.shutdown()
+
+    def test_router_holds_no_shard_after_the_fork(self):
+        sp, __ = build_sharded(2, engine="fork")  # the signups fork
+        with pytest.raises(W5Error, match="shard_call"):
+            sp.shards
+        sp.shutdown()
+        with pytest.raises(W5Error, match="shut down"):
+            sp.stats()
+
     def test_requests_cross_the_pipe_whole(self):
         sp = ShardedProvider(n_shards=1, engine="fork")
         names = [f.name for f in fields(HttpRequest)]
@@ -482,6 +524,17 @@ class TestForkEngine:
         assert sp.handle_request(req).body == want
         assert [r.body for r in sp.handle_batch([req, req])] == [want] * 2
         sp.shutdown()
+
+
+def _open_sockets():
+    """Socket fds open in this process (each pipe end is one)."""
+    count = 0
+    for name in os.listdir("/dev/fd"):
+        try:
+            count += stat.S_ISSOCK(os.fstat(int(name)).st_mode)
+        except OSError:  # the listing's own fd, closed by now
+            pass
+    return count
 
 
 class TestRequestWire:
