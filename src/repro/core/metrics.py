@@ -1,9 +1,10 @@
 """Metrics: live counters derived from the audit stream.
 
 Benchmarks and operators both want "how many exports were denied this
-minute" without scanning the whole audit log.  ``Metrics`` subscribes
-to an :class:`~repro.kernel.audit.AuditLog` and keeps running counters
-by (category, verdict) and by subject, cheap to read at any time.
+minute" without scanning the whole audit log.  ``Metrics`` reads the
+per-(category, verdict) counts from the lifetime counters of an
+:class:`~repro.kernel.audit.AuditLog`, and subscribes to it only for
+the per-subject counters, cheap to read at any time.
 
 Latency is the tracer's: :meth:`Metrics.attach` names the provider
 whose span histograms :meth:`Metrics.latency_histograms` returns (the
@@ -26,21 +27,28 @@ from ..obs import LatencyHistogram
 
 
 class Metrics:
-    """Counter aggregation over an audit log (attach once, read often)."""
+    """Counter aggregation over an audit log (attach once, read often).
+
+    The category counts are the log's lifetime counters, so they count
+    every record since the log was created, whenever ``Metrics`` was
+    attached and whatever the ring evicted before.  The subject
+    counters follow the stream from attach, folding in only what the
+    ring still retained then.
+    """
 
     def __init__(self, audit: AuditLog) -> None:
-        self._by_category: Counter[tuple[str, bool]] = Counter()
+        #: The log's live counters, shared, not copied.
+        self._by_category = audit.lifetime_counts()
         self._by_subject: Counter[str] = Counter()
         self._denials_by_subject: Counter[str] = Counter()
         #: The provider whose tracer supplies latency (see attach).
         self._provider: Any = None
-        # fold in anything already logged, then follow the stream
+        # fold in what the ring retains, then follow the stream
         for event in audit:
             self._ingest(event)
         audit.subscribe(self._ingest)
 
     def _ingest(self, event: AuditEvent) -> None:
-        self._by_category[(event.category, event.allowed)] += 1
         self._by_subject[event.subject] += 1
         if not event.allowed:
             self._denials_by_subject[event.subject] += 1

@@ -6,14 +6,21 @@ spawn, grant, and export attempt is recorded — allowed or denied — so
 tests and benchmarks can assert not just on outcomes but on the
 decisions that produced them.
 
+A record is one plain row, ``(category, allowed, subject, template,
+args, extra)``, appended to one bounded ring; nothing else is kept per
+record but a lifetime ``(category, allowed)`` counter.  There is no
+per-category index: a filtered query scans the ring.  Readers get
+:class:`AuditEvent` views built from rows when they read, so the
+request path allocates no event object.
+
 The log is deliberately outside the label system: audit records are
 provider-private and never flow back to applications.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Iterator, Optional, Union
+from collections import Counter, deque
+from typing import Any, Callable, Iterator, Optional
 
 #: Event categories, used for filtering.
 SPAWN = "spawn"
@@ -33,22 +40,21 @@ RESOURCE = "resource"
 
 
 class AuditEvent:
-    """One security decision.
+    """One security decision, as read from the log.
 
-    A hand-rolled ``__slots__`` class rather than a dataclass: events
-    are constructed several times per request, and skipping the
-    generated ``__init__`` indirection is measurable on the hot path.
-    Equality ignores ``extra`` (diagnostic payload, not identity), the
-    same semantics the earlier frozen-dataclass spelling had.
+    The log stores rows, not events; an ``AuditEvent`` is a view built
+    from a row (and its position, which gives ``seq``) each time the
+    log is read.  Two reads of the same record return equal, distinct
+    views.  Equality ignores ``extra`` (diagnostic payload, not
+    identity).
 
-    ``detail`` may be recorded in deferred form: an interned
-    %-template plus an ``args`` tuple of immutable values (strings,
-    ints, interned labels).  The rendered string is produced on first
-    access and cached — queries, equality, hashing, and ``repr`` all
-    force it, so observable bytes are identical to eager formatting;
-    only the *when* of the ``%`` call moves off the hot path.
-    ``extra`` is likewise allocated on first access, so events with no
-    diagnostic payload never carry an empty dict.
+    ``detail`` may arrive in deferred form: an interned %-template plus
+    an ``args`` tuple of immutable values (strings, ints, interned
+    labels).  The rendered string is produced on first access and
+    cached in the view — equality, hashing, and ``repr`` all force it,
+    so observable bytes are identical to eager formatting.  ``extra``
+    is the row's dict when the record carried one; otherwise an empty
+    dict is allocated on first access, local to the view.
     """
 
     __slots__ = ("seq", "category", "allowed", "subject",
@@ -99,189 +105,95 @@ class AuditEvent:
         return f"[{self.seq}] {verdict} {self.category} {self.subject}: {self.detail}"
 
 
+def _view(seq: int, row: tuple) -> AuditEvent:
+    category, allowed, subject, template, args, extra = row
+    return AuditEvent(seq, category, allowed, subject, template, extra, args)
+
+
 class AuditLog:
-    """Append-only event log with simple query helpers.
+    """Append-only log of rows in one ring, with query helpers.
 
-    ``max_events`` turns the log into a bounded ring: once the limit is
-    reached the oldest events are discarded and counted in
-    :attr:`dropped`.  Counters derived through :meth:`subscribe` (e.g.
-    :class:`~repro.core.metrics.Metrics`) see every event regardless —
-    only the *retained* history is bounded, which is what keeps long
-    benchmark runs (the M8 scaling loads) from accumulating unbounded
-    memory.  ``capacity`` is the older spelling of the same knob.
-
-    ``category_index`` (default on) maintains one deque per category so
-    :meth:`events(category=...)` walks only that category's events
-    instead of re-scanning the whole ring — the trace correlator and
-    Metrics-heavy tests issue the same filtered query hundreds of
-    times.  Eviction order is global-FIFO, so the ring's evicted event
-    is always the leftmost entry of its category deque: maintenance is
-    O(1) per record and the indexed answer is behavior-identical to the
-    scan (``tests/kernel/test_audit_index.py`` pins the equivalence).
+    ``max_events`` bounds the ring: once it is full, each record
+    evicts the oldest row, counted in :attr:`dropped`.  Rows are
+    numbered contiguously, so a row's ``seq`` follows from its
+    position (the newest row's is :attr:`total_recorded`).  Queries —
+    :meth:`events`, iteration, :meth:`last`, :meth:`count` — scan the
+    retained ring; :meth:`lifetime_counts` counts every record ever
+    made, whatever the ring kept.  Subscribers get a view of every
+    record as it is made.
 
     ``trace_source``, when set (the provider installs its ``Tracer``
     in tracing mode), is any object exposing a ``current`` span
-    attribute (``.trace.trace_id`` / ``.span_id``); every record
-    stamps the active ``trace_id``/``span_id`` into
-    ``AuditEvent.extra`` — the correlation hook that ties audit lines
-    to request span trees (see :mod:`repro.obs`).  An attribute read
-    instead of a callback keeps the stamp to two loads on the hot
-    path.
+    attribute (``.trace.trace_id`` / ``.span_id``); every record made
+    while a span is open stamps its ``trace_id``/``span_id`` into the
+    row's ``extra`` — the correlation hook that ties audit lines to
+    request span trees (see :mod:`repro.obs`).
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 max_events: Optional[int] = None,
-                 category_index: bool = True,
+    def __init__(self, max_events: Optional[int] = None,
                  lazy: bool = True) -> None:
-        self._capacity = max_events if max_events is not None else capacity
-        # a deque ring evicts in O(1); the unbounded log stays a list
-        self._events: Union[list[AuditEvent], deque[AuditEvent]] = (
-            deque(maxlen=self._capacity) if self._capacity is not None
-            else [])
+        self._rows: deque[tuple] = deque(maxlen=max_events)
         self._seq = 0
-        #: Events discarded by the ring bound (0 while unbounded).
-        self.dropped = 0
+        #: Rows removed by :meth:`clear` (not evictions).
+        self._cleared = 0
+        self._counts: Counter[tuple[str, bool]] = Counter()
         self._subscribers: list[Callable[[AuditEvent], None]] = []
-        self._indexed = category_index
         #: When False, :meth:`record_lazy` renders templates eagerly —
         #: the oracle plane's path, byte-identical either way.
         self.lazy = lazy
-        # Fused per-category state: category -> [index deque (or None
-        # when unindexed), n_allowed, n_denied].  One dict probe per
-        # append covers both the category index and the O(1) counters
-        # (the pre-fusion layout probed three dicts per record).
-        self._cats: dict[str, list] = {}
-        self._n_allowed = 0
-        self._n_denied = 0
         #: Optional tracer-like object whose ``current`` attribute is
-        #: the active span (or None); stamped into every event's
-        #: ``extra`` while a traced request is active.
+        #: the active span (or None).
         self.trace_source: Optional[Any] = None
 
     @property
     def max_events(self) -> Optional[int]:
         """The ring bound (None = unbounded)."""
-        return self._capacity
+        return self._rows.maxlen
 
     def record(self, category: str, allowed: bool, subject: str,
-               detail: str, **extra: Any) -> AuditEvent:
-        """Append an event and notify subscribers."""
-        return self._append(category, allowed, subject, detail,
-                            extra if extra else None, None)
+               detail: str, **extra: Any) -> None:
+        """Append an event with a rendered detail and notify
+        subscribers."""
+        _record_row(self, category, allowed, subject, detail, None,
+                    extra or None)
 
     def record_lazy(self, category: str, allowed: bool, subject: str,
                     template: str, args: Optional[tuple] = None,
-                    extra: Optional[dict[str, Any]] = None) -> AuditEvent:
+                    extra: Optional[dict[str, Any]] = None) -> None:
         """Append an event whose detail is ``template % args``.
 
         The hot-path spelling of :meth:`record`: no kwargs dict, no
-        ``%`` call, no ``extra`` allocation unless a trace is active or
-        the caller supplied one.  ``args`` values must be immutable (or
-        interned) so the deferred render is byte-identical to an eager
-        one.  With :attr:`lazy` off the template is rendered here —
-        the differential suites prove both spellings emit the same
-        bytes.
+        ``%`` call, no ``extra`` unless a trace is active or the caller
+        supplied one — one row append and one counter bump.  ``args``
+        values must be immutable (or interned) so the deferred render
+        is byte-identical to an eager one.  With :attr:`lazy` off the
+        template is rendered here — the differential suites prove both
+        spellings emit the same bytes.
         """
-        if not self.lazy:
-            # The oracle path reproduces the pre-M14 call shape exactly:
-            # render eagerly, then enter through the public record()
-            # with the diagnostic payload spread as keyword arguments —
-            # that is what every call site did before the lazy path
-            # existed.
-            if args is not None:
-                template = template % args
-            if extra:
-                return self.record(category, allowed, subject, template,
-                                   **extra)
-            return self.record(category, allowed, subject, template)
-        if self.trace_source is not None:
-            return self._append(category, allowed, subject, template,
-                                extra, args)
-        # Inlined append — the M14 fast path.  No trace stamp, no
-        # render: one dict probe maintains index and counters.
-        self._seq += 1
-        event = AuditEvent(self._seq, category, allowed, subject, template,
-                           extra, args)
-        events = self._events
-        cats = self._cats
-        if self._capacity is not None and len(events) == self._capacity:
-            self.dropped += 1  # the append below evicts the oldest
-            victim = events[0]
-            vcat = cats[victim.category]
-            if vcat[0] is not None:
-                vcat[0].popleft()
-            if victim.allowed:
-                vcat[1] -= 1
-                self._n_allowed -= 1
-            else:
-                vcat[2] -= 1
-                self._n_denied -= 1
-        events.append(event)
-        cat = cats.get(category)
-        if cat is None:
-            cat = cats[category] = [deque() if self._indexed else None, 0, 0]
-        if cat[0] is not None:
-            cat[0].append(event)
-        if allowed:
-            cat[1] += 1
-            self._n_allowed += 1
-        else:
-            cat[2] += 1
-            self._n_denied += 1
-        if self._subscribers:
-            for fn in self._subscribers:
-                fn(event)
-        return event
-
-    def _append(self, category: str, allowed: bool, subject: str,
-                detail: str, extra: Optional[dict[str, Any]],
-                args: Optional[tuple]) -> AuditEvent:
+        if not self.lazy and args is not None:
+            template = template % args
+            args = None
         ts = self.trace_source
         if ts is not None:
             cur = ts.current
             if cur is not None:
                 if extra is None:
-                    extra = {}
-                extra["trace_id"] = cur.trace.trace_id
-                extra["span_id"] = cur.span_id
+                    extra = {"trace_id": cur.trace.trace_id,
+                             "span_id": cur.span_id}
+                else:
+                    extra["trace_id"] = cur.trace.trace_id
+                    extra["span_id"] = cur.span_id
         self._seq += 1
-        event = AuditEvent(self._seq, category, allowed, subject, detail,
-                           extra, args)
-        events = self._events
-        cats = self._cats
-        if self._capacity is not None and len(events) == self._capacity:
-            self.dropped += 1  # the append below evicts the oldest
-            # global FIFO eviction: the victim is the leftmost event
-            # (and the leftmost entry of its category's deque)
-            victim = events[0]
-            vcat = cats[victim.category]
-            if vcat[0] is not None:
-                vcat[0].popleft()
-            if victim.allowed:
-                vcat[1] -= 1
-                self._n_allowed -= 1
-            else:
-                vcat[2] -= 1
-                self._n_denied -= 1
-        events.append(event)
-        cat = cats.get(category)
-        if cat is None:
-            cat = cats[category] = [deque() if self._indexed else None, 0, 0]
-        if cat[0] is not None:
-            cat[0].append(event)
-        if allowed:
-            cat[1] += 1
-            self._n_allowed += 1
-        else:
-            cat[2] += 1
-            self._n_denied += 1
+        row = (category, allowed, subject, template, args, extra)
+        self._rows.append(row)
+        self._counts[category, allowed] += 1
         if self._subscribers:
+            event = _view(self._seq, row)
             for fn in self._subscribers:
                 fn(event)
-        return event
 
     def subscribe(self, fn: Callable[[AuditEvent], None]) -> None:
-        """Register a callback invoked on every new event."""
+        """Register a callback invoked with a view of every new record."""
         self._subscribers.append(fn)
 
     # -- queries -----------------------------------------------------------
@@ -291,32 +203,42 @@ class AuditLog:
         """Events ever recorded, including any the ring discarded."""
         return self._seq
 
+    @property
+    def dropped(self) -> int:
+        """Events the ring bound evicted (0 while unbounded)."""
+        return self._seq - self._cleared - len(self._rows)
+
+    def lifetime_counts(self) -> Counter[tuple[str, bool]]:
+        """The live ``(category, allowed) -> records ever made``
+        counter: evictions and :meth:`clear` do not decrement it."""
+        return self._counts
+
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(self._events)
+        return (_view(seq, row) for seq, row in self._numbered())
+
+    def _numbered(self) -> Iterator[tuple[int, tuple]]:
+        return enumerate(self._rows, self._seq - len(self._rows) + 1)
+
+    def _matching(self, category: Optional[str], subject: Optional[str],
+                  allowed: Optional[bool]) -> Iterator[tuple[int, tuple]]:
+        for seq, row in self._numbered():
+            if category is not None and row[0] != category:
+                continue
+            if allowed is not None and row[1] != allowed:
+                continue
+            if subject is not None and row[2] != subject:
+                continue
+            yield seq, row
 
     def events(self, category: Optional[str] = None,
                subject: Optional[str] = None,
                allowed: Optional[bool] = None) -> list[AuditEvent]:
-        """Events matching every given filter."""
-        if category is not None and self._indexed:
-            cat = self._cats.get(category)
-            source: Any = cat[0] if cat is not None else ()
-            category = None  # already satisfied by the index
-        else:
-            source = self._events
-        out = []
-        for e in source:
-            if category is not None and e.category != category:
-                continue
-            if subject is not None and e.subject != subject:
-                continue
-            if allowed is not None and e.allowed != allowed:
-                continue
-            out.append(e)
-        return out
+        """Retained events matching every given filter."""
+        return [_view(seq, row)
+                for seq, row in self._matching(category, subject, allowed)]
 
     def denials(self, category: Optional[str] = None) -> list[AuditEvent]:
         """All denied events, optionally in one category."""
@@ -324,29 +246,23 @@ class AuditLog:
 
     def count(self, category: Optional[str] = None,
               allowed: Optional[bool] = None) -> int:
-        """Matching-event count in O(1) from the maintained counters.
-
-        Equivalent to ``len(self.events(category=..., allowed=...))``
-        over the retained ring (``tests/kernel/test_audit_index.py``
-        pins the equivalence, eviction included).
-        """
-        if category is None:
-            if allowed is None:
-                return len(self._events)
-            return self._n_allowed if allowed else self._n_denied
-        cat = self._cats.get(category)
-        if cat is None:
-            return 0
-        if allowed is None:
-            return cat[1] + cat[2]
-        return cat[1] if allowed else cat[2]
+        """``len(self.events(category=..., allowed=...))``, counted
+        over the retained ring without building views."""
+        if category is None and allowed is None:
+            return len(self._rows)
+        return sum(1 for __ in self._matching(category, None, allowed))
 
     def last(self) -> Optional[AuditEvent]:
-        return self._events[-1] if self._events else None
+        return _view(self._seq, self._rows[-1]) if self._rows else None
 
     def clear(self) -> None:
-        """Drop all events (test convenience; providers would archive)."""
-        self._events.clear()
-        self._cats.clear()
-        self._n_allowed = 0
-        self._n_denied = 0
+        """Drop all retained events (test convenience; providers would
+        archive).  Sequence numbers and lifetime counts carry on."""
+        self._cleared += len(self._rows)
+        self._rows.clear()
+
+
+#: ``record`` enters the one row-append body through the function, not
+#: the attribute, so a wrapper installed on ``AuditLog.record_lazy``
+#: (an outside-in timer) sees one call per record.
+_record_row = AuditLog.record_lazy

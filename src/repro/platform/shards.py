@@ -282,8 +282,11 @@ def _fork_worker(shard: Provider, conn: Any) -> None:
                         f"{op[1]} returned an unpicklable "
                         f"{type(result).__name__}")))
             elif kind == "audit":
+                # rendered rows: the detail is a str and ``extra``
+                # holds only ints and strs (trace stamps, ids)
                 conn.send(("ok", [
-                    (e.seq, e.category, e.allowed, e.subject, e.detail)
+                    (e.seq, e.category, e.allowed, e.subject, e.detail,
+                     e.extra)
                     for e in shard.kernel.audit]))
             elif kind == "stop":
                 conn.send(("ok", True))
@@ -456,9 +459,7 @@ class _ForkEngine:
     def audit_events(self, shard: int) -> list[AuditEvent]:
         if self.shards is not None:
             return list(self.shards[shard].kernel.audit)
-        rows = self._rpc(shard, ("audit",))
-        return [AuditEvent(seq, category, allowed, subject, detail)
-                for seq, category, allowed, subject, detail in rows]
+        return [AuditEvent(*row) for row in self._rpc(shard, ("audit",))]
 
     def shutdown(self) -> None:
         if self._conns is None:
@@ -536,7 +537,7 @@ class MergedAuditView:
 
     def count(self, category: Optional[str] = None,
               allowed: Optional[bool] = None) -> int:
-        """Each shard's O(1) :meth:`AuditLog.count`, summed: only the
+        """Each shard's :meth:`AuditLog.count`, summed: only the
         counts cross the fork engine's pipe, never the streams."""
         return sum(self._owner._engine.broadcast(
             "kernel.audit.count", (category, allowed)))

@@ -85,6 +85,21 @@ class TestMetrics:
         assert metrics.count("send") == 2
         assert metrics.count("send", allowed=False) == 1
 
+    def test_counts_from_boot_past_evictions(self):
+        """Category counts are the log's lifetime counters: a Metrics
+        attached after the ring evicted still counts every record."""
+        log = AuditLog(max_events=2)
+        for i in range(5):
+            log.record("send", i % 2 == 0, "a", str(i))
+        metrics = Metrics(log)
+        log.record("send", False, "b", "after-attach")
+        assert len(log) == 2 and log.dropped == 4
+        assert metrics.count("send") == 6
+        assert metrics.count("send", allowed=False) == 3
+        assert metrics.snapshot() == {"send.allow": 3, "send.deny": 3}
+        # subjects follow the stream from what the ring retained
+        assert dict(metrics.busiest_subjects()) == {"a": 2, "b": 1}
+
     def test_denial_rate(self):
         log = AuditLog()
         metrics = Metrics(log)

@@ -14,8 +14,10 @@ class TestAuditLog:
 
     def test_sequence_numbers_increase(self):
         log = AuditLog()
-        e1 = log.record("send", True, "a", "x")
-        e2 = log.record("send", True, "a", "y")
+        log.record("send", True, "a", "x")
+        e1 = log.last()
+        log.record("send", True, "a", "y")
+        e2 = log.last()
         assert e2.seq == e1.seq + 1
 
     def test_filter_by_category(self):
@@ -53,7 +55,7 @@ class TestAuditLog:
         assert len(log) == 0
 
     def test_capacity_bound(self):
-        log = AuditLog(capacity=3)
+        log = AuditLog(max_events=3)
         for i in range(10):
             log.record("send", True, "a", str(i))
         assert len(log) == 3
@@ -96,5 +98,6 @@ class TestAuditLog:
 
     def test_extra_kwargs_stored(self):
         log = AuditLog()
-        e = log.record("send", True, "a", "x", message_id=7)
+        log.record("send", True, "a", "x", message_id=7)
+        e = log.last()
         assert e.extra["message_id"] == 7

@@ -156,6 +156,25 @@ class TestDeterministicMerge:
             sp.shutdown()
         assert trees["serial"] == trees["fork"]
 
+    @needs_fork
+    def test_serial_and_fork_merge_audit_extra_identically(self):
+        """The fork engine ships each audit row with its ``extra``, so
+        the merged stream keeps trace stamps and caller ids."""
+        streams = {}
+        for engine in ("serial", "fork"):
+            sp, clients = build_traced(2, engine)
+            try:
+                sp.handle_batch(cross_shard_batch(sp, clients))
+                streams[engine] = [
+                    (e.seq, e.category, e.allowed, e.subject, e.detail,
+                     e.extra) for e in sp.kernel.audit]
+            finally:
+                sp.shutdown()
+        assert streams["serial"] == streams["fork"]
+        extras = [row[-1] for row in streams["fork"]]
+        assert any("trace_id" in x and "span_id" in x for x in extras)
+        assert any(set(x) - {"trace_id", "span_id"} for x in extras)
+
 
 @needs_fork
 class TestForkEngine:
