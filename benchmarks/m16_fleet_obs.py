@@ -8,7 +8,7 @@ microseconds per request.  Two measurements:
 * **disabled** — a 2-shard serial ``ShardedProvider(tracing=False)``
   on the M13 batched read mix, routed path (``handle_batch``: the
   full M13 router — ``shard_for`` + group + dispatch + reassemble +
-  ``_note_response`` — plus the M16 plumbing: one ``tracer.enabled``
+  session-token bookkeeping — plus the M16 plumbing: one ``tracer.enabled``
   load, the engines' (ctx=None, empty-skeleton) tuple shape) vs. the
   *same pre-grouped requests dispatched directly* to the deployment's
   own shard providers — each a complete M14 ``fast()`` provider, so
@@ -59,7 +59,7 @@ except ImportError:  # script context (record.py)
 #: dispatch on the same untraced builds, scored by the median of
 #: paired per-slice ratios.  The gap
 #: is the M13 routing (``shard_for``, grouping, reassembly,
-#: ``_note_response``) plus the M16 plumbing (one attribute load, a
+#: session-token bookkeeping) plus the M16 plumbing (one attribute load, a
 #: ctx=None argument, an empty skeleton list per shard): measured
 #: ~0.8us on the ~32us read, a 1.02-1.03x ratio — both sides run
 #: the same per-shard ``handle_batch``, so routing is the only real

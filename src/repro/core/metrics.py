@@ -3,8 +3,8 @@
 Benchmarks and operators both want "how many exports were denied this
 minute" without scanning the whole audit log.  ``Metrics`` reads the
 per-(category, verdict) counts from the lifetime counters of an
-:class:`~repro.kernel.audit.AuditLog`, and subscribes to it only for
-the per-subject counters, cheap to read at any time.
+:class:`~repro.kernel.audit.AuditLog`, cheap to read at any time and
+free on the record path.
 
 Latency is the tracer's: :meth:`Metrics.attach` names the provider
 whose span histograms :meth:`Metrics.latency_histograms` returns (the
@@ -19,10 +19,9 @@ outside the trusted base.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Optional
 
-from ..kernel.audit import AuditEvent, AuditLog
+from ..kernel.audit import AuditLog
 from ..obs import LatencyHistogram
 
 
@@ -31,27 +30,14 @@ class Metrics:
 
     The category counts are the log's lifetime counters, so they count
     every record since the log was created, whenever ``Metrics`` was
-    attached and whatever the ring evicted before.  The subject
-    counters follow the stream from attach, folding in only what the
-    ring still retained then.
+    attached and whatever the ring evicted before.
     """
 
     def __init__(self, audit: AuditLog) -> None:
         #: The log's live counters, shared, not copied.
         self._by_category = audit.lifetime_counts()
-        self._by_subject: Counter[str] = Counter()
-        self._denials_by_subject: Counter[str] = Counter()
         #: The provider whose tracer supplies latency (see attach).
         self._provider: Any = None
-        # fold in what the ring retains, then follow the stream
-        for event in audit:
-            self._ingest(event)
-        audit.subscribe(self._ingest)
-
-    def _ingest(self, event: AuditEvent) -> None:
-        self._by_subject[event.subject] += 1
-        if not event.allowed:
-            self._denials_by_subject[event.subject] += 1
 
     def attach(self, provider: Any) -> "Metrics":
         """Name the provider (anything with a ``tracer``) whose span
@@ -74,12 +60,6 @@ class Metrics:
         if total == 0:
             return 0.0
         return self.count(category, allowed=False) / total
-
-    def busiest_subjects(self, k: int = 5) -> list[tuple[str, int]]:
-        return self._by_subject.most_common(k)
-
-    def top_denied_subjects(self, k: int = 5) -> list[tuple[str, int]]:
-        return self._denials_by_subject.most_common(k)
 
     def snapshot(self) -> dict[str, int]:
         """A flat dict (``category.allow``/``category.deny`` keys)."""

@@ -20,7 +20,7 @@ provider-private and never flow back to applications.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 #: Event categories, used for filtering.
 SPAWN = "spawn"
@@ -119,8 +119,7 @@ class AuditLog:
     position (the newest row's is :attr:`total_recorded`).  Queries —
     :meth:`events`, iteration, :meth:`last`, :meth:`count` — scan the
     retained ring; :meth:`lifetime_counts` counts every record ever
-    made, whatever the ring kept.  Subscribers get a view of every
-    record as it is made.
+    made, whatever the ring kept.
 
     ``trace_source``, when set (the provider installs its ``Tracer``
     in tracing mode), is any object exposing a ``current`` span
@@ -137,7 +136,6 @@ class AuditLog:
         #: Rows removed by :meth:`clear` (not evictions).
         self._cleared = 0
         self._counts: Counter[tuple[str, bool]] = Counter()
-        self._subscribers: list[Callable[[AuditEvent], None]] = []
         #: When False, :meth:`record_lazy` renders templates eagerly —
         #: the oracle plane's path, byte-identical either way.
         self.lazy = lazy
@@ -152,8 +150,7 @@ class AuditLog:
 
     def record(self, category: str, allowed: bool, subject: str,
                detail: str, **extra: Any) -> None:
-        """Append an event with a rendered detail and notify
-        subscribers."""
+        """Append an event with a rendered detail."""
         _record_row(self, category, allowed, subject, detail, None,
                     extra or None)
 
@@ -184,17 +181,9 @@ class AuditLog:
                     extra["trace_id"] = cur.trace.trace_id
                     extra["span_id"] = cur.span_id
         self._seq += 1
-        row = (category, allowed, subject, template, args, extra)
-        self._rows.append(row)
+        self._rows.append((category, allowed, subject, template, args,
+                           extra))
         self._counts[category, allowed] += 1
-        if self._subscribers:
-            event = _view(self._seq, row)
-            for fn in self._subscribers:
-                fn(event)
-
-    def subscribe(self, fn: Callable[[AuditEvent], None]) -> None:
-        """Register a callback invoked with a view of every new record."""
-        self._subscribers.append(fn)
 
     # -- queries -----------------------------------------------------------
 

@@ -904,30 +904,6 @@ class Provider:
         router sends each shard's sub-batch through."""
         return [self.handle_request(r) for r in requests]
 
-    def handle_batch_traced(self, requests: list[HttpRequest],
-                            ctx: Optional[Any] = None
-                            ) -> tuple[list[HttpResponse], list[dict]]:
-        """:meth:`handle_batch` plus remote trace capture (M16).
-
-        The sharded router's per-shard entrypoint: with a
-        :class:`~repro.obs.TraceContext` from the router's open
-        ``router.batch`` span, every trace this shard finishes for the
-        sub-batch inherits the router's sampling decision and comes
-        back as a skeleton dict for the router to graft — plain
-        picklable data, so the same tuple shape crosses the fork
-        engine's pipe.  Without a context
-        (or with tracing off) it is exactly ``handle_batch`` with an
-        empty skeleton list.
-        """
-        tracer = self.kernel.tracer
-        if ctx is None or not tracer.enabled:
-            return self.handle_batch(requests), []
-        from ..obs.fleet import RemoteCapture
-        from ..obs.trace import TraceContext
-        with RemoteCapture(tracer, TraceContext(*ctx)) as capture:
-            responses = self.handle_batch(requests)
-        return responses, capture.skeletons
-
     def explain(self, app_ref: str,
                 viewer: Optional[str] = None) -> dict[str, Any]:
         """The compiled :class:`RequestPlan` for (app, viewer), as a

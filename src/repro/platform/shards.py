@@ -22,16 +22,23 @@ shard-local by construction — shards share **no** mutable state, which
 is what makes concurrent execution trivially linearizable per shard.
 
 **Engines.**  Each shard is one single-threaded provider; the engine
-only decides where it runs:
+only decides where it runs.  An engine does one thing: run a method
+of the shard provider, or a picklable module-level function taking it
+first, on shard k (``call``, ``fan_out``, ``broadcast``).  A batch is
+:func:`_serve_batch` on every shard it touches and an audit read is
+:func:`_audit_rows`; a single request is a batch of one.
 
 * ``serial`` — in-line on the caller, ascending shard order.  The
   deterministic baseline and the default at every shard count, so
   "sharding off" costs nothing over the classic plane.
-* ``fork`` — one forked child process per shard speaking a pickled
-  pipe protocol (batch-oriented; requests and responses cross it as
-  plain tuples).  This is the engine that scales
-  with cores under the GIL; ``benchmarks/m13_shards.py`` measures it.
-  It needs ``os.fork`` (POSIX).
+* ``fork`` — one forked child process per shard, forked by ``start``
+  (on the first request); until then it runs in-line, like serial.
+  Each pipe message is ``(method, args, kwargs)`` or a stop, and each
+  reply is a status and a result.  Both are pickled with
+  :class:`_WirePickler`, so requests and responses cross as plain
+  field tuples.  This is the engine that scales with cores under the
+  GIL; ``benchmarks/m13_shards.py`` measures it.  It needs
+  ``os.fork`` (POSIX).
 
 **Deterministic merge.**  Each shard's audit stream is already
 deterministic (per-shard seq order); :class:`MergedAuditView` merges
@@ -45,7 +52,9 @@ responses and audit streams both.
 
 from __future__ import annotations
 
+import copyreg
 import gc
+import io
 import os
 import pickle
 import traceback
@@ -60,7 +69,7 @@ from ..errors import ShardDown, W5Error
 from ..kernel.audit import AuditEvent
 from ..net import SESSION_COOKIE, HttpRequest, HttpResponse
 from ..obs import NULL_TRACER, FlightRecorder, Tracer
-from ..obs.fleet import _worst
+from ..obs.fleet import RemoteCapture, _worst
 from ..obs.histogram import merge_histograms
 from ..obs.trace import TraceContext
 from .config import ProviderConfig
@@ -69,6 +78,9 @@ from .provider import Provider
 #: The SessionManager default seed (shard 0 keeps it; shard k adds k,
 #: so no two shards ever mint the same session token).
 _SESSION_SEED = 0x57515
+
+#: Vnodes per shard on the :class:`ShardMap` ring.
+_REPLICAS = 64
 
 #: Params consulted, in order, to route an *anonymous* app request to
 #: the shard owning the data it names (a locality heuristic only —
@@ -80,21 +92,20 @@ _ANON_USER_PARAMS = ("username", "user", "author", "owner")
 class ShardMap:
     """Consistent-hash ring mapping owners to shards.
 
-    ``replicas`` vnodes per shard smooth the distribution; points come
+    ``_REPLICAS`` vnodes per shard smooth the distribution; points come
     from blake2b so placement is stable across processes and runs
     (Python's ``hash`` is randomized per interpreter).  Consistent
     hashing (vs ``hash % N``) keeps most placements stable when a
     future PR resizes the ring.
     """
 
-    def __init__(self, n_shards: int, replicas: int = 64) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.n_shards = n_shards
-        self.replicas = replicas
         ring = sorted(
             (self._point(f"shard:{shard}:{vnode}"), shard)
-            for shard in range(n_shards) for vnode in range(replicas))
+            for shard in range(n_shards) for vnode in range(_REPLICAS))
         self._points = [p for p, _ in ring]
         self._owners = [s for _, s in ring]
 
@@ -178,67 +189,101 @@ def _placement(shard: Provider, ring: ShardMap, k: int) -> tuple[int, int]:
 
 class _SerialEngine:
     """In-line execution, ascending shard order: the deterministic
-    schedule the fork engine must reproduce per shard."""
+    schedule the fork engine must reproduce per shard.
+
+    Every engine operation is one thing: run a :data:`Method` on shard
+    ``k``.  Requests ride :func:`_serve_batch` and audit reads
+    :func:`_audit_rows` under both engines, so serial is fork minus the
+    pipe.
+    """
 
     name = "serial"
 
     def __init__(self, shards: list[Provider]) -> None:
-        self.shards = shards
+        #: The shard providers held in this process (``None`` once a
+        #: fork engine's children hold them).
+        self.shards: Optional[list[Provider]] = shards
+        self.n_shards = len(shards)
 
-    def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        return self.shards[shard].handle_request(request)
+    def start(self) -> None:
+        """Make the shards ready to serve (the fork engine forks)."""
 
-    def run_batches(self, groups: dict[int, list[HttpRequest]],
-                    ctx: Optional[TraceContext] = None
-                    ) -> tuple[dict[int, list[HttpResponse]],
-                               dict[int, list[dict]]]:
-        responses: dict[int, list[HttpResponse]] = {}
-        skeletons: dict[int, list[dict]] = {}
-        for shard, reqs in sorted(groups.items()):
-            responses[shard], skeletons[shard] = \
-                self.shards[shard].handle_batch_traced(reqs, ctx)
-        return responses, skeletons
+    def fan_out(self, method: Method, args: dict[int, tuple],
+                kwargs: Optional[dict] = None) -> list[Any]:
+        """``method(*args[k], **kwargs)`` on each shard ``k`` in
+        ``args``; the results, in ``args`` order."""
+        providers = self.shards
+        kwargs = kwargs or {}
+        return [_resolve(providers[k], method)(*a, **kwargs)
+                for k, a in args.items()]
 
     def call(self, shard: int, method: Method,
              args: tuple = (), kwargs: Optional[dict] = None) -> Any:
-        return _resolve(self.shards[shard], method)(*args, **(kwargs or {}))
+        return self.fan_out(method, {shard: args}, kwargs)[0]
 
-    def broadcast(self, method: Method, args: tuple = (),
-                  kwargs: Optional[dict] = None) -> list[Any]:
-        return [_resolve(s, method)(*args, **(kwargs or {}))
-                for s in self.shards]
-
-    def audit_events(self, shard: int) -> list[AuditEvent]:
-        return list(self.shards[shard].kernel.audit)
+    def broadcast(self, method: Method, args: tuple = ()) -> list[Any]:
+        return self.fan_out(method, dict.fromkeys(range(self.n_shards),
+                                                  args))
 
     def shutdown(self) -> None:
         pass
 
 
-#: A request reduced to a plain tuple of its fields, in declaration
-#: order.  It crosses the pipe in this form, not as a pickled dataclass:
-#: a tuple pickles in about a fifth of the time and 56% of the bytes,
-#: and does not carry the ``_parts_cache`` the router's ``path_parts``
-#: left on it.  Derived from the dataclass, so a new field cannot be
-#: dropped.
+#: A request or response reduced to a plain tuple of its fields, in
+#: declaration order; ``HttpRequest(*plain)`` rebuilds it.  Derived
+#: from the dataclass, so a new field cannot be dropped.
 _plain_request = attrgetter(*(f.name for f in fields(HttpRequest)))
+_plain_response = attrgetter(*(f.name for f in fields(HttpResponse)))
 
 
-def _rebuild_request(plain: tuple) -> HttpRequest:
-    return HttpRequest(*plain)
+class _WirePickler(pickle.Pickler):
+    """The fork engine's pickler: requests and responses, wherever they
+    sit in a message, cross as plain field tuples, not as pickled
+    dataclasses.  A 128-request batch then pickles in half the time
+    and half the bytes (232 µs and 6.2 kB against 488 µs and 12.0 kB
+    on CPython 3.11), and a request does not carry the
+    ``_parts_cache`` the router's ``path_parts`` left on it."""
+
+    dispatch_table = {
+        **copyreg.dispatch_table,
+        HttpRequest: lambda req: (HttpRequest, _plain_request(req)),
+        HttpResponse: lambda resp: (HttpResponse, _plain_response(resp)),
+    }
 
 
-def _plain_response(resp: HttpResponse) -> tuple:
-    """Reduce a response to picklable plain data.  The gateway already
-    re-stamped ``content_label`` to EMPTY at egress, so nothing is
-    lost crossing the pipe."""
-    return (resp.status, resp.body, resp.headers, resp.set_cookies)
+def _dumps(message: Any) -> bytes:
+    buf = io.BytesIO()
+    _WirePickler(buf).dump(message)
+    return buf.getvalue()
 
 
-def _rebuild_response(plain: tuple) -> HttpResponse:
-    status, body, headers, set_cookies = plain
-    return HttpResponse(status=status, body=body, headers=headers,
-                        set_cookies=set_cookies)
+def _serve_batch(shard: Provider, requests: list[HttpRequest],
+                 ctx: Optional[TraceContext]
+                 ) -> tuple[list[HttpResponse], list[dict]]:
+    """Serve one shard's sub-batch: its responses, and the span
+    skeletons of the traces it finished.
+
+    With a :class:`~repro.obs.TraceContext` from the router's open
+    ``router.batch`` span (and tracing on), every trace this shard
+    finishes for the sub-batch inherits the router's sampling decision
+    and comes back as a skeleton dict for the router to graft (M16),
+    never silently lost to the process boundary.  Otherwise the
+    skeleton list is empty.
+    """
+    tracer = shard.kernel.tracer
+    if ctx is None or not tracer.enabled:
+        return shard.handle_batch(requests), []
+    with RemoteCapture(tracer, ctx) as capture:
+        responses = shard.handle_batch(requests)
+    return responses, capture.skeletons
+
+
+def _audit_rows(shard: Provider) -> list[tuple]:
+    """The shard's retained audit stream as ``AuditEvent`` argument
+    rows: the detail is rendered to a str and ``extra`` holds only
+    ints and strs (trace stamps, ids)."""
+    return [(e.seq, e.category, e.allowed, e.subject, e.detail, e.extra)
+            for e in shard.kernel.audit]
 
 
 def _transportable_exc(exc: BaseException) -> BaseException:
@@ -251,65 +296,44 @@ def _transportable_exc(exc: BaseException) -> BaseException:
 
 
 def _fork_worker(shard: Provider, conn: Any) -> None:
-    """The child process loop: one shard, one pipe, batch-oriented."""
+    """The child process loop: one shard, one pipe.  Each message is
+    ``(method, args, kwargs)`` to run on the shard, or ``None`` to
+    stop."""
     while True:
         try:
-            op = conn.recv()
+            message = pickle.loads(conn.recv_bytes())
         except EOFError:
             return
-        kind = op[0]
+        if message is None:
+            conn.send_bytes(_dumps(("ok", True)))
+            return
+        method, args, kwargs = message
         try:
-            if kind == "batch":
-                # op = ("batch", plain requests, trace_context|None):
-                # spans recorded in this child are serialized to
-                # skeleton dicts and shipped back with the responses —
-                # never silently lost to the process boundary (M16)
-                resps, skeletons = shard.handle_batch_traced(
-                    [_rebuild_request(t) for t in op[1]], op[2])
-                conn.send(("ok", ([_plain_response(r) for r in resps],
-                                  skeletons)))
-            elif kind == "request":
-                conn.send(("ok", _plain_response(
-                    shard.handle_request(_rebuild_request(op[1])))))
-            elif kind == "call":
-                result = _resolve(shard, op[1])(*op[2], **op[3])
-                try:
-                    conn.send(("ok", result))
-                except Exception:
-                    # send pickles before it writes, so nothing reached
-                    # the pipe: answer with an error, never a silent None
-                    conn.send(("err", W5Error(
-                        f"{op[1]} returned an unpicklable "
-                        f"{type(result).__name__}")))
-            elif kind == "audit":
-                # rendered rows: the detail is a str and ``extra``
-                # holds only ints and strs (trace stamps, ids)
-                conn.send(("ok", [
-                    (e.seq, e.category, e.allowed, e.subject, e.detail,
-                     e.extra)
-                    for e in shard.kernel.audit]))
-            elif kind == "stop":
-                conn.send(("ok", True))
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("err", W5Error(f"unknown op {kind!r}")))
+            reply = ("ok", _resolve(shard, method)(*args, **kwargs))
         except BaseException as exc:
-            conn.send(("err", _transportable_exc(exc)))
+            reply = ("err", _transportable_exc(exc))
+        try:
+            frame = _dumps(reply)
+        except Exception as exc:
+            # the result would not pickle: answer with an error, never
+            # a silent None
+            name = getattr(method, "__name__", method)
+            frame = _dumps(("err", W5Error(
+                f"{name} returned an unpicklable "
+                f"{type(reply[1]).__name__}: {exc}")))
+        conn.send_bytes(frame)
 
 
-class _ForkEngine:
-    """One forked child process per shard, batch-oriented pipe RPC.
+class _ForkEngine(_SerialEngine):
+    """One forked child process per shard, pickled pipe RPC.
 
-    The only engine that scales with cores under the GIL.  Children
-    are forked lazily on first dispatch, so all setup done before then
-    (signups, enables, grants) is inherited by every child for free;
-    control calls after the fork cross the pipe.  Once the children
-    run, the parent drops ``shards``: each child holds the only copy
-    of its shard, so nothing in the router can read stale state.
-    Requests cross as plain field tuples; responses come back as
-    ``(status, body, headers, set_cookies)`` tuples (egress already
-    stripped labels).  A child that has died surfaces as
-    :class:`~repro.errors.ShardDown` naming its shard (there is no
+    The only engine that scales with cores under the GIL.  Until
+    :meth:`start` forks, it is the serial engine: everything run before
+    then (signups, enables, grants) runs in the parent, and every child
+    inherits it for free.  Once the children run, the parent drops
+    ``shards``: each child holds the only copy of its shard, so nothing
+    in the router can read stale state.  A child that has died surfaces
+    as :class:`~repro.errors.ShardDown` naming its shard (there is no
     respawn).
     """
 
@@ -319,14 +343,13 @@ class _ForkEngine:
         if not hasattr(os, "fork"):  # pragma: no cover - platform gate
             raise W5Error("the fork shard engine needs os.fork (POSIX); "
                           "use engine='serial' here")
-        #: The shard providers until the children fork, then ``None``.
-        self.shards: Optional[list[Provider]] = shards
+        super().__init__(shards)
         self._conns: Optional[list[Any]] = None
         self._pids: list[int] = []
 
-    def _ensure_started(self) -> list[Any]:
+    def start(self) -> None:
         if self._conns is not None:
-            return self._conns
+            return
         if self.shards is None:
             raise W5Error("this fork deployment was shut down")
         import multiprocessing
@@ -360,22 +383,23 @@ class _ForkEngine:
             self._pids.append(pid)
         self._conns = conns
         self.shards = None
-        return conns
 
-    def _send(self, shard: int, op: tuple) -> None:
+    def _send(self, shard: int, message: Optional[tuple]) -> None:
+        frame = _dumps(message)
         try:
-            self._ensure_started()[shard].send(op)
+            self._conns[shard].send_bytes(frame)  # type: ignore[index]
         except OSError as exc:  # the child closed its end: it is gone
-            # the failed send's frames hold the pickled op's exported
-            # buffer; whoever keeps this ShardDown must not keep that
+            # the failed send's frames hold the pickled message;
+            # whoever keeps this ShardDown must not keep that
             traceback.clear_frames(exc.__traceback__)
             raise ShardDown(shard, type(exc).__name__) from exc
 
     def _recv(self, shard: int) -> Any:
         try:
-            status, payload = self._ensure_started()[shard].recv()
+            frame = self._conns[shard].recv_bytes()  # type: ignore[index]
         except (EOFError, OSError) as exc:
             raise ShardDown(shard, type(exc).__name__) from exc
+        status, payload = pickle.loads(frame)
         if status == "err":
             try:
                 raise payload
@@ -383,30 +407,29 @@ class _ForkEngine:
                 payload = None  # the traceback holds this frame
         return payload
 
-    def _rpc(self, shard: int, op: tuple) -> Any:
-        self._send(shard, op)
-        return self._recv(shard)
-
-    def _fan_out(self, shards: Sequence[int],
-                 op_for: Callable[[int], tuple]) -> list[Any]:
-        """Send ``op_for(shard)`` to every shard before reading any
-        reply (the children overlap), then the replies in order.  Each
-        op is built just before its send and dropped after it, so the
-        requests it carries are not kept alive, and scanned by young
-        collections, while the parent waits.  A failure — a dead shard
-        or an error raised in a child — propagates only after every
-        other reply is read, so the pipes stay in step.
+    def fan_out(self, method: Method, args: dict[int, tuple],
+                kwargs: Optional[dict] = None) -> list[Any]:
+        """Send every shard its call before reading any reply (the
+        children overlap), then the replies in order.  A failure — a
+        dead shard or an error raised in a child — propagates only
+        after every other reply is read, so the pipes stay in step.
 
         The raised failure's traceback holds this frame, so the local
         naming it is cleared on the way out: a frame–exception cycle
         would live until a collection."""
+        if self._conns is None:
+            if self.shards is None:
+                raise W5Error("this fork deployment was shut down")
+            # not forked yet: run here, and the children inherit it
+            return super().fan_out(method, args, kwargs)
+        kwargs = kwargs or {}
         failure: Optional[Exception] = None
         sent = []
-        for shard in shards:
+        for shard, shard_args in args.items():
             try:
-                self._send(shard, op_for(shard))
+                self._send(shard, (method, shard_args, kwargs))
                 sent.append(shard)
-            except Exception as exc:  # no reply will come for this op
+            except Exception as exc:  # no reply will come for this call
                 failure = failure or exc
         replies = {}
         for shard in sent:
@@ -419,54 +442,15 @@ class _ForkEngine:
                 raise failure
             finally:
                 failure = None
-        return [replies[shard] for shard in shards]
-
-    def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        return _rebuild_response(
-            self._rpc(shard, ("request", _plain_request(request))))
-
-    def run_batches(self, groups: dict[int, list[HttpRequest]],
-                    ctx: Optional[TraceContext] = None
-                    ) -> tuple[dict[int, list[HttpResponse]],
-                               dict[int, list[dict]]]:
-        ordered = sorted(groups)
-        replies = self._fan_out(ordered, lambda shard: (
-            "batch", list(map(_plain_request, groups[shard])), ctx))
-        responses: dict[int, list[HttpResponse]] = {}
-        skeletons: dict[int, list[dict]] = {}
-        for shard, (plain, skels) in zip(ordered, replies):
-            responses[shard] = [_rebuild_response(t) for t in plain]
-            skeletons[shard] = skels
-        return responses, skeletons
-
-    def call(self, shard: int, method: Method,
-             args: tuple = (), kwargs: Optional[dict] = None) -> Any:
-        if self.shards is not None:
-            # pre-fork: run in the parent so children inherit the effect
-            return _resolve(self.shards[shard], method)(
-                *args, **(kwargs or {}))
-        return self._rpc(shard, ("call", method, args, kwargs or {}))
-
-    def broadcast(self, method: Method, args: tuple = (),
-                  kwargs: Optional[dict] = None) -> list[Any]:
-        if self.shards is not None:
-            return [_resolve(s, method)(*args, **(kwargs or {}))
-                    for s in self.shards]
-        op = ("call", method, args, kwargs or {})
-        return self._fan_out(range(len(self._ensure_started())),
-                             lambda shard: op)
-
-    def audit_events(self, shard: int) -> list[AuditEvent]:
-        if self.shards is not None:
-            return list(self.shards[shard].kernel.audit)
-        return [AuditEvent(*row) for row in self._rpc(shard, ("audit",))]
+        return [replies[shard] for shard in args]
 
     def shutdown(self) -> None:
         if self._conns is None:
             return
         for shard, conn in enumerate(self._conns):
             try:
-                self._rpc(shard, ("stop",))
+                self._send(shard, None)
+                self._recv(shard)
             except ShardDown:
                 pass
             conn.close()
@@ -505,11 +489,10 @@ class MergedAuditView:
         self._owner = owner
 
     def per_shard(self) -> list[list[AuditEvent]]:
-        """Each shard's stream, in shard order (events shared, not
-        copied — treat as read-only)."""
-        engine = self._owner._engine
-        return [engine.audit_events(k)
-                for k in range(self._owner.n_shards)]
+        """Each shard's stream, in shard order, rebuilt from the rows
+        :func:`_audit_rows` renders on the shard."""
+        return [[AuditEvent(*row) for row in rows]
+                for rows in self._owner._engine.broadcast(_audit_rows)]
 
     def __iter__(self) -> Iterator[AuditEvent]:
         for stream in self.per_shard():
@@ -600,8 +583,8 @@ class ShardedProvider:
                  rate_limit: Optional[int] = None,
                  audit_max_events: Optional[int] = None,
                  tracing: bool = False,
-                 resources_factory: Optional[Callable[[], Any]] = None,
-                 replicas: int = 64) -> None:
+                 resources_factory: Optional[Callable[[], Any]] = None
+                 ) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
         base = config if config is not None else ProviderConfig.fast()
@@ -612,7 +595,7 @@ class ShardedProvider:
         per_shard = base.replace(shards=1, shard_engine=None)
         self.name = name
         self.n_shards = n_shards
-        self.map = ShardMap(n_shards, replicas=replicas)
+        self.map = ShardMap(n_shards)
         # The shard providers, handed to the engine (see ``shards``).
         # Shard 0 keeps the default session seed (a 1-shard deployment
         # is byte-identical to the classic plane); shard k seeds with
@@ -693,27 +676,11 @@ class ShardedProvider:
                 return self.map.shard_of_user(named)
         return self.map.shard_of(f"path:{request.path}")
 
-    def _note_response(self, shard: int, request: HttpRequest,
-                       response: HttpResponse) -> None:
-        if self.n_shards == 1:
-            return
-        if response.set_cookies:
-            token = response.set_cookies.get(SESSION_COOKIE)
-            if token:
-                self._token_shard[token] = shard
-        parts = request.path_parts()
-        if parts and parts[0] == "logout":
-            self._token_shard.pop(
-                request.cookies.get(SESSION_COOKIE, ""), None)
-
     # -- the request plane ---------------------------------------------
 
     def handle_request(self, request: HttpRequest) -> HttpResponse:
-        shard = self.shard_for(request)
-        self.routed[shard] += 1
-        response = self._engine.request(shard, request)
-        self._note_response(shard, request, response)
-        return response
+        """One request, as a batch of one."""
+        return self._run_batch([request], None)[0]
 
     def handle_batch(self, requests: Sequence[HttpRequest]
                      ) -> list[HttpResponse]:
@@ -744,6 +711,8 @@ class ShardedProvider:
 
     def _run_batch(self, requests: list[HttpRequest],
                    ctx: Optional[TraceContext]) -> list[HttpResponse]:
+        engine = self._engine
+        engine.start()  # the fork engine forks on the first request
         groups: dict[int, list[HttpRequest]] = {}
         slots: dict[int, list[int]] = {}
         assignment = []
@@ -755,20 +724,23 @@ class ShardedProvider:
             slots.setdefault(shard, []).append(i)
         for shard, grouped in groups.items():
             self.routed[shard] += len(grouped)
-        by_shard, skeletons = self._engine.run_batches(groups, ctx)
+        ordered = sorted(groups)
+        replies = engine.fan_out(_serve_batch, {
+            shard: (groups[shard], ctx) for shard in ordered})
+        responses: list[Optional[HttpResponse]] = [None] * len(requests)
+        for shard, (resps, __) in zip(ordered, replies):
+            for i, resp in zip(slots[shard], resps):
+                responses[i] = resp
         if ctx is not None:
             tracer = self.tracer
             tracer.annotate(shards=len(groups))
-            for shard in sorted(skeletons):
-                for skeleton in skeletons[shard]:
+            for shard, (__, skeletons) in zip(ordered, replies):
+                for skeleton in skeletons:
                     tracer.graft(f"shard:{shard}", skeleton)
-        responses: list[Optional[HttpResponse]] = [None] * len(requests)
-        for shard, resps in by_shard.items():
-            for i, resp in zip(slots[shard], resps):
-                responses[i] = resp
-        # _note_response inlined for the batch: the common case (no
-        # session cookie minted, not a logout) must not pay a method
-        # call per request on the fleet's disabled hot path
+        if self.n_shards == 1:
+            return responses  # type: ignore[return-value]
+        # track session tokens: a minted cookie maps to the shard that
+        # minted it, and a logout forgets its token
         token_shard = self._token_shard
         for i, request in enumerate(requests):
             response = responses[i]

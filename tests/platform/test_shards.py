@@ -24,7 +24,7 @@ from repro.errors import ShardDown, W5Error
 from repro.net import SESSION_COOKIE, ExternalClient
 from repro.net.http import HttpRequest, HttpResponse
 from repro.platform import ProviderConfig, ShardMap, ShardedProvider
-from repro.platform.shards import _plain_request, _rebuild_request
+from repro.platform.shards import MergedAuditView, _dumps, _plain_request
 
 USERS = ["alice", "bob", "carol", "dave", "erin", "frank"]
 
@@ -64,7 +64,7 @@ class TestShardMap:
         assert len(counts) == 4 and all(c > 0 for c in counts)
 
     def test_distribution_is_roughly_balanced(self):
-        m = ShardMap(4, replicas=64)
+        m = ShardMap(4)
         counts = m.distribution([f"user{i}" for i in range(4000)])
         assert max(counts) < 3 * min(counts)
 
@@ -242,7 +242,7 @@ class TestMergedAudit:
         if ring is not None:
             assert len(events) == 2 * ring  # both rings evicted
         # answered from each shard's counters: no stream is shipped
-        monkeypatch.setattr(sp._engine, "audit_events", None)
+        monkeypatch.setattr(MergedAuditView, "per_shard", None)
         assert len(view) == len(events)
         for category in sorted({e.category for e in events}) + [None,
                                                                 "nope"]:
@@ -430,7 +430,7 @@ class TestDeadForkShard:
             gc.collect()
             cyclic = [o.f_code.co_name for o in gc.garbage
                       if isinstance(o, types.FrameType)
-                      and o.f_code.co_name in ("_fan_out", "_recv")]
+                      and o.f_code.co_name in ("fan_out", "_recv")]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
@@ -470,6 +470,27 @@ class TestForkEngine:
         assert sp.handle_request(login).ok
         sp.shutdown()
 
+    def test_unpicklable_response_raises_and_the_shard_serves_on(self):
+        sp = ShardedProvider(n_shards=1, engine="fork")
+        serve = sp.shards[0].handle_batch
+
+        def poisoned(reqs):
+            if reqs[0].path == "/poison":
+                return [HttpResponse(body=(i for i in range(3)))]
+            return serve(reqs)
+
+        # patched before the fork, so the child inherits the fault
+        sp.shards[0].handle_batch = poisoned
+        with pytest.raises(W5Error, match="_serve_batch returned an "
+                                          "unpicklable tuple: cannot "
+                                          "pickle 'generator' object"):
+            sp.handle_request(HttpRequest("GET", "/poison"))
+        # the reply was refused before it reached the pipe: in step
+        signup = HttpRequest("POST", "/signup",
+                             params={"username": "alice", "password": "pw"})
+        assert sp.handle_request(signup).ok
+        sp.shutdown()
+
     def test_child_freezes_its_inherited_heap(self):
         sp = ShardedProvider(n_shards=2, engine="fork")
         # set before the fork, so shard 0's child inherits the probe
@@ -503,18 +524,17 @@ class TestForkEngine:
         with pytest.raises(W5Error, match="shut down"):
             sp.stats()
 
-    def test_requests_cross_the_pipe_whole(self):
-        sp = ShardedProvider(n_shards=1, engine="fork")
+    @pytest.mark.parametrize("engine", ["serial", "fork"])
+    def test_requests_cross_the_pipe_whole(self, engine):
+        sp = ShardedProvider(n_shards=1, engine=engine)
         names = [f.name for f in fields(HttpRequest)]
 
         def echo(req):
             return HttpResponse(body=[getattr(req, n) for n in names])
 
-        # patched before the fork: the child answers with every field
-        # of the request it rebuilt from the wire
-        sp.shards[0].handle_request = echo
-        sp.shards[0].handle_batch_traced = \
-            lambda reqs, ctx: ([echo(r) for r in reqs], [])
+        # patched before the fork: the shard answers with every field
+        # of the request it rebuilt from its plain tuple
+        sp.shards[0].handle_batch = lambda reqs: [echo(r) for r in reqs]
         req = HttpRequest("POST", "/app/blog/post",
                           params={"title": "t", "n": 3},
                           cookies={SESSION_COOKIE: "tok"},
@@ -550,8 +570,16 @@ class TestRequestWire:
     def test_round_trip(self):
         req = replace(self.REQ)
         req.path_parts()  # the router leaves its split on the request
-        wire = pickle.dumps(_plain_request(req))
+        wire = _dumps(req)  # the fork engine's wire form
         assert b"_parts_cache" not in wire
-        rebuilt = _rebuild_request(pickle.loads(wire))
+        assert len(wire) < len(pickle.dumps(req))
+        rebuilt = pickle.loads(wire)
         assert rebuilt == req
         assert rebuilt.path_parts() == ["app", "blog", "post"]
+
+    def test_response_round_trip(self):
+        from repro.labels import Label, Tag
+        for label in (Label.EMPTY, Label([Tag(7, owner="alice")])):
+            resp = HttpResponse(404, {"error": "x"}, {"A": "b"},
+                                {SESSION_COOKIE: "tok"}, label)
+            assert pickle.loads(_dumps([resp, resp])) == [resp, resp]
