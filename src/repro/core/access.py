@@ -6,9 +6,8 @@ never disagree about policy.  The rules themselves live in
 :func:`repro.labels.flow.can_read` / :func:`~repro.labels.flow.can_write`
 (the single normative definition; see DESIGN.md §5), and the
 non-raising verdicts are the kernel's
-:meth:`FlowCache.readable <repro.labels.FlowCache.readable>`,
-:meth:`~repro.labels.FlowCache.writable` and
-:meth:`~repro.labels.FlowCache.readable_many`.  This module adds the
+:meth:`FlowCache.readable <repro.labels.FlowCache.readable>` and
+:meth:`~repro.labels.FlowCache.writable`.  This module adds the
 raising variants with precise diagnostics.
 
 Every ``check_*`` takes the kernel's ``cache``: a cached *allow*

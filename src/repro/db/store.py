@@ -59,10 +59,6 @@ from .errors import NoSuchRow, NoSuchTable, SchemaError, TableExists
 
 Predicate = Callable[[dict[str, Any]], bool]
 
-#: Sentinel namespacing the partition-array entries inside a table's
-#: ``_cand_cache`` so they can never collide with an index choice key.
-_ARRAYS = object()
-
 #: A partition key: the interned (slabel, ilabel) pair of its rows.
 PartitionKey = "tuple[Label, Label]"
 
@@ -130,7 +126,7 @@ class Table:
     # column -> value -> partition key -> set of row ids
     indexes: dict[str, dict[Any, dict[tuple[Label, Label], set[int]]]] = \
         field(default_factory=dict)
-    #: Memoized sorted candidate-id lists per (index choice) — the
+    #: Memoized sorted candidate-id lists per where-signature — the
     #: partitioned scan needs ids in row-id order every query, and
     #: re-sorting an unchanged bucket per request is pure overhead.
     #: Any membership change clears it (labels are immutable, so
@@ -855,65 +851,49 @@ class LabeledStore:
                     if i in table.rows]
         return [table.rows[i] for i in sorted(table.rows)]
 
-    def _partition_candidates(self, table: Table,
-                              where: Optional[dict[str, Any]]
-                              ) -> dict[tuple[Label, Label], list[int]]:
-        """Candidate row ids per partition (sorted), narrowed by the
-        smallest index bucket when one applies.  Memoized on the table
-        until any row is added or removed — callers never mutate the
-        returned mapping."""
-        choice = self._best_index(table, where)
-        cached = table._cand_cache.get(choice)
-        if cached is not None:
-            return cached
-        if choice is not None:
-            col, value = choice
-            bucket = table.indexes[col].get(value) or {}
-            parts = {pkey: sorted(ids)
-                     for pkey, ids in bucket.items() if ids}
-        else:
-            parts = {pkey: sorted(rows)
-                     for pkey, rows in table.partitions.items() if rows}
-        table._cand_cache[choice] = parts
-        return parts
-
     def _partition_arrays(self, table: Table,
                           where: Optional[dict[str, Any]]
                           ) -> tuple[list, list, bool]:
-        """List view of :meth:`_partition_candidates` for
-        :meth:`_visible_rows`: ``(pkeys, idlists, prechecked)`` with
-        the two lists aligned index-for-index.  ``prechecked`` is True
+        """Candidate row ids per partition for :meth:`_visible_rows`:
+        ``(pkeys, idlists, prechecked)`` with the two lists aligned
+        index-for-index and each id list sorted, narrowed by the
+        smallest index bucket when one applies.  ``prechecked`` is True
         when the where clause is a single column answered by that
         column's index — every candidate id then satisfies it by
         construction, and the scan loop can skip re-verifying it row
-        by row.  Memoized alongside the candidate mapping (same
-        invalidation: any membership change clears the table's cache).
+        by row.
 
-        The memo is keyed by the *where signature* (the sorted
-        column/value pairs), not the index choice: :meth:`_best_index`
-        re-walks bucket sizes to pick the smallest, and on a warm
-        table that walk is the single most expensive step of a hot
-        scan.  The signature determines the choice until any
-        membership change — which clears this memo too.
+        Memoized on the table until any row is added or removed, keyed
+        by the *where signature* (the sorted column/value pairs), not
+        the index choice: :meth:`_best_index` re-walks bucket sizes to
+        pick the smallest, and on a warm table that walk is the single
+        most expensive step of a hot scan.  The signature determines
+        the choice until any membership change, which clears the memo.
+        Callers never mutate the returned lists.
         """
         cache = table._cand_cache
-        wkey: Optional[tuple]
+        memo = True
+        wkey: Optional[tuple] = None
         if where:
             try:
-                wkey = (_ARRAYS, tuple(sorted(where.items())))
-            except TypeError:  # unhashable where value: no memo
-                wkey = None
-        else:
-            wkey = (_ARRAYS, None)
-        if wkey is not None:
+                wkey = tuple(sorted(where.items()))
+            except TypeError:  # incomparable where columns: no memo
+                memo = False
+        if memo:
             cached = cache.get(wkey)
             if cached is not None:
                 return cached
-        parts = self._partition_candidates(table, where)
+        choice = self._best_index(table, where)
+        groups: dict = table.partitions
+        if choice is not None:
+            col, value = choice
+            groups = table.indexes[col].get(value) or {}
+        pkeys = [pkey for pkey, ids in groups.items() if ids]
         prechecked = (bool(where) and len(where) == 1
                       and next(iter(where)) in table.indexes)
-        arrays = (list(parts), list(parts.values()), prechecked)
-        if wkey is not None:
+        arrays = (pkeys, [sorted(groups[pkey]) for pkey in pkeys],
+                  prechecked)
+        if memo:
             cache[wkey] = arrays
         return arrays
 

@@ -29,6 +29,10 @@ from .base import Declassifier, ReleaseContext
 #: more edits ago than this is recomputed in full instead of refreshed.
 DIRTY_LOG_EPOCHS = 256
 
+#: Bound on the authority memo: (viewer, own tags) entries kept before
+#: the memo is cleared.
+MAX_AUTHORITY_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class Grant:
@@ -72,8 +76,7 @@ class DeclassificationService:
     """Registry of grants + the export-authority oracle."""
 
     def __init__(self, kernel: Kernel,
-                 cache_authority: bool = False,
-                 max_cache_entries: int = 4096) -> None:
+                 cache_authority: bool = False) -> None:
         self.kernel = kernel
         self._grants: list[Grant] = []
         #: Grant indexes — same contents as ``_grants``, keyed for the
@@ -103,7 +106,6 @@ class DeclassificationService:
         self._dirty_owners: set[str] = set()
         #: Memoized per-viewer export authority (the cacheable part).
         self.cache_authority = cache_authority
-        self._max_cache_entries = max_cache_entries
         self._authority_memo: dict[Any, _Authority] = {}
         #: Bumped by every authority-changing event; readable by tests.
         self.authority_epoch = 0
@@ -367,7 +369,7 @@ class DeclassificationService:
                 entry = None
         if entry is None:
             self._stats["misses"] += 1
-            if len(self._authority_memo) >= self._max_cache_entries:
+            if len(self._authority_memo) >= MAX_AUTHORITY_ENTRIES:
                 self._authority_memo.clear()
             entry = self._authority_memo[key] = self._memoize(viewer,
                                                               own_tags)

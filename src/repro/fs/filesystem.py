@@ -459,10 +459,12 @@ class LabeledFileSystem:
         :mod:`repro.db`.
 
         With ``grouped_walk`` (the default) each directory's children
-        are grouped by their ``(slabel, ilabel)`` pair and visibility
-        is resolved once per distinct pair
-        (:meth:`repro.labels.FlowCache.readable_many`); unreadable nodes
-        are pruned at pop time with the same audit refusal record the
+        take their read verdicts from the flow cache's table for the
+        process's label state (:meth:`~repro.labels.FlowCache.read_table`),
+        fetched when the directory is expanded, so visibility is
+        computed once per distinct ``(slabel, ilabel)`` pair, as the
+        path walk and the partitioned scan do; unreadable nodes are
+        pruned at pop time with the same audit refusal record the
         naive traversal emits, but without re-deriving the full
         violation per node.  Yield order and the audit stream are
         identical to the naive engine.
@@ -497,14 +499,21 @@ class LabeledFileSystem:
                 continue
             yield (prefix or "/", current)
             if isinstance(current, Directory) and current.entries:
-                children = sorted(current.entries.items())
-                pairs = {(c.slabel, c.ilabel) for _, c in children}
-                verdicts = cache.readable_many(process, list(pairs),
-                                               category="fs.read")
+                # fetched per directory: the caller may change the
+                # process's labels between two yields
+                known = cache.read_table(process)
+                hits = 0
+                for name, child in sorted(current.entries.items()):
+                    ok = known.get((child.slabel, child.ilabel))
+                    if ok is None:
+                        ok = cache.readable(process, child.slabel,
+                                            child.ilabel, category="fs.read")
+                    else:
+                        hits += 1
+                    gstack.append((f"{prefix}/{name}", child, ok))
+                if hits:
+                    cache.count_hits("fs.read", hits)
                 self._stats["label_batches"] += 1
-                for name, child in children:
-                    gstack.append((f"{prefix}/{name}", child,
-                                   verdicts[(child.slabel, child.ilabel)]))
 
 
 class FsView:

@@ -112,15 +112,15 @@ class Kernel:
                  flow_cache: Optional[FlowCache] = None,
                  recycle: bool = False,
                  audit_max_events: Optional[int] = None,
-                 lazy_audit: bool = True,
-                 compiled_transitions: bool = True) -> None:
+                 lazy_audit: bool = True) -> None:
         self.tags = TagRegistry(namespace=namespace)
         self.audit = AuditLog(max_events=audit_max_events, lazy=lazy_audit)
         self.resources = resources or ResourceHook()
         self.floating_labels = floating_labels
-        #: Memoized flow decisions (see repro.labels.cache).  Pass
-        #: ``FlowCache(enabled=False)`` for a pass-through kernel; the
-        #: differential tests compare the two on identical histories.
+        #: Memoized flow decisions, label transitions included (see
+        #: repro.labels.cache).  Pass ``FlowCache(enabled=False)`` for a
+        #: pass-through kernel; the differential tests compare the two
+        #: on identical histories.
         self.flow_cache = flow_cache if flow_cache is not None else FlowCache()
         #: App-process recycling (see repro.kernel.pool).  Disabled by
         #: default at the kernel level; the provider opts in.
@@ -132,19 +132,6 @@ class Kernel:
         #: so instrumentation sites never need None checks.  The
         #: provider installs a live Tracer when tracing is on.
         self.tracer = NULL_TRACER
-        #: Compiled label transitions (M14): memoized *allowed*
-        #: ``(from_s, to_s, from_i, to_i, caps)`` tuples, guarded by
-        #: the FlowCache generation so registry restores flush it.
-        #: Denials always take the slow path for identical diagnostics.
-        self._transitions: Optional[dict[tuple, bool]] = (
-            {} if compiled_transitions else None)
-        self._transitions_gen = self.flow_cache.generation
-        # Companion memo: (label, tags) -> label.add(*tags).  Pure set
-        # arithmetic over interned immutable values, so entries never
-        # go stale; gated with the transition table because it exists
-        # for the same reason (the per-request taint raise).
-        self._label_adds: Optional[dict[tuple, Label]] = (
-            {} if compiled_transitions else None)
         self._pids = itertools.count(1)
         self._procs: dict[int, Process] = {}
         self._exited: deque[Process] = deque(maxlen=EXITED_RING)
@@ -297,40 +284,14 @@ class Kernel:
         """
         self._require_alive(process)
         self.resources.charge(process, "syscalls", 1)
-        transitions = self._transitions
-        if transitions is not None:
-            if self._transitions_gen != self.flow_cache.generation:
-                transitions.clear()
-                self._transitions_gen = self.flow_cache.generation
-            key = (process.slabel, secrecy, process.ilabel, integrity,
-                   process.caps)
-            if transitions.get(key):
-                # transition legality is a pure function of the
-                # interned (from, to, caps) tuple — skip the re-derive
-                # (and the per-call diagnostic strings) entirely
-                return self._apply_label_change(process, secrecy, integrity)
         try:
-            if secrecy is not None:
-                self.flow_cache.check_label_change(
-                    process.slabel, secrecy, process.caps,
-                    what=f"{process.name} secrecy")
-            if integrity is not None:
-                self.flow_cache.check_label_change(
-                    process.ilabel, integrity, process.caps,
-                    what=f"{process.name} integrity")
+            self.flow_cache.check_label_change(
+                process.slabel, secrecy, process.ilabel, integrity,
+                process.caps, subject=process.name)
         except Exception:
             self.audit.record(A.LABEL_CHANGE, False, process.name,
                               "label change refused")
             raise
-        if transitions is not None:
-            if len(transitions) >= 65536:
-                transitions.clear()
-            transitions[key] = True
-        return self._apply_label_change(process, secrecy, integrity)
-
-    def _apply_label_change(self, process: Process,
-                            secrecy: Optional[Label],
-                            integrity: Optional[Label]) -> list[Endpoint]:
         if secrecy is not None:
             process.slabel = secrecy
         if integrity is not None:

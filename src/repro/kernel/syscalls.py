@@ -67,22 +67,9 @@ class W5Syscalls:
 
     def raise_secrecy(self, *tags: Tag) -> None:
         """Convenience: add tags to the secrecy label (needs ``t+``)."""
-        slabel = self._process.slabel
-        adds = self._kernel._label_adds
-        if adds is not None:
-            # compiled-transitions companion memo: skip the frozenset
-            # union + re-intern for the (label, tags) pairs every
-            # tainted read repeats
-            key = (slabel, tags)
-            target = adds.get(key)
-            if target is None:
-                target = slabel.add(*tags)
-                if len(adds) >= 65536:
-                    adds.clear()
-                adds[key] = target
-            self.change_label(secrecy=target)
-            return
-        self.change_label(secrecy=slabel.add(*tags))
+        kernel, process = self._kernel, self._process
+        kernel.change_label(process, secrecy=kernel.flow_cache.label_add(
+            process.slabel, tags))
 
     def lower_secrecy(self, *tags: Tag) -> None:
         """Convenience: drop tags from the secrecy label (needs ``t-``)."""

@@ -6,9 +6,11 @@ path.  Flume (Krohn et al., SOSP 2007) kept per-message checks cheap by
 exploiting label immutability; this module is that optimization for W5:
 since :class:`~repro.labels.label.Label` and
 :class:`~repro.labels.capabilities.CapabilitySet` are immutable and
-interned, every pure decision — ``can_flow``, label-change legality,
-endpoint reach, export residue — is a function of its (identity-
-comparable) arguments and can be memoized forever.
+interned, every pure decision — ``can_flow``, label transitions,
+endpoint reach, export residue, the label arithmetic of a taint
+raise — is a function of its (identity-comparable) arguments and can
+be memoized forever.  This is the kernel's one memo of label
+decisions: nothing above it keeps its own copy.
 
 Two layers
 ----------
@@ -16,7 +18,7 @@ Two layers
 * **Pure memos** key on the interned argument tuples.  These entries
   can never go stale: the inputs are immutable values, so a recorded
   verdict is a theorem, not a snapshot.  They are bounded (clear-on-
-  overflow) purely to cap memory.
+  overflow at :data:`MAX_ENTRIES`) purely to cap memory.
 
 * **Subject verdicts** cache storage read/write decisions per subject
   *label state* ``(slabel, ilabel, caps)``, so a database scan or
@@ -44,11 +46,17 @@ allow/deny matches.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from . import flow
 from .capabilities import CapabilitySet
 from .label import Label
+from .tags import Tag
+
+#: Bound on each pure memo table and on each label state's read and
+#: write verdict tables: a table that reaches it is cleared (O(1)
+#: amortized, no LRU bookkeeping on the hot path).
+MAX_ENTRIES = 65536
 
 #: Bound on the subject-verdict table: distinct label states kept
 #: before the oldest is evicted.  It must hold one batch's working set:
@@ -56,6 +64,10 @@ from .label import Label
 #: the partition scans of every batch miss.  Each fork shard keeps
 #: about 1 MiB more at 128 than at 64 (``shard_batch`` ``peak_rss_mb``).
 MAX_STATES = 128
+
+#: The storage rules, indexed like a label state's verdict tables.
+_READ, _WRITE = 0, 1
+_RULES = (flow.can_read, flow.can_write)
 
 
 class Subject(Protocol):
@@ -66,14 +78,21 @@ class Subject(Protocol):
     caps: CapabilitySet
 
 
-class _SubjectEntry:
-    """Cached storage verdicts for one subject label state."""
+def _endpoint_legal(declared_s: Label, declared_i: Label, subj_s: Label,
+                    subj_i: Label, caps: CapabilitySet) -> bool:
+    return (flow.endpoint_label_legal(declared_s, subj_s, caps)
+            and flow.endpoint_label_legal(declared_i, subj_i, caps))
 
-    __slots__ = ("read", "write")
 
-    def __init__(self) -> None:
-        self.read: dict[tuple[Label, Label], bool] = {}
-        self.write: dict[tuple[Label, Label], bool] = {}
+def _change_allowed(s_old: Label, s_new: Optional[Label], i_old: Label,
+                    i_new: Optional[Label], caps: CapabilitySet) -> bool:
+    return ((s_new is None or flow.label_change_allowed(s_old, s_new, caps))
+            and (i_new is None
+                 or flow.label_change_allowed(i_old, i_new, caps)))
+
+
+def _add(label: Label, tags: tuple[Tag, ...]) -> Label:
+    return label.add(*tags)
 
 
 class FlowCache:
@@ -83,15 +102,10 @@ class FlowCache:
     turns every method into a pass-through recomputation — the
     differential tests and the before/after benchmarks use this to
     compare cached and uncached behaviour on the same code path.
-
-    ``max_entries`` bounds each pure memo table; on overflow the table
-    is cleared (O(1) amortized, no LRU bookkeeping on the hot path).
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_entries: int = 65536) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_entries = max_entries
         # pure memos
         self._secrecy: dict[tuple, bool] = {}
         self._integrity: dict[tuple, bool] = {}
@@ -99,8 +113,9 @@ class FlowCache:
         self._change: dict[tuple, bool] = {}
         self._endpoint: dict[tuple, bool] = {}
         self._residue: dict[tuple, Label] = {}
-        # subject verdicts
-        self._subjects: dict[tuple, _SubjectEntry] = {}
+        self._adds: dict[tuple, Label] = {}
+        # subject verdicts: label state -> (read table, write table)
+        self._subjects: dict[tuple, tuple[dict, dict]] = {}
         # observability
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
@@ -108,37 +123,31 @@ class FlowCache:
         #: Pure-memo and per-state verdict tables cleared on overflow,
         #: plus label states evicted from the subject table.
         self._evictions = 0
-        #: Bumped by every :meth:`invalidate_all`.  Derived caches that
-        #: sit on top of this one (the kernel's compiled
-        #: TransitionCache, M14) compare generations instead of
-        #: registering callbacks.
-        self.generation = 0
 
     # ------------------------------------------------------------------
-    # bookkeeping
+    # the one memo body
     # ------------------------------------------------------------------
 
-    def _hit(self, category: str) -> None:
-        self._hits[category] = self._hits.get(category, 0) + 1
+    def _memo(self, table: dict, category: str,
+              compute: Callable[..., Any], *args: Any) -> Any:
+        """``compute(*args)``, served from ``table`` keyed on ``args``.
 
-    def _miss(self, category: str) -> None:
-        self._misses[category] = self._misses.get(category, 0) + 1
-
-    def _bound(self, table: dict) -> None:
-        if len(table) >= self.max_entries:
-            table.clear()
-            self._evictions += 1
-
-    def _memo(self, table: dict, key: tuple, category: str,
-              compute: Callable[[], Any]) -> Any:
-        cached = table.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = compute()
-        self._bound(table)
-        table[key] = value
+        Every memo here keys on interned immutable values, so an entry
+        is valid for as long as it is kept.  A disabled cache computes
+        afresh and records nothing.
+        """
+        if not self.enabled:
+            return compute(*args)
+        value = table.get(args)
+        if value is None:
+            self._misses[category] = self._misses.get(category, 0) + 1
+            value = compute(*args)
+            if len(table) >= MAX_ENTRIES:
+                table.clear()
+                self._evictions += 1
+            table[args] = value
+        else:
+            self._hits[category] = self._hits.get(category, 0) + 1
         return value
 
     # ------------------------------------------------------------------
@@ -149,53 +158,23 @@ class FlowCache:
                          d_from: CapabilitySet = CapabilitySet.EMPTY,
                          d_to: CapabilitySet = CapabilitySet.EMPTY,
                          category: str = "flow") -> bool:
-        if not self.enabled:
-            return flow.can_flow_secrecy(s_from, s_to, d_from, d_to)
-        key = (s_from, s_to, d_from, d_to)
-        cached = self._secrecy.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = flow.can_flow_secrecy(s_from, s_to, d_from, d_to)
-        self._bound(self._secrecy)
-        self._secrecy[key] = value
-        return value
+        return self._memo(self._secrecy, category, flow.can_flow_secrecy,
+                          s_from, s_to, d_from, d_to)
 
     def can_flow_integrity(self, i_from: Label, i_to: Label,
                            d_from: CapabilitySet = CapabilitySet.EMPTY,
                            d_to: CapabilitySet = CapabilitySet.EMPTY,
                            category: str = "flow") -> bool:
-        if not self.enabled:
-            return flow.can_flow_integrity(i_from, i_to, d_from, d_to)
-        key = (i_from, i_to, d_from, d_to)
-        cached = self._integrity.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = flow.can_flow_integrity(i_from, i_to, d_from, d_to)
-        self._bound(self._integrity)
-        self._integrity[key] = value
-        return value
+        return self._memo(self._integrity, category, flow.can_flow_integrity,
+                          i_from, i_to, d_from, d_to)
 
     def can_flow(self, s_from: Label, i_from: Label, s_to: Label,
                  i_to: Label, d_from: CapabilitySet = CapabilitySet.EMPTY,
                  d_to: CapabilitySet = CapabilitySet.EMPTY,
                  category: str = "ipc") -> bool:
         """Memoized combined safe-message check (the IPC hot path)."""
-        if not self.enabled:
-            return flow.can_flow(s_from, i_from, s_to, i_to, d_from, d_to)
-        key = (s_from, i_from, s_to, i_to, d_from, d_to)
-        cached = self._message.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = flow.can_flow(s_from, i_from, s_to, i_to, d_from, d_to)
-        self._bound(self._message)
-        self._message[key] = value
-        return value
+        return self._memo(self._message, category, flow.can_flow,
+                          s_from, i_from, s_to, i_to, d_from, d_to)
 
     def check_flow(self, s_from: Label, i_from: Label, s_to: Label,
                    i_to: Label, d_from: CapabilitySet = CapabilitySet.EMPTY,
@@ -212,52 +191,64 @@ class FlowCache:
         raise AssertionError(
             f"flow cache and decision procedure disagree on {what}")
 
-    def label_change_allowed(self, old: Label, new: Label,
+    def label_change_allowed(self, s_old: Label, s_new: Optional[Label],
+                             i_old: Label, i_new: Optional[Label],
                              caps: CapabilitySet,
                              category: str = "label_change") -> bool:
-        if not self.enabled:
-            return flow.label_change_allowed(old, new, caps)
-        return self._memo(self._change, (old, new, caps), category,
-                          lambda: flow.label_change_allowed(old, new, caps))
+        """Memoized legality of one label transition, both axes at
+        once: ``s_old -> s_new`` and ``i_old -> i_new`` under ``caps``,
+        with ``None`` for an axis left alone."""
+        return self._memo(self._change, category, _change_allowed,
+                          s_old, s_new, i_old, i_new, caps)
 
-    def check_label_change(self, old: Label, new: Label, caps: CapabilitySet,
-                           what: str = "label",
+    def check_label_change(self, s_old: Label, s_new: Optional[Label],
+                           i_old: Label, i_new: Optional[Label],
+                           caps: CapabilitySet, subject: str = "label",
                            category: str = "label_change") -> None:
         """Raising variant of :meth:`label_change_allowed` (same
-        deny-recompute discipline as :meth:`check_flow`)."""
-        if self.label_change_allowed(old, new, caps, category=category):
+        deny-recompute discipline as :meth:`check_flow`): a denial
+        raises :func:`repro.labels.flow.check_label_change`'s error for
+        the secrecy axis first, then the integrity axis, naming them
+        ``"<subject> secrecy"`` and ``"<subject> integrity"``."""
+        # the memo probe itself, not label_change_allowed: one frame
+        # less on the path every label change takes
+        if self._memo(self._change, category, _change_allowed,
+                      s_old, s_new, i_old, i_new, caps):
             return
-        flow.check_label_change(old, new, caps, what=what)
+        if s_new is not None:
+            flow.check_label_change(s_old, s_new, caps,
+                                    what=f"{subject} secrecy")
+        if i_new is not None:
+            flow.check_label_change(i_old, i_new, caps,
+                                    what=f"{subject} integrity")
         raise AssertionError(
-            f"flow cache and decision procedure disagree on {what}")
+            f"flow cache and decision procedure disagree on {subject}")
+
+    def label_add(self, label: Label, tags: tuple[Tag, ...],
+                  category: str = "label_add") -> Label:
+        """Memoized ``label.add(*tags)``: the per-request taint raise
+        repeats the same few (label, tags) pairs."""
+        return self._memo(self._adds, category, _add, label, tags)
 
     def endpoint_legal(self, declared_s: Label, declared_i: Label,
                        subj_s: Label, subj_i: Label, caps: CapabilitySet,
                        category: str = "endpoint") -> bool:
         """Memoized endpoint-declaration legality (both axes)."""
-        if not self.enabled:
-            return (flow.endpoint_label_legal(declared_s, subj_s, caps)
-                    and flow.endpoint_label_legal(declared_i, subj_i, caps))
-        return self._memo(
-            self._endpoint, (declared_s, declared_i, subj_s, subj_i, caps),
-            category,
-            lambda: (flow.endpoint_label_legal(declared_s, subj_s, caps)
-                     and flow.endpoint_label_legal(declared_i, subj_i, caps)))
+        return self._memo(self._endpoint, category, _endpoint_legal,
+                          declared_s, declared_i, subj_s, subj_i, caps)
 
     def exportable_residue(self, s: Label, caps: CapabilitySet,
                            category: str = "export") -> Label:
         """Memoized :func:`repro.labels.flow.exportable_tags` — the
         gateway/email perimeter check."""
-        if not self.enabled:
-            return flow.exportable_tags(s, caps)
-        return self._memo(self._residue, (s, caps), category,
-                          lambda: flow.exportable_tags(s, caps))
+        return self._memo(self._residue, category, flow.exportable_tags,
+                          s, caps)
 
     # ------------------------------------------------------------------
     # subject verdicts (keyed on the subject's label state)
     # ------------------------------------------------------------------
 
-    def _subject_entry(self, subject: Subject) -> _SubjectEntry:
+    def _subject_entry(self, subject: Subject) -> tuple[dict, dict]:
         state = (subject.slabel, subject.ilabel, subject.caps)
         subjects = self._subjects
         entry = subjects.get(state)
@@ -265,7 +256,7 @@ class FlowCache:
             if len(subjects) >= MAX_STATES:
                 del subjects[next(iter(subjects))]
                 self._evictions += 1
-            entry = subjects[state] = _SubjectEntry()
+            entry = subjects[state] = ({}, {})
         return entry
 
     def read_table(self, subject: Subject
@@ -281,110 +272,62 @@ class FlowCache:
         """
         if not self.enabled:
             return {}
-        return self._subject_entry(subject).read
+        return self._subject_entry(subject)[_READ]
 
     def count_hits(self, category: str, n: int) -> None:
         """Record ``n`` verdicts served straight from a :meth:`read_table`."""
         self._hits[category] = self._hits.get(category, 0) + n
 
+    def _verdict(self, subject: Subject, slabel: Label, ilabel: Label,
+                 category: str, axis: int) -> bool:
+        """The one body of :meth:`readable` and :meth:`writable`."""
+        rule = _RULES[axis]
+        if not self.enabled:
+            return rule(slabel, ilabel, subject.slabel, subject.ilabel,
+                        subject.caps)
+        table = self._subject_entry(subject)[axis]
+        key = (slabel, ilabel)
+        value = table.get(key)
+        if value is None:
+            self._misses[category] = self._misses.get(category, 0) + 1
+            value = rule(slabel, ilabel, subject.slabel, subject.ilabel,
+                         subject.caps)
+            if len(table) >= MAX_ENTRIES:
+                table.clear()
+                self._evictions += 1
+            table[key] = value
+        else:
+            self._hits[category] = self._hits.get(category, 0) + 1
+        return value
+
     def readable(self, subject: Subject, slabel: Label, ilabel: Label,
                  category: str = "read") -> bool:
         """Cached storage read verdict (files and rows share the rule,
         :func:`repro.labels.flow.can_read`)."""
-        if not self.enabled:
-            return flow.can_read(slabel, ilabel, subject.slabel,
-                                 subject.ilabel, subject.caps)
-        entry = self._subject_entry(subject)
-        key = (slabel, ilabel)
-        cached = entry.read.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = flow.can_read(slabel, ilabel, subject.slabel,
-                              subject.ilabel, subject.caps)
-        if len(entry.read) >= self.max_entries:
-            entry.read.clear()
-            self._evictions += 1
-        entry.read[key] = value
-        return value
+        return self._verdict(subject, slabel, ilabel, category, _READ)
 
     def writable(self, subject: Subject, slabel: Label, ilabel: Label,
                  category: str = "write") -> bool:
         """Cached storage write verdict
         (:func:`repro.labels.flow.can_write`)."""
-        if not self.enabled:
-            return flow.can_write(slabel, ilabel, subject.slabel,
-                                  subject.ilabel, subject.caps)
-        entry = self._subject_entry(subject)
-        key = (slabel, ilabel)
-        cached = entry.write.get(key)
-        if cached is not None:
-            self._hit(category)
-            return cached
-        self._miss(category)
-        value = flow.can_write(slabel, ilabel, subject.slabel,
-                               subject.ilabel, subject.caps)
-        if len(entry.write) >= self.max_entries:
-            entry.write.clear()
-            self._evictions += 1
-        entry.write[key] = value
-        return value
-
-    # ------------------------------------------------------------------
-    # batched subject verdicts (the grouped directory walk)
-    # ------------------------------------------------------------------
-
-    def readable_many(self, subject: Subject,
-                      pairs: "list[tuple[Label, Label]]",
-                      category: str = "read"
-                      ) -> dict[tuple[Label, Label], bool]:
-        """Resolve read verdicts for many (slabel, ilabel) pairs at once.
-
-        Semantically identical to calling :meth:`readable` per pair,
-        but the subject entry is fetched once for the whole batch —
-        the grouped directory walk calls it with one pair per distinct
-        child label, so a directory's label cost is O(distinct labels),
-        not O(children).
-        """
-        if not self.enabled:
-            return {key: flow.can_read(key[0], key[1], subject.slabel,
-                                       subject.ilabel, subject.caps)
-                    for key in pairs}
-        table = self._subject_entry(subject).read
-        out: dict[tuple[Label, Label], bool] = {}
-        for key in pairs:
-            cached = table.get(key)
-            if cached is None:
-                self._miss(category)
-                cached = flow.can_read(key[0], key[1], subject.slabel,
-                                       subject.ilabel, subject.caps)
-                if len(table) >= self.max_entries:
-                    table.clear()
-                    self._evictions += 1
-                table[key] = cached
-            else:
-                self._hit(category)
-            out[key] = cached
-        return out
+        return self._verdict(subject, slabel, ilabel, category, _WRITE)
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
+
+    def _tables(self) -> tuple[dict, ...]:
+        return (self._secrecy, self._integrity, self._message, self._change,
+                self._endpoint, self._residue, self._adds)
 
     def invalidate_all(self, reason: str = "explicit") -> None:
         """Drop everything — pure memos included.  Only needed when tag
         *identity* is rewired underneath the kernel (registry restore,
         journal replay); label changes never require it, since a new
         label state is a new key."""
-        self._secrecy.clear()
-        self._integrity.clear()
-        self._message.clear()
-        self._change.clear()
-        self._endpoint.clear()
-        self._residue.clear()
+        for table in self._tables():
+            table.clear()
         self._subjects.clear()
-        self.generation += 1
         self._invalidations[reason] = self._invalidations.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
@@ -402,11 +345,9 @@ class FlowCache:
             "miss_total": sum(self._misses.values()),
             "invalidation_total": sum(self._invalidations.values()),
             "evictions": self._evictions,
-            "entries": (len(self._secrecy) + len(self._integrity)
-                        + len(self._message) + len(self._change)
-                        + len(self._endpoint) + len(self._residue)
-                        + sum(len(e.read) + len(e.write)
-                              for e in self._subjects.values())),
+            "entries": (sum(len(table) for table in self._tables())
+                        + sum(len(read) + len(write)
+                              for read, write in self._subjects.values())),
             "enabled": self.enabled,
         }
 

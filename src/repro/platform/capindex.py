@@ -34,15 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .provider import Provider
     from .registry import AppModule
 
+#: Bound on the memo: (app, viewer) entries kept before it is cleared.
+MAX_ENTRIES = 8192
+
 
 class LaunchCapIndex:
     """Per-(app, viewer) launch-capability memo with event invalidation."""
 
-    def __init__(self, provider: "Provider", enabled: bool = True,
-                 max_entries: int = 8192) -> None:
+    def __init__(self, provider: "Provider", enabled: bool = True) -> None:
         self.provider = provider
         self.enabled = enabled
-        self._max_entries = max_entries
         self._memo: dict[tuple[str, Optional[str]], CapabilitySet] = {}
         self._stats = {"hits": 0, "misses": 0, "invalidations": 0}
         #: Monotonic generation, bumped on *every* invalidation event
@@ -62,7 +63,7 @@ class LaunchCapIndex:
             return cached
         self._stats["misses"] += 1
         caps = self.provider._scan_launch_caps(app, viewer)
-        if len(self._memo) >= self._max_entries:
+        if len(self._memo) >= MAX_ENTRIES:
             self._memo.clear()
         self._memo[key] = caps
         return caps

@@ -3,25 +3,27 @@
 A provider runs on one of two planes:
 
 * ``"fast"`` (the default, :meth:`ProviderConfig.fast`) — the engine a
-  production deployment runs: compiled request plans, the flow
-  cache's label-state verdicts, batched resource charges, lazy audit
-  rendering, compiled label transitions, the memoized
+  production deployment runs: compiled request plans, batched
+  resource charges, lazy audit rendering, the memoized
   launch-capability index and authority oracle, process recycling,
-  the label-partitioned store and the write-ahead journal with
-  O(dirty) snapshots.
+  the label-partitioned store, the grouped fs walk and the
+  write-ahead journal with O(dirty) snapshots.
 * ``"oracle"`` (:meth:`ProviderConfig.oracle`) — the paper's semantics
   executed the slow, obviously-correct way: the per-row store scan and
-  per-node fs walk, eager audit, no compiled plans, no transition,
+  per-node fs walk, eager audit, no compiled plans, no
   launch-capability or authority memos, no process pool, full
   snapshots only.  It is the single reference the fast plane is
   checked against: responses, charges, denials and audit streams must
   match (the differential helper in ``tests/_differential.py`` states
   the comparison).
 
-  The oracle's kernel still runs the default, enabled flow cache, so
-  the fast-vs-oracle comparison does not check the flow cache against
-  an uncached reference; ``tests/kernel/test_cache_differential.py``
-  does that at the kernel level, with ``FlowCache(enabled=False)``.
+  Both planes' kernels run the default, enabled flow cache
+  (:mod:`repro.labels.cache`), the one memo of label decisions: flow
+  checks, label transitions, taint-raise label arithmetic and the
+  label-state read/write verdicts.  So the fast-vs-oracle comparison
+  does not check the flow cache against an uncached reference;
+  ``tests/kernel/test_cache_differential.py`` does that at the kernel
+  level, with ``FlowCache(enabled=False)``.
 
 :meth:`Provider.__init__ <repro.platform.provider.Provider>` is the one
 place that turns the plane into component arguments.  The remaining

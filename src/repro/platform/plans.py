@@ -51,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .provider import Provider
     from .registry import AppModule
 
+#: Bound on the plan table: (app_ref, viewer) plans kept before the
+#: table is cleared.
+MAX_PLANS = 4096
+
 
 class RequestPlan:
     """The compiled pipeline inputs for one (app, viewer) pair."""
@@ -122,11 +126,9 @@ class PlanCache:
     fixed point of the interpretation it replaces.
     """
 
-    def __init__(self, provider: "Provider", enabled: bool = False,
-                 max_entries: int = 4096) -> None:
+    def __init__(self, provider: "Provider", enabled: bool = False) -> None:
         self.provider = provider
         self.enabled = enabled
-        self._max_entries = max_entries
         self._plans: dict[tuple[str, Optional[str]], RequestPlan] = {}
         self._stats = {"hits": 0, "misses": 0, "invalidated": 0,
                        "bypasses": 0}
@@ -161,7 +163,7 @@ class PlanCache:
             self._stats["bypasses"] += 1
             return None
         self._stats["misses"] += 1
-        if len(self._plans) >= self._max_entries:
+        if len(self._plans) >= MAX_PLANS:
             self._plans.clear()
         self._plans[key] = plan
         return plan

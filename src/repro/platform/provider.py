@@ -76,9 +76,10 @@ class Provider:
         #: plane every component runs its accelerated engine; on the
         #: oracle plane every component runs its reference path (the
         #: per-row store scan and per-node fs walk, eager audit, no
-        #: transition/launch-cap/authority memos, no compiled plans, no
-        #: process pool, no journal) — except the kernel's flow cache,
-        #: which stays on for both (see repro.platform.config).
+        #: launch-cap/authority memos, no compiled plans, no process
+        #: pool, no journal) — except the kernel's flow cache, the one
+        #: memo of label decisions (transitions included), which stays
+        #: on for both (see repro.platform.config).
         self.config = config = config if config is not None \
             else ProviderConfig()
         fast = config.plane == "fast"
@@ -99,8 +100,7 @@ class Provider:
         self.kernel = Kernel(namespace=name, resources=resources,
                              recycle=fast,
                              audit_max_events=audit_max_events,
-                             lazy_audit=fast,
-                             compiled_transitions=fast)
+                             lazy_audit=fast)
         self.kernel.tracer = self.tracer
         if tracing:
             # every audit event recorded inside a traced request

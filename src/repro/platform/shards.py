@@ -26,7 +26,8 @@ only decides where it runs.  An engine does one thing: run a method
 of the shard provider, or a picklable module-level function taking it
 first, on shard k (``call``, ``fan_out``, ``broadcast``).  A batch is
 :func:`_serve_batch` on every shard it touches and an audit read is
-:func:`_audit_rows`; a single request is a batch of one.
+:func:`_audit_rows` (:func:`_audit_last` for the newest event); a
+single request is a batch of one.
 
 * ``serial`` — in-line on the caller, ascending shard order.  The
   deterministic baseline and the default at every shard count, so
@@ -278,12 +279,22 @@ def _serve_batch(shard: Provider, requests: list[HttpRequest],
     return responses, capture.skeletons
 
 
+def _row(e: AuditEvent) -> tuple:
+    """``e`` as ``AuditEvent`` arguments: the detail is rendered to a
+    str and ``extra`` holds only ints and strs (trace stamps, ids)."""
+    return (e.seq, e.category, e.allowed, e.subject, e.detail, e.extra)
+
+
 def _audit_rows(shard: Provider) -> list[tuple]:
-    """The shard's retained audit stream as ``AuditEvent`` argument
-    rows: the detail is rendered to a str and ``extra`` holds only
-    ints and strs (trace stamps, ids)."""
-    return [(e.seq, e.category, e.allowed, e.subject, e.detail, e.extra)
-            for e in shard.kernel.audit]
+    """The shard's retained audit stream as :func:`_row` tuples."""
+    return [_row(e) for e in shard.kernel.audit]
+
+
+def _audit_last(shard: Provider) -> Optional[tuple]:
+    """The shard's newest retained audit event as a :func:`_row`
+    tuple, or None on an empty log."""
+    e = shard.kernel.audit.last()
+    return None if e is None else _row(e)
 
 
 def _transportable_exc(exc: BaseException) -> BaseException:
@@ -526,9 +537,12 @@ class MergedAuditView:
             "kernel.audit.count", (category, allowed)))
 
     def last(self) -> Optional[AuditEvent]:
-        for stream in reversed(self.per_shard()):
-            if stream:
-                return stream[-1]
+        """The merged stream's last event: the newest row of the last
+        shard whose log is not empty.  One row per shard crosses the
+        fork engine's pipe."""
+        for row in reversed(self._owner._engine.broadcast(_audit_last)):
+            if row is not None:
+                return AuditEvent(*row)
         return None
 
 

@@ -5,9 +5,11 @@ pass-through ``FlowCache(enabled=False)`` — are driven through the
 *same* randomly generated syscall history.  Every operation must agree:
 same success or same exception type with the same message, same final
 labels, same delivered payloads, same audit stream.  The histories
-interleave label changes with path walks and spawn fresh processes
-into label states the cache has already seen.  Hypothesis shrinks any
-divergence to a minimal witness.
+interleave label changes on either axis or both at once (refused ones
+included, and taint raises through ``W5Syscalls.raise_secrecy``) with
+path walks, spawn fresh processes into label states the cache has
+already seen, and flush the cache mid-history as a registry restore
+does.  Hypothesis shrinks any divergence to a minimal witness.
 
 A separate regression class pins the keying contract: a verdict
 cached before a label-change syscall must never be served after it.
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fs import FsError, LabeledFileSystem
-from repro.kernel import Kernel, KernelError, RECV, SEND
+from repro.kernel import Kernel, KernelError, RECV, SEND, W5Syscalls
 from repro.labels import CapabilitySet, FlowCache, Label, LabelError, minus, plus
 
 #: What a "walk" op reads or lists: public, secret, and a path that
@@ -28,10 +30,12 @@ WALK_PATHS = ("/pub/note", "/sec/note", "/sec", "/sec/missing")
 
 
 def build_system(kernel):
-    """One tainted source + three mules with graded privilege, and a
-    filesystem with a public and a secret directory."""
+    """One tainted source + three mules with graded privilege over a
+    secrecy tag ``t`` and an integrity tag ``w``, and a filesystem with
+    a public and a secret directory."""
     root = kernel.spawn_trusted("root")
     t = kernel.create_tag(root, purpose="secret")
+    w = kernel.create_tag(root, purpose="endorsed", kind="integrity")
     fs = LabeledFileSystem(kernel)
     fs.mkdir(root, "/pub")
     fs.mkdir(root, "/sec", slabel=Label([t]))
@@ -39,14 +43,16 @@ def build_system(kernel):
     fs.create(root, "/sec/note", "secret", slabel=Label([t]))
     procs = [kernel.spawn_trusted("source", slabel=Label([t]))]
     for i, caps in enumerate([CapabilitySet.EMPTY,
-                              CapabilitySet([plus(t)]),
-                              CapabilitySet([plus(t), minus(t)])]):
+                              CapabilitySet([plus(t), minus(w)]),
+                              CapabilitySet([plus(t), minus(t),
+                                             plus(w), minus(w)])]):
         procs.append(kernel.spawn_trusted(f"mule{i}", caps=caps))
-    return t, procs, fs
+    return (t, w), procs, fs
 
 
-def apply_op(kernel, t, procs, endpoints, op, fs=None):
+def apply_op(kernel, tags, procs, endpoints, op, fs=None):
     """Run one op; return a comparable outcome record."""
+    t, w = tags
     kind = op[0]
     try:
         if kind == "endpoint":
@@ -82,6 +88,29 @@ def apply_op(kernel, t, procs, endpoints, op, fs=None):
             p = procs[pi % len(procs)]
             closed = kernel.change_label(p, secrecy=p.slabel.remove(t))
             return ("lowered", len(closed))
+        elif kind == "endorse":
+            _, pi, up = op
+            p = procs[pi % len(procs)]
+            target = p.ilabel.add(w) if up else p.ilabel.remove(w)
+            closed = kernel.change_label(p, integrity=target)
+            return ("endorsed", up, len(closed))
+        elif kind == "both":
+            # one syscall moving both axes: either may refuse the change
+            _, pi, s_up, i_up = op
+            p = procs[pi % len(procs)]
+            closed = kernel.change_label(
+                p, secrecy=p.slabel.add(t) if s_up else p.slabel.remove(t),
+                integrity=p.ilabel.add(w) if i_up else p.ilabel.remove(w))
+            return ("both", s_up, i_up, len(closed))
+        elif kind == "sys_raise":
+            _, pi = op
+            p = procs[pi % len(procs)]
+            W5Syscalls(kernel, p).raise_secrecy(t)
+            return ("sys_raised", p.slabel == Label([t]))
+        elif kind == "flush":
+            # a registry restore's flush; a no-op on the pass-through
+            kernel.flow_cache.invalidate_all(reason="restore")
+            return ("flushed",)
         elif kind == "drop":
             _, pi = op
             p = procs[pi % len(procs)]
@@ -119,11 +148,17 @@ def ops():
     recv = st.tuples(st.just("recv"), st.integers(0, 3))
     raise_ = st.tuples(st.just("raise"), st.integers(0, 3))
     lower = st.tuples(st.just("lower"), st.integers(0, 3))
+    endorse = st.tuples(st.just("endorse"), st.integers(0, 7),
+                        st.booleans())
+    both = st.tuples(st.just("both"), st.integers(0, 7), st.booleans(),
+                     st.booleans())
+    sys_raise = st.tuples(st.just("sys_raise"), st.integers(0, 7))
+    flush = st.tuples(st.just("flush"))
     drop = st.tuples(st.just("drop"), st.integers(0, 3))
     spawn = st.tuples(st.just("spawn"), st.integers(0, 7))
     walk = st.tuples(st.just("walk"), st.integers(0, 7), st.integers(0, 3))
-    return st.lists(st.one_of(endpoint, send, recv, raise_, lower, drop,
-                              spawn, walk),
+    return st.lists(st.one_of(endpoint, send, recv, raise_, lower, endorse,
+                              both, sys_raise, drop, spawn, walk, flush),
                     max_size=50)
 
 
@@ -132,35 +167,80 @@ def audit_stream(kernel):
              re.sub(r"#?\d+", "#", e.detail)) for e in kernel.audit]
 
 
+def run_pair(history):
+    """Drive a cached and a pass-through kernel through ``history``;
+    assert every outcome, the audit streams and the final states agree.
+    Returns the cached kernel and the outcomes."""
+    cached = Kernel(namespace="diff-c")
+    uncached = Kernel(namespace="diff-u", flow_cache=FlowCache(enabled=False))
+    assert cached.flow_cache.enabled
+    assert not uncached.flow_cache.enabled
+
+    tags_c, procs_c, fs_c = build_system(cached)
+    tags_u, procs_u, fs_u = build_system(uncached)
+    eps_c = {p.pid: [] for p in procs_c}
+    eps_u = {p.pid: [] for p in procs_u}
+
+    outcomes = []
+    for op in history:
+        out_c = apply_op(cached, tags_c, procs_c, eps_c, op, fs_c)
+        out_u = apply_op(uncached, tags_u, procs_u, eps_u, op, fs_u)
+        assert out_c == out_u, f"divergence on {op}"
+        outcomes.append(out_c)
+    assert audit_stream(cached) == audit_stream(uncached)
+
+    # final states agree too
+    for pc, pu in zip(procs_c, procs_u):
+        assert pc.slabel == pu.slabel
+        assert pc.ilabel == pu.ilabel
+        assert pc.caps == pu.caps
+        assert [m.payload for m in pc.mailbox] == \
+            [m.payload for m in pu.mailbox]
+        assert sorted(ep.closed for ep in pc.endpoints.values()) == \
+            sorted(ep.closed for ep in pu.endpoints.values())
+    return cached, outcomes
+
+
 class TestCachedKernelIsEquivalent:
     @settings(max_examples=100, deadline=None)
     @given(ops())
     def test_identical_histories_identical_outcomes(self, seed_ops):
-        cached = Kernel(namespace="diff-c")
-        uncached = Kernel(namespace="diff-u", flow_cache=FlowCache(enabled=False))
-        assert cached.flow_cache.enabled
-        assert not uncached.flow_cache.enabled
+        run_pair(seed_ops)
 
-        tc, procs_c, fs_c = build_system(cached)
-        tu, procs_u, fs_u = build_system(uncached)
-        eps_c = {p.pid: [] for p in procs_c}
-        eps_u = {p.pid: [] for p in procs_u}
-
-        for op in seed_ops:
-            out_c = apply_op(cached, tc, procs_c, eps_c, op, fs_c)
-            out_u = apply_op(uncached, tu, procs_u, eps_u, op, fs_u)
-            assert out_c == out_u, f"divergence on {op}"
-        assert audit_stream(cached) == audit_stream(uncached)
-
-        # final states agree too
-        for pc, pu in zip(procs_c, procs_u):
-            assert pc.slabel == pu.slabel
-            assert pc.ilabel == pu.ilabel
-            assert pc.caps == pu.caps
-            assert [m.payload for m in pc.mailbox] == \
-                [m.payload for m in pu.mailbox]
-            assert sorted(ep.closed for ep in pc.endpoints.values()) == \
-                sorted(ep.closed for ep in pu.endpoints.values())
+    def test_label_change_history(self):
+        """A fixed history through every kind of label change: both
+        axes at once, refusals on either axis, repeats served from the
+        transition memo, taint raises, and a flush in the middle."""
+        history = [
+            ("both", 3, True, True),    # mule2: allowed
+            ("both", 3, False, False),  # and back
+            ("both", 3, True, True),    # the same transition again
+            ("both", 2, True, True),    # mule1 lacks w+: integrity refused
+            ("both", 1, True, False),   # mule0 lacks t+: secrecy refused
+            ("endorse", 2, True),       # refused
+            ("endorse", 3, False),      # allowed
+            ("sys_raise", 2),           # allowed
+            ("sys_raise", 1),           # refused
+            ("flush",),
+            ("sys_raise", 2),           # {t} -> {t}: allowed
+            ("sys_raise", 4),           # source (index 4 wraps to 0)
+            ("both", 3, True, True),
+        ]
+        cached, outcomes = run_pair(history)
+        errors = [o[2] for o in outcomes if o[0] == "error"]
+        assert errors == [
+            "mule# integrity: missing '+' capability for tags [#]",
+            "mule# secrecy: missing '+' capability for tags [#]",
+            "mule# integrity: missing '+' capability for tags [#]",
+            "mule# secrecy: missing '+' capability for tags [#]",
+        ]
+        refused = [e for e in cached.audit
+                   if e.category == "label_change" and not e.allowed]
+        assert [e.detail for e in refused] == ["label change refused"] * 4
+        stats = cached.flow_cache.stats()
+        assert stats["hits"]["label_change"] >= 1
+        assert stats["misses"]["label_add"] >= 1
+        assert stats["invalidations"] == {"restore": 1}
 
 
 class TestInvalidationRegression:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.labels import (CapabilitySet, FlowCache, Label, SecrecyViolation,
                           TagRegistry, can_flow, exportable_tags, minus, plus)
+from repro.labels import cache as cache_module
 from repro.labels import flow
 from repro.labels.cache import MAX_STATES
 
@@ -147,8 +148,9 @@ class TestFlowCacheMemos:
                 exportable_tags(lab, caps)
         assert cache.stats()["hits"]["export"] == 2
 
-    def test_eviction_bounds_the_tables(self, reg):
-        cache = FlowCache(max_entries=4)
+    def test_eviction_bounds_the_tables(self, reg, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 4)
+        cache = FlowCache()
         labels = [Label([reg.create()]) for _ in range(10)]
         for lab in labels:
             cache.can_flow_secrecy(lab, lab)

@@ -251,8 +251,8 @@ def build_m14(config: ProviderConfig = ProviderConfig.fast()
 
 
 class TestM14FastPathsAreByteIdentical:
-    """The mandated pipeline's fast paths (lazy audit, compiled
-    transitions, batched charges, verdict slots) vs the oracle plane.
+    """The mandated pipeline's fast paths (lazy audit, batched charges,
+    compiled plans, pooled processes) vs the oracle plane.
     The op mix is label-change heavy (every cross-user blog read taints
     a process and changes labels) and the tight ``db_rows_scanned``
     quota makes denials fire as posts accumulate.
@@ -267,20 +267,38 @@ class TestM14FastPathsAreByteIdentical:
         pair.assert_equivalent()
 
     def test_transition_cache_populates_and_survives_flush(self):
+        """The tainted read's label change is a flow-cache transition,
+        read through ``stats()`` alone: a registry restore's flush
+        empties the memo and the next read re-primes it."""
         w5 = build_m14()
         w5.client("alice").get("/app/blog/post", title="t", body="b")
-        r = w5.client("bob").get("/app/blog/read", author="alice",
-                                 title="t")
-        assert r.status == 200
-        kernel = w5.provider.kernel
-        assert kernel._transitions  # the tainted read compiled its transition
-        kernel.flow_cache.invalidate_all(reason="test")
-        r = w5.client("bob").get("/app/blog/read", author="alice",
-                                 title="t")
-        assert r.status == 200
-        # the generation guard flushed and re-primed the cache
-        assert kernel._transitions_gen == kernel.flow_cache.generation
-        assert kernel._transitions
+        flow = w5.provider.kernel.flow_cache
+
+        def read() -> dict:
+            r = w5.client("bob").get("/app/blog/read", author="alice",
+                                     title="t")
+            assert r.status == 200
+            return flow.stats()
+
+        first = read()
+        assert first["misses"]["label_change"] >= 1
+        second = read()  # the same transition, now served from the memo
+        assert second["misses"]["label_change"] == \
+            first["misses"]["label_change"]
+        assert second["hits"]["label_change"] > \
+            first["hits"].get("label_change", 0)
+        flow.invalidate_all(reason="registry-restore")
+        flushed = flow.stats()
+        assert flushed["entries"] == 0
+        assert flushed["invalidations"] == {"registry-restore": 1}
+        third = read()
+        assert third["misses"]["label_change"] > \
+            second["misses"]["label_change"]
+        fourth = read()
+        assert fourth["misses"]["label_change"] == \
+            third["misses"]["label_change"]
+        assert fourth["hits"]["label_change"] > \
+            third["hits"]["label_change"]
 
 
 #: Enough users that reading every author's list as every viewer puts

@@ -8,13 +8,19 @@ suites' job (``tests/_differential.py``).
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
 from repro.core import Metrics, W5System
+from repro.declassify import DeclassificationService
+from repro.kernel import Kernel
+from repro.labels import FlowCache
 from repro.platform import (Provider, ProviderConfig, restore_provider,
                             snapshot_provider)
+from repro.platform.capindex import LaunchCapIndex
+from repro.platform.plans import PlanCache
 
 
 class TestProviderConfig:
@@ -43,7 +49,7 @@ class TestProviderConfig:
         assert p.db.partitioned and p.fs.grouped_walk
         assert p._durability is not None
         assert p.kernel.audit.lazy
-        assert p.kernel._transitions is not None
+        assert p.kernel.flow_cache.enabled
         assert p.capindex.enabled and p.declass.cache_authority
 
     def test_oracle_uses_every_reference_path(self):
@@ -53,8 +59,8 @@ class TestProviderConfig:
         assert not p.fs.grouped_walk
         assert p._durability is None
         assert not p.kernel.audit.lazy
-        assert p.kernel._transitions is None
-        assert p.kernel._label_adds is None
+        # the flow cache, label transitions included, runs on both
+        assert p.kernel.flow_cache.enabled
         assert not p.plans.enabled
         assert not p.capindex.enabled
         assert not p.declass.cache_authority
@@ -89,6 +95,30 @@ class TestProviderConfig:
         assert not restored.fs.grouped_walk
         default, __ = restore_provider(snapshot_provider(p))
         assert default.plans.enabled and default.db.partitioned
+
+
+class TestComponentKnobs:
+    """The constructor parameters of the kernel and the memo layers.
+
+    Adding a knob to one of these takes a deliberate edit here.  Memo
+    bounds are module constants (``MAX_ENTRIES``, ``MAX_PLANS``,
+    ``MAX_AUTHORITY_ENTRIES``), not parameters.
+    """
+
+    PARAMETERS = {
+        Kernel: ["namespace", "resources", "floating_labels", "flow_cache",
+                 "recycle", "audit_max_events", "lazy_audit"],
+        FlowCache: ["enabled"],
+        PlanCache: ["provider", "enabled"],
+        LaunchCapIndex: ["provider", "enabled"],
+        DeclassificationService: ["kernel", "cache_authority"],
+    }
+
+    @pytest.mark.parametrize("cls", list(PARAMETERS),
+                             ids=lambda cls: cls.__name__)
+    def test_constructor_parameters_are_pinned(self, cls):
+        assert list(inspect.signature(cls).parameters) == \
+            self.PARAMETERS[cls]
 
 
 class TestDeprecatedKeywords:

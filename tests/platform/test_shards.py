@@ -224,6 +224,30 @@ class TestMergedAudit:
     @pytest.mark.parametrize("engine", ["serial", pytest.param(
         "fork", marks=pytest.mark.skipif(not hasattr(os, "fork"),
                                          reason="needs os.fork"))])
+    def test_last_is_the_merged_streams_last(self, engine):
+        sp, clients = build_sharded(2, engine=engine)
+        for c in clients.values():
+            assert c.get("/app/blog/post", title="t", body="b").ok
+        view = sp.kernel.audit
+
+        def fields(e):
+            return (e.seq, e.category, e.allowed, e.subject, e.detail,
+                    e.extra)
+
+        assert fields(view.last()) == fields(list(view)[-1])
+        # the last shard's log is empty: the newest event of the one
+        # before it is the merged stream's last
+        sp.shard_call(1, "kernel.audit.clear")
+        assert sp.shard_call(1, "kernel.audit.last") is None
+        assert fields(view.last()) == fields(list(view)[-1])
+        sp.shard_call(0, "kernel.audit.clear")
+        assert list(view) == []
+        assert view.last() is None
+        sp.shutdown()
+
+    @pytest.mark.parametrize("engine", ["serial", pytest.param(
+        "fork", marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                         reason="needs os.fork"))])
     @pytest.mark.parametrize("ring", [None, 40])
     def test_counts_match_the_events(self, engine, ring, monkeypatch):
         sp = ShardedProvider(n_shards=2, engine=engine,
