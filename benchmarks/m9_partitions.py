@@ -32,15 +32,15 @@ from repro.labels import Label
 from repro.resources import ResourceManager
 
 
-def build_data_plane(n_rows: int, n_labels: int, partitioned: bool):
+def build_data_plane(n_rows: int, n_labels: int, plane: str):
     """A store + filesystem with ``n_rows`` rows/files spread evenly
     over ``n_labels`` distinct secrecy labels, and a viewer tainted
-    with exactly one of them."""
-    kernel = Kernel(namespace=f"m9-{'part' if partitioned else 'naive'}"
-                              f"-{n_labels}",
-                    resources=ResourceManager())
-    store = LabeledStore(kernel, partitioned=partitioned)
-    fs = LabeledFileSystem(kernel, grouped_walk=partitioned)
+    with exactly one of them, on a kernel of ``plane`` (``"fast"`` for
+    the partitioned engine, ``"oracle"`` for the naive one)."""
+    kernel = Kernel(namespace=f"m9-{plane}-{n_labels}",
+                    resources=ResourceManager(), plane=plane)
+    store = LabeledStore(kernel)
+    fs = LabeledFileSystem(kernel)
     provider = kernel.spawn_trusted("provider")
     tags = [kernel.create_tag(provider, purpose=f"user{i}")
             for i in range(n_labels)]
@@ -71,11 +71,10 @@ def _seconds_per_op(fn, *, n: int, repeat: int) -> float:
     return best / n
 
 
-def run_tier(n_rows: int, n_labels: int, partitioned: bool,
+def run_tier(n_rows: int, n_labels: int, plane: str,
              n: int = 20, repeat: int = 3) -> dict[str, Any]:
     """One (labels, engine) measurement with partition observability."""
-    kernel, store, fs, viewer = build_data_plane(n_rows, n_labels,
-                                                 partitioned)
+    kernel, store, fs, viewer = build_data_plane(n_rows, n_labels, plane)
     select_s = _seconds_per_op(
         lambda: store.select(viewer, "items",
                              predicate=lambda v: v["n"] % 7 == 0),
@@ -92,7 +91,7 @@ def run_tier(n_rows: int, n_labels: int, partitioned: bool,
     return {
         "rows": n_rows,
         "labels": n_labels,
-        "partitioned": partitioned,
+        "plane": plane,
         "select_us": round(select_s * 1e6, 2),
         "count_us": round(count_s * 1e6, 2),
         "update_us": round(update_s * 1e6, 2),

@@ -185,9 +185,9 @@ def bench_m9(repeat: int) -> dict:
 
     results: dict[str, dict] = {}
     for n_labels in (2, 16, 128):
-        part = run_tier(10_000, n_labels, partitioned=True, n=10,
+        part = run_tier(10_000, n_labels, plane="fast", n=10,
                         repeat=repeat)
-        naive = run_tier(10_000, n_labels, partitioned=False, n=4,
+        naive = run_tier(10_000, n_labels, plane="oracle", n=4,
                          repeat=repeat)
         results[f"labels_{n_labels}"] = {
             "partitioned_select_us": part["select_us"],

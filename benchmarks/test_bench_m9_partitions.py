@@ -25,8 +25,8 @@ LABEL_TIERS = (2, 16, 128)
 
 @pytest.fixture(scope="module")
 def tiers():
-    part = {k: run_tier(N_ROWS, k, partitioned=True) for k in LABEL_TIERS}
-    naive = {k: run_tier(N_ROWS, k, partitioned=False, n=5)
+    part = {k: run_tier(N_ROWS, k, plane="fast") for k in LABEL_TIERS}
+    naive = {k: run_tier(N_ROWS, k, plane="oracle", n=5)
              for k in LABEL_TIERS}
     print_table(
         "M9 data-plane scaling (per-query latency, 10k rows)",
@@ -57,16 +57,16 @@ def test_bench_m9_partitioned_never_loses(tiers):
 
 def test_bench_m9_partitions_really_skipped(tiers):
     part, __ = tiers
+    assert part[128]["plane"] == "fast"
     stats = part[128]["db_stats"]
-    assert stats["partitioned"] is True
     assert stats["partitions_skipped"] > stats["partitions_visible"]
     assert stats["rows_skipped"] > 0
     assert part[128]["fs_stats"]["subtrees_pruned"] > 0
 
 
 def test_bench_m9_engines_agree_on_results():
-    __, store_p, fs_p, viewer_p = build_data_plane(500, 16, True)
-    __, store_n, fs_n, viewer_n = build_data_plane(500, 16, False)
+    __, store_p, fs_p, viewer_p = build_data_plane(500, 16, "fast")
+    __, store_n, fs_n, viewer_n = build_data_plane(500, 16, "oracle")
     assert store_p.select(viewer_p, "items", where={"k": 3}) == \
         store_n.select(viewer_n, "items", where={"k": 3})
     assert store_p.count(viewer_p, "items") == \
@@ -77,7 +77,7 @@ def test_bench_m9_engines_agree_on_results():
 
 def test_bench_m9_select_latency(benchmark):
     """pytest-benchmark point for the 128-label partitioned select."""
-    __, store, __, viewer = build_data_plane(N_ROWS, 128, True)
+    __, store, __, viewer = build_data_plane(N_ROWS, 128, "fast")
     # the viewer's visible rows are multiples of 128, so k = i%16 = 0
     rows = benchmark(store.select, viewer, "items", where={"k": 0})
     assert rows

@@ -120,7 +120,7 @@ class StorageChannel:
 
 def timing_probe(invisible_rows: int, visible_rows: int = 10,
                  pad_scan_to: "int | None" = None,
-                 partitioned: bool = True,
+                 plane: str = "fast",
                  invisible_labels: int = 1) -> dict[str, float]:
     """Estimate the residual timing channel of filtered queries.
 
@@ -134,16 +134,16 @@ def timing_probe(invisible_rows: int, visible_rows: int = 10,
     ``pad_scan_to`` (constant-cost full scans regardless of invisible
     data — the complete fix, paid for in wasted work).
 
-    ``partitioned`` selects the storage engine (both must show the
-    same costs — the C10 regression for the partitioned data plane);
+    ``plane`` selects the storage engine (both must show the same
+    costs — the C10 regression for the partitioned data plane);
     ``invisible_labels`` spreads the secret rows over that many
     distinct tags, so the probe can also show the costs are
     independent of how many invisible *partitions* exist.
     """
     from ..resources import ResourceManager
     rm = ResourceManager()
-    kernel = Kernel(resources=rm)
-    store = LabeledStore(kernel, partitioned=partitioned)
+    kernel = Kernel(resources=rm, plane=plane)
+    store = LabeledStore(kernel)
     provider = kernel.spawn_trusted("provider")
     tags = [kernel.create_tag(provider, purpose=f"victim{j}")
             for j in range(max(invisible_labels, 1))]

@@ -125,14 +125,14 @@ def merge_store_delta(base: dict[str, Any],
             "next_row_id": max_row_id + 1}
 
 
-def restore_store(kernel: Kernel, snapshot: dict[str, Any],
-                  partitioned: bool = True) -> LabeledStore:
+def restore_store(kernel: Kernel, snapshot: dict[str, Any]
+                  ) -> LabeledStore:
     """Rebuild a store inside ``kernel`` (restore the tag registry
     first; see :mod:`repro.fs.persist`).  ``index_add`` rebuilds the
     label partitions alongside the hash indexes, so a restored store
     is partition-consistent regardless of the engine that wrote it."""
     import itertools
-    store = LabeledStore(kernel, partitioned=partitioned)
+    store = LabeledStore(kernel)
     store._row_ids = itertools.count(snapshot.get("next_row_id", 1))
     for td in snapshot["tables"]:
         table = Table(name=td["name"],

@@ -29,8 +29,8 @@ A W5 table with 100k rows typically holds only tens of *distinct*
 ``(slabel, ilabel)`` pairs — one per user/app sharing contract, the
 structure Flume's label algebra and HiStar's category model predict.
 :class:`Table` therefore physically groups rows into **partitions**
-keyed by that pair, and the default engine
-(``LabeledStore(kernel, partitioned=True)``) resolves visibility *once
+keyed by that pair, and the fast plane's engine (a store on a
+``Kernel(plane="fast")``, the default) resolves visibility *once
 per partition* against the :class:`~repro.labels.FlowCache` verdict
 for the caller's label state: invisible partitions are
 skipped wholesale, the ``db_rows_scanned`` charge is batched into one
@@ -38,9 +38,9 @@ call per partition, and only rows that survive the where/predicate
 filter are snapshotted.  Query label cost scales with distinct labels,
 not rows (experiment M9), while every observable — results, audit
 stream, resource-charge totals, ``pad_scan_to`` padding — is
-byte-identical to the naive per-row engine, which stays available as
-``partitioned=False`` (the benchmark baseline and the differential-test
-oracle in ``tests/db/test_partition_differential.py``).
+byte-identical to the naive per-row engine, which a store on a
+``Kernel(plane="oracle")`` runs (the benchmark baseline and the
+differential-test oracle in ``tests/db/test_partition_differential.py``).
 """
 
 from __future__ import annotations
@@ -175,14 +175,14 @@ class Table:
 class LabeledStore:
     """A multi-table store enforcing per-row labels on every operation.
 
-    ``partitioned`` selects the engine: ``True`` (default) resolves
-    visibility once per label partition; ``False`` is the naive per-row
-    oracle with identical observable behaviour.
+    The kernel's plane selects the engine: ``"fast"`` resolves
+    visibility once per label partition; ``"oracle"`` is the naive
+    per-row scan with identical observable behaviour.
     """
 
-    def __init__(self, kernel: Kernel, partitioned: bool = True) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.partitioned = partitioned
+        self.partitioned = kernel.plane == "fast"
         self._tables: dict[str, Table] = {}
         self._row_ids = itertools.count(1)
         #: Partition-scan observability (read via :meth:`stats`).
@@ -231,7 +231,7 @@ class LabeledStore:
 
     def stats(self) -> dict[str, Any]:
         """Partition hit/skip counters for metrics and benchmarks."""
-        return {"partitioned": self.partitioned, **self._stats}
+        return dict(self._stats)
 
     def snapshot(self) -> dict[str, Any]:
         """:class:`~repro.core.snapshot.Snapshotable` — serialize every
@@ -827,7 +827,7 @@ class LabeledStore:
         if where:
             for col, value in where.items():
                 if col in table.indexes:
-                    bucket = table.indexes[col].get(value)
+                    bucket = _bucket(table.indexes[col], value)
                     size = sum(len(ids) for ids in bucket.values()) \
                         if bucket else 0
                     if best is None or size < best[0]:
@@ -842,7 +842,7 @@ class LabeledStore:
         choice = self._best_index(table, where)
         if choice is not None:
             col, value = choice
-            bucket = table.indexes[col].get(value)
+            bucket = _bucket(table.indexes[col], value)
             ids: set[int] = set()
             if bucket:
                 for part_ids in bucket.values():
@@ -872,34 +872,38 @@ class LabeledStore:
         Callers never mutate the returned lists.
         """
         cache = table._cand_cache
-        memo = True
-        wkey: Optional[tuple] = None
-        if where:
-            try:
-                wkey = tuple(sorted(where.items()))
-            except TypeError:  # incomparable where columns: no memo
-                memo = False
-        if memo:
+        try:
+            wkey = tuple(sorted(where.items())) if where else None
             cached = cache.get(wkey)
-            if cached is not None:
-                return cached
+        except TypeError:
+            # incomparable columns or an unhashable value: no memo
+            cache, wkey, cached = {}, None, None
+        if cached is not None:
+            return cached
         choice = self._best_index(table, where)
         groups: dict = table.partitions
         if choice is not None:
             col, value = choice
-            groups = table.indexes[col].get(value) or {}
+            groups = _bucket(table.indexes[col], value) or {}
         pkeys = [pkey for pkey, ids in groups.items() if ids]
         prechecked = (bool(where) and len(where) == 1
                       and next(iter(where)) in table.indexes)
         arrays = (pkeys, [sorted(groups[pkey]) for pkey in pkeys],
                   prechecked)
-        if memo:
-            cache[wkey] = arrays
+        cache[wkey] = arrays
         return arrays
 
     @staticmethod
     def _used_index(table: Table, where: Optional[dict[str, Any]]) -> bool:
         return bool(where) and any(col in table.indexes for col in where)
+
+
+def _bucket(index: dict, value: Any) -> Optional[dict]:
+    """``index``'s bucket for ``value``; None if it is unhashable."""
+    try:
+        return index.get(value)
+    except TypeError:
+        return None
 
 
 def _matches(row: Row, where: Optional[dict[str, Any]],

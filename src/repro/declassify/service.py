@@ -75,8 +75,7 @@ def _tree(declassifier: Declassifier) -> Iterator[Declassifier]:
 class DeclassificationService:
     """Registry of grants + the export-authority oracle."""
 
-    def __init__(self, kernel: Kernel,
-                 cache_authority: bool = False) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
         self._grants: list[Grant] = []
         #: Grant indexes — same contents as ``_grants``, keyed for the
@@ -105,7 +104,7 @@ class DeclassificationService:
         #: (incremental snapshots re-serialize only these).
         self._dirty_owners: set[str] = set()
         #: Memoized per-viewer export authority (the cacheable part).
-        self.cache_authority = cache_authority
+        self.cache_authority = kernel.plane == "fast"
         self._authority_memo: dict[Any, _Authority] = {}
         #: Bumped by every authority-changing event; readable by tests.
         self.authority_epoch = 0
@@ -334,9 +333,9 @@ class DeclassificationService:
         those, every granted tag whose declassifier approves ``viewer``
         contributes its ``t-``.
 
-        With ``cache_authority`` on, the decisions of *cacheable*
-        declassifiers (pure functions of viewer + config) are memoized
-        per (viewer, own_tags), grouped by grant owner.  A policy edit
+        On the fast plane the decisions of *cacheable* declassifiers
+        (pure functions of viewer + config) are memoized per (viewer,
+        own_tags), grouped by grant owner.  A policy edit
         marks the owners it concerns, and a stale entry re-runs only
         those owners' grants; non-cacheable grants (time embargoes,
         custom predicates) are re-evaluated on every call and merged

@@ -127,14 +127,11 @@ class LabeledFileSystem:
     functions as IPC, so FS and IPC can never disagree about policy.
     """
 
-    def __init__(self, kernel: Kernel, grouped_walk: bool = True) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        #: ``True``: :meth:`walk` batches read verdicts per distinct
-        #: child ``(slabel, ilabel)`` pair and prunes unreadable
-        #: subtrees without re-deriving a violation per node.
-        #: ``False`` keeps the naive one-check-per-node traversal (the
-        #: differential-test oracle).
-        self.grouped_walk = grouped_walk
+        #: Fast plane: :meth:`walk` batches read verdicts per child
+        #: label pair; the oracle checks node by node.
+        self.grouped_walk = kernel.plane == "fast"
         self.root = Directory(name="/", slabel=Label.EMPTY,
                               ilabel=Label.EMPTY, created_by="provider")
         self._stats = {"subtrees_pruned": 0, "label_batches": 0}
@@ -169,7 +166,7 @@ class LabeledFileSystem:
 
     def stats(self) -> dict[str, Any]:
         """Walk-pruning counters for metrics and benchmarks."""
-        return {"grouped_walk": self.grouped_walk, **self._stats}
+        return dict(self._stats)
 
     def snapshot(self) -> dict[str, Any]:
         """:class:`~repro.core.snapshot.Snapshotable` — serialize the
@@ -458,10 +455,10 @@ class LabeledFileSystem:
         nothing about them, matching the covert-channel posture of
         :mod:`repro.db`.
 
-        With ``grouped_walk`` (the default) each directory's children
-        take their read verdicts from the flow cache's table for the
-        process's label state (:meth:`~repro.labels.FlowCache.read_table`),
-        fetched when the directory is expanded, so visibility is
+        On the fast plane each directory's children take their read
+        verdicts from the flow cache's table for the process's label
+        state (:meth:`~repro.labels.FlowCache.read_table`), fetched
+        when the directory is expanded, so visibility is
         computed once per distinct ``(slabel, ilabel)`` pair, as the
         path walk and the partitioned scan do; unreadable nodes are
         pruned at pop time with the same audit refusal record the

@@ -147,16 +147,17 @@ def _merge_descend(root: dict[str, Any], path: str):
     return node, parts[-1] if parts else ""
 
 
-def restore_fs(kernel: Kernel, snapshot: dict[str, Any],
-               grouped_walk: bool = True) -> LabeledFileSystem:
-    """Rebuild a filesystem from a snapshot inside ``kernel``.
+def restore_fs(kernel: Kernel, snapshot: dict[str, Any]
+               ) -> LabeledFileSystem:
+    """Rebuild a filesystem from a snapshot inside ``kernel``, on the
+    kernel's plane.
 
     ``kernel.tags`` must already hold the snapshot's tags (restore the
     registry first with :meth:`TagRegistry.import_state`); labels from
     a different namespace are mapped through foreign import, exactly
     like federation transfers.
     """
-    fs = LabeledFileSystem(kernel, grouped_walk=grouped_walk)
+    fs = LabeledFileSystem(kernel)
     root_data = snapshot["root"]
     fs.root = _restore_node(root_data, kernel.tags)
     return fs

@@ -59,6 +59,17 @@ from .process import BOTH, RECV, SEND, Endpoint, Process
 #: without triggering a collection and the later pause is longer.
 EXITED_RING = 16
 
+#: The engine planes (see :mod:`repro.platform.config`).
+PLANES = ("fast", "oracle")
+
+
+def check_plane(plane: str) -> str:
+    """``plane``, if it is one of :data:`PLANES`; else ValueError."""
+    if plane not in PLANES:
+        raise ValueError(f"unknown plane {plane!r} "
+                         f"(have {', '.join(PLANES)})")
+    return plane
+
 
 class ResourceHook:
     """Interface the kernel charges resources through.
@@ -104,17 +115,21 @@ class Kernel:
     taint creeps monotonically through the system — the A1 ablation
     (``benchmarks/test_bench_a1_floating.py``) measures the creep.
     Production W5 uses the default, explicit-label mode.
+
+    ``plane`` is the one engine switch, ``"fast"`` or ``"oracle"``:
+    every component built on the kernel reads it for its engine.
     """
 
     def __init__(self, namespace: str = "w5",
                  resources: Optional[ResourceHook] = None,
                  floating_labels: bool = False,
                  flow_cache: Optional[FlowCache] = None,
-                 recycle: bool = False,
                  audit_max_events: Optional[int] = None,
-                 lazy_audit: bool = True) -> None:
+                 plane: str = "fast") -> None:
+        self.plane = check_plane(plane)
         self.tags = TagRegistry(namespace=namespace)
-        self.audit = AuditLog(max_events=audit_max_events, lazy=lazy_audit)
+        self.audit = AuditLog(max_events=audit_max_events,
+                              lazy=plane == "fast")
         self.resources = resources or ResourceHook()
         self.floating_labels = floating_labels
         #: Memoized flow decisions, label transitions included (see
@@ -122,10 +137,9 @@ class Kernel:
         #: pass-through kernel; the differential tests compare the two
         #: on identical histories.
         self.flow_cache = flow_cache if flow_cache is not None else FlowCache()
-        #: App-process recycling (see repro.kernel.pool).  Disabled by
-        #: default at the kernel level; the provider opts in.
+        #: App-process recycling (see repro.kernel.pool).
         from .pool import ProcessPool
-        self.pool = ProcessPool(self, enabled=recycle)
+        self.pool = ProcessPool(self)
         #: Request tracer (see repro.obs).  The shared NULL_TRACER by
         #: default: `tracer.enabled` is the one-attribute-load guard
         #: hot paths use, and `tracer.span(...)` returns a no-op span,

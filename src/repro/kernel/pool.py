@@ -31,9 +31,9 @@ Recycling is decision-invisible by construction:
   is the performance point of pooling, and it is only sound because
   tainted processes are excluded.
 
-``tests/kernel/test_pool_differential.py`` drives pooled and unpooled
-deployments through identical request histories and asserts every
-response and every audit verdict is identical.
+The plane state machine (``tests/platform/test_plane_machine.py``)
+compares pooled (fast) and unpooled (oracle) deployments request for
+request, and checks that no idle process carries residual taint.
 """
 
 from __future__ import annotations
@@ -48,17 +48,16 @@ from .process import Process
 class ProcessPool:
     """Recycles trusted processes keyed by (name, labels, caps).
 
-    ``enabled=False`` makes :meth:`checkout`/:meth:`release` exact
-    aliases for ``spawn_trusted``/``exit``: the oracle plane runs that
-    way, and the pool and plan differential suites compare the two
-    modes on the same call sites.  ``max_idle`` bounds each key's free
+    Recycling runs on the kernel's fast plane.  On the oracle plane
+    :meth:`checkout`/:meth:`release` are exact aliases for
+    ``spawn_trusted``/``exit``, and the plane differential compares the
+    two on the same call sites.  ``max_idle`` bounds each key's free
     list; overflow falls back to a real exit.
     """
 
-    def __init__(self, kernel: Any, enabled: bool = False,
-                 max_idle: int = 8) -> None:
+    def __init__(self, kernel: Any, max_idle: int = 8) -> None:
         self.kernel = kernel
-        self.enabled = enabled
+        self.enabled = kernel.plane == "fast"
         self.max_idle = max_idle
         self._idle: dict[tuple, list[Process]] = {}
         #: pid -> launch key for processes checked out of this pool.
@@ -190,7 +189,6 @@ class ProcessPool:
     def stats(self) -> dict[str, Any]:
         """Counters for metrics/benchmarks."""
         return {
-            "enabled": self.enabled,
             "reuses": self.reuses,
             "fresh_spawns": self.fresh_spawns,
             "recycled": self.recycled,

@@ -41,9 +41,9 @@ MAX_ENTRIES = 8192
 class LaunchCapIndex:
     """Per-(app, viewer) launch-capability memo with event invalidation."""
 
-    def __init__(self, provider: "Provider", enabled: bool = True) -> None:
+    def __init__(self, provider: "Provider") -> None:
         self.provider = provider
-        self.enabled = enabled
+        self.enabled = provider.kernel.plane == "fast"
         self._memo: dict[tuple[str, Optional[str]], CapabilitySet] = {}
         self._stats = {"hits": 0, "misses": 0, "invalidations": 0}
         #: Monotonic generation, bumped on *every* invalidation event

@@ -25,10 +25,10 @@ A provider runs on one of two planes:
   ``tests/kernel/test_cache_differential.py`` does that at the kernel
   level, with ``FlowCache(enabled=False)``.
 
-:meth:`Provider.__init__ <repro.platform.provider.Provider>` is the one
-place that turns the plane into component arguments.  The remaining
-fields are real deployment knobs: the shard count, the shard engine and
-the journal compaction threshold.
+The plane is the one engine switch: the provider hands it to its
+``Kernel(plane=...)``, and every component built on the kernel reads
+it.  The other fields are deployment knobs: the shard count, the shard
+engine and the journal compaction threshold.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-#: The two planes a provider can run.
-PLANES = ("fast", "oracle")
+from ..kernel.kernel import check_plane
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,7 @@ class ProviderConfig:
     journal_compact_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.plane not in PLANES:
-            raise ValueError(f"unknown plane {self.plane!r} "
-                             f"(have {', '.join(PLANES)})")
+        check_plane(self.plane)
 
     # -- presets --------------------------------------------------------
 

@@ -276,11 +276,9 @@ def _restore_into(provider: Provider, state: dict[str, Any],
     svc.ilabel = Label([pw_tag])
 
     # Storage comes back verbatim (including /users and home dirs),
-    # on the same engine the fresh provider was configured with.
-    provider.fs = restore_fs(provider.kernel, state["fs"],
-                             grouped_walk=provider.fs.grouped_walk)
-    provider.db = restore_store(provider.kernel, state["db"],
-                                partitioned=provider.db.partitioned)
+    # on the plane of the fresh provider's kernel.
+    provider.fs = restore_fs(provider.kernel, state["fs"])
+    provider.db = restore_store(provider.kernel, state["db"])
 
     # Code reinstall.
     for module in app_catalog:

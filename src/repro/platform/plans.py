@@ -35,9 +35,9 @@ Plans only ever replace *pure recomputation*: the provider runs the
 same admission, launch, handler, audit and egress stages with or
 without one, so every observable — process spawn/exit, label changes,
 resource charges, audit records — happens on one code path, which is
-what lets ``tests/platform/test_plan_differential.py`` assert
-identical responses, charges and audit streams against the oracle
-plane.
+what lets the plane state machine
+(``tests/platform/test_plane_machine.py``) assert identical responses,
+charges and audit streams against the oracle plane.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ class PlanCache:
     fixed point of the interpretation it replaces.
     """
 
-    def __init__(self, provider: "Provider", enabled: bool = False) -> None:
+    def __init__(self, provider: "Provider") -> None:
         self.provider = provider
-        self.enabled = enabled
+        self.enabled = provider.kernel.plane == "fast"
         self._plans: dict[tuple[str, Optional[str]], RequestPlan] = {}
         self._stats = {"hits": 0, "misses": 0, "invalidated": 0,
                        "bypasses": 0}
@@ -197,6 +197,5 @@ class PlanCache:
 
     def stats(self) -> dict[str, int]:
         stats = dict(self._stats)
-        stats["enabled"] = self.enabled
         stats["entries"] = len(self._plans)
         return stats

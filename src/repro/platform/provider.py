@@ -71,18 +71,11 @@ class Provider:
                  config: Optional[ProviderConfig] = None,
                  session_seed: Optional[int] = None) -> None:
         self.name = name
-        #: The :class:`ProviderConfig`; this constructor is the one
-        #: place its plane becomes component arguments.  On the fast
-        #: plane every component runs its accelerated engine; on the
-        #: oracle plane every component runs its reference path (the
-        #: per-row store scan and per-node fs walk, eager audit, no
-        #: launch-cap/authority memos, no compiled plans, no process
-        #: pool, no journal) — except the kernel's flow cache, the one
-        #: memo of label decisions (transitions included), which stays
-        #: on for both (see repro.platform.config).
+        #: The :class:`ProviderConfig`.  Its plane goes to the kernel,
+        #: which every component reads it from (see
+        #: repro.platform.config).
         self.config = config = config if config is not None \
             else ProviderConfig()
-        fast = config.plane == "fast"
         #: ``tracing`` switches end-to-end request tracing (repro.obs):
         #: every handle_request builds a span tree through gateway,
         #: kernel, app, db/fs, declassifier and egress; per-span-name
@@ -98,25 +91,23 @@ class Provider:
             self.tracer = NULL_TRACER
             self.recorder = None
         self.kernel = Kernel(namespace=name, resources=resources,
-                             recycle=fast,
                              audit_max_events=audit_max_events,
-                             lazy_audit=fast)
+                             plane=config.plane)
         self.kernel.tracer = self.tracer
         if tracing:
             # every audit event recorded inside a traced request
             # carries the active trace/span id in its extra dict (the
             # log reads tracer.current directly — no callback)
             self.kernel.audit.trace_source = self.tracer
-        self.fs = LabeledFileSystem(self.kernel, grouped_walk=fast)
-        self.db = LabeledStore(self.kernel, partitioned=fast)
+        self.fs = LabeledFileSystem(self.kernel)
+        self.db = LabeledStore(self.kernel)
         # shard k of a ShardedProvider seeds its session RNG with
         # seed+k so two shards never mint the same token (the router
         # maps token -> shard); shard 0 / unsharded keep the default
         # stream, preserving byte-identity with historical deployments
         self.sessions = (SessionManager() if session_seed is None
                          else SessionManager(seed=session_seed))
-        self.declass = DeclassificationService(
-            self.kernel, cache_authority=fast)
+        self.declass = DeclassificationService(self.kernel)
         self.apps = Registry()
         self.modules = self.apps  # one namespace; kinds distinguish
         #: (app, module) dynamic usage edges for the §3.2 code search.
@@ -157,12 +148,12 @@ class Provider:
         from .groups import GroupService
         self.groups = GroupService(self)
         from .capindex import LaunchCapIndex
-        self.capindex = LaunchCapIndex(self, enabled=fast)
+        self.capindex = LaunchCapIndex(self)
         #: Compiled per-(app, viewer) request plans (M12).  The cache
         #: exists on both planes — ``explain()`` can compile a plan for
         #: inspection either way — but only the fast plane dispatches
         #: through it.
-        self.plans = PlanCache(self, enabled=fast)
+        self.plans = PlanCache(self)
         #: The durability manager (journal + dirty tracking + replay):
         #: every durable mutation is appended to a checksummed log and
         #: ``snapshot_provider(..., incremental=True)`` emits O(dirty)
@@ -172,7 +163,7 @@ class Provider:
         #: bootstrap (tags, /users, /groups) lands in the initial base
         #: checkpoint, not the journal.
         self._durability = None
-        if fast:
+        if config.plane == "fast":
             from .durability import DurabilityManager
             self._durability = DurabilityManager(
                 self, compact_threshold=config.journal_compact_bytes)
@@ -231,14 +222,16 @@ class Provider:
                 "recorder": self.recorder.dump()}
 
     def stats(self) -> dict[str, Any]:
-        """Every plane's counters in one tree: the flow cache, compiled
-        plans, the launch-capability index, the authority memo, the
-        process pool, the data plane (``db``/``fs``) and the durability
-        plane (each its component's own ``stats()``), plus the gateway
-        edge's and the audit ring's counters.  The operator view and
+        """The engine ``plane`` and every plane's counters in one tree:
+        the flow cache, compiled plans, the launch-capability index,
+        the authority memo, the process pool, the data plane
+        (``db``/``fs``) and the durability plane (each its component's
+        own ``stats()``), plus the gateway edge's and the audit ring's
+        counters.  The operator view and
         :func:`repro.obs.fleet.provider_health` read it."""
         kernel, gateway = self.kernel, self.gateway
         return {
+            "plane": kernel.plane,
             "flow": kernel.flow_cache.stats(),
             "plans": self.plans.stats(),
             "launch_caps": self.capindex.stats(),

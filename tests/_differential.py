@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.core import W5System
 from repro.kernel import audit as A
@@ -63,6 +63,12 @@ def normalized_audit(audit: Any) -> list[tuple]:
     return out
 
 
+def authority_view(w5: W5System, viewer: Any) -> list[tuple]:
+    """``viewer``'s export authority, comparable across deployments."""
+    caps = w5.provider._authority_for(viewer)
+    return sorted((c.tag.tag_id, c.tag.purpose, c.sign) for c in caps)
+
+
 class PlanePair:
     """One deployment on each plane, driven in lockstep."""
 
@@ -70,11 +76,18 @@ class PlanePair:
         self.fast = build(ProviderConfig.fast())
         self.oracle = build(ProviderConfig.oracle())
 
-    def run(self, apply: Callable[[W5System, Any], Any], op: Any) -> None:
+    def run(self, apply: Callable[[W5System, Any], Any], op: Any) -> Any:
         """``apply(deployment, op)`` on both planes; the outcomes (the
-        response, typically) must be identical."""
-        assert apply(self.fast, op) == apply(self.oracle, op), \
-            f"divergence on {op}"
+        response, typically) must be identical.  Returns the outcome."""
+        outcome = apply(self.fast, op)
+        assert outcome == apply(self.oracle, op), f"divergence on {op}"
+        return outcome
+
+    def assert_authority_agrees(self, viewers: Iterable[Any]) -> None:
+        """Each viewer's export authority is the same on both planes."""
+        for viewer in viewers:
+            assert authority_view(self.fast, viewer) \
+                == authority_view(self.oracle, viewer), viewer
 
     def assert_equivalent(self) -> None:
         fast, oracle = self.fast.provider.kernel, self.oracle.provider.kernel

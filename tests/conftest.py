@@ -1,0 +1,12 @@
+"""Shared test configuration: the Hypothesis profiles.
+
+``deep`` runs ten times Hypothesis's default 100 examples.  Tests that
+pin their own ``max_examples`` keep it; the plane state machine
+(``tests/platform/test_plane_machine.py``) scales with the active
+profile, so ``--hypothesis-profile=deep`` gives it ten times the
+histories.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=1000)

@@ -106,8 +106,8 @@ class TestPartitionedEngineRegression:
                        {"invisible_rows": 0},
                        {"invisible_rows": 50, "pad_scan_to": 500},
                        {"invisible_rows": 50, "invisible_labels": 8}):
-            fast = timing_probe(partitioned=True, **kwargs)
-            naive = timing_probe(partitioned=False, **kwargs)
+            fast = timing_probe(plane="fast", **kwargs)
+            naive = timing_probe(plane="oracle", **kwargs)
             assert fast == naive, f"engines diverge for {kwargs}"
 
     def test_padded_cost_independent_of_invisible_partitions(self):
@@ -116,7 +116,7 @@ class TestPartitionedEngineRegression:
         costs = {
             timing_probe(invisible_rows=rows, invisible_labels=labels,
                          pad_scan_to=500,
-                         partitioned=True)["full_scan_rows_touched"]
+                         plane="fast")["full_scan_rows_touched"]
             for rows, labels in ((0, 1), (50, 1), (50, 8), (128, 16))}
         assert costs == {500.0}
 
@@ -125,5 +125,5 @@ class TestPartitionedEngineRegression:
         rows in skipped partitions — the scan-cost observable matches
         the naive engine rather than leaking partition visibility."""
         report = timing_probe(invisible_rows=50, invisible_labels=4,
-                              partitioned=True)
+                              plane="fast")
         assert report["full_scan_rows_touched"] == 60

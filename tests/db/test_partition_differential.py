@@ -33,11 +33,12 @@ PREDICATES = (None,
               lambda vals: vals.get("n", 0) > 5)
 
 
-def build_world(partitioned):
+def build_world(plane):
     """A kernel + store + subjects spanning the interesting verdicts."""
     resources = ResourceManager()
-    kernel = Kernel(namespace=f"part-{partitioned}", resources=resources)
-    store = LabeledStore(kernel, partitioned=partitioned)
+    kernel = Kernel(namespace=f"part-{plane}", resources=resources,
+                    plane=plane)
+    store = LabeledStore(kernel)
     root = kernel.spawn_trusted("root")
     t1 = kernel.create_tag(root, purpose="s1")
     t2 = kernel.create_tag(root, purpose="s2")
@@ -143,8 +144,8 @@ class TestPartitionedStoreIsEquivalent:
     @settings(max_examples=100, deadline=None)
     @given(ops())
     def test_identical_histories_identical_outcomes(self, seed_ops):
-        kp, sp, procs_p, labels_p = build_world(True)
-        kn, sn, procs_n, labels_n = build_world(False)
+        kp, sp, procs_p, labels_p = build_world("fast")
+        kn, sn, procs_n, labels_n = build_world("oracle")
         assert sp.partitioned and not sn.partitioned
 
         for op in seed_ops:
@@ -172,7 +173,7 @@ class TestPartitionedStoreIsEquivalent:
     def test_partition_bookkeeping_matches_rows(self):
         """After a random-ish workload the partition dicts are exactly
         a re-grouping of ``table.rows`` (no stale or lost members)."""
-        kernel, sp, procs, labels = build_world(True)
+        kernel, sp, procs, labels = build_world("fast")
         # sees everything and may write down into any partition
         admin = kernel.spawn_trusted(
             "admin", slabel=labels[3],

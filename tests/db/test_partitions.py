@@ -14,10 +14,10 @@ from repro.labels import CapabilitySet, Label, minus
 from repro.resources import ResourceManager
 
 
-def world(partitioned=True):
+def world(plane="fast"):
     rm = ResourceManager()
-    kernel = Kernel(resources=rm)
-    store = LabeledStore(kernel, partitioned=partitioned)
+    kernel = Kernel(resources=rm, plane=plane)
+    store = LabeledStore(kernel)
     provider = kernel.spawn_trusted("provider")
     tag = kernel.create_tag(provider, purpose="secret")
     tainted = kernel.spawn_trusted("tainted", slabel=Label([tag]))
@@ -42,8 +42,8 @@ class TestBestIndexSelection:
             table, {"a": "nope", "b": 99}) == ("a", "nope")
 
     def test_scan_charge_follows_smallest_bucket(self):
-        for partitioned in (True, False):
-            rm, _, store, provider, _, clean = world(partitioned)
+        for plane in ("fast", "oracle"):
+            rm, _, store, provider, _, clean = world(plane)
             store.create_table(provider, "t", indexes=("a", "b"))
             for i in range(20):
                 store.insert(provider, "t", {"a": "x", "b": i % 2})
@@ -74,8 +74,8 @@ class _DeepcopySpy:
 
 class TestSnapshotFreeCount:
     def test_count_never_copies_rows(self):
-        for partitioned in (True, False):
-            _, _, store, provider, _, clean = world(partitioned)
+        for plane in ("fast", "oracle"):
+            _, _, store, provider, _, clean = world(plane)
             store.create_table(provider, "t")
             store.insert(provider, "t", {"payload": _DeepcopySpy(), "k": 1})
             _DeepcopySpy.copies = 0
@@ -150,6 +150,33 @@ class TestUpdateFastPaths:
         assert row._flat is False
 
 
+class TestUnhashableWhere:
+    """A where value no hash index can hold: both engines answer as the
+    per-row scan does — the stored row on an unindexed column, nothing
+    on an indexed one (insert refuses unhashable values there)."""
+
+    @pytest.mark.parametrize("plane", ["fast", "oracle"])
+    def test_select_and_count_on_both_column_kinds(self, plane):
+        rm, _, store, provider, _, clean = world(plane)
+        store.create_table(provider, "t", indexes=("a",))
+        store.insert(provider, "t", {"a": 1, "b": [2]})
+        store.insert(provider, "t", {"a": 2, "b": [3]})
+
+        def scanned(query, **kw):
+            before = rm.usage_of(clean).get("db_rows_scanned")
+            result = query(clean, "t", **kw)
+            return result, rm.usage_of(clean).get("db_rows_scanned") - before
+
+        for __ in range(2):  # cold, then with the candidate memo warm
+            assert scanned(store.select, where={"b": [2]}) \
+                == ([{"a": 1, "b": [2]}], 2)
+            assert scanned(store.count, where={"b": [2]}) == (1, 2)
+            assert scanned(store.select, where={"a": [1]}) == ([], 0)
+            assert scanned(store.count, where={"a": [1]}) == (0, 0)
+            assert scanned(store.select, where={"a": 1, "b": [2]}) \
+                == ([{"a": 1, "b": [2]}], 1)
+
+
 class TestPartitionStats:
     def test_skip_counters(self):
         _, _, store, provider, tainted, clean = world()
@@ -160,15 +187,15 @@ class TestPartitionStats:
             store.insert(tainted, "t", {"n": i})
         store.select(clean, "t")
         stats = store.stats()
-        assert stats["partitioned"] is True
+        assert store.partitioned
         assert stats["partitions_visible"] == 1
         assert stats["partitions_skipped"] == 1
         assert stats["rows_skipped"] == 3
         assert stats["batched_charges"] >= 2  # invisible still charged
 
     def test_naive_engine_reports_itself(self):
-        _, _, store, _, _, _ = world(partitioned=False)
-        assert store.stats()["partitioned"] is False
+        _, _, store, _, _, _ = world(plane="oracle")
+        assert store.partitioned is False
 
 
 class TestPartitionPersistence:
@@ -178,8 +205,12 @@ class TestPartitionPersistence:
         for i in range(6):
             store.insert((provider, tainted)[i % 2], "t", {"k": i % 3})
         snap = store.snapshot()
-        for partitioned in (True, False):
-            restored = restore_store(kernel, snap, partitioned=partitioned)
+        # an oracle kernel sharing the tag registry restores the same
+        # snapshot onto the naive engine
+        oracle = Kernel(plane="oracle")
+        oracle.tags = kernel.tags
+        for into, partitioned in ((kernel, True), (oracle, False)):
+            restored = restore_store(into, snap)
             assert restored.partitioned is partitioned
             table = restored.table("t")
             assert len(table.partitions) == 2
@@ -213,8 +244,9 @@ class TestMetricsObservation:
         from repro import W5System
         w5 = W5System(name="m9-metrics")
         snap = w5.provider.stats()
-        assert snap["db"]["partitioned"] is True
-        assert snap["fs"]["grouped_walk"] is True
+        assert snap["plane"] == "fast"
+        assert {"partitions_visible", "partitions_skipped"} <= set(snap["db"])
+        assert "subtrees_pruned" in snap["fs"]
 
     def test_engine_flags_thread_through_system(self):
         from repro import W5System
@@ -230,8 +262,8 @@ class TestLimitParity:
     @pytest.mark.parametrize("limit", [0, 1, 2, 5])
     def test_limit_results_and_charges_match(self, limit):
         outcomes = []
-        for partitioned in (True, False):
-            rm, _, store, provider, tainted, clean = world(partitioned)
+        for plane in ("fast", "oracle"):
+            rm, _, store, provider, tainted, clean = world(plane)
             store.create_table(provider, "t")
             for i in range(10):
                 store.insert((provider, tainted)[i % 3 == 0], "t", {"n": i})

@@ -14,10 +14,10 @@ from repro.kernel import Kernel
 from repro.labels import CapabilitySet, Label, minus, plus
 
 
-def build_fs(grouped, tree_ops):
+def build_fs(plane, tree_ops):
     """Deterministically grow a labeled tree from the op list."""
-    kernel = Kernel(namespace=f"walk-{grouped}")
-    fs = LabeledFileSystem(kernel, grouped_walk=grouped)
+    kernel = Kernel(namespace=f"walk-{plane}", plane=plane)
+    fs = LabeledFileSystem(kernel)
     root = kernel.spawn_trusted("root")
     t1 = kernel.create_tag(root, purpose="s1")
     t2 = kernel.create_tag(root, purpose="s2")
@@ -60,8 +60,8 @@ class TestGroupedWalkIsEquivalent:
     @settings(max_examples=60, deadline=None)
     @given(tree_ops())
     def test_identical_walks_identical_audit(self, ops):
-        kg, fsg, viewers_g = build_fs(True, ops)
-        kn, fsn, viewers_n = build_fs(False, ops)
+        kg, fsg, viewers_g = build_fs("fast", ops)
+        kn, fsn, viewers_n = build_fs("oracle", ops)
         for vg, vn in zip(viewers_g, viewers_n):
             walked_g = [(p, n.name, n.slabel, n.ilabel)
                         for p, n in fsg.walk(vg)]
@@ -97,7 +97,6 @@ class TestWalkPruning:
         assert fs.stats()["label_batches"] >= 1
 
     def test_stats_flag_reports_engine(self):
-        kernel = Kernel()
-        assert LabeledFileSystem(kernel).stats()["grouped_walk"] is True
+        assert LabeledFileSystem(Kernel()).grouped_walk is True
         assert LabeledFileSystem(
-            kernel, grouped_walk=False).stats()["grouped_walk"] is False
+            Kernel(plane="oracle")).grouped_walk is False

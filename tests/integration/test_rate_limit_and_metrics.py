@@ -144,6 +144,7 @@ class TestMetrics:
         w5 = W5System()
         w5.add_user("bob", apps=["blog"])
         stats = w5.provider.stats()
+        assert stats.pop("plane") == "fast"
         assert set(stats) == {"flow", "plans", "launch_caps", "authority",
                               "pool", "db", "fs", "persistence",
                               "gateway", "audit"}

@@ -1,22 +1,14 @@
-"""Differential property test: process recycling changes nothing.
+"""Process recycling: bounded retention and taint safety.
 
-A fast-plane deployment (app-process pool on) and an oracle deployment
-(no pool) are driven through the *same* randomly generated request
-history over three apps, and compared through the shared fast-vs-oracle
-helper (``tests/_differential.py``): identical responses and charges,
-and audit streams identical once pids are renumbered per spawn and the
-`` (recycled)`` marker is dropped — the only trace recycling leaves.
-Hypothesis shrinks any divergence to a minimal witness — the same
-methodology as the flow-cache differential
-(``tests/kernel/test_cache_differential.py``), one layer up.
-
-A second class pins the taint-safety contract directly at the pool:
-a process whose secrecy label floated during a request is never
-returned to the free list.
+The randomized fast-vs-oracle history over three apps, with the pool
+on one side only, is the state machine's job
+(``tests/platform/test_plane_machine.py``): it checks after every step
+that no pooled process sits idle with residual taint.  Here, a
+tainted-read loop must retain no kernel or meter state per request,
+and the taint-safety contract is pinned directly at the pool: a
+process whose secrecy label floated during a request is never returned
+to the free list.
 """
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import W5System
 from repro.platform import ProviderConfig
@@ -37,84 +29,15 @@ def build_deployment(config: ProviderConfig) -> W5System:
     return w5
 
 
-def apply_op(w5: W5System, op) -> tuple:
-    """Run one request; return a comparable (masked) outcome record."""
-    kind = op[0]
-    if kind == "post":
-        _, ui, i = op
-        user = USERS[ui % len(USERS)]
-        r = w5.client(user).get("/app/blog/post",
-                                title=f"t{i}", body=f"b{i}")
-    elif kind == "read":
-        _, ui, vi, i = op
-        author = USERS[ui % len(USERS)]
-        viewer = USERS[vi % len(USERS)]
-        r = w5.client(viewer).get("/app/blog/read",
-                                  author=author, title=f"t{i}")
-    elif kind == "list":
-        _, ui, vi = op
-        author = USERS[ui % len(USERS)]
-        viewer = USERS[vi % len(USERS)]
-        r = w5.client(viewer).get("/app/blog/list", author=author)
-    elif kind == "anon":
-        r = w5.anonymous_client().get("/app/blog/list", author="alice")
-    elif kind == "toggle":
-        _, ui, on = op
-        user = USERS[ui % len(USERS)]
-        path = "/policy/enable" if on else "/policy/disable"
-        r = w5.client(user).post(path, params={"app": "blog"})
-    elif kind == "befriend":
-        _, ui, vi = op
-        a, b = USERS[ui % len(USERS)], USERS[vi % len(USERS)]
-        if a == b:
-            return ("skip",)
-        w5.befriend(a, b)
-        return ("befriended",)
-    else:
-        return ("noop",)
-    return (r.status, r.body)
-
-
-def ops():
-    post = st.tuples(st.just("post"), st.integers(0, 2), st.integers(0, 3))
-    read = st.tuples(st.just("read"), st.integers(0, 2), st.integers(0, 2),
-                     st.integers(0, 3))
-    list_ = st.tuples(st.just("list"), st.integers(0, 2), st.integers(0, 2))
-    anon = st.tuples(st.just("anon"))
-    toggle = st.tuples(st.just("toggle"), st.integers(0, 2), st.booleans())
-    befriend = st.tuples(st.just("befriend"), st.integers(0, 2),
-                         st.integers(0, 2))
-    return st.lists(st.one_of(post, read, list_, anon, toggle, befriend),
-                    max_size=25)
-
-
-class TestPooledDeploymentIsEquivalent:
-    @settings(max_examples=30, deadline=None)
-    @given(ops())
-    def test_identical_histories_identical_outcomes(self, seed_ops):
-        pair = PlanePair(build_deployment)
-        assert pair.fast.provider.kernel.pool.enabled
-        assert not pair.oracle.provider.kernel.pool.enabled
-        pair.assert_equivalent()  # setup already agrees
-
-        for op in seed_ops:
-            pair.run(apply_op, op)
-        pair.assert_equivalent()
-
-        # and no pooled process ever sits idle with residual taint
-        pool = pair.fast.provider.kernel.pool
-        for (name, slabel, ilabel, caps), bucket in pool._idle.items():
-            for proc in bucket:
-                assert proc.slabel == slabel
-                assert proc.ilabel == ilabel
-                assert proc.caps == caps
-
-
 class TestBoundedRetention:
     """Tainted reads never recycle, so each spawns and exits a process;
     kernel and meter state must not grow with the number served."""
 
     N = 40
+
+    def _post(self, w5, __):
+        r = w5.client("alice").get("/app/blog/post", title="t0", body="b0")
+        return (r.status, r.body)
 
     def _read_own_post(self, w5, __):
         r = w5.client("alice").get("/app/blog/read", author="alice",
@@ -123,7 +46,7 @@ class TestBoundedRetention:
 
     def test_tainted_reads_retain_nothing_per_request(self):
         pair = PlanePair(build_deployment)
-        pair.run(apply_op, ("post", 0, 0))
+        pair.run(self._post, None)
         sizes = []
         for __ in range(2):
             for i in range(self.N):
@@ -141,7 +64,7 @@ class TestBoundedRetention:
 
 class TestTaintSafety:
     def _kernel(self):
-        kernel = Kernel(recycle=True)
+        kernel = Kernel()
         root = kernel.spawn_trusted("root")
         tag = kernel.create_tag(root, purpose="secret")
         return kernel, tag
@@ -206,7 +129,7 @@ class TestTaintSafety:
         assert p.pid not in kernel.pool._launch_keys
 
     def test_disabled_pool_is_passthrough(self):
-        kernel = Kernel(recycle=False)
+        kernel = Kernel(plane="oracle")
         p = kernel.pool.checkout("app:x")
         assert kernel.pool.release(p) is False
         assert not p.alive

@@ -6,9 +6,11 @@ of requests and policy mutations, and compared through the shared
 fast-vs-oracle helper (``tests/_differential.py``): identical
 responses, charge totals, denials and audit drops, and audit streams
 identical up to the pid renumbering process recycling implies.
-Hypothesis shrinks any divergence to a minimal witness.  Two suites
-run it: the plain planned history, and the mandated-pipeline history
-under a tight scan quota and a 64-event audit ring.  The batch
+Hypothesis shrinks any divergence to a minimal witness.  The plain
+planned history is the state machine's job
+(``tests/platform/test_plane_machine.py``); this module runs the
+mandated-pipeline history under a tight scan quota and a 64-event
+audit ring.  The batch
 entrypoint is checked against sequential dispatch on the fast plane,
 byte for byte, and a rate-limited pair of raw providers must agree on
 every 429 and admission audit record.
@@ -119,15 +121,6 @@ def audit_bytes(w5: W5System) -> list:
 
 
 class TestPlannedPlaneIsByteIdentical:
-    @settings(max_examples=30, deadline=None)
-    @given(ops())
-    def test_identical_histories_identical_streams(self, seed_ops):
-        pair = PlanePair(build_deployment)
-        pair.assert_equivalent()  # setup already agrees
-        for op in seed_ops:
-            pair.run(apply_op, op)
-        pair.assert_equivalent()
-
     @settings(max_examples=15, deadline=None)
     @given(ops())
     def test_batch_entrypoint_matches_sequential(self, seed_ops):

@@ -10,12 +10,15 @@ suites' job (``tests/_differential.py``).
 import dataclasses
 import inspect
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import Metrics, W5System
+from repro.db import LabeledStore, restore_store
 from repro.declassify import DeclassificationService
-from repro.kernel import Kernel
+from repro.fs import LabeledFileSystem, restore_fs
+from repro.kernel import Kernel, ProcessPool
 from repro.labels import FlowCache
 from repro.platform import (Provider, ProviderConfig, restore_provider,
                             snapshot_provider)
@@ -44,6 +47,7 @@ class TestProviderConfig:
 
     def test_fast_preset_enables_plans(self):
         p = Provider(name="x", config=ProviderConfig.fast())
+        assert p.kernel.plane == "fast"
         assert p.plans.enabled
         assert p.kernel.pool.enabled
         assert p.db.partitioned and p.fs.grouped_walk
@@ -54,6 +58,7 @@ class TestProviderConfig:
 
     def test_oracle_uses_every_reference_path(self):
         p = Provider(name="x", config=ProviderConfig.oracle())
+        assert p.kernel.plane == "oracle"
         assert not p.kernel.pool.enabled
         assert not p.db.partitioned
         assert not p.fs.grouped_walk
@@ -98,20 +103,27 @@ class TestProviderConfig:
 
 
 class TestComponentKnobs:
-    """The constructor parameters of the kernel and the memo layers.
+    """The constructor parameters of the kernel, the components built
+    on it and the memo layers.
 
-    Adding a knob to one of these takes a deliberate edit here.  Memo
-    bounds are module constants (``MAX_ENTRIES``, ``MAX_PLANS``,
+    Adding a knob to one of these takes a deliberate edit here.  The
+    kernel's ``plane`` is the only engine switch; memo bounds are
+    module constants (``MAX_ENTRIES``, ``MAX_PLANS``,
     ``MAX_AUTHORITY_ENTRIES``), not parameters.
     """
 
     PARAMETERS = {
         Kernel: ["namespace", "resources", "floating_labels", "flow_cache",
-                 "recycle", "audit_max_events", "lazy_audit"],
+                 "audit_max_events", "plane"],
         FlowCache: ["enabled"],
-        PlanCache: ["provider", "enabled"],
-        LaunchCapIndex: ["provider", "enabled"],
-        DeclassificationService: ["kernel", "cache_authority"],
+        PlanCache: ["provider"],
+        LaunchCapIndex: ["provider"],
+        DeclassificationService: ["kernel"],
+        LabeledStore: ["kernel"],
+        LabeledFileSystem: ["kernel"],
+        ProcessPool: ["kernel", "max_idle"],
+        restore_store: ["kernel", "snapshot"],
+        restore_fs: ["kernel", "snapshot"],
     }
 
     @pytest.mark.parametrize("cls", list(PARAMETERS),
@@ -119,6 +131,68 @@ class TestComponentKnobs:
     def test_constructor_parameters_are_pinned(self, cls):
         assert list(inspect.signature(cls).parameters) == \
             self.PARAMETERS[cls]
+
+
+def engines(kernel):
+    """Whether each component built on ``kernel`` runs its fast engine."""
+    provider = SimpleNamespace(kernel=kernel)
+    return {"audit": kernel.audit.lazy, "pool": kernel.pool.enabled,
+            "db": LabeledStore(kernel).partitioned,
+            "fs": LabeledFileSystem(kernel).grouped_walk,
+            "declass": DeclassificationService(kernel).cache_authority,
+            "plans": PlanCache(provider).enabled,
+            "capindex": LaunchCapIndex(provider).enabled}
+
+
+def on_kernel():
+    return (Kernel(),)
+
+
+def on_provider():
+    return (SimpleNamespace(kernel=Kernel()),)
+
+
+#: ``(callable, its positional arguments, a keyword it no longer takes)``
+#: for every engine switch the kernel's plane replaced.
+DELETED_KEYWORDS = [
+    (Kernel, tuple, "recycle"),
+    (Kernel, tuple, "lazy_audit"),
+    (ProcessPool, on_kernel, "enabled"),
+    (LabeledStore, on_kernel, "partitioned"),
+    (LabeledFileSystem, on_kernel, "grouped_walk"),
+    (DeclassificationService, on_kernel, "cache_authority"),
+    (PlanCache, on_provider, "enabled"),
+    (LaunchCapIndex, on_provider, "enabled"),
+    (restore_store, lambda: (Kernel(), {"tables": []}), "partitioned"),
+    (restore_fs, lambda: (Kernel(), {"root": {}}), "grouped_walk"),
+]
+
+
+class TestOnePlaneSwitch:
+    """``Kernel(plane=)`` is the one engine switch: every component
+    takes its engine from the kernel it is built on."""
+
+    def test_bare_kernel_is_the_fast_plane_everywhere(self):
+        kernel = Kernel()
+        assert kernel.plane == "fast"
+        assert all(engines(kernel).values()), engines(kernel)
+
+    def test_oracle_kernel_is_the_reference_everywhere(self):
+        assert not any(engines(Kernel(plane="oracle")).values())
+
+    def test_unknown_plane_rejected_like_the_config(self):
+        with pytest.raises(ValueError) as from_kernel:
+            Kernel(plane="naive")
+        with pytest.raises(ValueError) as from_config:
+            ProviderConfig(plane="naive")
+        assert str(from_kernel.value) == str(from_config.value)
+
+    @pytest.mark.parametrize(
+        "target, args, keyword", DELETED_KEYWORDS,
+        ids=[f"{t.__name__}-{k}" for t, __, k in DELETED_KEYWORDS])
+    def test_deleted_engine_keywords_raise(self, target, args, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            target(*args(), **{keyword: True})
 
 
 class TestDeprecatedKeywords:
@@ -132,7 +206,7 @@ class TestDeprecatedKeywords:
         with pytest.raises(TypeError):
             Provider(name="x", request_plans=True)
         with pytest.raises(TypeError):
-            ProviderConfig(lazy_audit=False)
+            ProviderConfig(**{"lazy_audit": False})
 
     def test_legacy_system_kwarg_warns(self):
         with pytest.raises(TypeError):
@@ -151,10 +225,8 @@ class TestMetricsAttach:
         assert "gateway.admission" in metrics.latency_histograms()
         stats = w5.provider.stats()
         assert stats["flow"]["hit_total"] > 0
-        assert stats["plans"]["enabled"]
+        assert stats["plane"] == "fast"
         assert stats["plans"]["misses"] >= 1
-        assert stats["pool"]["enabled"]
-        assert stats["db"]["partitioned"]
         assert stats["persistence"]["incremental_persistence"]
         assert stats["gateway"]["exports_allowed"] >= 2
         assert stats["audit"]["dropped"] == 0

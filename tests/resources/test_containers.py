@@ -168,7 +168,7 @@ class TestReaping:
     @pytest.mark.parametrize("recycle", [False, True])
     def test_totals_identical_across_exit(self, recycle):
         rm = ResourceManager()
-        k = Kernel(resources=rm, recycle=recycle)
+        k = Kernel(resources=rm, plane="fast" if recycle else "oracle")
         procs = [k.pool.checkout(name)
                  for name in ("app:blog", "app:blog", "app:wiki", "gateway")]
         for scale, p in enumerate(procs, start=1):
