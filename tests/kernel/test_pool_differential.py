@@ -1,9 +1,12 @@
-"""Process recycling: bounded retention and taint safety.
+"""Process recycling changes nothing: equivalence, bounded retention
+and taint safety.
 
-The randomized fast-vs-oracle history over three apps, with the pool
-on one side only, is the state machine's job
-(``tests/platform/test_plane_machine.py``): it checks after every step
-that no pooled process sits idle with residual taint.  Here, a
+A fast-plane deployment (app-process pool on) and an oracle deployment
+(no pool) are driven through the same random request history over
+three apps by the plane state machine
+(``tests/platform/test_plane_machine.py``), focused on requests, blog
+toggles and befriending: after every step outcomes and audit streams
+agree and no pooled process sits idle with residual taint.  A
 tainted-read loop must retain no kernel or meter state per request,
 and the taint-safety contract is pinned directly at the pool: a
 process whose secrecy label floated during a request is never returned
@@ -16,6 +19,7 @@ from repro.kernel import Kernel
 from repro.labels import CapabilitySet, Label, plus
 
 from .._differential import PlanePair
+from ..platform.test_plane_machine import run_focused
 
 USERS = ("alice", "bob", "carol")
 APPS = ("blog", "photo-share", "social")
@@ -27,6 +31,12 @@ def build_deployment(config: ProviderConfig) -> W5System:
         w5.add_user(user, apps=APPS)
     w5.befriend("alice", "bob")
     return w5
+
+
+class TestPooledDeploymentIsEquivalent:
+    def test_identical_histories_identical_outcomes(self):
+        run_focused("post", "read", "list_posts", "anonymous_list",
+                    "toggle_blog", "befriend", examples=30, steps=25)
 
 
 class TestBoundedRetention:

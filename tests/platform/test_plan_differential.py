@@ -7,10 +7,10 @@ fast-vs-oracle helper (``tests/_differential.py``): identical
 responses, charge totals, denials and audit drops, and audit streams
 identical up to the pid renumbering process recycling implies.
 Hypothesis shrinks any divergence to a minimal witness.  The plain
-planned history is the state machine's job
-(``tests/platform/test_plane_machine.py``); this module runs the
-mandated-pipeline history under a tight scan quota and a 64-event
-audit ring.  The batch
+planned history runs the plane state machine
+(``tests/platform/test_plane_machine.py``) focused on requests, blog
+toggles and friendships; this module also runs the mandated-pipeline
+history under a tight scan quota and a 64-event audit ring.  The batch
 entrypoint is checked against sequential dispatch on the fast plane,
 byte for byte, and a rate-limited pair of raw providers must agree on
 every 429 and admission audit record.
@@ -36,6 +36,7 @@ from repro.net import ExternalClient, HttpRequest
 from repro.platform import Provider, ProviderConfig
 
 from .._differential import PlanePair, normalized_audit
+from .test_plane_machine import run_focused
 
 USERS = ("alice", "bob", "carol")
 APPS = ("blog", "social")
@@ -121,6 +122,11 @@ def audit_bytes(w5: W5System) -> list:
 
 
 class TestPlannedPlaneIsByteIdentical:
+    def test_identical_histories_identical_streams(self):
+        run_focused("post", "read", "list_posts", "anonymous_list",
+                    "missing_app", "toggle_blog", "befriend", "unfriend",
+                    examples=30, steps=25)
+
     @settings(max_examples=15, deadline=None)
     @given(ops())
     def test_batch_entrypoint_matches_sequential(self, seed_ops):

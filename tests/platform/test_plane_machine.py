@@ -25,11 +25,17 @@ after every step:
 The budget comes from the active Hypothesis profile: a quarter of its
 ``max_examples`` (25 histories by default; run with
 ``--hypothesis-profile=deep`` for ten times as many).
+
+:func:`run_focused` runs the same machine with only some of its rules
+and every invariant, so a history spends all its steps on one
+concern; the plan, pool and scoped-authority differentials use it.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (RULE_MARKER, RuleBasedStateMachine,
+                                 invariant, rule,
+                                 run_state_machine_as_test)
 
 from repro.core import W5System
 from repro.declassify import AnyOf
@@ -247,3 +253,18 @@ PlaneMachine.TestCase.settings = settings(
     max_examples=max(1, settings.default.max_examples // 4),
     stateful_step_count=20, deadline=None)
 TestPlaneMachine = PlaneMachine.TestCase
+
+
+RULES = frozenset(name for name, f in vars(PlaneMachine).items()
+                  if hasattr(f, RULE_MARKER))
+
+
+def run_focused(*rules: str, examples: int, steps: int) -> None:
+    """Run :class:`PlaneMachine` with only ``rules``: the others are
+    shadowed by ``None``, which Hypothesis does not collect as a rule,
+    and every invariant still runs after every step."""
+    assert set(rules) <= RULES, set(rules) - RULES
+    machine = type("FocusedPlaneMachine", (PlaneMachine,),
+                   dict.fromkeys(RULES - set(rules)))
+    run_state_machine_as_test(machine, settings=settings(
+        max_examples=examples, stateful_step_count=steps, deadline=None))

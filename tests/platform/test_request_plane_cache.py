@@ -9,9 +9,11 @@ never be cached: a time-dependent declassifier.
 The authority memo's invalidation is scoped to the owners an edit
 concerns, so ``TestScopedAuthority`` also pins what that scope must
 cover (a group policy shared inside another owner's combinator), what
-it may cost (one owner's grants) and its bounded dirty log.  The
-randomized history checked against the oracle plane after every step
-is the state machine's job (``tests/platform/test_plane_machine.py``).
+it may cost (one owner's grants) and its bounded dirty log, and
+``TestScopedAuthorityHistory`` runs the plane state machine
+(``tests/platform/test_plane_machine.py``) focused on friendships,
+grants, club roster changes and reads, checking every viewer's
+authority against the oracle plane after every step.
 
 Partition scans take their read verdicts from the flow cache's
 label-state table, so ``TestScanVerdictBound`` pins that the table holds
@@ -29,6 +31,7 @@ from repro.labels.cache import MAX_STATES
 from repro.net import HttpRequest
 
 from .._differential import PlanePair
+from .test_plane_machine import run_focused
 
 
 @pytest.fixture
@@ -289,6 +292,12 @@ class TestScopedAuthority:
         after = declass.authority_stats()
         assert after["misses"] == before["misses"] + 1
         assert after["refreshes"] == before["refreshes"]
+
+
+class TestScopedAuthorityHistory:
+    def test_every_step_agrees_with_the_oracle(self):
+        run_focused("befriend", "unfriend", "public_grant", "club_grant",
+                    "club_roster", "read", examples=50, steps=20)
 
 
 class TestMetricsObservation:
