@@ -5,9 +5,10 @@ every 16th with a declassifier grant), checkpoints it, dirties a
 ``dirty_frac`` fraction of the accounts, and measures:
 
 * **snapshot latency** — a full ``snapshot_provider`` walks every
-  account, file, row, and grant (O(total state)); the incremental path
-  emits only what changed since the checkpoint (O(dirty)), so the gap
-  widens linearly with deployment size;
+  account, file, row, and grant (O(total state)); the incremental
+  path, ``Provider.snapshot_incremental``, hands out the journal since
+  the checkpoint (one copy of O(dirty) bytes), so the gap widens
+  linearly with deployment size;
 * **mutation throughput** — the journaled provider pays one
   checksummed JSON-line append per durable mutation; we run the
   representative W5 write mix (a user-data file write, a profile
@@ -93,12 +94,10 @@ def run_tier(n_users: int, dirty_frac: float = 0.01,
 
     full_s = _best_seconds(lambda: snapshot_provider(p),
                            n=1, repeat=repeat + 2)
-    incr_s = _best_seconds(
-        lambda: snapshot_provider(p, incremental=True),
-        n=10, repeat=repeat)
+    incr_s = _best_seconds(p.snapshot_incremental, n=10, repeat=repeat)
 
     full_bytes = _snapshot_bytes(snapshot_provider(p))
-    delta_bytes = _snapshot_bytes(snapshot_provider(p, incremental=True))
+    delta_bytes = _snapshot_bytes(p.snapshot_incremental())
 
     base = copy.deepcopy(p._durability.base)
     raw = p._durability.journal.raw_bytes()

@@ -1,14 +1,15 @@
-"""M10 — incremental durability: O(dirty) snapshots, journaled replay.
+"""M10 — incremental durability: the journal is the delta snapshot.
 
 The tentpole claim: with a write-ahead journal, durability costs
-O(dirty state) per snapshot instead of O(total state), and recovery
-(base + replay) reproduces exactly what a full restore would.  We
+O(dirty state) per snapshot instead of O(total state) — the delta
+snapshot is the journal since the checkpoint — and recovery (base +
+replay) reproduces exactly what a full restore would.  We
 build 100- and 1,000-user deployments, dirty 1% of accounts, and
 assert the shapes:
 
 * the incremental snapshot beats the full snapshot decisively at
-  1,000 users (>= 10x — measured ~50x), and the gap *widens* with
-  deployment size (full is O(users), the delta is O(dirty));
+  1,000 users (>= 10x), and the gap *widens* with deployment size
+  (full is O(users), the delta is O(dirty));
 * the delta artifact is a small fraction of the full snapshot bytes;
 * journaling costs < 1.5x mutation throughput on the representative
   write mix (file write + profile update + request-plane db write);
@@ -88,10 +89,9 @@ def test_bench_m10_replay_really_replays(tiers):
 
 def test_bench_m10_snapshot_latency(benchmark):
     """pytest-benchmark point for the 1,000-user incremental snapshot."""
-    from repro.platform import snapshot_provider
     from .m10_journal import build_provider
     p = build_provider(1_000, incremental=True)
     p._durability.checkpoint()
     p.set_profile("user00042", mood="benchmarked")
-    snap = benchmark(snapshot_provider, p, incremental=True)
+    snap = benchmark(p.snapshot_incremental)
     assert snap["kind"] == "delta"

@@ -12,16 +12,16 @@ catalog reinstalled, and shows that:
   silently dropped.
 
 Then it crashes *again* — this time mid-write, with post-checkpoint
-mutations living only in the write-ahead journal — and shows that
-recovery is base snapshot + replay: the torn tail is detected and
-dropped, every complete record is replayed, and nothing before the
-tear is lost.  Finally, a user whose account predates each restart
-deletes it on the rebuilt provider: the right to leave survives both.
+mutations living only in the write-ahead journal, which the operator's
+incremental snapshot hands out as a delta — and shows that recovery is
+base snapshot + replay: the torn tail is detected and dropped, every
+complete record is replayed, and nothing before the tear is lost.
+Finally, a user whose account predates each restart deletes it on the
+rebuilt provider: the right to leave survives both.
 
 Run: ``python examples/provider_restart.py``
 """
 
-import copy
 import json
 
 from repro.apps import STANDARD_CATALOG, install_standard_apps
@@ -88,20 +88,20 @@ def main() -> None:
     print("\nOK: full restart with labels, policies, and data intact.")
 
     print("\n== day 2: writes land in the journal, not in snapshots ==")
-    # restore_provider checkpointed p2: its durability base is a full
-    # snapshot, and every durable mutation since appends one
-    # checksummed JSON line to the journal.
+    # restore_provider checkpointed p2, so the snapshot it was restored
+    # from is the base of its journal: every durable mutation since
+    # appends one checksummed JSON line, and the operator's
+    # incremental snapshot is that journal.
     amy.get("/app/blog/post", title="day2", body="journaled, not lost")
     p2.store_user_data("amy", "notes.txt", "replay me")
-    base = copy.deepcopy(p2._durability.base)
-    raw = p2._durability.journal.raw_bytes()
-    stats = p2.persistence_stats()
-    print(f"   journal: {stats['seq']} records, "
-          f"{stats['size_bytes']:,} bytes since the checkpoint")
+    delta = p2.snapshot_incremental()
+    raw = delta["journal"].encode("ascii")
+    print(f"   {delta['kind']} snapshot: {delta['journal_seq']} records, "
+          f"{len(raw):,} bytes since the checkpoint")
 
     print("== crash MID-WRITE: the last record is torn ==")
     torn = raw[:-7]  # power fails 7 bytes before the append completes
-    p3, rep = recover_provider(copy.deepcopy(base), torn,
+    p3, rep = recover_provider(json.loads(blob), torn,
                                app_catalog=STANDARD_CATALOG)
     print(f"   replayed {rep['records_replayed']} records, dropped "
           f"{rep['truncated_bytes']} tail bytes "
@@ -117,7 +117,7 @@ def main() -> None:
         print("   the torn write itself is gone (as a crash demands)")
 
     print("== same crash, but the append had finished ==")
-    p4, rep = recover_provider(copy.deepcopy(base), raw,
+    p4, rep = recover_provider(json.loads(blob), raw,
                                app_catalog=STANDARD_CATALOG)
     print(f"   replayed {rep['records_replayed']} records, dropped "
           f"{rep['truncated_bytes']} bytes")

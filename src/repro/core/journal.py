@@ -5,7 +5,10 @@ O(total state) per snapshot — the trap the M10 experiment measures.
 The journal makes durability **incremental**: every durable mutation
 (account lifecycle, policy grants, fs and db writes, tag creation)
 appends one record here, and recovery becomes *base snapshot + replay*
-instead of *latest full snapshot*.
+instead of *latest full snapshot*.  The journal is also the only
+incremental artifact: the operator's delta snapshot
+(``Provider.snapshot_incremental``) is this image since the last
+checkpoint, and federation cursors tail the same records.
 
 Record format (one record per line, pure JSON)::
 
@@ -218,6 +221,8 @@ class Journal:
         self._kept: Optional[tuple[int, bytearray, list[int]]] = None
         self._stats = {"appends": 0, "bytes_written": 0,
                        "opaque_appends": 0, "resets": 0}
+        #: ``journal.opaque`` records in the current epoch.
+        self.epoch_opaque = 0
 
     # -- writing -----------------------------------------------------------
 
@@ -242,6 +247,7 @@ class Journal:
                 encoded = encode_payload(data)
             except TypeError as exc:
                 self._stats["opaque_appends"] += 1
+                self.epoch_opaque += 1
                 encoded = {"op": op, "why": str(exc)}
                 op = "journal.opaque"
             body = _body(seq, op, encoded)
@@ -267,6 +273,7 @@ class Journal:
         self._buf = bytearray()
         self._seq = 0
         self._offsets = []
+        self.epoch_opaque = 0
         self.epoch += 1
         self._stats["resets"] += 1
 
@@ -286,6 +293,12 @@ class Journal:
     def raw_bytes(self) -> bytes:
         """The byte image a real deployment would have on disk."""
         return bytes(self._buf)
+
+    def text(self) -> str:
+        """The same image as text.  Every line is ASCII (JSON escapes
+        any other character), so ``text().encode("ascii")`` equals
+        :meth:`raw_bytes`."""
+        return self._buf.decode("ascii")
 
     # -- tailing (M15: incremental consumers) ------------------------------
 

@@ -1,13 +1,11 @@
 """Labeled tuple store: W5's covert-channel-free database substrate."""
 
 from .errors import DbError, NoSuchRow, NoSuchTable, SchemaError, TableExists
-from .persist import (merge_store_delta, restore_store,
-                      snapshot_store, snapshot_store_delta)
+from .persist import restore_store, snapshot_store
 from .store import DbView, LabeledStore, Row, Table
 
 __all__ = [
     "DbError", "NoSuchRow", "NoSuchTable", "SchemaError", "TableExists",
-    "merge_store_delta", "restore_store", "snapshot_store",
-    "snapshot_store_delta",
+    "restore_store", "snapshot_store",
     "DbView", "LabeledStore", "Row", "Table",
 ]

@@ -140,6 +140,21 @@ class Table:
 
     # -- index + partition maintenance (store-internal) ----------------
 
+    def check_indexable(self, values: dict[str, Any]) -> None:
+        """Raise :class:`SchemaError` unless every indexed column in
+        ``values`` holds a hashable value.  :meth:`index_add` hashes
+        them, so a write checks first and fails before it changes any
+        row or index."""
+        for col in self.indexes:
+            if col in values:
+                try:
+                    hash(values[col])
+                except TypeError:
+                    raise SchemaError(
+                        f"indexed column {col!r} of {self.name!r} needs a "
+                        f"hashable value, not "
+                        f"{type(values[col]).__name__}") from None
+
     def index_add(self, row: Row) -> None:
         if self._cand_cache:
             self._cand_cache.clear()
@@ -190,44 +205,6 @@ class LabeledStore:
                        "rows_skipped": 0, "batched_charges": 0}
         #: Durability hook: ``(op, data)`` per mutation (journal).
         self.on_mutate: Optional[Callable[[str, dict], None]] = None
-        #: O(dirty) snapshot bookkeeping since the last full checkpoint:
-        #: per-table inserted/updated row ids and removed row ids, plus
-        #: catalog-level created/dropped table names.
-        self._dirty_rows: dict[str, set[int]] = {}
-        self._removed_rows: dict[str, set[int]] = {}
-        self._created_tables: set[str] = set()
-        self._dropped_tables: set[str] = set()
-
-    # -- durability bookkeeping ----------------------------------------
-
-    def mark_clean(self) -> None:
-        """Forget dirty state (a full snapshot was just taken)."""
-        self._dirty_rows.clear()
-        self._removed_rows.clear()
-        self._created_tables.clear()
-        self._dropped_tables.clear()
-
-    def dirty_state(self) -> dict[str, Any]:
-        return {
-            "dirty_rows": {t: set(ids)
-                           for t, ids in self._dirty_rows.items() if ids},
-            "removed_rows": {t: set(ids)
-                             for t, ids in self._removed_rows.items() if ids},
-            "created_tables": set(self._created_tables),
-            "dropped_tables": set(self._dropped_tables),
-        }
-
-    def _note_row(self, table_name: str, row_id: int) -> None:
-        self._dirty_rows.setdefault(table_name, set()).add(row_id)
-        removed = self._removed_rows.get(table_name)
-        if removed:
-            removed.discard(row_id)
-
-    def _note_removed(self, table_name: str, row_id: int) -> None:
-        self._removed_rows.setdefault(table_name, set()).add(row_id)
-        dirty = self._dirty_rows.get(table_name)
-        if dirty:
-            dirty.discard(row_id)
 
     def stats(self) -> dict[str, Any]:
         """Partition hit/skip counters for metrics and benchmarks."""
@@ -255,8 +232,6 @@ class LabeledStore:
         table = Table(name=name, indexed_columns=tuple(indexes),
                       pad_scan_to=pad_scan_to)
         self._tables[name] = table
-        self._created_tables.add(name)
-        self._dropped_tables.discard(name)
         if self.on_mutate is not None:
             self.on_mutate("db.create_table", {
                 "name": name, "indexes": list(table.indexed_columns),
@@ -283,10 +258,6 @@ class LabeledStore:
                                cache=self.kernel.flow_cache,
                                category="db.write")
         del self._tables[name]
-        self._dropped_tables.add(name)
-        self._created_tables.discard(name)
-        self._dirty_rows.pop(name, None)
-        self._removed_rows.pop(name, None)
         if self.on_mutate is not None:
             self.on_mutate("db.drop_table", {"name": name})
         self.kernel.audit.record(A.DB_QUERY, True, process.name,
@@ -314,6 +285,7 @@ class LabeledStore:
         self.kernel.resources.charge(process, "db_queries", 1)
         if not isinstance(values, dict):
             raise SchemaError("row values must be a dict")
+        table.check_indexable(values)
         row = Row(row_id=next(self._row_ids),
                   values=copy.deepcopy(values),
                   slabel=process.slabel if slabel is None else slabel,
@@ -330,7 +302,6 @@ class LabeledStore:
         self.kernel.resources.charge(process, "db_rows", 1)
         table.rows[row.row_id] = row
         table.index_add(row)
-        self._note_row(table_name, row.row_id)
         if self.on_mutate is not None:
             self.on_mutate("db.insert", {
                 "table": table_name, "row_id": row.row_id,
@@ -364,6 +335,7 @@ class LabeledStore:
         if changes is None:
             raise SchemaError("update requires changes")
         table = self.table(table_name)
+        table.check_indexable(changes)
         # All-scalar change sets share one hoisted copy; nested values
         # still get a per-row deepcopy so rows never alias each other.
         flat_changes = all(type(v) in Row._FLAT_TYPES
@@ -389,7 +361,6 @@ class LabeledStore:
             row.version += 1
             if touches_index:
                 table.index_add(row)
-            self._note_row(table_name, row.row_id)
             touched.append(row.row_id)
 
         updated = 0
@@ -481,7 +452,6 @@ class LabeledStore:
         for row in doomed:
             table.index_remove(row)
             del table.rows[row.row_id]
-            self._note_removed(table_name, row.row_id)
         if doomed and self.on_mutate is not None:
             self.on_mutate("db.delete", {
                 "table": table_name,
@@ -505,7 +475,6 @@ class LabeledStore:
                 continue
             table.index_remove(row)
             del table.rows[rid]
-            self._note_removed(table_name, rid)
             purged.append(rid)
         if purged and self.on_mutate is not None:
             self.on_mutate("db.purge", {
@@ -520,8 +489,6 @@ class LabeledStore:
         table = Table(name=name, indexed_columns=tuple(indexes),
                       pad_scan_to=pad_scan_to)
         self._tables[name] = table
-        self._created_tables.add(name)
-        self._dropped_tables.discard(name)
         return table
 
     def install_row(self, table_name: str, row_id: int,
@@ -534,7 +501,6 @@ class LabeledStore:
                   ilabel=ilabel)
         table.rows[row_id] = row
         table.index_add(row)
-        self._note_row(table_name, row_id)
         nxt = next(self._row_ids)
         self._row_ids = itertools.count(max(nxt, row_id + 1))
         return row
@@ -556,7 +522,6 @@ class LabeledStore:
             row.version += 1
             if touches_index:
                 table.index_add(row)
-            self._note_row(table_name, rid)
 
     def remove_rows(self, table_name: str, row_ids: Iterable[int]) -> None:
         """Replay one journaled delete/purge (no checks, no journal)."""
@@ -567,15 +532,10 @@ class LabeledStore:
                 continue
             table.index_remove(row)
             del table.rows[rid]
-            self._note_removed(table_name, rid)
 
     def drop_table_raw(self, name: str) -> None:
         """Replay one journaled drop (no checks, no journal)."""
         self._tables.pop(name, None)
-        self._dropped_tables.add(name)
-        self._created_tables.discard(name)
-        self._dirty_rows.pop(name, None)
-        self._removed_rows.pop(name, None)
 
     def _refuse_write(self, process: Process, row: Row, table_name: str,
                       verb: str) -> None:

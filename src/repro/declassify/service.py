@@ -100,9 +100,6 @@ class DeclassificationService:
         self._now: float = 0.0
         #: Durability hook: ``(op, data)`` per policy mutation (journal).
         self.on_mutate: Optional[Callable[[str, dict], None]] = None
-        #: Owners whose grant set changed since the last full checkpoint
-        #: (incremental snapshots re-serialize only these).
-        self._dirty_owners: set[str] = set()
         #: Memoized per-viewer export authority (the cacheable part).
         self.cache_authority = kernel.plane == "fast"
         self._authority_memo: dict[Any, _Authority] = {}
@@ -130,13 +127,6 @@ class DeclassificationService:
         if self.on_mutate is not None:
             self.on_mutate("clock.set", {"now": value})
 
-    def mark_clean(self) -> None:
-        """Forget dirty state (a full snapshot was just taken)."""
-        self._dirty_owners.clear()
-
-    def dirty_owners(self) -> set[str]:
-        return set(self._dirty_owners)
-
     @staticmethod
     def grant_record(grant: "Grant") -> Optional[dict[str, Any]]:
         """The durable form of ``grant`` — exactly what
@@ -160,7 +150,6 @@ class DeclassificationService:
         """Journal a policy-config edit (the callers —
         ``Provider.update_declassifier_config`` and the group roster
         refresh — have already applied it via ``update_config``)."""
-        self._dirty_owners.add(owner)
         if self.on_mutate is not None:
             serial = {k: (sorted(v) if isinstance(v, (frozenset, set))
                           else v)
@@ -230,14 +219,14 @@ class DeclassificationService:
         g = Grant(owner=owner, tag=tag, declassifier=declassifier)
         self._grants.append(g)
         self._index(g)
-        self._dirty_owners.add(owner)
         if self.on_mutate is not None:
             record = self.grant_record(g)
             if record is not None:
                 self.on_mutate("grant.add", record)
             else:
                 self.on_mutate("grant.skip", {
-                    "owner": owner, "declassifier": declassifier.name})
+                    "owner": owner, "tag_id": tag.tag_id,
+                    "declassifier": declassifier.name})
         self.invalidate_authority("grant", owners=(owner,))
         self.kernel.audit.record(
             A.DECLASSIFY, True, owner,
@@ -256,7 +245,6 @@ class DeclassificationService:
         removed = before - len(self._grants)
         if removed:
             self._reindex()
-            self._dirty_owners.add(owner)
             if self.on_mutate is not None:
                 self.on_mutate("grant.revoke", {
                     "owner": owner, "tag_id": tag.tag_id,

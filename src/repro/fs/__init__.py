@@ -4,11 +4,10 @@ from .errors import (FsError, IsADirectory, NoSuchPath, NotADirectory,
                      PathExists)
 from .filesystem import (Directory, File, FsView, Inode, LabeledFileSystem,
                          split_path)
-from .persist import (merge_fs_delta, restore_fs, snapshot_fs,
-                      snapshot_fs_delta)
+from .persist import restore_fs, snapshot_fs
 
 __all__ = [
     "FsError", "IsADirectory", "NoSuchPath", "NotADirectory", "PathExists",
     "Directory", "File", "FsView", "Inode", "LabeledFileSystem", "split_path",
-    "merge_fs_delta", "restore_fs", "snapshot_fs", "snapshot_fs_delta",
+    "restore_fs", "snapshot_fs",
 ]

@@ -137,32 +137,6 @@ class LabeledFileSystem:
         self._stats = {"subtrees_pruned": 0, "label_batches": 0}
         #: Durability hook: ``(op, data)`` per mutation (journal).
         self.on_mutate: Optional[Callable[[str, dict], None]] = None
-        #: O(dirty) snapshot bookkeeping: canonical paths created or
-        #: rewritten (resp. removed) since the last full checkpoint.
-        self._dirty_paths: set[str] = set()
-        self._deleted_paths: set[str] = set()
-
-    def mark_clean(self) -> None:
-        """Forget dirty state (a full snapshot was just taken)."""
-        self._dirty_paths.clear()
-        self._deleted_paths.clear()
-
-    def dirty_state(self) -> tuple[set[str], set[str]]:
-        return set(self._dirty_paths), set(self._deleted_paths)
-
-    def _note_upsert(self, canon: str) -> None:
-        """Mark the canonical path ``canon`` created or rewritten."""
-        self._dirty_paths.add(canon)
-        self._deleted_paths.discard(canon)
-
-    def _note_delete(self, canon: str) -> None:
-        """Mark the canonical path ``canon`` removed."""
-        self._dirty_paths.discard(canon)
-        self._deleted_paths.add(canon)
-        # children of a deleted dir can no longer be upserted
-        prefix = canon + "/"
-        self._dirty_paths = {p for p in self._dirty_paths
-                             if not p.startswith(prefix)}
 
     def stats(self) -> dict[str, Any]:
         """Walk-pruning counters for metrics and benchmarks."""
@@ -281,7 +255,6 @@ class LabeledFileSystem:
                       created_by=process.name)
         self._validate_new_labels(process, d, path)
         parent.entries[leaf] = d
-        self._note_upsert(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.mkdir", {
                 "path": canon,
@@ -319,7 +292,6 @@ class LabeledFileSystem:
         self._validate_new_labels(process, f, path)
         self.kernel.resources.charge(process, "disk", f.size())
         parent.entries[leaf] = f
-        self._note_upsert(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.create", {
                 "path": canon,
@@ -376,7 +348,6 @@ class LabeledFileSystem:
         node.data = copy.deepcopy(data)
         node.version += 1
         canon = "/" + "/".join(parts)
-        self._note_upsert(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.write", {"path": canon, "data": node.data})
         self.kernel.audit.record_lazy(A.FILE_WRITE, True, process.name,
@@ -400,7 +371,6 @@ class LabeledFileSystem:
         if node.is_dir() and getattr(node, "entries", None):
             raise FsError(f"directory {path} not empty")
         del parent.entries[leaf]
-        self._note_delete(canon)
         if self.on_mutate is not None:
             self.on_mutate("fs.delete", {"path": canon})
         self.kernel.audit.record(A.FILE_WRITE, True, process.name,

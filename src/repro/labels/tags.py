@@ -156,27 +156,6 @@ class TagRegistry:
                 for (ns, fid), t in sorted(self._foreign.items())],
         }
 
-    def export_delta(self, since_id: int) -> dict:
-        """Tags (and foreign mappings) minted at or after ``since_id``.
-
-        Tags are immutable and ids are monotone, so "dirty" for a
-        registry is exactly "id ≥ the next_id recorded in the base
-        snapshot" — no per-tag bookkeeping needed.
-        """
-        return {
-            "namespace": self.namespace,
-            "next_id": max(self._tags, default=0) + 1,
-            "tags": [
-                {"tag_id": t.tag_id, "purpose": t.purpose, "kind": t.kind,
-                 "owner": t.owner}
-                for t in sorted(self._tags.values(), key=lambda t: t.tag_id)
-                if t.tag_id >= since_id],
-            "foreign": [
-                {"namespace": ns, "foreign_id": fid, "local_id": t.tag_id}
-                for (ns, fid), t in sorted(self._foreign.items())
-                if t.tag_id >= since_id],
-        }
-
     def install(self, tag_id: int, purpose: str, kind: str,
                 owner: Optional[str]) -> Tag:
         """Replay-path installer: re-create a tag with a *known* id.

@@ -10,8 +10,7 @@ from .errors import (AppCrashed, NoSuchApp, NoSuchUser, NotAuthorized,
 from .durability import DurabilityManager, recover_provider
 from .groups import GroupService, GroupSpace
 from .inspect import Explanation, PolicyInspector
-from .persist import (merge_delta, restore_provider, set_password,
-                      snapshot_provider)
+from .persist import restore_provider, set_password, snapshot_provider
 from .plans import PlanCache, RequestPlan
 from .provider import Provider
 from .registry import APP, DECLASSIFIER, MODULE, AppModule, Registry
@@ -28,7 +27,7 @@ __all__ = [
     "DurabilityManager", "recover_provider",
     "GroupService", "GroupSpace",
     "Explanation", "PolicyInspector",
-    "merge_delta", "restore_provider", "set_password", "snapshot_provider",
+    "restore_provider", "set_password", "snapshot_provider",
     "Provider",
     "APP", "DECLASSIFIER", "MODULE", "AppModule", "Registry",
     "MergedAuditView", "ShardedProvider", "ShardMap",

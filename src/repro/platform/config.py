@@ -7,7 +7,8 @@ A provider runs on one of two planes:
   resource charges, lazy audit rendering, the memoized
   launch-capability index and authority oracle, process recycling,
   the label-partitioned store, the grouped fs walk and the
-  write-ahead journal with O(dirty) snapshots.
+  write-ahead journal, whose image since the last checkpoint is the
+  operator's delta snapshot.
 * ``"oracle"`` (:meth:`ProviderConfig.oracle`) — the paper's semantics
   executed the slow, obviously-correct way: the per-row store scan and
   per-node fs walk, eager audit, no compiled plans, no
@@ -57,7 +58,8 @@ class ProviderConfig:
     #: only), or ``None`` for the default, ``"serial"``.
     shard_engine: "str | None" = None
     #: Journal size (bytes) that triggers compaction into a snapshot
-    #: (fast plane only; the oracle keeps no journal).
+    #: (fast plane only; the oracle keeps no journal).  It also bounds
+    #: the size of a delta snapshot, which is the journal image.
     journal_compact_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:

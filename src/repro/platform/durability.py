@@ -1,9 +1,8 @@
 """Incremental durability: the journal manager and crash replay.
 
 The naive operator path re-serializes *every* account, grant, file and
-row on every snapshot (EXPERIMENTS.md §M7) — O(total state) per deploy,
-which the ROADMAP's production-scale north star forbids.  This module
-makes durability O(dirty):
+row on every snapshot (EXPERIMENTS.md §M7) — O(total state) per deploy.
+This module makes the incremental artifact the journal itself:
 
 * :class:`DurabilityManager` wires one ``on_mutate`` hook into every
   durable subsystem (tag registry, filesystem, store, declassification
@@ -11,19 +10,18 @@ makes durability O(dirty):
   platform-level mutations the provider performs itself (account
   lifecycle, enablements, group rosters, ledgers).  Each mutation
   becomes one checksummed :class:`~repro.core.journal.Journal` record.
-* :meth:`emit_snapshot` returns an O(dirty) **delta** against the last
-  full checkpoint — only dirty accounts/owners/groups/paths/rows are
-  re-serialized — escalating to a fresh full snapshot (compaction)
-  once the journal outgrows its threshold.  Deltas are *cumulative*
-  since the checkpoint, so an operator needs to retain exactly two
-  artifacts: the base and the latest delta
-  (:func:`repro.platform.persist.merge_delta` folds them together,
-  byte-identical to a full snapshot).
-* :func:`recover_provider` is the crash path: restore the base, replay
-  the journal's verified prefix (a torn tail is truncated, never
-  guessed at), and prove nothing drifted — the differential tests
-  interleave random mutations with crashes at every journal byte
-  offset and compare against a full restore.
+* :meth:`emit_snapshot` returns the journal since the last full
+  checkpoint as a **delta** (its cost is one copy of the journal
+  image), escalating to a fresh full snapshot (compaction) once the
+  journal outgrows its threshold.  Deltas are *cumulative* since the
+  checkpoint, so an operator retains exactly two artifacts: the base
+  and the latest delta.
+* :func:`recover_provider` is the one fold of a base and a journal,
+  for a crash and for an operator's delta alike: restore the base,
+  replay the journal's verified prefix (a torn tail is truncated,
+  never guessed at), and prove nothing drifted — the differential
+  tests interleave random mutations with crashes at every journal
+  byte offset and compare against a full restore.
 
 Replay runs at cold-storage trust (like ``restore_provider``): records
 describe mutations the reference monitor *already approved* before the
@@ -45,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DurabilityManager:
-    """Owns the journal, the dirty-state epoch, and the base snapshot."""
+    """Owns the journal and the base snapshot it is relative to."""
 
     def __init__(self, provider: "Provider",
                  compact_threshold: int = 1 << 20) -> None:
@@ -55,10 +53,6 @@ class DurabilityManager:
         #: The last full snapshot; every delta and every journal record
         #: is relative to this.
         self.base: Optional[dict[str, Any]] = None
-        #: Positions of the append-only structures at checkpoint time
-        #: (registry ids are monotone; adoption/usage ledgers only grow).
-        self._base_marks = {"registry_next_id": 1, "adoptions": 0,
-                            "usage": 0}
         self._stats = {"compactions": 0, "full_snapshots": 0,
                        "incremental_snapshots": 0, "replay_records": 0,
                        "torn_truncations": 0}
@@ -98,96 +92,49 @@ class DurabilityManager:
     # -- snapshots -----------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
-        """Take a full snapshot, make it the new base, reset the
-        journal, and mark every subsystem clean."""
+        """Take a full snapshot, make it the new base, and reset the
+        journal."""
         from .persist import snapshot_provider
-        p = self.provider
         with self.suspended():
-            full = snapshot_provider(p, incremental=False)
+            full = snapshot_provider(self.provider)
         self.base = full
         self.journal.reset()
-        self._base_marks = {
-            "registry_next_id": full["registry"]["next_id"],
-            "adoptions": len(p.adoptions),
-            "usage": len(p.usage_edges),
-        }
-        p.fs.mark_clean()
-        p.db.mark_clean()
-        p.declass.mark_clean()
-        p.endorsements.mark_clean()
-        p.groups.mark_clean()
-        p.mark_accounts_clean()
         self._stats["full_snapshots"] += 1
         return full
 
     def emit_snapshot(self) -> dict[str, Any]:
-        """The operator's snapshot call: an O(dirty) delta, or a fresh
-        full snapshot when there is no base yet or the journal crossed
-        its compaction threshold.
+        """The operator's snapshot call: the journal since the last
+        checkpoint as a **delta**, or a fresh full snapshot.
+
+        A delta is ``{"kind": "delta", "name", "journal_seq",
+        "journal"}``, where ``journal`` is the current epoch's journal
+        image as ASCII text, so the artifact stays JSON-compatible.
+        Deltas are cumulative since the checkpoint: the operator
+        keeps the base and the latest delta, and
+        ``recover_provider(base, delta["journal"].encode("ascii"))``
+        folds them.
+
+        A full snapshot comes back when there is no base yet, when the
+        journal crossed its compaction threshold, and when the epoch
+        holds a ``journal.opaque`` record: replay cannot reproduce
+        the state such a record covers, so only a full snapshot
+        carries it.
 
         Read-only: a full snapshot returned here is the live
-        :attr:`base` every later delta is merged against, and within
-        any snapshot the label dicts are shared between nodes and
-        rows.  ``copy.deepcopy`` it (or JSON round-trip it) before
-        editing."""
+        :attr:`base` every later delta is relative to, and within it
+        the label dicts are shared between nodes and rows.
+        ``copy.deepcopy`` it (or JSON round-trip it) before editing."""
         if self.base is None:
             return self.checkpoint()
         if self.journal.needs_compaction():
             self._stats["compactions"] += 1
             return self.checkpoint()
+        if self.journal.epoch_opaque:
+            return self.checkpoint()
         self._stats["incremental_snapshots"] += 1
-        return self.delta_snapshot()
-
-    def delta_snapshot(self) -> dict[str, Any]:
-        """Serialize only what changed since the last checkpoint."""
-        from ..db.persist import snapshot_store_delta
-        from ..fs.persist import snapshot_fs_delta
-        from . import persist as P
-        p = self.provider
-        marks = self._base_marks
-
-        grants_by_owner: dict[str, list[dict[str, Any]]] = {}
-        skipped_by_owner: dict[str, list[dict[str, Any]]] = {}
-        for owner in sorted(p.declass.dirty_owners()):
-            kept: list[dict[str, Any]] = []
-            skipped: list[dict[str, Any]] = []
-            for g in p.declass.grants_for(owner):
-                record = p.declass.grant_record(g)
-                if record is None:
-                    skipped.append({"owner": g.owner,
-                                    "declassifier": g.declassifier.name})
-                else:
-                    kept.append(record)
-            grants_by_owner[owner] = P.sort_grants(kept)
-            skipped_by_owner[owner] = P.sort_skipped(skipped)
-
-        delta: dict[str, Any] = {
-            "kind": "delta",
-            "name": p.name,
-            "provider_write_tag_id": p._provider_write.tag_id,
-            "journal_seq": self.journal.seq,
-            "registry": p.kernel.tags.export_delta(
-                marks["registry_next_id"]),
-            "accounts": [P.account_dict(p.account(u))
-                         for u in sorted(p._dirty_accounts)
-                         if u in p._accounts],
-            "removed_accounts": sorted(p._removed_accounts),
-            "groups": [P.group_dict(p.groups.get(n))
-                       for n in sorted(p.groups.dirty_groups())
-                       if n in p.groups._groups],
-            "grants_by_owner": grants_by_owner,
-            "skipped_by_owner": skipped_by_owner,
-            "adoptions_tail": [list(x) for x in
-                               p.adoptions[marks["adoptions"]:]],
-            "usage_tail": [list(x) for x in
-                           p.usage_edges[marks["usage"]:]],
-            "declass_clock": p.declass.now,
-            "fs": snapshot_fs_delta(p.fs),
-            "db": snapshot_store_delta(p.db),
-        }
-        if p.endorsements.dirty:
-            delta["endorsements"] = sorted(p.endorsements.endorsed)
-        return delta
+        return {"kind": "delta", "name": self.provider.name,
+                "journal_seq": self.journal.seq,
+                "journal": self.journal.text()}
 
     def stats(self) -> dict[str, Any]:
         return {**self.journal.stats(), **self._stats}
@@ -203,28 +150,34 @@ def recover_provider(base_state: dict[str, Any], journal_raw: bytes,
                      ) -> tuple["Provider", dict[str, Any]]:
     """Rebuild a provider from its last full snapshot plus the journal.
 
+    This is the one fold of a base and a delta: an operator's delta
+    from :meth:`DurabilityManager.emit_snapshot` folds as
+    ``recover_provider(base, delta["journal"].encode("ascii"))``.
     The journal image may be torn (crash mid-append): its verified
     prefix is replayed, the damaged tail is dropped, and the report
     says how much and why.  The recovered provider is byte-identical
     (snapshot-wise) to ``restore_provider`` of a snapshot taken right
     after the last complete journal record — the differential tests in
     ``tests/platform/test_journal_replay.py`` hold this at every
-    possible crash offset.
+    possible crash offset — and the report's ``unrestored_grants``
+    lists the non-durable grants that snapshot would have listed.
     """
-    from .persist import restore_provider
+    from .persist import restore_provider, skipped_key
     provider, report = restore_provider(base_state, app_catalog,
                                         resources, config=config)
     records, jreport = Journal.recover(journal_raw)
+    unrestored = report["unrestored_grants"]
     manager = provider._durability
     unknown_ops = 0
     if manager is not None:
         with manager.suspended():
-            unknown_ops = _replay(provider, records)
+            unknown_ops = _replay(provider, records, unrestored)
         manager._stats["replay_records"] += len(records)
         if jreport.truncated_bytes:
             manager._stats["torn_truncations"] += 1
     else:
-        unknown_ops = _replay(provider, records)
+        unknown_ops = _replay(provider, records, unrestored)
+    unrestored.sort(key=skipped_key)
     _finalize_replay(provider)
     if manager is not None:
         manager.wire()
@@ -284,7 +237,6 @@ def _r_fs_mkdir(p: "Provider", d: dict) -> None:
     parent.entries[leaf] = Directory(
         name=leaf, slabel=_label(p, d["slabel"]),
         ilabel=_label(p, d["ilabel"]), created_by=d["created_by"])
-    p.fs._note_upsert(d["path"])
 
 
 def _r_fs_create(p: "Provider", d: dict) -> None:
@@ -294,7 +246,6 @@ def _r_fs_create(p: "Provider", d: dict) -> None:
         name=leaf, slabel=_label(p, d["slabel"]),
         ilabel=_label(p, d["ilabel"]), created_by=d["created_by"],
         data=decode_payload(d["data"]))
-    p.fs._note_upsert(d["path"])
 
 
 def _r_fs_write(p: "Provider", d: dict) -> None:
@@ -302,13 +253,11 @@ def _r_fs_write(p: "Provider", d: dict) -> None:
     node = parent.entries[leaf]
     node.data = decode_payload(d["data"])
     node.version += 1
-    p.fs._note_upsert(d["path"])
 
 
 def _r_fs_delete(p: "Provider", d: dict) -> None:
     parent, leaf = _fs_parent(p, d["path"])
     parent.entries.pop(leaf, None)
-    p.fs._note_delete(d["path"])
 
 
 def _r_db_create_table(p: "Provider", d: dict) -> None:
@@ -344,7 +293,6 @@ def _r_account_signup(p: "Provider", d: dict) -> None:
     p._accounts[account.username] = account
     p.email.register_address(account.email_address,
                              owner=account.username)
-    p._note_account(account.username)
 
 
 def _r_account_delete(p: "Provider", d: dict) -> None:
@@ -353,15 +301,12 @@ def _r_account_delete(p: "Provider", d: dict) -> None:
         # a full restore of the post-crash snapshot has no mailbox for
         # the departed user; match it
         p.email._boxes.pop(account.email_address, None)
-    p._dirty_accounts.discard(d["username"])
-    p._removed_accounts.add(d["username"])
 
 
 def _r_account_profile(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.profile.update(decode_payload(d["fields"]))
-        p._note_account(d["username"])
 
 
 def _r_account_enable(p: "Provider", d: dict) -> None:
@@ -371,7 +316,6 @@ def _r_account_enable(p: "Provider", d: dict) -> None:
         if d["write"]:
             account.writable_apps.add(d["app"])
         p.adoptions.append((d["username"], d["app"]))
-        p._note_account(d["username"])
 
 
 def _r_account_disable(p: "Provider", d: dict) -> None:
@@ -379,42 +323,36 @@ def _r_account_disable(p: "Provider", d: dict) -> None:
     if account is not None:
         account.enabled_apps.discard(d["app"])
         account.writable_apps.discard(d["app"])
-        p._note_account(d["username"])
 
 
 def _r_account_prefer(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.module_preferences[d["slot"]] = d["ref"]
-        p._note_account(d["username"])
 
 
 def _r_account_integrity(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.require_endorsed = d["require_endorsed"]
-        p._note_account(d["username"])
 
 
 def _r_account_pin(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.audited_versions[d["app"]] = d["version"]
-        p._note_account(d["username"])
 
 
 def _r_account_unpin(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.audited_versions.pop(d["app"], None)
-        p._note_account(d["username"])
 
 
 def _r_account_js(p: "Provider", d: dict) -> None:
     account = p._accounts.get(d["username"])
     if account is not None:
         account.js_policy = d["policy"]
-        p._note_account(d["username"])
 
 
 def _r_grant_add(p: "Provider", d: dict) -> None:
@@ -422,14 +360,6 @@ def _r_grant_add(p: "Provider", d: dict) -> None:
     cls = BUILTINS[d["declassifier"]]
     tag = p.kernel.tags.lookup(d["tag_id"])
     p.declass.grant(d["owner"], tag, cls(d["config"]))
-
-
-def _r_grant_skip(p: "Provider", d: dict) -> None:
-    # A non-durable grant (non-builtin / non-JSON config): it could not
-    # be replayed even from a full snapshot; the recovery report's
-    # unrestored_grants covers the base's, and this marker keeps the
-    # journal honest about the gap.
-    pass
 
 
 def _r_grant_revoke(p: "Provider", d: dict) -> None:
@@ -443,7 +373,6 @@ def _r_grant_config(p: "Provider", d: dict) -> None:
         if g.tag.tag_id == d["tag_id"] \
                 and g.declassifier.name == d["name"]:
             g.declassifier.update_config(**changes)
-    p.declass._dirty_owners.add(d["owner"])
 
 
 def _r_group_create(p: "Provider", d: dict) -> None:
@@ -465,7 +394,6 @@ def _r_group_create(p: "Provider", d: dict) -> None:
         group.policy = GroupPolicy({"members": sorted(group.members)})
         p.declass.grant(group.owner, group.data_tag, group.policy)
     p.groups._groups[group.name] = group
-    p.groups._dirty_groups.add(group.name)
 
 
 def _r_group_member_add(p: "Provider", d: dict) -> None:
@@ -474,7 +402,6 @@ def _r_group_member_add(p: "Provider", d: dict) -> None:
         group.members.add(d["username"])
         if d["writer"]:
             group.writers.add(d["username"])
-        p.groups._dirty_groups.add(d["name"])
         # the roster-following config lands via the grant.config record
         # journaled right after this one
 
@@ -484,7 +411,6 @@ def _r_group_member_remove(p: "Provider", d: dict) -> None:
     if group is not None:
         group.members.discard(d["username"])
         group.writers.discard(d["username"])
-        p.groups._dirty_groups.add(d["name"])
 
 
 def _r_endorse_add(p: "Provider", d: dict) -> None:
@@ -536,7 +462,6 @@ _REPLAY: dict[str, Callable[["Provider", dict], None]] = {
     "account.unpin": _r_account_unpin,
     "account.js": _r_account_js,
     "grant.add": _r_grant_add,
-    "grant.skip": _r_grant_skip,
     "grant.revoke": _r_grant_revoke,
     "grant.config": _r_grant_config,
     "group.create": _r_group_create,
@@ -550,15 +475,31 @@ _REPLAY: dict[str, Callable[["Provider", dict], None]] = {
 }
 
 
-def _replay(provider: "Provider", records: Iterable[JournalRecord]) -> int:
+def _replay(provider: "Provider", records: Iterable[JournalRecord],
+            unrestored: list[dict[str, Any]]) -> int:
     """Apply verified journal records in order; returns how many had
     an op this build does not know (skipped, counted — never fatal:
-    an old journal must not brick a newer provider)."""
+    an old journal must not brick a newer provider).
+
+    A non-durable grant (non-builtin declassifier or non-JSON config)
+    journals a ``grant.skip`` marker: like a full snapshot, replay
+    cannot bring it back, so it only keeps ``unrestored`` (the base's
+    skipped grants) equal to what a snapshot would list."""
     unknown = 0
     for record in records:
-        applier = _REPLAY.get(record.op)
+        op, d = record.op, record.data
+        if op == "grant.skip":
+            unrestored.append({"owner": d["owner"], "tag_id": d["tag_id"],
+                               "declassifier": d["declassifier"]})
+            continue
+        if op == "grant.revoke":
+            unrestored[:] = [
+                g for g in unrestored
+                if (g["owner"], g["tag_id"]) != (d["owner"], d["tag_id"])
+                or d["name"] not in (None, g["declassifier"])]
+        applier = _REPLAY.get(op)
         if applier is None:
             unknown += 1
             continue
-        applier(provider, record.data)
+        applier(provider, d)
     return unknown

@@ -30,23 +30,15 @@ class EndorsementService:
     history: list[tuple[str, str]] = field(default_factory=list)
     #: Durability hook: ``(op, data)`` per ledger change (journal).
     on_mutate: Optional[Callable[[str, dict], None]] = None
-    #: True once the ledger changed since the last full checkpoint.
-    dirty: bool = field(default=False, compare=False)
-
-    def mark_clean(self) -> None:
-        self.dirty = False
-
     def endorse(self, module_name: str, endorser: str = "provider") -> None:
         self.endorsed.add(module_name)
         self.history.append((module_name, endorser))
-        self.dirty = True
         if self.on_mutate is not None:
             self.on_mutate("endorse.add", {"module": module_name,
                                            "endorser": endorser})
 
     def retract(self, module_name: str) -> None:
         self.endorsed.discard(module_name)
-        self.dirty = True
         if self.on_mutate is not None:
             self.on_mutate("endorse.retract", {"module": module_name})
 

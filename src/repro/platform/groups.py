@@ -59,10 +59,6 @@ class GroupService:
     def __init__(self, provider: "Provider") -> None:
         self.provider = provider
         self._groups: dict[str, GroupSpace] = {}
-        #: Group names whose roster/identity changed since the last
-        #: full checkpoint (groups are never deleted — see
-        #: ``Provider.delete_account`` — so there is no removed-set).
-        self._dirty_groups: set[str] = set()
         # ensure the shared root exists
         from ..fs import FsView
         svc = FsView(provider.fs, provider._account_service)
@@ -95,7 +91,6 @@ class GroupService:
         group.policy = GroupPolicy({"members": sorted(group.members)})
         self.provider.declass.grant(owner, data_tag, group.policy)
         self._groups[name] = group
-        self._dirty_groups.add(name)
         self.provider._record("group.create", {
             "name": name, "owner": owner,
             "data_tag_id": data_tag.tag_id,
@@ -103,13 +98,6 @@ class GroupService:
         # a new group's tags may reach any app its members enabled
         self.provider.capindex.invalidate_all("group-create")
         return group
-
-    def mark_clean(self) -> None:
-        """Forget dirty state (a full snapshot was just taken)."""
-        self._dirty_groups.clear()
-
-    def dirty_groups(self) -> set[str]:
-        return set(self._dirty_groups)
 
     def get(self, name: str) -> GroupSpace:
         try:
@@ -133,7 +121,6 @@ class GroupService:
         group.members.add(username)
         if writer:
             group.writers.add(username)
-        self._dirty_groups.add(name)
         self.provider._record("group.member.add", {
             "name": name, "username": username, "writer": writer})
         self._refresh_policy(group)
@@ -146,7 +133,6 @@ class GroupService:
             raise PlatformError("the owner cannot leave their own group")
         group.members.discard(username)
         group.writers.discard(username)
-        self._dirty_groups.add(name)
         self.provider._record("group.member.remove", {
             "name": name, "username": username})
         self._refresh_policy(group)

@@ -18,14 +18,18 @@ What is durable and what is not mirrors a real deployment:
   closure): they are listed in the returned report so the provider can
   ask those users to re-grant, rather than silently widening or
   narrowing anyone's policy.
+
+This module is the full form.  The incremental form is the journal
+since the last checkpoint (``Provider.snapshot_incremental``), and
+:func:`repro.platform.durability.recover_provider` folds it into its
+base; its report lists the dropped grants a full snapshot would.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..core.snapshot import Snapshotable
 from ..db import restore_store
@@ -71,43 +75,28 @@ def group_dict(g) -> dict[str, Any]:
 
 
 def _grant_key(record: dict[str, Any]) -> tuple:
+    """Deterministic grant order: grant-list bytes depend only on the
+    set of grants, not on the insertion/revocation history."""
     return (record["owner"], record["tag_id"], record["declassifier"],
             json.dumps(record["config"], sort_keys=True))
 
 
-def sort_grants(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Deterministic grant order: grant-list bytes depend only on the
-    set of grants, not on the insertion/revocation history (and the
-    incremental delta-merge path can regroup per owner and still land
-    on the same order as a full snapshot)."""
-    return sorted(records, key=_grant_key)
+def skipped_key(record: dict[str, Any]) -> tuple:
+    """The order of ``skipped_grants`` (and of a restore report's
+    ``unrestored_grants``)."""
+    return (record["owner"], record["declassifier"], record["tag_id"])
 
 
-def sort_skipped(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    return sorted(records,
-                  key=lambda r: (r["owner"], r["declassifier"]))
-
-
-def snapshot_provider(provider: Provider,
-                      incremental: bool = False) -> dict[str, Any]:
+def snapshot_provider(provider: Provider) -> dict[str, Any]:
     """Serialize everything durable.  JSON-compatible by construction
-    (verified by a round-trip in the tests).
-
-    With ``incremental=True`` (and the provider's durability manager
-    enabled) this returns an O(dirty) **delta** against the last full
-    checkpoint — or a fresh full snapshot when the journal crossed its
-    compaction threshold.  Feed the pair through :func:`merge_delta` to
-    recover the full form; a provider without a manager falls back to
-    a full snapshot.
+    (verified by a round-trip in the tests).  The incremental form is
+    :meth:`Provider.snapshot_incremental`.
 
     The result is read-only.  Within one snapshot every node and row
-    carrying the same label shares one label dict, and at compaction
-    the returned dict *is* the durability manager's live ``base``.  A
-    caller that edits a snapshot must ``copy.deepcopy`` it or JSON
-    round-trip it first.
+    carrying the same label shares one label dict.  A caller that
+    edits a snapshot must ``copy.deepcopy`` it or JSON round-trip it
+    first.
     """
-    if incremental and provider._durability is not None:
-        return provider._durability.emit_snapshot()
     accounts = [account_dict(provider.account(u))
                 for u in provider.usernames()]
 
@@ -117,6 +106,7 @@ def snapshot_provider(provider: Provider,
         record = provider.declass.grant_record(g)
         if record is None:
             skipped_grants.append({"owner": g.owner,
+                                   "tag_id": g.tag.tag_id,
                                    "declassifier": g.declassifier.name})
         else:
             grants.append(record)
@@ -136,97 +126,14 @@ def snapshot_provider(provider: Provider,
         "provider_write_tag_id": provider._provider_write.tag_id,
         "accounts": accounts,
         "groups": groups,
-        "grants": sort_grants(grants),
-        "skipped_grants": sort_skipped(skipped_grants),
+        "grants": sorted(grants, key=_grant_key),
+        "skipped_grants": sorted(skipped_grants, key=skipped_key),
         "endorsements": sorted(provider.endorsements.endorsed),
         "adoptions": list(provider.adoptions),
         "usage_edges": list(provider.usage_edges),
         "declass_clock": provider.declass.now,
         "fs": fs.snapshot(),
         "db": db.snapshot(),
-    }
-
-
-def merge_delta(base: dict[str, Any],
-                delta: dict[str, Any]) -> dict[str, Any]:
-    """Fold an incremental delta into its base full snapshot.
-
-    Deltas are cumulative since the base checkpoint, so the operator
-    retains exactly two artifacts (base + latest delta); the result is
-    canonically byte-identical to the full snapshot the provider would
-    have emitted at the same moment.  Passing a full snapshot as
-    ``delta`` (the compaction case) returns it unchanged.
-    """
-    if delta.get("kind") != "delta":
-        return copy.deepcopy(delta)
-    from ..db.persist import merge_store_delta
-    from ..fs.persist import merge_fs_delta
-    # Copy each input once: the fs and db parts inside their own
-    # merges, the platform-level parts here.  The result aliases
-    # neither input.
-    fs = merge_fs_delta(base["fs"], delta["fs"])
-    db = merge_store_delta(base["db"], delta["db"])
-    base, delta = copy.deepcopy((
-        {k: v for k, v in base.items() if k not in ("fs", "db")},
-        {k: v for k, v in delta.items() if k not in ("fs", "db")}))
-
-    accounts = {a["username"]: a for a in base["accounts"]}
-    for username in delta.get("removed_accounts", ()):
-        accounts.pop(username, None)
-    for a in delta.get("accounts", ()):
-        accounts[a["username"]] = a
-
-    groups = {g["name"]: g for g in base["groups"]}
-    for g in delta.get("groups", ()):
-        groups[g["name"]] = g
-
-    grants_by_owner: dict[str, list[dict[str, Any]]] = {}
-    for r in base["grants"]:
-        grants_by_owner.setdefault(r["owner"], []).append(r)
-    skipped_by_owner: dict[str, list[dict[str, Any]]] = {}
-    for r in base.get("skipped_grants", ()):
-        skipped_by_owner.setdefault(r["owner"], []).append(r)
-    # A dirty owner's slice is replaced wholesale (the delta lists the
-    # owner's *entire* current grant set, possibly empty after revokes).
-    for owner, rs in delta.get("grants_by_owner", {}).items():
-        grants_by_owner[owner] = list(rs)
-    for owner, rs in delta.get("skipped_by_owner", {}).items():
-        skipped_by_owner[owner] = list(rs)
-
-    registry = _merge_registry(base["registry"], delta["registry"])
-    return {
-        "name": delta["name"],
-        "registry": registry,
-        "provider_write_tag_id": delta["provider_write_tag_id"],
-        "accounts": [accounts[u] for u in sorted(accounts)],
-        "groups": [groups[n] for n in sorted(groups)],
-        "grants": sort_grants(
-            [r for rs in grants_by_owner.values() for r in rs]),
-        "skipped_grants": sort_skipped(
-            [r for rs in skipped_by_owner.values() for r in rs]),
-        "endorsements": (list(delta["endorsements"])
-                         if "endorsements" in delta
-                         else list(base["endorsements"])),
-        "adoptions": ([list(x) for x in base["adoptions"]]
-                      + [list(x) for x in delta.get("adoptions_tail", ())]),
-        "usage_edges": ([list(x) for x in base["usage_edges"]]
-                        + [list(x) for x in delta.get("usage_tail", ())]),
-        "declass_clock": delta["declass_clock"],
-        "fs": fs,
-        "db": db,
-    }
-
-
-def _merge_registry(base: dict[str, Any],
-                    delta: dict[str, Any]) -> dict[str, Any]:
-    # tag ids are monotone, so base and delta tag lists are disjoint
-    return {
-        "namespace": delta["namespace"],
-        "next_id": delta["next_id"],
-        "tags": sorted(base["tags"] + delta["tags"],
-                       key=lambda t: t["tag_id"]),
-        "foreign": sorted(base["foreign"] + delta["foreign"],
-                          key=lambda f: (f["namespace"], f["foreign_id"])),
     }
 
 

@@ -116,9 +116,6 @@ class Provider:
         self.adoptions: list[tuple[str, str]] = []
 
         self._accounts: dict[str, UserAccount] = {}
-        #: O(dirty) snapshot bookkeeping since the last full checkpoint.
-        self._dirty_accounts: set[str] = set()
-        self._removed_accounts: set[str] = set()
 
         # The provider's own trusted agents.
         self._account_service: Process = self.kernel.spawn_trusted(
@@ -154,14 +151,15 @@ class Provider:
         #: inspection either way — but only the fast plane dispatches
         #: through it.
         self.plans = PlanCache(self)
-        #: The durability manager (journal + dirty tracking + replay):
-        #: every durable mutation is appended to a checksummed log and
-        #: ``snapshot_provider(..., incremental=True)`` emits O(dirty)
-        #: deltas, compacting past ``journal_compact_bytes``.  The
-        #: oracle keeps none: its snapshots are always the full
-        #: re-serialization.  Created last so the provider's own
-        #: bootstrap (tags, /users, /groups) lands in the initial base
-        #: checkpoint, not the journal.
+        #: The durability manager (journal + replay): every durable
+        #: mutation is appended to a checksummed log, and
+        #: :meth:`snapshot_incremental` emits that log since the last
+        #: checkpoint as a delta, compacting past
+        #: ``journal_compact_bytes``.  The oracle keeps none: its
+        #: snapshots are always the full re-serialization.  Created
+        #: last so the provider's own bootstrap (tags, /users,
+        #: /groups) lands in the initial base checkpoint, not the
+        #: journal.
         self._durability = None
         if config.plane == "fast":
             from .durability import DurabilityManager
@@ -178,20 +176,15 @@ class Provider:
         if self._durability is not None:
             self._durability.record(op, data)
 
-    def _note_account(self, username: str) -> None:
-        self._dirty_accounts.add(username)
-        self._removed_accounts.discard(username)
-
-    def mark_accounts_clean(self) -> None:
-        self._dirty_accounts.clear()
-        self._removed_accounts.clear()
-
     def snapshot_incremental(self) -> dict[str, Any]:
-        """An O(dirty) delta snapshot (or a fresh full snapshot when
-        compaction triggers); see
-        :func:`repro.platform.persist.snapshot_provider`."""
-        from .persist import snapshot_provider
-        return snapshot_provider(self, incremental=True)
+        """The operator's snapshot: the journal since the last
+        checkpoint as a delta, or a fresh full snapshot (see
+        :meth:`DurabilityManager.emit_snapshot`).  Fold a delta into
+        its base with :func:`repro.platform.recover_provider`.  The
+        oracle keeps no journal and always returns a full snapshot."""
+        if self._durability is None:
+            return self.snapshot()
+        return self._durability.emit_snapshot()
 
     def persistence_stats(self) -> dict[str, Any]:
         """Journal/compaction counters (empty when the journal is off)."""
@@ -275,7 +268,6 @@ class Provider:
                               email_address=f"{username}@{self.name}")
         self._accounts[username] = account
         self.email.register_address(account.email_address, owner=username)
-        self._note_account(username)
         self._record("account.signup", {
             "username": username, "data_tag_id": data_tag.tag_id,
             "write_tag_id": write_tag.tag_id,
@@ -297,7 +289,6 @@ class Provider:
     def set_profile(self, username: str, **fields: str) -> None:
         """Provider-form profile editing (typed once, §1)."""
         self.account(username).profile.update(fields)
-        self._note_account(username)
         self._record("account.profile", {"username": username,
                                          "fields": dict(fields)})
 
@@ -351,8 +342,6 @@ class Provider:
                                           username)
         self.sessions.remove_user(username)
         del self._accounts[username]
-        self._dirty_accounts.discard(username)
-        self._removed_accounts.add(username)
         self._record("account.delete", {"username": username})
         # every app the user had enabled loses a read cap
         self.capindex.invalidate_all("account-delete")
@@ -376,7 +365,6 @@ class Provider:
         if allow_write:
             account.writable_apps.add(app_name)
         self.adoptions.append((username, app_name))
-        self._note_account(username)
         self._record("account.enable", {"username": username,
                                         "app": app_name,
                                         "write": allow_write})
@@ -386,7 +374,6 @@ class Provider:
         account = self.account(username)
         account.enabled_apps.discard(app_name)
         account.writable_apps.discard(app_name)
-        self._note_account(username)
         self._record("account.disable", {"username": username,
                                          "app": app_name})
         self.capindex.invalidate_app(app_name)
@@ -396,7 +383,6 @@ class Provider:
         if ref not in self.apps:
             raise NoSuchApp(ref)
         self.account(username).module_preferences[slot] = ref
-        self._note_account(username)
         self._record("account.prefer", {"username": username,
                                         "slot": slot, "ref": ref})
 
@@ -468,7 +454,6 @@ class Provider:
         """§3.1 integrity protection: launch apps for this user only
         when all components are endorsed."""
         self.account(username).require_endorsed = require_endorsed
-        self._note_account(username)
         self._record("account.integrity",
                      {"username": username,
                       "require_endorsed": require_endorsed})
@@ -478,7 +463,6 @@ class Provider:
         if policy not in ("", "block", "allow"):
             raise PlatformError(f"unknown js policy {policy!r}")
         self.account(username).js_policy = policy
-        self._note_account(username)
         self._record("account.js", {"username": username,
                                     "policy": policy})
 
@@ -504,13 +488,11 @@ class Provider:
             raise NotAuthorized(
                 f"{app_name} is closed-source; there is nothing to audit")
         self.account(username).audited_versions[app_name] = version
-        self._note_account(username)
         self._record("account.pin", {"username": username,
                                      "app": app_name, "version": version})
 
     def unpin_audited(self, username: str, app_name: str) -> None:
         self.account(username).audited_versions.pop(app_name, None)
-        self._note_account(username)
         self._record("account.unpin", {"username": username,
                                        "app": app_name})
 

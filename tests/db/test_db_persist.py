@@ -8,8 +8,7 @@ from repro.db import LabeledStore, restore_store, snapshot_store
 from repro.kernel import Kernel
 from repro.labels import Label, TagRegistry
 
-from ..fs.test_persist import (assert_one_dict_per_label, json_equal,
-                               label_dicts)
+from ..fs.test_persist import assert_one_dict_per_label, label_dicts
 
 
 def build_world():
@@ -128,22 +127,6 @@ class TestSharedLabelDicts:
         assert_one_dict_per_label(snap)
         assert len({id(d) for d in label_dicts(snap)}) == 2
         assert json.loads(json.dumps(snap)) == snap
-
-    def test_delta_one_dict_per_label(self):
-        from repro.db import merge_store_delta, snapshot_store_delta
-        kernel, store, t, provider, writer = build_tables()
-        base = snapshot_store(store)
-        store.mark_clean()
-        store.update(writer, "posts", where={"author": "bob"},
-                     changes={"body": "edited"})
-        store.update(provider, "posts", where={"author": "pub"},
-                     changes={"body": "edited"})
-        store.insert(writer, "notes", {"author": "bob", "n": 9})
-        delta = snapshot_store_delta(store)
-        assert_one_dict_per_label(delta)
-        assert json.loads(json.dumps(delta)) == delta
-        assert json_equal(merge_store_delta(base, delta),
-                          snapshot_store(store))
 
     def test_restore_from_shared_snapshot_keeps_decisions(self):
         """Restoring straight from the shared-dict snapshot (no JSON

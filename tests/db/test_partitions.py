@@ -6,12 +6,13 @@ import copy
 
 import pytest
 
-from repro.db import LabeledStore, restore_store
+from repro.db import LabeledStore, SchemaError, restore_store, snapshot_store
 from repro.platform import ProviderConfig
 from repro.db.store import Row
 from repro.kernel import Kernel
 from repro.labels import CapabilitySet, Label, minus
 from repro.resources import ResourceManager
+from repro.resources.containers import KINDS
 
 
 def world(plane="fast"):
@@ -175,6 +176,45 @@ class TestUnhashableWhere:
             assert scanned(store.count, where={"a": [1]}) == (0, 0)
             assert scanned(store.select, where={"a": 1, "b": [2]}) \
                 == ([{"a": 1, "b": [2]}], 1)
+
+
+class TestUnhashableIndexedWrite:
+    """An unhashable value for an indexed column: insert and update
+    raise SchemaError before any row or index changes, journal
+    nothing, and both planes leave the same audit records and
+    charges."""
+
+    @staticmethod
+    def failed_writes(plane):
+        rm, kernel, store, provider, __, clean = world(plane)
+        journal = []
+        store.on_mutate = lambda op, data: journal.append(op)
+        store.create_table(provider, "t", indexes=("a",))
+        store.insert(provider, "t", {"a": 1, "b": 3})
+        table = store.table("t")
+
+        def state():
+            return (snapshot_store(store)["tables"],
+                    {v: sorted(ids for b in parts.values() for ids in b)
+                     for v, parts in table.indexes["a"].items()})
+
+        before, audited = state(), len(kernel.audit)
+        charged = {kind: rm.total(kind) for kind in KINDS}
+        journal.clear()
+        with pytest.raises(SchemaError, match="indexed column 'a'"):
+            store.insert(provider, "t", {"a": [1], "b": 3})
+        with pytest.raises(SchemaError, match="indexed column 'a'"):
+            store.update(provider, "t", where={"b": 3}, changes={"a": [9]})
+        assert state() == before
+        assert journal == []
+        assert store.select(clean, "t", where={"b": 3}) == [{"a": 1, "b": 3}]
+        events = [(e.category, e.allowed, e.subject, e.detail)
+                  for e in list(kernel.audit)[audited:]]
+        return events, {kind: rm.total(kind) - charged[kind]
+                        for kind in KINDS}
+
+    def test_nothing_changes_and_planes_agree(self):
+        assert self.failed_writes("fast") == self.failed_writes("oracle")
 
 
 class TestPartitionStats:

@@ -136,8 +136,7 @@ USERS = ("alice", "bob", "carol")
 
 
 def build_tree():
-    """Three homes with their own tag pair, a public top level, and a
-    /scratch directory that the delta tests delete."""
+    """Three homes with their own tag pair and a public top level."""
     kernel = Kernel(namespace="prod")
     provider = kernel.spawn_trusted("provider")
     fs = LabeledFileSystem(kernel)
@@ -156,9 +155,6 @@ def build_tree():
         for i in range(4):
             fs.create(agent, f"/users/{user}/f{i}", f"{user} {i}", **labels)
     fs.create(provider, "/motd", "welcome")
-    fs.mkdir(provider, "/scratch")
-    for name in ("x", "y"):
-        fs.create(provider, f"/scratch/{name}", name)
     return kernel, fs, provider, agents
 
 
@@ -226,18 +222,6 @@ class TestSharedLabelDicts:
         assert len({id(d) for d in label_dicts(snap)}) == 1 + 2 * len(USERS)
         assert json.loads(json.dumps(snap)) == snap
 
-    def test_delta_one_dict_per_label(self):
-        from repro.fs import snapshot_fs_delta
-        kernel, fs, provider, agents = build_tree()
-        fs.mark_clean()
-        for user, (agent, labels) in agents.items():
-            fs.write(agent, f"/users/{user}/f0", "edited")
-            fs.create(agent, f"/users/{user}/new", "new", **labels)
-        fs.write(provider, "/motd", "v2")
-        delta = snapshot_fs_delta(fs)
-        assert_one_dict_per_label(delta)
-        assert json.loads(json.dumps(delta)) == delta
-
     def test_restore_from_shared_snapshot_keeps_decisions(self):
         """Restoring straight from the shared-dict snapshot (no JSON
         round trip) gives the same access matrix as the original."""
@@ -253,41 +237,3 @@ class TestSharedLabelDicts:
         assert set(before.values()) == {True, False}
         assert fs_decisions(new_kernel, new_fs, paths, agents) == before
         assert json_equal(snapshot_fs(new_fs), snapshot_fs(fs))
-
-
-class TestDeltaParentResolution:
-    def test_merge_equals_full_across_directory_shapes(self):
-        """The delta resolves each dirty path's parent once per
-        snapshot; merging it must still reproduce a full snapshot."""
-        from repro.fs import merge_fs_delta, snapshot_fs_delta
-        kernel, fs, provider, agents = build_tree()
-        base = snapshot_fs(fs)
-        fs.mark_clean()
-        # top level: a rewrite and a new file
-        fs.write(provider, "/motd", "v2")
-        fs.create(provider, "/news", "fresh")
-        # files in several sibling directories
-        for user, (agent, labels) in agents.items():
-            fs.write(agent, f"/users/{user}/f1", f"{user} edited")
-            fs.create(agent, f"/users/{user}/g", "g", **labels)
-        # a new nested directory and its children
-        bob, labels = agents["bob"]
-        fs.mkdir(bob, "/users/bob/photos", **labels)
-        fs.mkdir(bob, "/users/bob/photos/2024", **labels)
-        fs.create(bob, "/users/bob/photos/a.jpg", "a", **labels)
-        fs.create(bob, "/users/bob/photos/2024/b.jpg", "b", **labels)
-        # a deleted directory whose children had been dirtied
-        fs.write(provider, "/scratch/x", "dirtied")
-        fs.create(provider, "/scratch/z", "z")
-        for name in ("x", "y", "z"):
-            fs.delete(provider, f"/scratch/{name}")
-        fs.delete(provider, "/scratch")
-
-        delta = snapshot_fs_delta(fs)
-        dirty, deleted = fs.dirty_state()
-        assert set(delta["upserts"]) == dirty
-        assert "/scratch" in delta["removed"]
-        assert not any(p.startswith("/scratch") for p in delta["upserts"])
-        assert {"/motd", "/news", "/users/bob/photos/2024/b.jpg",
-                "/users/carol/g"} <= dirty
-        assert json_equal(merge_fs_delta(base, delta), snapshot_fs(fs))

@@ -1,28 +1,55 @@
-"""O(dirty) incremental snapshots: delta + merge == full (PR 4)."""
+"""Incremental snapshots: the delta is the journal since the checkpoint.
+
+:meth:`Provider.snapshot_incremental` returns the journal image since
+the last checkpoint as a ``"delta"`` (or a full snapshot at
+compaction), and :func:`recover_provider` is the one fold of a base
+and a delta.  Every history here checks that the fold equals the live
+provider's full snapshot.
+"""
 
 import copy
-import json
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import STANDARD_CATALOG, install_standard_apps
-from repro.platform import (Provider, ProviderConfig, merge_delta,
-                            restore_provider,
+from repro.core.journal import Journal
+from repro.declassify import AnyOf, ViewerPredicate
+from repro.platform import (Provider, ProviderConfig, recover_provider,
                             snapshot_provider)
 
 from .test_journal_replay import (MUTATIONS, TIMELINE, canon,
                                   fresh_provider, run_timeline)
 
 
+def fold(base, delta):
+    """The provider that ``base`` plus ``delta`` recovers to."""
+    assert delta["kind"] == "delta"
+    provider, report = recover_provider(
+        base, delta["journal"].encode("ascii"),
+        app_catalog=STANDARD_CATALOG)
+    assert report["truncated_bytes"] == 0
+    return provider
+
+
+def assert_fold_equals_live(base, delta, live):
+    assert canon(snapshot_provider(fold(base, delta))) == \
+        canon(snapshot_provider(live))
+
+
+def delta_ops(delta):
+    """The ops of the records a delta holds, in order."""
+    records, __ = Journal.recover(delta["journal"].encode("ascii"))
+    return [r.op for r in records]
+
+
 class TestDeltaMergeEqualsFull:
     def test_rich_timeline(self):
         p, base, __ = run_timeline(TIMELINE)
-        delta = snapshot_provider(p, incremental=True)
+        delta = p.snapshot_incremental()
         assert delta["kind"] == "delta"
-        assert canon(merge_delta(base, delta)) == \
-            canon(snapshot_provider(p))
+        assert delta["journal_seq"] == p._durability.journal.seq
+        assert_fold_equals_live(base, delta, p)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -35,45 +62,64 @@ class TestDeltaMergeEqualsFull:
         p, base, __ = run_timeline(
             ["signup", "signup2", "grant", "group"] + steps,
             tolerant=True)
-        delta = snapshot_provider(p, incremental=True)
-        merged = merge_delta(base, delta)
-        assert canon(merged) == canon(snapshot_provider(p))
+        assert_fold_equals_live(base, p.snapshot_incremental(), p)
 
     def test_merged_snapshot_restores(self):
-        """A merged snapshot is a first-class snapshot: it restores."""
+        """The fold is a first-class recovery: the catalog is back and
+        the data reads."""
         p, base, __ = run_timeline(["signup", "enable", "store",
                                     "grant"])
-        merged = merge_delta(base, snapshot_provider(p, incremental=True))
-        p2, report = restore_provider(copy.deepcopy(merged),
+        delta = p.snapshot_incremental()
+        p2, report = recover_provider(base, delta["journal"].encode("ascii"),
                                       app_catalog=STANDARD_CATALOG)
         assert report["missing_apps"] == []
         assert p2.read_user_data("bob", "d.txt") == "day one"
         assert canon(snapshot_provider(p2)) == canon(snapshot_provider(p))
 
+    def test_unrestorable_grants_are_reported(self):
+        """Replay cannot bring back a non-durable grant, and neither
+        can a full restore: recovery reports the ones the live
+        snapshot lists, from the base and the journal alike."""
+        def anyone():
+            return ViewerPredicate({"predicate": lambda o, v, a: True})
+        p, __, __ = run_timeline(["signup", "signup2"])
+        p.grant_declassifier("bob", anyone())
+        base = copy.deepcopy(p._durability.checkpoint())
+        p.grant_declassifier("amy", anyone())
+        p.grant_declassifier("amy", AnyOf(anyone()))
+        p.revoke_declassifier("bob", "viewer-predicate")
+        delta = p.snapshot_incremental()
+        __, report = recover_provider(base, delta["journal"].encode("ascii"),
+                                      app_catalog=STANDARD_CATALOG)
+        live = snapshot_provider(p)["skipped_grants"]
+        assert [(g["owner"], g["declassifier"]) for g in live] == \
+            [("amy", "any-of"), ("amy", "viewer-predicate")]
+        assert report["unrestored_grants"] == live
+
     def test_deltas_are_cumulative_not_chained(self):
         """Only (base, latest delta) need be retained: an earlier delta
-        can be discarded, the newest one still merges to full."""
+        can be discarded, the newest one still folds to full."""
         p, base, __ = run_timeline(["signup"])
-        __ = snapshot_provider(p, incremental=True)  # discarded
+        __ = p.snapshot_incremental()  # discarded
         MUTATIONS["profile"](p)
         MUTATIONS["store"](p)
-        latest = snapshot_provider(p, incremental=True)
-        assert canon(merge_delta(base, latest)) == \
-            canon(snapshot_provider(p))
+        assert_fold_equals_live(base, p.snapshot_incremental(), p)
 
 
 class TestDeltaIsODirty:
+    """A delta holds exactly the journal records since the checkpoint."""
+
     def test_clean_state_serializes_nothing(self):
         p = fresh_provider()
         for i in range(20):
             p.signup(f"user{i:03d}", "pw")
-        p._durability.checkpoint()  # everyone clean
+        p._durability.checkpoint()  # everything is in the base
+        clean = p.snapshot_incremental()
+        assert clean["journal"] == "" and clean["journal_seq"] == 0
         p.set_profile("user005", mood="good")
-        delta = snapshot_provider(p, incremental=True)
-        assert [a["username"] for a in delta["accounts"]] == ["user005"]
-        assert delta["fs"]["upserts"] == {}
-        assert delta["registry"]["tags"] == []
-        assert delta["grants_by_owner"] == {}
+        delta = p.snapshot_incremental()
+        assert delta_ops(delta) == ["account.profile"]
+        assert delta["journal_seq"] == 1
 
     def test_fs_delta_only_touched_paths(self):
         p = fresh_provider()
@@ -82,9 +128,10 @@ class TestDeltaIsODirty:
             p.store_user_data(f"user{i:03d}", "a.txt", f"v{i}")
         p._durability.checkpoint()
         p.store_user_data("user003", "b.txt", "new")
-        delta = snapshot_provider(p, incremental=True)
-        assert list(delta["fs"]["upserts"]) == ["/users/user003/b.txt"]
-        assert delta["removed_accounts"] == []
+        records, __ = Journal.recover(
+            p.snapshot_incremental()["journal"].encode("ascii"))
+        assert [(r.op, r.data["path"]) for r in records] == \
+            [("fs.create", "/users/user003/b.txt")]
 
     def test_db_delta_only_touched_rows(self):
         p = fresh_provider()
@@ -96,11 +143,14 @@ class TestDeltaIsODirty:
         for i in range(5):
             bob.get("/app/blog/post", title=f"t{i}", body="x")
         p._durability.checkpoint()
+        base = copy.deepcopy(p._durability.base)
         bob.get("/app/blog/post", title="fresh", body="y")
-        delta = snapshot_provider(p, incremental=True)
-        rows = [r for t in delta["db"]["tables"].values()
-                for r in t["rows"]]
-        assert len(rows) == 1  # only the new post's row
+        delta = p.snapshot_incremental()
+        records, __ = Journal.recover(delta["journal"].encode("ascii"))
+        inserts = [r for r in records if r.op.startswith("db.")]
+        assert [r.op for r in inserts] == ["db.insert"]  # the new post
+        assert inserts[0].data["values"]["title"] == "fresh"
+        assert_fold_equals_live(base, delta, p)
 
 
 class TestCompaction:
@@ -110,23 +160,46 @@ class TestCompaction:
         install_standard_apps(p)
         p.signup("bob", "pw")  # blows well past 256 journal bytes
         assert p._durability.journal.needs_compaction()
-        snap = snapshot_provider(p, incremental=True)
+        snap = p.snapshot_incremental()
         assert snap.get("kind") != "delta"  # escalated to full
         assert p._durability.journal.size_bytes == 0  # re-based
         stats = p.persistence_stats()
         assert stats["compactions"] == 1
         # below threshold again: back to deltas
         p.set_profile("bob", mood="ok")
-        assert snapshot_provider(p, incremental=True)["kind"] == "delta"
-        assert canon(merge_delta(snap,
-                                 snapshot_provider(p, incremental=True))) \
-            == canon(snapshot_provider(p))
+        delta = p.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        p2, __ = recover_provider(copy.deepcopy(snap),
+                                  delta["journal"].encode("ascii"),
+                                  app_catalog=STANDARD_CATALOG)
+        assert canon(snapshot_provider(p2)) == canon(snapshot_provider(p))
 
     def test_first_emit_without_base_is_full(self):
         p = Provider(name="w5")
         p._durability.base = None  # simulate no checkpoint yet
-        snap = snapshot_provider(p, incremental=True)
+        snap = p.snapshot_incremental()
         assert snap.get("kind") != "delta"
+
+
+class TestOpaqueRecords:
+    def test_opaque_record_forces_a_full_checkpoint(self):
+        """A set payload cannot be journaled: the journal holds an
+        opaque marker, so the next snapshot is a full checkpoint that
+        carries the set, and later deltas fold onto it."""
+        p, __, __ = run_timeline(["signup"])
+        p.store_user_data("bob", "s.bin", {1, 2, 3})
+        assert p._durability.journal.epoch_opaque == 1
+        snap = p.snapshot_incremental()
+        assert snap.get("kind") != "delta"
+        assert canon(snap) == canon(snapshot_provider(p))
+        assert p._durability.journal.epoch_opaque == 0
+        MUTATIONS["profile"](p)
+        delta = p.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        recovered = fold(copy.deepcopy(snap), delta)
+        assert recovered.read_user_data("bob", "s.bin") == {1, 2, 3}
+        assert canon(snapshot_provider(recovered)) == \
+            canon(snapshot_provider(p))
 
 
 class TestNaiveBaseline:
@@ -137,7 +210,7 @@ class TestNaiveBaseline:
         assert p._durability is None
         assert p.persistence_stats() == {"incremental_persistence": False}
         # incremental request degrades to a full snapshot
-        snap = snapshot_provider(p, incremental=True)
+        snap = p.snapshot_incremental()
         assert snap.get("kind") != "delta"
         assert canon(snap) == canon(snapshot_provider(p))
 
@@ -172,37 +245,3 @@ class TestMetricsSurface:
         oracle = Provider(config=ProviderConfig.oracle())
         assert oracle.stats()["persistence"] == {
             "incremental_persistence": False}
-
-
-def _containers(value, found=None):
-    """id -> object for every dict and list reachable from ``value``."""
-    found = {} if found is None else found
-    if isinstance(value, (dict, list)) and id(value) not in found:
-        found[id(value)] = value
-        for child in (value.values() if isinstance(value, dict) else value):
-            _containers(child, found)
-    return found
-
-
-class TestMergeDoesNotAlias:
-    def test_editing_merged_labels_leaves_inputs_alone(self):
-        p, __, __ = run_timeline(["signup", "signup2", "enable", "store",
-                                  "grant", "group", "member_add"])
-        delta = snapshot_provider(p, incremental=True)
-        assert delta["kind"] == "delta" and delta["fs"]["upserts"]
-        base = p._durability.base  # the manager's live base
-        before = canon(base), canon(delta)
-        merged = merge_delta(base, delta)
-
-        labels = [obj for obj in _containers(merged).values()
-                  if isinstance(obj, dict) and "tags" in obj
-                  and "namespace" in obj]
-        assert labels
-        for d in labels:
-            d["namespace"] = "edited"
-            d["tags"].append({"tag_id": -1, "purpose": "", "kind": "",
-                              "owner": None})
-        assert (canon(base), canon(delta)) == before
-        shared = (_containers(merged).keys()
-                  & (_containers(base).keys() | _containers(delta).keys()))
-        assert not shared

@@ -43,6 +43,18 @@ def assert_equiv(p_full: Provider, p_rec: Provider) -> None:
     assert canon(snapshot_provider(p_full)) == canon(snapshot_provider(p_rec))
 
 
+def assert_delta_recovers(p: Provider, base) -> None:
+    """The operator's delta snapshot is the journal since ``base``:
+    folding it onto ``base`` gives the live provider back."""
+    delta = p.snapshot_incremental()
+    assert delta["kind"] == "delta"
+    assert delta["journal"].encode("ascii") == \
+        p._durability.journal.raw_bytes()
+    p_rec, __ = recover_provider(base, delta["journal"].encode("ascii"),
+                                 app_catalog=STANDARD_CATALOG)
+    assert_equiv(p, p_rec)
+
+
 # The durable-mutation vocabulary, as composable steps.
 def _signup(name):
     return lambda p: p.signup(name, "pw")
@@ -124,6 +136,7 @@ class TestReplayEqualsFullRestore:
         assert r2["records_replayed"] > len(TIMELINE)  # multi-record ops
         assert r2["unknown_ops"] == 0
         assert_equiv(p_full, p_rec)
+        assert_delta_recovers(p, base)
 
     def test_every_operation_boundary(self):
         """Crash after each complete operation == full restore of the
@@ -134,6 +147,7 @@ class TestReplayEqualsFullRestore:
         marks = []
         for step in TIMELINE:
             MUTATIONS[step](p)
+            assert_delta_recovers(p, base)
             journal_so_far.append(bytes(p._durability.journal.raw_bytes()))
             marks.append(copy.deepcopy(snapshot_provider(p)))
         for step, journal, mark in zip(TIMELINE, journal_so_far, marks):
@@ -177,6 +191,7 @@ class TestReplayEqualsFullRestore:
                       for e in provider.kernel.audit]
             return ([(r.status, r.body) for r in responses], events)
 
+        assert_delta_recovers(p, base)
         full_resp, full_audit = probe(p_full)
         rec_resp, rec_audit = probe(p_rec)
         assert full_resp == rec_resp
@@ -192,6 +207,7 @@ class TestCrashAtEveryOffset:
         must equal full restores."""
         steps = ["signup", "enable", "store_bytes", "grant"]
         p, base, op_offsets = run_timeline(steps)
+        assert_delta_recovers(p, base)
         journal = bytes(p._durability.journal.raw_bytes())
 
         bounds = [0]
@@ -240,6 +256,7 @@ class TestRandomInterleavings:
         p_rec, __ = recover_provider(base, journal,
                                      app_catalog=STANDARD_CATALOG)
         assert_equiv(p_full, p_rec)
+        assert_delta_recovers(p, base)
 
         # torn journal: equals the floor record boundary's recovery
         cut = cut_seed % (len(journal) + 1)
@@ -275,6 +292,7 @@ class TestPostRecoveryLife:
                                       app_catalog=STANDARD_CATALOG)
         assert p_rec2.read_user_data("carol", "x.txt") == "hello again"
         assert_equiv(p_rec, p_rec2)
+        assert_delta_recovers(p_rec, base2)
 
     def test_post_recovery_ids_match_full_restore(self):
         """After deletions, both recovery paths must leave identical
@@ -287,6 +305,7 @@ class TestPostRecoveryLife:
         p_full, __ = restore_provider(crash, app_catalog=STANDARD_CATALOG)
         p_rec, __ = recover_provider(base, journal,
                                      app_catalog=STANDARD_CATALOG)
+        assert_delta_recovers(p, base)
         a_full = p_full.signup("dora", "pw")
         a_rec = p_rec.signup("dora", "pw")
         assert a_full.data_tag.tag_id == a_rec.data_tag.tag_id

@@ -7,8 +7,10 @@ app enable/disable, befriend/unfriend, public and club declassifier
 grants and revocations, club roster changes, account deletion followed
 by a fresh signup under the same name, and checkpoints
 (``snapshot_incremental()`` on the fast plane, ``snapshot()`` on the
-oracle).  Every step's outcome must be identical on both planes, and
-after every step:
+oracle).  A checkpoint also folds the fast plane's delta into its base
+with ``recover_provider`` and requires the live deployment back.
+Every step's outcome must be identical on both planes, and after
+every step:
 
 * responses, charges, denials and audit streams agree
   (:meth:`PlanePair.assert_equivalent`);
@@ -25,11 +27,17 @@ after every step:
 The budget comes from the active Hypothesis profile: a quarter of its
 ``max_examples`` (25 histories by default; run with
 ``--hypothesis-profile=deep`` for ten times as many).
+:class:`SmallJournalMachine` runs a tenth of that budget with a
+512-byte compaction threshold, so checkpoints compact, often twice in
+a row, and deltas fold onto a compacted base.
 
 :func:`run_focused` runs the same machine with only some of its rules
 and every invariant, so a history spends all its steps on one
 concern; the plan, pool and scoped-authority differentials use it.
 """
+
+import copy
+import dataclasses
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -37,12 +45,14 @@ from hypothesis.stateful import (RULE_MARKER, RuleBasedStateMachine,
                                  invariant, rule,
                                  run_state_machine_as_test)
 
+from repro.apps import STANDARD_CATALOG
 from repro.core import W5System
 from repro.declassify import AnyOf
 from repro.errors import W5Error
-from repro.platform import ProviderConfig
+from repro.platform import ProviderConfig, recover_provider, snapshot_provider
 
 from .._differential import PlanePair
+from .test_journal_replay import canon
 
 USERS = ("alice", "bob", "carol", "dave")
 APPS = ("blog", "photo-share", "social")
@@ -107,9 +117,16 @@ def apply_op(w5: W5System, op: tuple):
 
 
 class PlaneMachine(RuleBasedStateMachine):
+    #: The fast plane's journal compaction threshold.
+    JOURNAL_COMPACT_BYTES = ProviderConfig.journal_compact_bytes
+
     def __init__(self) -> None:
         super().__init__()
-        self.pair = PlanePair(build_deployment)
+        self.pair = PlanePair(lambda config: build_deployment(
+            dataclasses.replace(
+                config, journal_compact_bytes=self.JOURNAL_COMPACT_BYTES)))
+        #: The full snapshot the fast plane's deltas are relative to.
+        self.base = copy.deepcopy(self.pair.fast.provider._durability.base)
         #: The model: whom each author's data is released to.
         self.friends = {user: set() for user in USERS}
         self.friends["alice"].add("bob")
@@ -219,8 +236,24 @@ class PlaneMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        self.pair.fast.provider.snapshot_incremental()
+        """The fold of base and delta is the live deployment: the
+        recovered provider's snapshot, with the non-durable grants
+        recovery reports it could not restore (carol's ``AnyOf``),
+        equals the live one.  A full snapshot becomes the new base."""
+        fast = self.pair.fast.provider
+        snap = fast.snapshot_incremental()
         self.pair.oracle.provider.snapshot()
+        live = canon(snapshot_provider(fast))
+        if snap.get("kind") != "delta":
+            assert canon(snap) == live
+            self.base = copy.deepcopy(snap)
+            return
+        recovered, report = recover_provider(
+            self.base, snap["journal"].encode("ascii"),
+            app_catalog=STANDARD_CATALOG)
+        assert report["truncated_bytes"] == 0
+        assert canon({**snapshot_provider(recovered),
+                      "skipped_grants": report["unrestored_grants"]}) == live
 
     # -- invariants -----------------------------------------------------
 
@@ -253,6 +286,35 @@ PlaneMachine.TestCase.settings = settings(
     max_examples=max(1, settings.default.max_examples // 4),
     stateful_step_count=20, deadline=None)
 TestPlaneMachine = PlaneMachine.TestCase
+
+
+class SmallJournalMachine(PlaneMachine):
+    """The machine with a journal that compacts past 512 bytes: the
+    deployment's set-up alone crosses it, one befriend or two posts
+    cross it again."""
+
+    JOURNAL_COMPACT_BYTES = 512
+
+
+SmallJournalMachine.TestCase.settings = settings(
+    max_examples=max(1, settings.default.max_examples // 10),
+    stateful_step_count=20, deadline=None)
+TestSmallJournalMachine = SmallJournalMachine.TestCase
+
+
+def test_deltas_fold_onto_a_twice_compacted_base():
+    """Two compactions in a row, then a delta: the fold uses the
+    second compaction's snapshot as its base."""
+    machine = SmallJournalMachine()
+    machine.checkpoint()  # the set-up's journal: compaction 1
+    machine.post(user="alice", i=0)
+    machine.post(user="bob", i=1)
+    machine.checkpoint()  # compaction 2
+    machine.post(user="carol", i=2)
+    machine.checkpoint()  # a delta, folded onto compaction 2's base
+    machine.planes_equivalent()
+    stats = machine.pair.fast.provider.persistence_stats()
+    assert (stats["compactions"], stats["incremental_snapshots"]) == (2, 1)
 
 
 RULES = frozenset(name for name, f in vars(PlaneMachine).items()
