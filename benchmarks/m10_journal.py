@@ -1,7 +1,8 @@
 """M10 shared harness: incremental durability vs. full-snapshot cost.
 
 Builds a provider with ``n_users`` accounts (each with a home file,
-every 16th with a declassifier grant), checkpoints it, dirties a
+every 16th with a declassifier grant), takes its first
+``snapshot_incremental()`` (a full snapshot, the base), dirties a
 ``dirty_frac`` fraction of the accounts, and measures:
 
 * **snapshot latency** — a full ``snapshot_provider`` walks every
@@ -84,7 +85,8 @@ def run_tier(n_users: int, dirty_frac: float = 0.01,
     """One deployment-size measurement: full vs. incremental snapshot
     latency at ``dirty_frac`` dirty accounts, plus recovery timing."""
     p = build_provider(n_users, incremental=True)
-    p._durability.checkpoint()
+    # a fresh provider's first snapshot is full: the operator's base
+    base = copy.deepcopy(p.snapshot_incremental())
 
     n_dirty = max(1, int(n_users * dirty_frac))
     for i in range(n_dirty):
@@ -99,7 +101,6 @@ def run_tier(n_users: int, dirty_frac: float = 0.01,
     full_bytes = _snapshot_bytes(snapshot_provider(p))
     delta_bytes = _snapshot_bytes(p.snapshot_incremental())
 
-    base = copy.deepcopy(p._durability.base)
     raw = p._durability.journal.raw_bytes()
     t0 = time.perf_counter()
     recovered, report = recover_provider(base, raw,
@@ -143,7 +144,7 @@ def mutation_overhead(n_users: int = 200, n: int = 200,
     for mode, incremental in (("journaled", True), ("naive", False)):
         p = build_provider(n_users, incremental=incremental)
         if incremental:
-            p._durability.checkpoint()
+            p.snapshot_incremental()  # the base: the journal starts empty
         client = _client(p, "user00000")
         count = iter(range(10_000_000))
 

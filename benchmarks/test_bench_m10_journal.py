@@ -91,7 +91,7 @@ def test_bench_m10_snapshot_latency(benchmark):
     """pytest-benchmark point for the 1,000-user incremental snapshot."""
     from .m10_journal import build_provider
     p = build_provider(1_000, incremental=True)
-    p._durability.checkpoint()
+    p.snapshot_incremental()  # the first one is the full base
     p.set_profile("user00042", mood="benchmarked")
     snap = benchmark(p.snapshot_incremental)
     assert snap["kind"] == "delta"

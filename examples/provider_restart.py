@@ -88,10 +88,10 @@ def main() -> None:
     print("\nOK: full restart with labels, policies, and data intact.")
 
     print("\n== day 2: writes land in the journal, not in snapshots ==")
-    # restore_provider checkpointed p2, so the snapshot it was restored
-    # from is the base of its journal: every durable mutation since
-    # appends one checksummed JSON line, and the operator's
-    # incremental snapshot is that journal.
+    # The operator holds the snapshot p2 was restored from, so it is
+    # the base of p2's journal: every durable mutation since appends
+    # one checksummed JSON line, and the operator's first incremental
+    # snapshot is already that journal, a delta.
     amy.get("/app/blog/post", title="day2", body="journaled, not lost")
     p2.store_user_data("amy", "notes.txt", "replay me")
     delta = p2.snapshot_incremental()

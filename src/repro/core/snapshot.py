@@ -2,12 +2,10 @@
 
 Four subsystems know how to serialize themselves for persistence — the
 tag registry, the labeled filesystem, the labeled store, and the whole
-provider.  They historically exposed four ad-hoc entry points
-(``export_state``, ``snapshot_fs``, ``snapshot_store``,
-``snapshot_provider``); those all still exist, but each now also
-implements this single protocol, so generic tooling (backup drivers,
-tests, the provider's own composite snapshot) can treat "a thing with
-durable state" uniformly:
+provider — and each spells it ``snapshot()`` (the provider's composite
+is also :func:`repro.platform.snapshot_provider`), so generic tooling
+(backup drivers, tests, the provider's own composite snapshot) can
+treat "a thing with durable state" uniformly:
 
     for part in (provider.kernel.tags, provider.fs, provider.db):
         assert isinstance(part, Snapshotable)
@@ -17,7 +15,9 @@ The contract: ``snapshot()`` returns a JSON-serializable ``dict``
 capturing everything durable, suitable for the subsystem's matching
 restore entry point (``TagRegistry.import_state``,
 ``repro.fs.restore_fs``, ``repro.db.restore_store``,
-``repro.platform.restore_provider``).
+``repro.platform.restore_provider``).  Each restore re-creates the
+objects through the installers journal replay uses, so a restored
+object and a replayed one are built by the same code.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ from typing import Any, Callable, Iterable, Optional
 from ..core import access
 from ..kernel import Kernel, Process
 from ..kernel import audit as A
-from ..labels import IntegrityViolation, Label, SecrecyViolation
+from ..labels import (IntegrityViolation, Label, SecrecyViolation,
+                      label_dict_memo)
 from .errors import NoSuchRow, NoSuchTable, SchemaError, TableExists
 
 Predicate = Callable[[dict[str, Any]], bool]
@@ -212,10 +213,34 @@ class LabeledStore:
 
     def snapshot(self) -> dict[str, Any]:
         """:class:`~repro.core.snapshot.Snapshotable` — serialize every
-        table with per-row labels (restore with
-        :func:`repro.db.restore_store`)."""
-        from .persist import snapshot_store
-        return snapshot_store(self)
+        table, row and label (restore with
+        :func:`repro.db.restore_store`).
+
+        Read-only result: each distinct label is serialized once and
+        every row carrying it shares that dict.  A caller that edits
+        the snapshot must ``copy.deepcopy`` it or JSON round-trip it
+        first.
+        """
+        namespace = self.kernel.tags.namespace
+        labels = label_dict_memo(namespace)
+        tables = []
+        max_row_id = 0
+        for name in self.tables():
+            table = self.table(name)
+            rows = []
+            for row in sorted(table.rows.values(), key=lambda r: r.row_id):
+                max_row_id = max(max_row_id, row.row_id)
+                rows.append({"row_id": row.row_id,
+                             "values": dict(row.values),
+                             "slabel": labels(row.slabel),
+                             "ilabel": labels(row.ilabel),
+                             "version": row.version})
+            tables.append({"name": table.name,
+                           "indexes": list(table.indexed_columns),
+                           "pad_scan_to": table.pad_scan_to,
+                           "rows": rows})
+        return {"namespace": namespace, "tables": tables,
+                "next_row_id": max_row_id + 1}
 
     # ------------------------------------------------------------------
     # catalog
@@ -481,11 +506,11 @@ class LabeledStore:
                 "table": table_name, "rows": sorted(purged)})
         return len(purged)
 
-    # -- replay installers (journal recovery only) ---------------------
+    # -- installers (full restore and journal replay) -------------------
 
     def install_table(self, name: str, indexes: Iterable[str] = (),
                       pad_scan_to: Optional[int] = None) -> Table:
-        """Re-create a table during replay (no charges, no checks)."""
+        """Re-create a table (no charges, no checks, no journal)."""
         table = Table(name=name, indexed_columns=tuple(indexes),
                       pad_scan_to=pad_scan_to)
         self._tables[name] = table
@@ -493,12 +518,14 @@ class LabeledStore:
 
     def install_row(self, table_name: str, row_id: int,
                     values: dict[str, Any], slabel: Label,
-                    ilabel: Label) -> Row:
-        """Re-insert a row with a *known* id during replay; keeps the
-        id counter ahead of every installed id."""
+                    ilabel: Label, version: int = 1) -> Row:
+        """Re-insert a row with a *known* id; keeps the id counter
+        ahead of every installed id.  ``index_add`` files it in its
+        label partition alongside the hash indexes, so an installed
+        store is partition-consistent whichever plane wrote it."""
         table = self.table(table_name)
         row = Row(row_id=row_id, values=values, slabel=slabel,
-                  ilabel=ilabel)
+                  ilabel=ilabel, version=version)
         table.rows[row_id] = row
         table.index_add(row)
         nxt = next(self._row_ids)

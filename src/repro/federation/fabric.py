@@ -209,7 +209,8 @@ class FederationFabric:
             raise SyncError(f"provider {index} did not crash")
         old, base, journal = self._wreckage.pop(index)
         recovered, report = recover_provider(
-            base, journal, config=self._provider_config)
+            base, journal, config=self._provider_config,
+            tracing=self._tracing)
         self.providers[index] = recovered
         for (i, j), link in self._links.items():
             if index in (i, j):

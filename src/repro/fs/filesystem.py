@@ -63,14 +63,17 @@ from typing import Any, Callable, Iterable, Optional
 from ..core import access
 from ..kernel import Kernel, Process
 from ..kernel import audit as A
-from ..labels import IntegrityViolation, Label, SecrecyViolation
+from ..labels import (IntegrityViolation, Label, SecrecyViolation,
+                      label_dict_memo)
 from .errors import (FsError, IsADirectory, NoSuchPath, NotADirectory,
                      PathExists)
 
 
-@dataclass
+@dataclass(slots=True)
 class Inode:
-    """Common metadata for files and directories."""
+    """Common metadata for files and directories.  Slotted, like
+    ``File`` and ``Directory``: a provider keeps one per file, and a
+    home directory can hold tens of thousands."""
 
     name: str
     slabel: Label
@@ -81,7 +84,7 @@ class Inode:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(slots=True)
 class File(Inode):
     """A leaf object holding an arbitrary payload."""
 
@@ -100,7 +103,7 @@ class File(Inode):
         return len(repr(self.data))
 
 
-@dataclass
+@dataclass(slots=True)
 class Directory(Inode):
     """An interior node mapping names to children."""
 
@@ -144,9 +147,43 @@ class LabeledFileSystem:
 
     def snapshot(self) -> dict[str, Any]:
         """:class:`~repro.core.snapshot.Snapshotable` — serialize the
-        whole labeled tree (restore with :func:`repro.fs.restore_fs`)."""
-        from .persist import snapshot_fs
-        return snapshot_fs(self)
+        whole labeled tree with *no* label checks (the provider's
+        cold-storage path; restore with :func:`repro.fs.restore_fs`).
+
+        Read-only result: each distinct label is serialized once and
+        every node carrying it shares that dict.  A caller that edits
+        the snapshot must ``copy.deepcopy`` it or JSON round-trip it
+        first.
+        """
+        from .persist import node_dict
+        namespace = self.kernel.tags.namespace
+        return {"namespace": namespace,
+                "root": node_dict(self.root, label_dict_memo(namespace))}
+
+    def install(self, path: str, kind: str, slabel: Label, ilabel: Label,
+                created_by: str = "", data: Any = None,
+                version: int = 1) -> None:
+        """Re-create one node, ``kind`` ``"dir"`` or ``"file"``, with no
+        checks, charges or journaling (full restore and journal
+        replay).  The parent must exist; ``"/"`` replaces the root."""
+        if path == "/":
+            self.root = Directory("/", slabel, ilabel, created_by)
+            return
+        parent, name = self.parent_of(path)
+        if kind == "dir":
+            parent.entries[name] = Directory(name, slabel, ilabel, created_by)
+        else:
+            parent.entries[name] = File(name, slabel, ilabel, created_by,
+                                        data, version)
+
+    def parent_of(self, path: str) -> tuple[Directory, str]:
+        """The directory holding ``path`` and its last component, with
+        no checks (installers and journal replay)."""
+        parts = split_path(path)
+        parent = self.root
+        for part in parts[:-1]:
+            parent = parent.entries[part]
+        return parent, parts[-1]
 
     # ------------------------------------------------------------------
     # resolution

@@ -1,10 +1,12 @@
-"""Filesystem persistence: snapshot and restore with labels intact.
+"""Filesystem persistence: the labeled tree's snapshot form and restore.
 
 A W5 provider restarts; its users' data — and the labels guarding it —
-must come back exactly.  ``snapshot_fs`` walks the whole tree with
-*no* label checks (it is the provider's cold-storage path, the same
-trust level as the disk itself) and emits a JSON-able structure;
-``restore_fs`` rebuilds the tree inside a kernel whose tag registry
+must come back exactly.  :meth:`LabeledFileSystem.snapshot` walks the
+whole tree with *no* label checks (it is the provider's cold-storage
+path, the same trust level as the disk itself) and emits a JSON-able
+structure; :func:`restore_fs` rebuilds the tree node by node through
+:meth:`LabeledFileSystem.install`, the installer journal replay uses
+for ``fs.mkdir`` and ``fs.create``, inside a kernel whose tag registry
 was restored from the matching snapshot, so every label resolves to
 the identical tag and every access decision after the restart matches
 the decision before it (tested in ``tests/fs/test_persist.py``).
@@ -18,24 +20,13 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..kernel import Kernel
-from ..labels import Label, TagRegistry, label_dict_memo, label_from_dict
+from ..labels import Label, TagRegistry, label_from_dict
 from .filesystem import Directory, File, Inode, LabeledFileSystem
 
 
-def snapshot_fs(fs: LabeledFileSystem) -> dict[str, Any]:
-    """Serialize the whole tree (provider cold-storage path).
-
-    Read-only result: each distinct label is serialized once and every
-    node carrying it shares that dict.  A caller that edits the
-    snapshot must ``copy.deepcopy`` it or JSON round-trip it first.
-    """
-    namespace = fs.kernel.tags.namespace
-    return {"namespace": namespace,
-            "root": _snapshot_node(fs.root, label_dict_memo(namespace))}
-
-
-def _snapshot_node(node: Inode, labels: Callable[[Label], dict[str, Any]]
-                   ) -> dict[str, Any]:
+def node_dict(node: Inode, labels: Callable[[Label], dict[str, Any]]
+              ) -> dict[str, Any]:
+    """The snapshot form of ``node`` and everything below it."""
     common = {
         "name": node.name,
         "slabel": labels(node.slabel),
@@ -44,9 +35,11 @@ def _snapshot_node(node: Inode, labels: Callable[[Label], dict[str, Any]]
     }
     if isinstance(node, Directory):
         common["kind"] = "dir"
-        common["entries"] = {
-            name: _snapshot_node(child, labels)
-            for name, child in sorted(node.entries.items())}
+        # sort the names, not (name, child) pairs: a home directory
+        # can hold tens of thousands of entries
+        entries = node.entries
+        common["entries"] = {name: node_dict(entries[name], labels)
+                             for name in sorted(entries)}
     else:
         assert isinstance(node, File)
         common["kind"] = "file"
@@ -66,22 +59,15 @@ def restore_fs(kernel: Kernel, snapshot: dict[str, Any]
     like federation transfers.
     """
     fs = LabeledFileSystem(kernel)
-    root_data = snapshot["root"]
-    fs.root = _restore_node(root_data, kernel.tags)
+    _install(fs, "/", snapshot["root"], kernel.tags)
     return fs
 
 
-def _restore_node(data: dict[str, Any], registry: TagRegistry) -> Inode:
-    slabel = label_from_dict(data["slabel"], registry)
-    ilabel = label_from_dict(data["ilabel"], registry)
-    if data["kind"] == "dir":
-        node = Directory(name=data["name"], slabel=slabel, ilabel=ilabel,
-                         created_by=data.get("created_by", ""))
-        node.entries = {name: _restore_node(child, registry)
-                        for name, child in data.get("entries", {}).items()}
-        return node
-    node = File(name=data["name"], slabel=slabel, ilabel=ilabel,
-                created_by=data.get("created_by", ""),
-                data=data.get("data"))
-    node.version = data.get("version", 1)
-    return node
+def _install(fs: LabeledFileSystem, path: str, data: dict[str, Any],
+             registry: TagRegistry) -> None:
+    fs.install(path, data["kind"], label_from_dict(data["slabel"], registry),
+               label_from_dict(data["ilabel"], registry),
+               data.get("created_by", ""), data.get("data"),
+               data.get("version", 1))
+    for name, child in data.get("entries", {}).items():
+        _install(fs, f"{path.rstrip('/')}/{name}", child, registry)

@@ -18,9 +18,8 @@ advisory, again only for audit output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import TagError
 
@@ -61,7 +60,8 @@ class TagRegistry:
 
     def __init__(self, namespace: str = "w5") -> None:
         self.namespace = namespace
-        self._counter: Iterator[int] = itertools.count(1)
+        #: The id :meth:`create` mints next.
+        self._next_id = 1
         self._tags: dict[int, Tag] = {}
         # (foreign namespace, foreign id) -> local tag
         self._foreign: dict[tuple[str, int], Tag] = {}
@@ -79,7 +79,8 @@ class TagRegistry:
         """
         if kind not in _VALID_KINDS:
             raise TagError(f"unknown tag kind {kind!r}")
-        tag = Tag(next(self._counter), purpose=purpose, kind=kind, owner=owner)
+        tag = Tag(self._next_id, purpose=purpose, kind=kind, owner=owner)
+        self._next_id += 1
         self._tags[tag.tag_id] = tag
         if self.on_mutate is not None:
             self.on_mutate("tag.create", {
@@ -137,12 +138,9 @@ class TagRegistry:
     # -- persistence -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """:class:`~repro.core.snapshot.Snapshotable` — alias of
-        :meth:`export_state` (restore with :meth:`import_state`)."""
-        return self.export_state()
-
-    def export_state(self) -> dict:
-        """A JSON-able snapshot of every minted tag and the counter."""
+        """:class:`~repro.core.snapshot.Snapshotable`: every minted tag,
+        the counter and the foreign map (restore with
+        :meth:`import_state`)."""
         return {
             "namespace": self.namespace,
             "next_id": max(self._tags, default=0) + 1,
@@ -158,37 +156,34 @@ class TagRegistry:
 
     def install(self, tag_id: int, purpose: str, kind: str,
                 owner: Optional[str]) -> Tag:
-        """Replay-path installer: re-create a tag with a *known* id.
-
-        Used only by journal replay, which must reproduce the id space
-        of the crashed provider exactly; keeps the counter ahead of
-        every installed id.  Idempotent for identical metadata.
+        """Re-create a tag with a *known* id (full restore and journal
+        replay, which must reproduce the id space of the provider that
+        minted it); keeps the counter ahead of every installed id.
+        Idempotent for identical metadata.
         """
         existing = self._tags.get(tag_id)
         if existing is not None:
             return existing
         tag = Tag(tag_id, purpose=purpose, kind=kind, owner=owner)
         self._tags[tag_id] = tag
-        next_id = max(self._tags) + 1
-        self._counter = itertools.count(next_id)
+        if tag_id >= self._next_id:
+            self._next_id = tag_id + 1
         return tag
 
     def install_foreign(self, namespace: str, foreign_id: int,
                         local_id: int) -> None:
-        """Replay-path companion to :meth:`install` for foreign maps."""
+        """Companion to :meth:`install` for foreign maps."""
         self._foreign[(namespace, foreign_id)] = self._tags[local_id]
 
     @classmethod
     def import_state(cls, state: dict) -> "TagRegistry":
-        """Rebuild a registry so previously-serialized labels resolve
-        to identical tags (same ids, same namespace)."""
+        """Rebuild a registry from :meth:`snapshot` through
+        :meth:`install`, so previously-serialized labels resolve to
+        identical tags (same ids, same namespace)."""
         reg = cls(namespace=state["namespace"])
         for td in state["tags"]:
-            tag = Tag(td["tag_id"], purpose=td["purpose"],
-                      kind=td["kind"], owner=td["owner"])
-            reg._tags[tag.tag_id] = tag
-        reg._counter = itertools.count(state["next_id"])
+            reg.install(td["tag_id"], td["purpose"], td["kind"], td["owner"])
         for fd in state.get("foreign", []):
-            reg._foreign[(fd["namespace"], fd["foreign_id"])] = \
-                reg._tags[fd["local_id"]]
+            reg.install_foreign(fd["namespace"], fd["foreign_id"],
+                                fd["local_id"])
         return reg

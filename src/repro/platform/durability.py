@@ -1,4 +1,5 @@
-"""Incremental durability: the journal manager and crash replay.
+"""Incremental durability: the journal manager, its installers, and
+the one rebuild behind restore and crash recovery.
 
 The naive operator path re-serializes *every* account, grant, file and
 row on every snapshot (EXPERIMENTS.md §M7) — O(total state) per deploy.
@@ -12,30 +13,41 @@ This module makes the incremental artifact the journal itself:
   becomes one checksummed :class:`~repro.core.journal.Journal` record.
 * :meth:`emit_snapshot` returns the journal since the last full
   checkpoint as a **delta** (its cost is one copy of the journal
-  image), escalating to a fresh full snapshot (compaction) once the
-  journal outgrows its threshold.  Deltas are *cumulative* since the
-  checkpoint, so an operator retains exactly two artifacts: the base
-  and the latest delta.
-* :func:`recover_provider` is the one fold of a base and a journal,
-  for a crash and for an operator's delta alike: restore the base,
-  replay the journal's verified prefix (a torn tail is truncated,
-  never guessed at), and prove nothing drifted — the differential
-  tests interleave random mutations with crashes at every journal
-  byte offset and compare against a full restore.
+  image), or a fresh full snapshot when the operator holds no base
+  yet or the journal outgrew its threshold (compaction).  Deltas are
+  *cumulative* since the checkpoint, so an operator retains exactly
+  two artifacts: the base and the latest delta.
+* Every durable object — tag, file node, table, row, account, grant,
+  group, endorsement, the declassifier clock — is re-created by one
+  installer: the applier of its journal record, or the subsystem
+  installer that applier calls.  :func:`recover_provider` installs a
+  full snapshot through those installers, replays the journal's
+  verified prefix through the same ones (a torn tail is truncated,
+  never guessed at), aligns the caches once and checkpoints once;
+  ``restore_provider`` is the same body without a journal.  The
+  differential tests interleave random mutations with crashes at
+  every journal byte offset and compare against a full restore.
 
-Replay runs at cold-storage trust (like ``restore_provider``): records
-describe mutations the reference monitor *already approved* before the
-crash, so appliers write state directly and never re-run label checks.
-Journaling is suspended throughout replay — replaying must not journal.
+Installation runs at cold-storage trust: records describe mutations
+the reference monitor *already approved*, so installers write state
+directly and never re-run label checks.  Journaling is suspended
+throughout — installing state is not a new mutation.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import itertools
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from ..core.journal import Journal, JournalRecord, decode_payload
-from ..labels import Label
+from ..db import restore_store
+from ..declassify import BUILTINS
+from ..declassify import Group as GroupPolicy
+from ..fs import restore_fs
+from ..labels import CapabilitySet, Label, TagRegistry
+from .accounts import UserAccount
+from .groups import GroupSpace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .provider import Provider
@@ -50,9 +62,12 @@ class DurabilityManager:
         self.provider = provider
         self.journal = Journal(compact_threshold=compact_threshold)
         self._suspend_depth = 0
-        #: The last full snapshot; every delta and every journal record
-        #: is relative to this.
-        self.base: Optional[dict[str, Any]] = None
+        #: The last full snapshot; every journal record is relative to
+        #: this.
+        self.base: dict[str, Any] = {}
+        #: Whether the operator holds :attr:`base` (a delta only
+        #: extends a base the operator holds).
+        self.base_held = False
         self._stats = {"compactions": 0, "full_snapshots": 0,
                        "incremental_snapshots": 0, "replay_records": 0,
                        "torn_truncations": 0}
@@ -60,7 +75,9 @@ class DurabilityManager:
         # The initial checkpoint: a fresh provider's bootstrap state
         # (its write tag, /users, /groups) is the first base, so the
         # journal covers every mutation of the provider's lifetime.
-        self.checkpoint()
+        # The operator never received it, so the first emit_snapshot
+        # is a full snapshot.
+        self.checkpoint(held=False)
 
     # -- hook wiring ---------------------------------------------------
 
@@ -91,13 +108,18 @@ class DurabilityManager:
 
     # -- snapshots -----------------------------------------------------
 
-    def checkpoint(self) -> dict[str, Any]:
+    def checkpoint(self, held: bool = True) -> dict[str, Any]:
         """Take a full snapshot, make it the new base, and reset the
-        journal."""
+        journal.  ``held`` says whether the operator receives this
+        base (later deltas extend it)."""
         from .persist import snapshot_provider
+        # The old base is garbage once the new one exists; let it go
+        # first, so a checkpoint never holds two full snapshots.
+        self.base = {}
         with self.suspended():
             full = snapshot_provider(self.provider)
         self.base = full
+        self.base_held = held
         self.journal.reset()
         self._stats["full_snapshots"] += 1
         return full
@@ -114,96 +136,139 @@ class DurabilityManager:
         ``recover_provider(base, delta["journal"].encode("ascii"))``
         folds them.
 
-        A full snapshot comes back when there is no base yet, when the
-        journal crossed its compaction threshold, and when the epoch
-        holds a ``journal.opaque`` record: replay cannot reproduce
-        the state such a record covers, so only a full snapshot
-        carries it.
+        A full snapshot comes back when the journal crossed its
+        compaction threshold, when the operator holds no base (the
+        first call on a provider built by ``Provider(...)`` or by
+        :func:`recover_provider`), and when the epoch holds a
+        ``journal.opaque`` record: replay cannot reproduce the state
+        such a record covers, so only a full snapshot carries it.
 
         Read-only: a full snapshot returned here is the live
         :attr:`base` every later delta is relative to, and within it
         the label dicts are shared between nodes and rows.
         ``copy.deepcopy`` it (or JSON round-trip it) before editing."""
-        if self.base is None:
-            return self.checkpoint()
         if self.journal.needs_compaction():
             self._stats["compactions"] += 1
-            return self.checkpoint()
-        if self.journal.epoch_opaque:
-            return self.checkpoint()
-        self._stats["incremental_snapshots"] += 1
-        return {"kind": "delta", "name": self.provider.name,
-                "journal_seq": self.journal.seq,
-                "journal": self.journal.text()}
+        elif self.base_held and not self.journal.epoch_opaque:
+            self._stats["incremental_snapshots"] += 1
+            return {"kind": "delta", "name": self.provider.name,
+                    "journal_seq": self.journal.seq,
+                    "journal": self.journal.text()}
+        return self.checkpoint()
 
     def stats(self) -> dict[str, Any]:
         return {**self.journal.stats(), **self._stats}
 
 
 # ----------------------------------------------------------------------
-# crash recovery: base + replay
+# restore and crash recovery: install the base, replay the journal
 # ----------------------------------------------------------------------
 
-def recover_provider(base_state: dict[str, Any], journal_raw: bytes,
+def recover_provider(base_state: dict[str, Any],
+                     journal_raw: Optional[bytes],
                      app_catalog: Iterable["AppModule"] = (),
-                     resources=None, config=None
+                     resources=None, config=None, tracing: bool = False
                      ) -> tuple["Provider", dict[str, Any]]:
     """Rebuild a provider from its last full snapshot plus the journal.
 
     This is the one fold of a base and a delta: an operator's delta
     from :meth:`DurabilityManager.emit_snapshot` folds as
     ``recover_provider(base, delta["journal"].encode("ascii"))``.
-    The journal image may be torn (crash mid-append): its verified
-    prefix is replayed, the damaged tail is dropped, and the report
-    says how much and why.  The recovered provider is byte-identical
-    (snapshot-wise) to ``restore_provider`` of a snapshot taken right
-    after the last complete journal record — the differential tests in
+    A fresh provider installs ``base_state`` object by object through
+    the journal's installers, replays the journal's verified prefix
+    through the same ones, aligns its caches once and checkpoints
+    once.  The journal image may be torn (crash mid-append): the
+    damaged tail is dropped, and the report says how much and why.
+    The recovered provider is byte-identical (snapshot-wise) to
+    ``restore_provider`` of a snapshot taken right after the last
+    complete journal record — the differential tests in
     ``tests/platform/test_journal_replay.py`` hold this at every
     possible crash offset — and the report's ``unrestored_grants``
     lists the non-durable grants that snapshot would have listed.
+    The operator holds no snapshot of the recovered state, so its
+    first ``snapshot_incremental()`` is a full one.
+
+    ``journal_raw=None`` is ``restore_provider``: no replay, no replay
+    counts in the report, and the operator holds ``base_state``.
     """
-    from .persist import restore_provider, skipped_key
-    provider, report = restore_provider(base_state, app_catalog,
-                                        resources, config=config)
-    records, jreport = Journal.recover(journal_raw)
-    unrestored = report["unrestored_grants"]
+    from .persist import skipped_key
+    from .provider import Provider
+    provider = Provider(name=base_state["name"], resources=resources,
+                        config=config, tracing=tracing)
     manager = provider._durability
-    unknown_ops = 0
-    if manager is not None:
-        with manager.suspended():
-            unknown_ops = _replay(provider, records, unrestored)
-        manager._stats["replay_records"] += len(records)
-        if jreport.truncated_bytes:
-            manager._stats["torn_truncations"] += 1
-    else:
-        unknown_ops = _replay(provider, records, unrestored)
+    unrestored = list(base_state.get("skipped_grants", []))
+    report: dict[str, Any] = {"unrestored_grants": unrestored}
+    with manager.suspended() if manager is not None else nullcontext():
+        _install_snapshot(provider, base_state, app_catalog)
+        if journal_raw is not None:
+            records, jreport = Journal.recover(journal_raw)
+            report.update({
+                "records_replayed": jreport.records,
+                "truncated_bytes": jreport.truncated_bytes,
+                "truncation_reason": jreport.truncation_reason,
+                "opaque_records": jreport.opaque_records,
+                "unknown_ops": _replay(provider, records, unrestored),
+            })
     unrestored.sort(key=skipped_key)
-    _finalize_replay(provider)
+    report["missing_apps"] = [
+        {"username": account.username, "app": app}
+        for account in provider._accounts.values()
+        for app in sorted(account.enabled_apps) if app not in provider.apps]
+    # Installation wrote state behind every cache's back and rewired
+    # tag identity underneath the kernel: align the world once.  The
+    # row-id allocator restarts at max live row id + 1, as a snapshot
+    # records it, so restore and recover give later inserts one id.
+    top = max((max(t.rows, default=0)
+               for t in provider.db._tables.values()), default=0)
+    provider.db._row_ids = itertools.count(top + 1)
+    provider.kernel.flow_cache.invalidate_all(reason="restore")
+    provider.capindex.invalidate_all("restore")
+    provider.declass.invalidate_authority("restore")
     if manager is not None:
+        # the install replaced the registry/fs/db objects: point the
+        # hooks at the new ones, then make the state the journal's base
         manager.wire()
-        manager.checkpoint()
-    report.update({
-        "records_replayed": jreport.records,
-        "truncated_bytes": jreport.truncated_bytes,
-        "truncation_reason": jreport.truncation_reason,
-        "opaque_records": jreport.opaque_records,
-        "unknown_ops": unknown_ops,
-    })
+        manager.checkpoint(held=journal_raw is None)
+        if journal_raw is not None:
+            manager._stats["replay_records"] += jreport.records
+            manager._stats["torn_truncations"] += bool(
+                jreport.truncated_bytes)
     return provider, report
 
 
-def _finalize_replay(provider: "Provider") -> None:
-    """Replay wrote state behind every cache's back; align the world."""
-    import itertools
-    top = max((max(t.rows, default=0)
-               for t in provider.db._tables.values()), default=0)
-    # Same allocator position a full restore of the post-crash snapshot
-    # would compute (next_row_id = max live row id + 1), so the two
-    # recovery paths assign identical ids to post-recovery inserts.
-    provider.db._row_ids = itertools.count(top + 1)
-    provider.kernel.flow_cache.invalidate_all(reason="journal-replay")
-    provider.capindex.invalidate_all("journal-replay")
-    provider.declass.invalidate_authority("journal-replay")
+def _install_snapshot(p: "Provider", state: dict[str, Any],
+                      app_catalog: Iterable["AppModule"]) -> None:
+    """Install a full snapshot, each object through the installer its
+    journal record replays with."""
+    p.kernel.tags = TagRegistry.import_state(state["registry"])
+    # repair the provider's own bootstrap references
+    pw_tag = p._provider_write = p.kernel.tags.lookup(
+        state["provider_write_tag_id"])
+    svc = p._account_service
+    svc.caps = CapabilitySet.owning(pw_tag)
+    svc.ilabel = Label([pw_tag])
+    # Storage comes back verbatim (including /users and home dirs),
+    # on the plane of the fresh provider's kernel.
+    p.fs = restore_fs(p.kernel, state["fs"])
+    p.db = restore_store(p.kernel, state["db"])
+    # Code reinstall: handler objects are not durable.
+    for module in app_catalog:
+        p.register_app(module)
+    # credentials are not durable: users re-register a password
+    # (set_password), as after a password reset
+    for ad in state["accounts"]:
+        _r_account_signup(p, {**ad, "email": ad["email_address"]})
+    # builtin grants only (the rest are in skipped_grants), before the
+    # groups that bind to them
+    for gd in state["grants"]:
+        _r_grant_add(p, gd)
+    for gd in state.get("groups", []):
+        _r_group_create(p, gd)
+    for name in state.get("endorsements", []):
+        _r_endorse_add(p, {"module": name, "endorser": "restored"})
+    p.adoptions = [tuple(x) for x in state.get("adoptions", [])]
+    p.usage_edges = [tuple(x) for x in state.get("usage_edges", [])]
+    _r_clock_set(p, {"now": state.get("declass_clock", 0.0)})
 
 
 # -- the op dispatch table ---------------------------------------------
@@ -211,15 +276,6 @@ def _finalize_replay(provider: "Provider") -> None:
 def _label(provider: "Provider", tag_ids: Iterable[int]) -> Label:
     lookup = provider.kernel.tags.lookup
     return Label([lookup(i) for i in tag_ids])
-
-
-def _fs_parent(provider: "Provider", path: str):
-    from ..fs.filesystem import split_path
-    parts = split_path(path)
-    node = provider.fs.root
-    for part in parts[:-1]:
-        node = node.entries[part]
-    return node, parts[-1]
 
 
 def _r_tag_create(p: "Provider", d: dict) -> None:
@@ -232,31 +288,25 @@ def _r_tag_foreign(p: "Provider", d: dict) -> None:
 
 
 def _r_fs_mkdir(p: "Provider", d: dict) -> None:
-    from ..fs.filesystem import Directory
-    parent, leaf = _fs_parent(p, d["path"])
-    parent.entries[leaf] = Directory(
-        name=leaf, slabel=_label(p, d["slabel"]),
-        ilabel=_label(p, d["ilabel"]), created_by=d["created_by"])
+    p.fs.install(d["path"], "dir", _label(p, d["slabel"]),
+                 _label(p, d["ilabel"]), d["created_by"])
 
 
 def _r_fs_create(p: "Provider", d: dict) -> None:
-    from ..fs.filesystem import File
-    parent, leaf = _fs_parent(p, d["path"])
-    parent.entries[leaf] = File(
-        name=leaf, slabel=_label(p, d["slabel"]),
-        ilabel=_label(p, d["ilabel"]), created_by=d["created_by"],
-        data=decode_payload(d["data"]))
+    p.fs.install(d["path"], "file", _label(p, d["slabel"]),
+                 _label(p, d["ilabel"]), d["created_by"],
+                 decode_payload(d["data"]))
 
 
 def _r_fs_write(p: "Provider", d: dict) -> None:
-    parent, leaf = _fs_parent(p, d["path"])
+    parent, leaf = p.fs.parent_of(d["path"])
     node = parent.entries[leaf]
     node.data = decode_payload(d["data"])
     node.version += 1
 
 
 def _r_fs_delete(p: "Provider", d: dict) -> None:
-    parent, leaf = _fs_parent(p, d["path"])
+    parent, leaf = p.fs.parent_of(d["path"])
     parent.entries.pop(leaf, None)
 
 
@@ -283,13 +333,23 @@ def _r_db_remove(p: "Provider", d: dict) -> None:
     p.db.remove_rows(d["table"], d["rows"])
 
 
+#: The durable account fields a snapshot's account record carries
+#: beyond a signup record's, each with the type it is copied into.
+_ACCOUNT_EXTRAS = {"enabled_apps": set, "writable_apps": set,
+                   "module_preferences": dict, "profile": dict,
+                   "require_endorsed": bool, "js_policy": str,
+                   "audited_versions": dict}
+
+
 def _r_account_signup(p: "Provider", d: dict) -> None:
-    from .accounts import UserAccount
+    """Install one account: a signup record, or a snapshot's account
+    record with its profile, enablements, pins and policies."""
+    lookup = p.kernel.tags.lookup
     account = UserAccount(
-        username=d["username"],
-        data_tag=p.kernel.tags.lookup(d["data_tag_id"]),
-        write_tag=p.kernel.tags.lookup(d["write_tag_id"]),
-        email_address=d["email"])
+        username=d["username"], data_tag=lookup(d["data_tag_id"]),
+        write_tag=lookup(d["write_tag_id"]), email_address=d["email"],
+        **{key: make(d[key]) for key, make in _ACCOUNT_EXTRAS.items()
+           if key in d})
     p._accounts[account.username] = account
     p.email.register_address(account.email_address,
                              owner=account.username)
@@ -356,7 +416,6 @@ def _r_account_js(p: "Provider", d: dict) -> None:
 
 
 def _r_grant_add(p: "Provider", d: dict) -> None:
-    from ..declassify import BUILTINS
     cls = BUILTINS[d["declassifier"]]
     tag = p.kernel.tags.lookup(d["tag_id"])
     p.declass.grant(d["owner"], tag, cls(d["config"]))
@@ -376,21 +435,22 @@ def _r_grant_config(p: "Provider", d: dict) -> None:
 
 
 def _r_group_create(p: "Provider", d: dict) -> None:
-    from .groups import GroupSpace
+    """Install one group space: a creation record (its owner alone on
+    the roster), or a snapshot's group record with its roster."""
     group = GroupSpace(
         name=d["name"], owner=d["owner"],
         data_tag=p.kernel.tags.lookup(d["data_tag_id"]),
         write_tag=p.kernel.tags.lookup(d["write_tag_id"]),
-        members={d["owner"]}, writers={d["owner"]})
-    # bind to the roster-following grant replayed just before this
-    # record (same rebinding restore_provider performs)
+        members=set(d.get("members", [d["owner"]])),
+        writers=set(d.get("writers", [d["owner"]])))
+    # bind to the roster-following grant installed before the group,
+    # so later roster edits keep steering the live declassifier
     for grant in p.declass.grants_for(group.owner):
         if grant.tag == group.data_tag \
                 and grant.declassifier.name == "group":
             group.policy = grant.declassifier
             break
     else:
-        from ..declassify import Group as GroupPolicy
         group.policy = GroupPolicy({"members": sorted(group.members)})
         p.declass.grant(group.owner, group.data_tag, group.policy)
     p.groups._groups[group.name] = group
@@ -414,8 +474,7 @@ def _r_group_member_remove(p: "Provider", d: dict) -> None:
 
 
 def _r_endorse_add(p: "Provider", d: dict) -> None:
-    # same filter as restore_provider: endorsements only bind to
-    # reinstalled code
+    # endorsements only bind to reinstalled code
     if d["module"] in p.apps:
         p.endorsements.endorse(d["module"], endorser=d["endorser"])
 

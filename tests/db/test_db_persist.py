@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.db import LabeledStore, restore_store, snapshot_store
+from repro.db import LabeledStore, restore_store
 from repro.kernel import Kernel
 from repro.labels import Label, TagRegistry
 
@@ -25,8 +25,8 @@ def build_world():
 
 
 def restart(kernel, store):
-    registry_state = json.loads(json.dumps(kernel.tags.export_state()))
-    db_state = json.loads(json.dumps(snapshot_store(store)))
+    registry_state = json.loads(json.dumps(kernel.tags.snapshot()))
+    db_state = json.loads(json.dumps(store.snapshot()))
     new_kernel = Kernel(namespace="prod")
     new_kernel.tags = TagRegistry.import_state(registry_state)
     return new_kernel, restore_store(new_kernel, db_state)
@@ -83,6 +83,16 @@ class TestStorePersistence:
         row = ns.select(p, "posts", where={"author": "pub"})[0]
         assert row["body"] == "edited"
 
+    def test_row_versions_survive_restart(self):
+        kernel, store, t = build_world()
+        provider = kernel.spawn_trusted("p0")
+        for body in ("v2", "v3"):
+            store.update(provider, "posts", where={"author": "pub"},
+                         changes={"body": body})
+        nk, ns = restart(kernel, store)
+        assert [r["version"] for r in ns.snapshot()["tables"][0]["rows"]] \
+            == [3, 1]
+
 
 # ----------------------------------------------------------------------
 # label dicts are serialized once per snapshot and shared
@@ -123,7 +133,7 @@ def store_decisions(kernel, store, t):
 class TestSharedLabelDicts:
     def test_full_snapshot_one_dict_per_label(self):
         kernel, store, *__ = build_tables()
-        snap = snapshot_store(store)
+        snap = store.snapshot()
         assert_one_dict_per_label(snap)
         assert len({id(d) for d in label_dicts(snap)}) == 2
         assert json.loads(json.dumps(snap)) == snap
@@ -132,9 +142,9 @@ class TestSharedLabelDicts:
         """Restoring straight from the shared-dict snapshot (no JSON
         round trip) gives the same decisions as the original."""
         kernel, store, t, *__ = build_tables()
-        snap = snapshot_store(store)
+        snap = store.snapshot()
         nk = Kernel(namespace="prod")
-        nk.tags = TagRegistry.import_state(kernel.tags.export_state())
+        nk.tags = TagRegistry.import_state(kernel.tags.snapshot())
         ns = restore_store(nk, snap)
         before = store_decisions(kernel, store, t)
         assert before[("anon", "notes", "select")] == []

@@ -6,7 +6,7 @@ import copy
 
 import pytest
 
-from repro.db import LabeledStore, SchemaError, restore_store, snapshot_store
+from repro.db import LabeledStore, SchemaError, restore_store
 from repro.platform import ProviderConfig
 from repro.db.store import Row
 from repro.kernel import Kernel
@@ -194,7 +194,7 @@ class TestUnhashableIndexedWrite:
         table = store.table("t")
 
         def state():
-            return (snapshot_store(store)["tables"],
+            return (store.snapshot()["tables"],
                     {v: sorted(ids for b in parts.values() for ids in b)
                      for v, parts in table.indexes["a"].items()})
 

@@ -233,6 +233,20 @@ class TestObservability:
             | set(upper.trace_report().get("latencies", {}))
         assert "fed.envelope" in names
 
+    def test_recovered_provider_keeps_tracing(self):
+        """Recovery rebuilds a traced provider on a traced fabric: the
+        fed.sync rounds rooted on it keep reaching its trace_report."""
+        fabric = FederationFabric(2, tracing=True)
+        home = fabric.signup("bob", "pw")
+        fabric.mirror("bob", 1 - home)
+        fabric.crash(0)
+        fabric.recover(0)
+        assert [p.tracer.enabled for p in fabric.providers] == [True, True]
+        fabric.store_user_data("bob", "f", "v1")
+        assert fabric.sync_user("bob") == 1
+        report = fabric.provider(0).trace_report()
+        assert "fed.sync" in report["latencies"]
+
     def test_sync_trace_stitches_remote_envelope(self):
         """The fed.sync trace is one tree: a remote-side fed.envelope
         shows up grafted under the root, tagged with its origin."""

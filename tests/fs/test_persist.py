@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.fs import LabeledFileSystem, restore_fs, snapshot_fs
+from repro.fs import LabeledFileSystem, restore_fs
 from repro.kernel import Kernel
 from repro.labels import (CapabilitySet, Label, SecrecyViolation,
                           TagRegistry, minus, plus)
@@ -29,8 +29,8 @@ def build_world():
 
 def restart(kernel, fs):
     """Snapshot, serialize through JSON, rebuild in a new kernel."""
-    registry_state = json.loads(json.dumps(kernel.tags.export_state()))
-    fs_state = json.loads(json.dumps(snapshot_fs(fs)))
+    registry_state = json.loads(json.dumps(kernel.tags.snapshot()))
+    fs_state = json.loads(json.dumps(fs.snapshot()))
     new_kernel = Kernel(namespace="prod")
     new_kernel.tags = TagRegistry.import_state(registry_state)
     return new_kernel, restore_fs(new_kernel, fs_state)
@@ -39,7 +39,7 @@ def restart(kernel, fs):
 class TestRegistryPersistence:
     def test_roundtrip_preserves_tags(self):
         kernel, fs, t, w = build_world()
-        state = kernel.tags.export_state()
+        state = kernel.tags.snapshot()
         restored = TagRegistry.import_state(state)
         assert restored.lookup(t.tag_id) == t
         assert restored.lookup(t.tag_id).owner == "bob"
@@ -47,14 +47,14 @@ class TestRegistryPersistence:
 
     def test_counter_continues_past_old_ids(self):
         kernel, fs, t, w = build_world()
-        restored = TagRegistry.import_state(kernel.tags.export_state())
+        restored = TagRegistry.import_state(kernel.tags.snapshot())
         fresh = restored.create(purpose="new")
         assert fresh.tag_id > w.tag_id
 
     def test_foreign_map_roundtrips(self):
         reg = TagRegistry(namespace="A")
         imported = reg.import_foreign("B", 42, purpose="remote")
-        restored = TagRegistry.import_state(reg.export_state())
+        restored = TagRegistry.import_state(reg.snapshot())
         again = restored.import_foreign("B", 42)
         assert again == imported
 
@@ -217,7 +217,7 @@ def json_equal(a, b):
 class TestSharedLabelDicts:
     def test_full_snapshot_one_dict_per_label(self):
         kernel, fs, __, __ = build_tree()
-        snap = snapshot_fs(fs)
+        snap = fs.snapshot()
         assert_one_dict_per_label(snap)
         assert len({id(d) for d in label_dicts(snap)}) == 1 + 2 * len(USERS)
         assert json.loads(json.dumps(snap)) == snap
@@ -228,12 +228,12 @@ class TestSharedLabelDicts:
         kernel, fs, __, agents = build_tree()
         paths = ["/motd"] + [f"/users/{u}/f{i}" for u in USERS
                              for i in range(2)]
-        snap = snapshot_fs(fs)
+        snap = fs.snapshot()
         new_kernel = Kernel(namespace="prod")
         new_kernel.tags = TagRegistry.import_state(
-            kernel.tags.export_state())
+            kernel.tags.snapshot())
         new_fs = restore_fs(new_kernel, snap)
         before = fs_decisions(kernel, fs, paths, agents)
         assert set(before.values()) == {True, False}
         assert fs_decisions(new_kernel, new_fs, paths, agents) == before
-        assert json_equal(snapshot_fs(new_fs), snapshot_fs(fs))
+        assert json_equal(new_fs.snapshot(), fs.snapshot())

@@ -16,10 +16,11 @@ from repro.apps import STANDARD_CATALOG, install_standard_apps
 from repro.core.journal import Journal
 from repro.declassify import AnyOf, ViewerPredicate
 from repro.platform import (Provider, ProviderConfig, recover_provider,
-                            snapshot_provider)
+                            restore_provider, snapshot_provider)
 
 from .test_journal_replay import (MUTATIONS, TIMELINE, canon,
-                                  fresh_provider, run_timeline)
+                                  fresh_provider, operator_base,
+                                  run_timeline)
 
 
 def fold(base, delta):
@@ -142,8 +143,7 @@ class TestDeltaIsODirty:
         bob.login("pw")
         for i in range(5):
             bob.get("/app/blog/post", title=f"t{i}", body="x")
-        p._durability.checkpoint()
-        base = copy.deepcopy(p._durability.base)
+        base = operator_base(p)
         bob.get("/app/blog/post", title="fresh", body="y")
         delta = p.snapshot_incremental()
         records, __ = Journal.recover(delta["journal"].encode("ascii"))
@@ -176,9 +176,73 @@ class TestCompaction:
 
     def test_first_emit_without_base_is_full(self):
         p = Provider(name="w5")
-        p._durability.base = None  # simulate no checkpoint yet
         snap = p.snapshot_incremental()
         assert snap.get("kind") != "delta"
+
+
+def timeline_provider():
+    """A provider that lived through the rich timeline, public API only
+    (its first snapshot is the operator's base)."""
+    p = Provider(name="prod")
+    install_standard_apps(p)
+    for step in TIMELINE:
+        MUTATIONS[step](p)
+    return p
+
+
+class TestOperatorHoldsTheBase:
+    """A delta only extends a base the operator holds: the snapshot a
+    provider was restored from, or a full snapshot
+    ``snapshot_incremental()`` returned."""
+
+    def test_fresh_provider_hands_out_its_base_first(self):
+        p = timeline_provider()
+        base = copy.deepcopy(p.snapshot_incremental())
+        assert base.get("kind") != "delta"
+        assert canon(base) == canon(snapshot_provider(p))
+        MUTATIONS["profile"](p)
+        delta = p.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        assert_fold_equals_live(base, delta, p)
+
+    def test_recovered_provider_hands_out_its_base_first(self):
+        p = timeline_provider()
+        base = copy.deepcopy(p.snapshot_incremental())
+        MUTATIONS["profile"](p)
+        p2, __ = recover_provider(
+            base, p.snapshot_incremental()["journal"].encode("ascii"),
+            app_catalog=STANDARD_CATALOG)
+        base2 = copy.deepcopy(p2.snapshot_incremental())
+        assert base2.get("kind") != "delta"
+        assert canon(base2) == canon(snapshot_provider(p))
+        p2.signup("carol", "pw")
+        p2.store_user_data("carol", "x.txt", "hello")
+        assert_fold_equals_live(base2, p2.snapshot_incremental(), p2)
+
+    def test_restored_provider_deltas_extend_its_snapshot(self):
+        """The provider_restart.py flow: no full snapshot after a
+        restore, the first call is a delta over the restored state."""
+        p = timeline_provider()
+        state = copy.deepcopy(snapshot_provider(p))
+        p2, __ = restore_provider(copy.deepcopy(state),
+                                  app_catalog=STANDARD_CATALOG)
+        MUTATIONS["profile"](p2)
+        delta = p2.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        assert_fold_equals_live(state, delta, p2)
+
+    def test_recovery_takes_one_full_snapshot(self):
+        """The bootstrap checkpoint every Provider() takes, and the
+        recovered state: no snapshot of the installed base between."""
+        p = timeline_provider()
+        base = copy.deepcopy(p.snapshot_incremental())
+        MUTATIONS["profile"](p)
+        p2, __ = recover_provider(
+            base, p.snapshot_incremental()["journal"].encode("ascii"),
+            app_catalog=STANDARD_CATALOG)
+        assert p2.persistence_stats()["full_snapshots"] == 2
+        p3, __ = restore_provider(base, app_catalog=STANDARD_CATALOG)
+        assert p3.persistence_stats()["full_snapshots"] == 2
 
 
 class TestOpaqueRecords:

@@ -35,8 +35,15 @@ def canon(state) -> str:
 def fresh_provider() -> Provider:
     p = Provider(name="prod")
     install_standard_apps(p)
-    p._durability.checkpoint()  # base includes the installed world
     return p
+
+
+def operator_base(p: Provider):
+    """The base an operator holds: a fresh or recovered provider's
+    first ``snapshot_incremental()`` is a full snapshot."""
+    base = p.snapshot_incremental()
+    assert base.get("kind") != "delta"
+    return copy.deepcopy(base)
 
 
 def assert_equiv(p_full: Provider, p_rec: Provider) -> None:
@@ -112,7 +119,7 @@ def run_timeline(steps, tolerant=False):
     assertions then verify.
     """
     p = fresh_provider()
-    base = copy.deepcopy(p._durability.base)
+    base = operator_base(p)  # includes the installed world
     offsets = [0]
     for step in steps:
         try:
@@ -142,7 +149,7 @@ class TestReplayEqualsFullRestore:
         """Crash after each complete operation == full restore of the
         snapshot taken right after that operation."""
         p = fresh_provider()
-        base = copy.deepcopy(p._durability.base)
+        base = operator_base(p)
         journal_so_far = []
         marks = []
         for step in TIMELINE:
@@ -283,7 +290,7 @@ class TestPostRecoveryLife:
         p_rec, __ = recover_provider(base, journal,
                                      app_catalog=STANDARD_CATALOG)
         assert p_rec._durability.journal.seq == 0  # re-based
-        base2 = copy.deepcopy(p_rec._durability.base)
+        base2 = operator_base(p_rec)
         p_rec.signup("carol", "pw")
         p_rec.store_user_data("carol", "x.txt", "hello again")
         journal2 = bytes(p_rec._durability.journal.raw_bytes())

@@ -411,7 +411,7 @@ class TestPlanInvalidation:
         from repro.platform import recover_provider, set_password
 
         w5 = build_deployment()
-        base = copy.deepcopy(w5.provider._durability.base)
+        base = copy.deepcopy(w5.provider.snapshot_incremental())
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         self._warm(w5)
         journal = bytes(w5.provider._durability.journal.raw_bytes())

@@ -125,8 +125,10 @@ class PlaneMachine(RuleBasedStateMachine):
         self.pair = PlanePair(lambda config: build_deployment(
             dataclasses.replace(
                 config, journal_compact_bytes=self.JOURNAL_COMPACT_BYTES)))
-        #: The full snapshot the fast plane's deltas are relative to.
-        self.base = copy.deepcopy(self.pair.fast.provider._durability.base)
+        #: The full snapshot the fast plane's deltas are relative to:
+        #: a fresh provider's first snapshot_incremental() is full.
+        self.base = copy.deepcopy(
+            self.pair.fast.provider.snapshot_incremental())
         #: The model: whom each author's data is released to.
         self.friends = {user: set() for user in USERS}
         self.friends["alice"].add("bob")
@@ -305,8 +307,9 @@ TestSmallJournalMachine = SmallJournalMachine.TestCase
 def test_deltas_fold_onto_a_twice_compacted_base():
     """Two compactions in a row, then a delta: the fold uses the
     second compaction's snapshot as its base."""
+    # the machine's base is its first snapshot_incremental(), and the
+    # set-up's journal crosses the threshold: compaction 1
     machine = SmallJournalMachine()
-    machine.checkpoint()  # the set-up's journal: compaction 1
     machine.post(user="alice", i=0)
     machine.post(user="bob", i=1)
     machine.checkpoint()  # compaction 2

@@ -326,10 +326,11 @@ class TestPerShardJournalReplay:
     @given(ops())
     def test_every_shard_replays_to_live_state(self, seed_ops):
         sharded, clients = build_sharded(3, engine="serial")
+        bases = [copy.deepcopy(shard.snapshot_incremental())
+                 for shard in sharded.shards]
         for op in seed_ops:
             apply_op(sharded, clients, op)
-        for shard in sharded.shards:
-            base = copy.deepcopy(shard._durability.base)
+        for shard, base in zip(sharded.shards, bases):
             journal = bytes(shard._durability.journal.raw_bytes())
             recovered, report = recover_provider(
                 base, journal, STANDARD_CATALOG, config=shard.config)
@@ -339,10 +340,10 @@ class TestPerShardJournalReplay:
 
     def test_recovered_shard_serves_its_users(self):
         sharded, clients = build_sharded(3, engine="serial")
+        home = sharded.shards[sharded.map.shard_of_user("alice")]
+        base = copy.deepcopy(home.snapshot_incremental())
         assert clients["alice"].get("/app/blog/post", title="t0",
                                     body="b0").ok
-        home = sharded.shards[sharded.map.shard_of_user("alice")]
-        base = copy.deepcopy(home._durability.base)
         journal = bytes(home._durability.journal.raw_bytes())
         recovered, __ = recover_provider(base, journal, STANDARD_CATALOG,
                                          config=home.config)
