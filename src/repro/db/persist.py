@@ -11,6 +11,7 @@ the installers journal replay uses for ``db.create_table`` and
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 from ..kernel import Kernel
@@ -23,6 +24,7 @@ def restore_store(kernel: Kernel, snapshot: dict[str, Any]
     """Rebuild a store inside ``kernel`` (restore the tag registry
     first; see :mod:`repro.fs.persist`)."""
     store = LabeledStore(kernel)
+    store._row_ids = itertools.count(snapshot.get("next_row_id", 1))
     for td in snapshot["tables"]:
         store.install_table(td["name"], td.get("indexes", ()),
                             td.get("pad_scan_to"))

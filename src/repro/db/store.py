@@ -519,17 +519,16 @@ class LabeledStore:
     def install_row(self, table_name: str, row_id: int,
                     values: dict[str, Any], slabel: Label,
                     ilabel: Label, version: int = 1) -> Row:
-        """Re-insert a row with a *known* id; keeps the id counter
-        ahead of every installed id.  ``index_add`` files it in its
-        label partition alongside the hash indexes, so an installed
-        store is partition-consistent whichever plane wrote it."""
+        """Re-insert a row with a *known* id.  ``index_add`` files it
+        in its label partition alongside the hash indexes, so an
+        installed store is partition-consistent whichever plane wrote
+        it.  The id counter is the caller's to set once the rows are
+        in."""
         table = self.table(table_name)
         row = Row(row_id=row_id, values=values, slabel=slabel,
                   ilabel=ilabel, version=version)
         table.rows[row_id] = row
         table.index_add(row)
-        nxt = next(self._row_ids)
-        self._row_ids = itertools.count(max(nxt, row_id + 1))
         return row
 
     def apply_changes(self, table_name: str, row_ids: Iterable[int],

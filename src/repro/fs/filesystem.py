@@ -160,21 +160,22 @@ class LabeledFileSystem:
         return {"namespace": namespace,
                 "root": node_dict(self.root, label_dict_memo(namespace))}
 
-    def install(self, path: str, kind: str, slabel: Label, ilabel: Label,
-                created_by: str = "", data: Any = None,
-                version: int = 1) -> None:
-        """Re-create one node, ``kind`` ``"dir"`` or ``"file"``, with no
-        checks, charges or journaling (full restore and journal
-        replay).  The parent must exist; ``"/"`` replaces the root."""
-        if path == "/":
-            self.root = Directory("/", slabel, ilabel, created_by)
-            return
-        parent, name = self.parent_of(path)
+    def install(self, parent: Optional[Directory], name: str, kind: str,
+                slabel: Label, ilabel: Label, created_by: str = "",
+                data: Any = None, version: int = 1) -> Inode:
+        """Re-create one node, ``kind`` ``"dir"`` or ``"file"``, as
+        ``parent``'s entry ``name``, with no checks, charges or
+        journaling (full restore and journal replay).  ``parent=None``
+        replaces the root."""
         if kind == "dir":
-            parent.entries[name] = Directory(name, slabel, ilabel, created_by)
+            node = Directory(name, slabel, ilabel, created_by)
         else:
-            parent.entries[name] = File(name, slabel, ilabel, created_by,
-                                        data, version)
+            node = File(name, slabel, ilabel, created_by, data, version)
+        if parent is None:
+            self.root = node
+        else:
+            parent.entries[name] = node
+        return node
 
     def parent_of(self, path: str) -> tuple[Directory, str]:
         """The directory holding ``path`` and its last component, with

@@ -17,7 +17,7 @@ a real disk; arbitrary Python objects round-trip in memory.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from ..kernel import Kernel
 from ..labels import Label, TagRegistry, label_from_dict
@@ -59,15 +59,16 @@ def restore_fs(kernel: Kernel, snapshot: dict[str, Any]
     like federation transfers.
     """
     fs = LabeledFileSystem(kernel)
-    _install(fs, "/", snapshot["root"], kernel.tags)
+    _install(fs, None, snapshot["root"], kernel.tags)
     return fs
 
 
-def _install(fs: LabeledFileSystem, path: str, data: dict[str, Any],
-             registry: TagRegistry) -> None:
-    fs.install(path, data["kind"], label_from_dict(data["slabel"], registry),
-               label_from_dict(data["ilabel"], registry),
-               data.get("created_by", ""), data.get("data"),
-               data.get("version", 1))
-    for name, child in data.get("entries", {}).items():
-        _install(fs, f"{path.rstrip('/')}/{name}", child, registry)
+def _install(fs: LabeledFileSystem, parent: Optional[Directory],
+             data: dict[str, Any], registry: TagRegistry) -> None:
+    node = fs.install(parent, data["name"], data["kind"],
+                      label_from_dict(data["slabel"], registry),
+                      label_from_dict(data["ilabel"], registry),
+                      data.get("created_by", ""), data.get("data"),
+                      data.get("version", 1))
+    for child in data.get("entries", {}).values():
+        _install(fs, node, child, registry)

@@ -166,8 +166,7 @@ class TagRegistry:
             return existing
         tag = Tag(tag_id, purpose=purpose, kind=kind, owner=owner)
         self._tags[tag_id] = tag
-        if tag_id >= self._next_id:
-            self._next_id = tag_id + 1
+        self._next_id = max(self._next_id, tag_id + 1)
         return tag
 
     def install_foreign(self, namespace: str, foreign_id: int,

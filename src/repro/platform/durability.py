@@ -21,10 +21,12 @@ This module makes the incremental artifact the journal itself:
   group, endorsement, the declassifier clock — is re-created by one
   installer: the applier of its journal record, or the subsystem
   installer that applier calls.  :func:`recover_provider` installs a
-  full snapshot through those installers, replays the journal's
-  verified prefix through the same ones (a torn tail is truncated,
-  never guessed at), aligns the caches once and checkpoints once;
-  ``restore_provider`` is the same body without a journal.  The
+  full snapshot through those installers (the reader,
+  :func:`repro.platform.persist.install_snapshot`, sits beside the
+  writer), replays the journal's verified prefix through the same
+  ones (a torn tail is truncated, never guessed at), aligns the
+  caches once and checkpoints once; ``restore_provider`` is the same
+  body without a journal.  The
   differential tests interleave random mutations with crashes at
   every journal byte offset and compare against a full restore.
 
@@ -41,11 +43,9 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from ..core.journal import Journal, JournalRecord, decode_payload
-from ..db import restore_store
 from ..declassify import BUILTINS
 from ..declassify import Group as GroupPolicy
-from ..fs import restore_fs
-from ..labels import CapabilitySet, Label, TagRegistry
+from ..labels import Label
 from .accounts import UserAccount
 from .groups import GroupSpace
 
@@ -171,27 +171,24 @@ def recover_provider(base_state: dict[str, Any],
                      ) -> tuple["Provider", dict[str, Any]]:
     """Rebuild a provider from its last full snapshot plus the journal.
 
-    This is the one fold of a base and a delta: an operator's delta
-    from :meth:`DurabilityManager.emit_snapshot` folds as
-    ``recover_provider(base, delta["journal"].encode("ascii"))``.
-    A fresh provider installs ``base_state`` object by object through
-    the journal's installers, replays the journal's verified prefix
-    through the same ones, aligns its caches once and checkpoints
-    once.  The journal image may be torn (crash mid-append): the
-    damaged tail is dropped, and the report says how much and why.
+    The one fold of a base and a delta: an operator's delta folds as
+    ``recover_provider(base, delta["journal"].encode("ascii"))``.  A
+    fresh provider installs ``base_state`` (:func:`install_snapshot`),
+    replays the journal's verified prefix through the same installers,
+    aligns its caches once and checkpoints once.  A torn journal tail
+    (crash mid-append) is dropped; the report says how much and why.
     The recovered provider is byte-identical (snapshot-wise) to
     ``restore_provider`` of a snapshot taken right after the last
-    complete journal record — the differential tests in
-    ``tests/platform/test_journal_replay.py`` hold this at every
-    possible crash offset — and the report's ``unrestored_grants``
-    lists the non-durable grants that snapshot would have listed.
-    The operator holds no snapshot of the recovered state, so its
-    first ``snapshot_incremental()`` is a full one.
+    complete journal record (``tests/platform/test_journal_replay.py``
+    holds this at every crash offset), and the report's
+    ``unrestored_grants`` lists the grants that snapshot would.  The
+    operator holds no snapshot of the recovered state, so its first
+    ``snapshot_incremental()`` is a full one.
 
     ``journal_raw=None`` is ``restore_provider``: no replay, no replay
     counts in the report, and the operator holds ``base_state``.
     """
-    from .persist import skipped_key
+    from .persist import install_snapshot, skipped_key
     from .provider import Provider
     provider = Provider(name=base_state["name"], resources=resources,
                         config=config, tracing=tracing)
@@ -199,7 +196,7 @@ def recover_provider(base_state: dict[str, Any],
     unrestored = list(base_state.get("skipped_grants", []))
     report: dict[str, Any] = {"unrestored_grants": unrestored}
     with manager.suspended() if manager is not None else nullcontext():
-        _install_snapshot(provider, base_state, app_catalog)
+        install_snapshot(provider, base_state, app_catalog)
         if journal_raw is not None:
             records, jreport = Journal.recover(journal_raw)
             report.update({
@@ -209,7 +206,7 @@ def recover_provider(base_state: dict[str, Any],
                 "opaque_records": jreport.opaque_records,
                 "unknown_ops": _replay(provider, records, unrestored),
             })
-    unrestored.sort(key=skipped_key)
+            unrestored.sort(key=skipped_key)
     report["missing_apps"] = [
         {"username": account.username, "app": app}
         for account in provider._accounts.values()
@@ -236,41 +233,6 @@ def recover_provider(base_state: dict[str, Any],
     return provider, report
 
 
-def _install_snapshot(p: "Provider", state: dict[str, Any],
-                      app_catalog: Iterable["AppModule"]) -> None:
-    """Install a full snapshot, each object through the installer its
-    journal record replays with."""
-    p.kernel.tags = TagRegistry.import_state(state["registry"])
-    # repair the provider's own bootstrap references
-    pw_tag = p._provider_write = p.kernel.tags.lookup(
-        state["provider_write_tag_id"])
-    svc = p._account_service
-    svc.caps = CapabilitySet.owning(pw_tag)
-    svc.ilabel = Label([pw_tag])
-    # Storage comes back verbatim (including /users and home dirs),
-    # on the plane of the fresh provider's kernel.
-    p.fs = restore_fs(p.kernel, state["fs"])
-    p.db = restore_store(p.kernel, state["db"])
-    # Code reinstall: handler objects are not durable.
-    for module in app_catalog:
-        p.register_app(module)
-    # credentials are not durable: users re-register a password
-    # (set_password), as after a password reset
-    for ad in state["accounts"]:
-        _r_account_signup(p, {**ad, "email": ad["email_address"]})
-    # builtin grants only (the rest are in skipped_grants), before the
-    # groups that bind to them
-    for gd in state["grants"]:
-        _r_grant_add(p, gd)
-    for gd in state.get("groups", []):
-        _r_group_create(p, gd)
-    for name in state.get("endorsements", []):
-        _r_endorse_add(p, {"module": name, "endorser": "restored"})
-    p.adoptions = [tuple(x) for x in state.get("adoptions", [])]
-    p.usage_edges = [tuple(x) for x in state.get("usage_edges", [])]
-    _r_clock_set(p, {"now": state.get("declass_clock", 0.0)})
-
-
 # -- the op dispatch table ---------------------------------------------
 
 def _label(provider: "Provider", tag_ids: Iterable[int]) -> Label:
@@ -288,12 +250,12 @@ def _r_tag_foreign(p: "Provider", d: dict) -> None:
 
 
 def _r_fs_mkdir(p: "Provider", d: dict) -> None:
-    p.fs.install(d["path"], "dir", _label(p, d["slabel"]),
+    p.fs.install(*p.fs.parent_of(d["path"]), "dir", _label(p, d["slabel"]),
                  _label(p, d["ilabel"]), d["created_by"])
 
 
 def _r_fs_create(p: "Provider", d: dict) -> None:
-    p.fs.install(d["path"], "file", _label(p, d["slabel"]),
+    p.fs.install(*p.fs.parent_of(d["path"]), "file", _label(p, d["slabel"]),
                  _label(p, d["ilabel"]), d["created_by"],
                  decode_payload(d["data"]))
 
@@ -347,7 +309,8 @@ def _r_account_signup(p: "Provider", d: dict) -> None:
     lookup = p.kernel.tags.lookup
     account = UserAccount(
         username=d["username"], data_tag=lookup(d["data_tag_id"]),
-        write_tag=lookup(d["write_tag_id"]), email_address=d["email"],
+        write_tag=lookup(d["write_tag_id"]),
+        email_address=d["email"] if "email" in d else d["email_address"],
         **{key: make(d[key]) for key, make in _ACCOUNT_EXTRAS.items()
            if key in d})
     p._accounts[account.username] = account
@@ -554,7 +517,7 @@ def _replay(provider: "Provider", records: Iterable[JournalRecord],
         if op == "grant.revoke":
             unrestored[:] = [
                 g for g in unrestored
-                if (g["owner"], g["tag_id"]) != (d["owner"], d["tag_id"])
+                if (g["owner"], g.get("tag_id")) != (d["owner"], d["tag_id"])
                 or d["name"] not in (None, g["declassifier"])]
         applier = _REPLAY.get(op)
         if applier is None:

@@ -19,13 +19,12 @@ What is durable and what is not mirrors a real deployment:
   ask those users to re-grant, rather than silently widening or
   narrowing anyone's policy.
 
-This module is the full form.  ``restore_provider`` installs it
-object by object through the installers journal replay uses
-(:mod:`repro.platform.durability`), so restore and recovery re-create
-state through the same code.  The incremental form is the journal
-since the last checkpoint (``Provider.snapshot_incremental``), and
-:func:`repro.platform.durability.recover_provider` folds it into its
-base; its report lists the dropped grants a full snapshot would.
+This module owns the full form: :func:`snapshot_provider` writes it
+and :func:`install_snapshot` reads it, object by object through the
+installers journal replay uses (:mod:`repro.platform.durability`).
+The incremental form is the journal since the last checkpoint
+(``Provider.snapshot_incremental``); :func:`recover_provider` folds
+it into its base and reports the dropped grants a full snapshot would.
 """
 
 from __future__ import annotations
@@ -33,9 +32,13 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
+from ..db import restore_store
+from ..fs import restore_fs
+from ..labels import CapabilitySet, Label, TagRegistry
 from .accounts import UserAccount
 from .config import ProviderConfig
-from .durability import recover_provider
+from .durability import (_r_account_signup, _r_clock_set, _r_endorse_add,
+                         _r_grant_add, _r_group_create, recover_provider)
 from .errors import PlatformError
 from .provider import Provider
 from .registry import AppModule
@@ -81,7 +84,7 @@ def _grant_key(record: dict[str, Any]) -> tuple:
 def skipped_key(record: dict[str, Any]) -> tuple:
     """The order of ``skipped_grants`` (and of a restore report's
     ``unrestored_grants``)."""
-    return (record["owner"], record["declassifier"], record["tag_id"])
+    return (record["owner"], record["declassifier"], record.get("tag_id", 0))
 
 
 def snapshot_provider(provider: Provider) -> dict[str, Any]:
@@ -130,26 +133,59 @@ def snapshot_provider(provider: Provider) -> dict[str, Any]:
     }
 
 
+def install_snapshot(p: Provider, state: dict[str, Any],
+                     app_catalog: Iterable[AppModule]) -> None:
+    """Install a :func:`snapshot_provider` snapshot into a fresh
+    provider, each object through the installer its journal record
+    replays with (the body of :func:`recover_provider`)."""
+    p.kernel.tags = TagRegistry.import_state(state["registry"])
+    # repair the provider's own bootstrap references
+    pw_tag = p._provider_write = p.kernel.tags.lookup(
+        state["provider_write_tag_id"])
+    svc = p._account_service
+    svc.caps = CapabilitySet.owning(pw_tag)
+    svc.ilabel = Label([pw_tag])
+    # Storage comes back verbatim (including /users and home dirs),
+    # on the plane of the fresh provider's kernel.
+    p.fs = restore_fs(p.kernel, state["fs"])
+    p.db = restore_store(p.kernel, state["db"])
+    # Code reinstall: handler objects are not durable.
+    for module in app_catalog:
+        p.register_app(module)
+    # credentials are not durable: users re-register a password
+    # (set_password), as after a password reset
+    for ad in state["accounts"]:
+        _r_account_signup(p, ad)
+    # builtin grants only (the rest are in skipped_grants), before the
+    # groups that bind to them
+    for gd in state["grants"]:
+        _r_grant_add(p, gd)
+    for gd in state.get("groups", []):
+        _r_group_create(p, gd)
+    for name in state.get("endorsements", []):
+        _r_endorse_add(p, {"module": name, "endorser": "restored"})
+    p.adoptions = [tuple(x) for x in state.get("adoptions", [])]
+    p.usage_edges = [tuple(x) for x in state.get("usage_edges", [])]
+    _r_clock_set(p, {"now": state.get("declass_clock", 0.0)})
+
+
 def restore_provider(state: dict[str, Any],
                      app_catalog: Iterable[AppModule] = (),
                      resources=None,
-                     config: "ProviderConfig | None" = None,
-                     tracing: bool = False
+                     config: "ProviderConfig | None" = None
                      ) -> tuple[Provider, dict[str, Any]]:
     """Rebuild a provider from a snapshot.
 
     ``app_catalog`` is the code the operator reinstalls.  ``config``
-    and ``tracing`` go to the rebuilt :class:`Provider` (defaults
-    apply when omitted, exactly as ``Provider()`` would).  Returns the
-    provider plus a report: declassifier grants that could not be
-    restored and enabled apps missing from the reinstalled catalog.
-    The operator holds ``state``, so the provider's first
-    ``snapshot_incremental()`` is a delta over it.  The body is
-    :func:`~repro.platform.durability.recover_provider`'s, with no
-    journal to replay.
+    goes to the rebuilt :class:`Provider` (defaults apply when
+    omitted, exactly as ``Provider()`` would).  Returns the provider
+    plus a report: declassifier grants that could not be restored and
+    enabled apps missing from the reinstalled catalog.  The operator
+    holds ``state``, so the provider's first ``snapshot_incremental()``
+    is a delta over it.  The body is :func:`recover_provider`'s, with
+    no journal to replay.
     """
-    return recover_provider(state, None, app_catalog, resources, config,
-                            tracing)
+    return recover_provider(state, None, app_catalog, resources, config)
 
 
 def set_password(provider: Provider, username: str, password: str) -> None:

@@ -7,8 +7,9 @@ import pytest
 from repro.apps import STANDARD_CATALOG, install_standard_apps
 from repro.declassify import ViewerPredicate
 from repro.net import ExternalClient
-from repro.platform import (PlatformError, Provider, restore_provider,
-                            set_password, snapshot_provider)
+from repro.platform import (PlatformError, Provider, recover_provider,
+                            restore_provider, set_password,
+                            snapshot_provider)
 
 
 @pytest.fixture()
@@ -105,6 +106,26 @@ class TestSnapshotRestore:
         names = {g.declassifier.name
                  for g in p2.declass.grants_for("bob")}
         assert names == {"friends-only"}
+
+    def test_skipped_grant_without_tag_id_restores(self, live_provider):
+        """A snapshot whose skipped grants predate their ``tag_id``
+        restores, and a delta over it folds."""
+        def anyone():
+            return ViewerPredicate({"predicate": lambda o, v, a: True})
+        live_provider.grant_declassifier("bob", anyone())
+        state = json.loads(json.dumps(snapshot_provider(live_provider)))
+        for g in state["skipped_grants"]:
+            del g["tag_id"]
+        p2, report = restore_provider(state, app_catalog=STANDARD_CATALOG)
+        assert report["unrestored_grants"] == state["skipped_grants"]
+        p2.grant_declassifier("amy", anyone())
+        delta = p2.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        __, report = recover_provider(state, delta["journal"].encode("ascii"),
+                                      app_catalog=STANDARD_CATALOG)
+        assert [(g["owner"], g["declassifier"])
+                for g in report["unrestored_grants"]] == \
+            [("amy", "viewer-predicate"), ("bob", "viewer-predicate")]
 
     def test_missing_app_reported(self, live_provider):
         state = json.loads(json.dumps(snapshot_provider(live_provider)))
