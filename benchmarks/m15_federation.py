@@ -7,7 +7,11 @@ Two questions, matching the ROADMAP item-2 claims:
    set and syncs.  The naive content reconciler re-reads every file on
    both sides and re-selects every row, so its round cost grows with
    the corpus; the journal-cursor delta engine tails the journal and
-   touches only the dirty set, so its round cost is ~flat.  The guard
+   touches only the dirty set, so its round cost is ~flat.  Both run on
+   the same fast-plane pair: the naive side times
+   ``ProviderLink._naive_round`` (every round of a link with an
+   oracle-plane side, and the fast plane's stale-cursor fallback), so
+   the ratio isolates the one feature, not the plane.  The guard
    tier (1,000 files / 1% dirty) must show ≥5× — measured far higher
    on the reference box, the floor just catches the optimization
    silently dying.
@@ -19,7 +23,7 @@ Two questions, matching the ROADMAP item-2 claims:
    lookup, not a scan).
 
 Measurement uses min-of-reps floors (the M8/M11 convention): each rep
-re-dirties the same file set and times one ``sync_user`` round, and
+re-dirties the same file set and times one sync round, and
 the floor is the repeatable cost of that round with cache/allocator
 luck stripped.
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Optional
 
-from repro.federation import FederationConfig, FederationFabric, ProviderLink
+from repro.federation import FederationFabric, ProviderLink
 from repro.fs import FsView
 from repro.platform import Provider, ProviderConfig
 
@@ -56,16 +60,14 @@ M15_FLEETS = (2, 16, 64, 256)
 _BENCH_CONFIG = ProviderConfig(journal_compact_bytes=1 << 28)
 
 
-def build_pair(n_files: int, delta: bool
-               ) -> tuple[Provider, Provider, ProviderLink]:
+def build_pair(n_files: int) -> tuple[Provider, Provider, ProviderLink]:
     """A linked, granted, primed pair with ``n_files`` already
     mirrored — the steady state both engines start a round from."""
     a = Provider(name="m15-a", config=_BENCH_CONFIG)
     b = Provider(name="m15-b", config=_BENCH_CONFIG)
     for p in (a, b):
         p.signup("bob", "pw")
-    config = FederationConfig.delta() if delta else FederationConfig.naive()
-    link = ProviderLink(a, b, config=config)
+    link = ProviderLink(a, b)
     link.link_account("bob")
     link.grant_sync("bob")
     agent = a._user_agent(a.account("bob"))
@@ -89,15 +91,20 @@ def dirty_files(provider: Provider, n_dirty: int, stamp: str) -> None:
 def measure_sync_seconds(n_files: int, n_dirty: int, delta: bool,
                          reps: int = 5) -> dict[str, Any]:
     """Floor cost of one sync round at a fixed dirty set."""
-    a, __, link = build_pair(n_files, delta)
+    a, __, link = build_pair(n_files)
+    state = link.state_of("bob")
+
+    def sync_round() -> int:
+        return link.sync_user("bob") if delta else link._naive_round(state)
+
     times = []
     for rep in range(reps):
         dirty_files(a, n_dirty, f"r{rep}")
         t0 = perf_counter()
-        moved = link.sync_user("bob")
+        moved = sync_round()
         times.append(perf_counter() - t0)
         assert moved == n_dirty, (moved, n_dirty)
-    assert link.sync_user("bob") == 0  # converged
+    assert sync_round() == 0  # converged
     return {
         "n_files": n_files,
         "n_dirty": n_dirty,

@@ -8,12 +8,11 @@ directory (M15).
 
 from .delta import DeltaSync
 from .fabric import FederationFabric, ProviderDown
-from .peering import (FederationConfig, ProviderLink, SyncError, SyncState,
-                      converged)
+from .peering import ProviderLink, SyncError, SyncState, converged
 
 __all__ = [
     "DeltaSync",
     "FederationFabric", "ProviderDown",
-    "FederationConfig", "ProviderLink", "SyncError", "SyncState",
+    "ProviderLink", "SyncError", "SyncState",
     "converged",
 ]

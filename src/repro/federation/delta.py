@@ -30,7 +30,12 @@ outcome — then re-attaches a fresh cursor.  Safety never depends on
 the cursor being right: compaction only snapshots, it rewrites no
 live object, and tail records are re-resolved against live state.
 
-**Equivalence with the naive twin.**  Every divergence-prone corner of
+**The plane decides.**  An oracle-plane provider keeps no journal, so
+a link with an oracle-plane side has nothing to tail: every round is
+the naive reconciliation (counted as ``fallback_rounds``) and the link
+holds no cursors.
+
+**Equivalence with the naive round.**  Every divergence-prone corner of
 the naive reconciler is reproduced deliberately:
 
 * files: per touched path, A's copy wins a conflict; a file deleted on
@@ -44,8 +49,9 @@ the naive reconciler is reproduced deliberately:
   other side's live rows, exactly as the naive content comparison
   would.
 
-``tests/federation/test_delta_differential.py`` drives both engines
-through identical random schedules and asserts identical final file
+``tests/federation/test_delta_differential.py`` drives an oracle-plane
+world (naive rounds only) and fast-plane worlds through identical
+random schedules and asserts identical transfer counts and final file
 and row state (labels included) on every provider.
 """
 
@@ -132,7 +138,10 @@ class _UserDelta:
 
 
 class DeltaSync:
-    """The per-link delta engine behind ``FederationConfig.delta_sync``."""
+    """Every :class:`~repro.federation.peering.ProviderLink`'s engine.
+
+    It tails journals when both providers keep one (the fast plane)
+    and runs the link's naive round otherwise."""
 
     def __init__(self, link: "ProviderLink") -> None:
         self.link = link
@@ -263,7 +272,7 @@ class DeltaSync:
             graft=root_tracer.graft if ctx is not None else None)
 
     def _full_recon(self, state: "SyncState", user: _UserDelta) -> int:
-        """The naive twin, plus bookkeeping rebuild: after it, books
+        """The naive round, plus bookkeeping rebuild: after it, books
         and digest caches describe the converged state exactly."""
         link = self.link
         moved = link._naive_round(state)
@@ -444,7 +453,7 @@ class DeltaSync:
                    src_side: str, dst_side: str,
                    candidates: dict[str, set[int]]) -> int:
         """Mirror dirty rows src → dst (append-only, like the naive
-        twin): candidates from the source tail plus re-fills for keys
+        round): candidates from the source tail plus re-fills for keys
         that vanished from the destination, all checked against the
         destination's pre-round visible-key snapshot."""
         link = self.link

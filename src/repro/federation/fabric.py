@@ -12,8 +12,8 @@ central registry, and resizing the ring moves only O(1/N) of users.
 On top of placement the fabric manages:
 
 * **mirrors** — a user can mirror their home onto other providers;
-  each (home, mirror) pair gets a :class:`ProviderLink` (delta sync by
-  default) with the user linked and granted on both sides;
+  each (home, mirror) pair gets a :class:`ProviderLink` (delta sync on
+  the fast plane) with the user linked and granted on both sides;
 * **routed reads** — ``read_user_data`` looks the home up in the ring
   and reads there; if the home is down, the read fails over to a live
   mirror (the mirrored copy is as protected as the original — C6 — so
@@ -37,7 +37,7 @@ from typing import Any, Optional
 
 from ..platform import (NoSuchUser, Provider, ProviderConfig, ShardMap,
                         recover_provider)
-from .peering import FederationConfig, ProviderLink, SyncError
+from .peering import ProviderLink, SyncError
 
 
 class ProviderDown(Exception):
@@ -48,19 +48,15 @@ class FederationFabric:
     """N providers, one consistent-hash directory, delta-synced links."""
 
     def __init__(self, n_providers: int,
-                 federation: Optional[FederationConfig] = None,
                  provider_config: Optional[ProviderConfig] = None,
-                 tracing: bool = False,
-                 name_prefix: str = "w5") -> None:
+                 tracing: bool = False) -> None:
         if n_providers < 2:
             raise SyncError("a fabric needs at least two providers")
         self.ring = ShardMap(n_providers)
-        self.federation = federation if federation is not None \
-            else FederationConfig()
         self._provider_config = provider_config
         self._tracing = tracing
         self.providers: list[Optional[Provider]] = [
-            Provider(name=f"{name_prefix}-{i}", config=provider_config,
+            Provider(name=f"w5-{i}", config=provider_config,
                      tracing=tracing)
             for i in range(n_providers)]
         #: (lo, hi) provider-index pair -> the link between them.
@@ -134,8 +130,7 @@ class FederationFabric:
         link = self._links.get(key)
         if link is None:
             link = ProviderLink(self.provider(key[0]),
-                                self.provider(key[1]),
-                                config=self.federation)
+                                self.provider(key[1]))
             self._links[key] = link
         return link
 
@@ -243,7 +238,6 @@ class FederationFabric:
             "live": sum(p is not None for p in self.providers),
             "links": len(self._links),
             "mirrored_users": sum(bool(m) for m in self._mirrors.values()),
-            "delta_sync": self.federation.delta_sync,
             **totals,
             "per_link": links,
         }

@@ -16,23 +16,24 @@ files and rows, and the mirrored copy lands under the *destination*
 provider's tags — so the data is exactly as protected on B as it was
 on A (verified in experiment C6).
 
-Two reconciliation engines share those semantics (selected by
-:class:`FederationConfig`):
+Every link runs one engine, :class:`~repro.federation.delta.DeltaSync`,
+and its providers' plane decides how a round finds what changed:
 
-* the **naive twin** (``delta_sync=False``) re-reads everything both
-  sides hold, every round — O(corpus), trivially correct;
-* the **delta engine** (``delta_sync=True``, the default) tails each
+* when both providers are on the fast plane, a round tails each
   provider's write-ahead journal from a per-(user, peer) cursor and
-  reconciles only what changed — O(dirty), falling back to one naive
-  round whenever a cursor goes stale (first sync, two compactions or
-  checkpoints between rounds, crash recovery; one compaction is
-  tailed through the journal's kept epoch).  See
-  :mod:`repro.federation.delta`.
+  reconciles only what changed — O(dirty);
+* otherwise (an oracle-plane provider keeps no journal) a round is
+  :meth:`ProviderLink._naive_round`, which re-reads everything both
+  sides hold — O(corpus), trivially correct.  It is the federation
+  oracle, and also the fast plane's fallback whenever a cursor goes
+  stale (first sync, two compactions or checkpoints between rounds,
+  crash recovery; one compaction is tailed through the journal's kept
+  epoch).  See :mod:`repro.federation.delta`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..fs import FsView
@@ -43,28 +44,6 @@ from ..platform import NoSuchUser, NotAuthorized, Provider
 
 class SyncError(Exception):
     """Linking or sync failed (missing account or missing grant)."""
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """How a :class:`ProviderLink` reconciles.
-
-    ``delta_sync=True`` (default) uses the journal-cursor delta engine
-    with content-addressed envelope transport; ``delta_sync=False``
-    keeps the original full content-based reconciler.  Both converge
-    to byte-identical state (proven by the differential test in
-    ``tests/federation/test_delta_differential.py``).
-    """
-
-    delta_sync: bool = True
-
-    @staticmethod
-    def delta() -> "FederationConfig":
-        return FederationConfig(delta_sync=True)
-
-    @staticmethod
-    def naive() -> "FederationConfig":
-        return FederationConfig(delta_sync=False)
 
 
 @dataclass
@@ -80,19 +59,14 @@ class SyncState:
 class ProviderLink:
     """A peering arrangement between two providers."""
 
-    def __init__(self, provider_a: Provider, provider_b: Provider,
-                 config: Optional[FederationConfig] = None) -> None:
+    def __init__(self, provider_a: Provider, provider_b: Provider) -> None:
         if provider_a is provider_b:
             raise SyncError("a provider cannot peer with itself")
         self.a = provider_a
         self.b = provider_b
-        self.config = config if config is not None else FederationConfig()
         self._states: dict[str, SyncState] = {}
-        if self.config.delta_sync:
-            from .delta import DeltaSync
-            self._delta: Optional[Any] = DeltaSync(self)
-        else:
-            self._delta = None
+        from .delta import DeltaSync
+        self._delta = DeltaSync(self)
 
     # ------------------------------------------------------------------
     # user-driven setup
@@ -130,10 +104,10 @@ class ProviderLink:
         """One bidirectional reconciliation round; returns the number
         of files and rows transferred.  Requires grants on both sides.
 
-        With ``delta_sync`` the round tails each side's journal from
-        this link's cursor and touches only dirty entries; otherwise
-        it is a full content-based reconciliation.  Either way the
-        outcome is identical (see :class:`FederationConfig`).
+        On two fast-plane providers the round tails each side's
+        journal from this link's cursor and touches only dirty
+        entries; otherwise it is a full content-based reconciliation.
+        Either way the outcome is identical.
         """
         state = self._states.get(username)
         if state is None:
@@ -146,18 +120,14 @@ class ProviderLink:
         if tracer.enabled:
             with tracer.request("fed.sync", user=username,
                                 link=f"{self.a.name}<->{self.b.name}"):
-                return self._sync_round(state)
-        return self._sync_round(state)
-
-    def _sync_round(self, state: SyncState) -> int:
-        if self._delta is not None:
-            return self._delta.sync(state)
-        return self._naive_round(state)
+                return self._delta.sync(state)
+        return self._delta.sync(state)
 
     def _naive_round(self, state: SyncState) -> int:
-        """One full content-based round: the trivially-correct twin
-        the delta engine must match byte-for-byte, and its fallback
-        whenever a journal cursor is stale."""
+        """One full content-based round: the trivially-correct oracle
+        the journal tail must match byte-for-byte, every round of a
+        link with an oracle-plane side, and the fallback whenever a
+        journal cursor is stale."""
         moved = 0
         moved += self._pump(state, self.a, self.b)
         moved += self._pump(state, self.b, self.a)
@@ -183,24 +153,20 @@ class ProviderLink:
             self.b = new
         else:
             raise SyncError("provider is not part of this link")
-        if self._delta is not None:
-            self._delta.invalidate()
+        self._delta.invalidate()
 
     def federation_stats(self) -> dict[str, Any]:
         """Counters for ``Metrics.attach``: engine rounds, envelope
         traffic, and per-user cursor lag."""
-        out: dict[str, Any] = {
+        return {
             "link": f"{self.a.name}<->{self.b.name}",
-            "delta_sync": self.config.delta_sync,
             "linked_users": len(self._states),
             "transfers": sum(s.transfers for s in self._states.values()),
+            **self._delta.stats(),
         }
-        if self._delta is not None:
-            out.update(self._delta.stats())
-        return out
 
     # ------------------------------------------------------------------
-    # the naive pumps (shared with the delta engine's fallback)
+    # the naive pumps (the oracle round and the stale-cursor fallback)
     # ------------------------------------------------------------------
 
     def _pump(self, state: SyncState, src: Provider, dst: Provider) -> int:

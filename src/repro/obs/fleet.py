@@ -387,7 +387,8 @@ def fabric_health(fabric: Any) -> dict[str, Any]:
     recovery or by two checkpoints/compactions since the last round;
     one is tailed through the journal's kept epoch), since the mirror
     may be arbitrarily behind until the next sync round re-attaches
-    cursors.
+    cursors.  A link with an oracle-plane side keeps no cursors (every
+    round is the full reconciliation), so it has no lag to go stale.
     The fabric state is the worst of all of it — ``crash()`` flips it
     to ``down`` observably, ``recover()`` plus one sync round brings
     it back to ``ok``.
@@ -405,17 +406,14 @@ def fabric_health(fabric: Any) -> dict[str, Any]:
         reasons = []
         if fabric.providers[i] is None or fabric.providers[j] is None:
             reasons.append("peer down")
-        lag: dict[str, Any] = {}
-        delta = getattr(link, "_delta", None)
-        if delta is not None:
-            lag = delta.cursor_lag()
-            for username, sides in sorted(lag.items()):
-                stale = sorted(side for side, value in sides.items()
-                               if value is None)
-                if stale:
-                    reasons.append(
-                        f"stale cursor for {username!r} "
-                        f"(side {'/'.join(stale)}): full recon pending")
+        lag = link._delta.cursor_lag()
+        for username, sides in sorted(lag.items()):
+            stale = sorted(side for side, value in sides.items()
+                           if value is None)
+            if stale:
+                reasons.append(
+                    f"stale cursor for {username!r} "
+                    f"(side {'/'.join(stale)}): full recon pending")
         links[f"link:{i}<->{j}"] = {
             "state": "degraded" if reasons else "ok",
             "reasons": reasons,

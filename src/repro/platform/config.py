@@ -53,10 +53,10 @@ class ProviderConfig:
     #: users across that many full per-shard providers.
     shards: int = 1
     #: Shard execution engine (M13): ``"serial"`` (in-line, the
-    #: deterministic baseline), ``"fork"`` (one forked process per
+    #: deterministic baseline) or ``"fork"`` (one forked process per
     #: shard — the engine that scales with cores under the GIL; POSIX
-    #: only), or ``None`` for the default, ``"serial"``.
-    shard_engine: "str | None" = None
+    #: only).
+    shard_engine: str = "serial"
     #: Journal size (bytes) that triggers compaction into a snapshot
     #: (fast plane only; the oracle keeps no journal).  It also bounds
     #: the size of a delta snapshot, which is the journal image.

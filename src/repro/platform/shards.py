@@ -604,9 +604,12 @@ class ShardedProvider:
         base = config if config is not None else ProviderConfig.fast()
         if engine is None:
             engine = base.shard_engine
+        if engine not in _ENGINES:
+            raise ValueError(f"unknown shard engine {engine!r} "
+                             f"(have {sorted(_ENGINES)})")
         #: The deployment-level config (records the shard count).
         self.config = base.replace(shards=n_shards, shard_engine=engine)
-        per_shard = base.replace(shards=1, shard_engine=None)
+        per_shard = base.replace(shards=1, shard_engine="serial")
         self.name = name
         self.n_shards = n_shards
         self.map = ShardMap(n_shards)
@@ -626,11 +629,6 @@ class ShardedProvider:
                 tracing=tracing,
                 config=per_shard,
                 session_seed=None if k == 0 else _SESSION_SEED + k))
-        if engine is None:
-            engine = "serial"
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown shard engine {engine!r} "
-                             f"(have {sorted(_ENGINES)})")
         self.engine_name = engine
         self._engine = _ENGINES[engine](shards)
         #: The router's own tracer (M16): cross-shard batches open a

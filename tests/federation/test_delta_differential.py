@@ -1,11 +1,14 @@
 """Differential proof: delta sync ≡ the naive content reconciler.
 
-Two isolated worlds run the *same* random schedule of file edits,
+Isolated worlds run the *same* random schedule of file edits,
 deletions, row inserts/updates/deletes, checkpoints (which reset the
 journal; one checkpoint between syncs is tailed through the journal's
 kept epoch, two in a row make the delta engine's cursors stale) and
-sync points — one world on ``FederationConfig.naive()``, one on the
-default journal-cursor delta engine.  After the schedule the worlds must be
+sync points.  The oracle world links two oracle-plane providers, which
+keep no journal, so every round is the naive reconciliation; the fast
+world links two fast-plane providers, whose rounds tail the journals;
+the mixed world links a fast-plane provider to an oracle-plane one
+(naive rounds again).  After the schedule the worlds must be
 indistinguishable: identical file bytes, identical row multisets with
 identical (symbolic) label protection on both providers, and the same
 per-sync transfer counts.  This is the M15 acceptance criterion: the
@@ -19,20 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.federation import FederationConfig, ProviderLink
+from repro.federation import ProviderLink
 from repro.federation.peering import _row_key, _snapshot
 from repro.fs import FsView
 from repro.labels import Label, SecrecyViolation
-from repro.platform import Provider
+from repro.platform import Provider, ProviderConfig
 
 
-def build_world(config):
-    a = Provider(name="A")
-    b = Provider(name="B")
+def build_world(plane_a="fast", plane_b="fast"):
+    a = Provider(name="A", config=ProviderConfig(plane=plane_a))
+    b = Provider(name="B", config=ProviderConfig(plane=plane_b))
     for p in (a, b):
         p.signup("bob", "pw")
         p.signup("eve", "pw")
-    link = ProviderLink(a, b, config=config)
+    link = ProviderLink(a, b)
     link.link_account("bob")
     link.grant_sync("bob")
     return a, b, link
@@ -110,10 +113,11 @@ class TestDeltaNaiveEquivalence:
     @given(ops)
     def test_worlds_are_indistinguishable(self, schedule):
         worlds = {
-            "naive": build_world(FederationConfig.naive()),
-            "delta": build_world(FederationConfig.delta()),
+            "oracle": build_world("oracle", "oracle"),
+            "fast": build_world("fast", "fast"),
+            "mixed": build_world("fast", "oracle"),
         }
-        moved: dict[str, list[int]] = {"naive": [], "delta": []}
+        moved: dict[str, list[int]] = {name: [] for name in worlds}
         for op, side, slot, content, sync_after in schedule:
             for name, (a, b, link) in worlds.items():
                 provider = a if side == "A" else b
@@ -126,21 +130,24 @@ class TestDeltaNaiveEquivalence:
                     moved[name].append(link.sync_user("bob"))
         for name, (a, b, link) in worlds.items():
             moved[name].append(link.sync_user("bob"))
-        # identical transfer counts at every sync point
-        assert moved["delta"] == moved["naive"]
-        # identical file bytes on each provider
-        for index in (0, 1):
-            assert _snapshot(worlds["delta"][index], "bob") == \
-                _snapshot(worlds["naive"][index], "bob")
-        # identical rows under identical label protection (C6)
-        for index in (0, 1):
-            assert row_state(worlds["delta"][index]) == \
-                row_state(worlds["naive"][index])
+        oracle = worlds["oracle"]
+        for name in ("fast", "mixed"):
+            world = worlds[name]
+            # identical transfer counts at every sync point
+            assert moved[name] == moved["oracle"], name
+            # identical file bytes on each provider
+            for index in (0, 1):
+                assert _snapshot(world[index], "bob") == \
+                    _snapshot(oracle[index], "bob"), name
+            # identical rows under identical label protection (C6)
+            for index in (0, 1):
+                assert row_state(world[index]) == \
+                    row_state(oracle[index]), name
 
     @settings(max_examples=25, deadline=None)
     @given(ops)
     def test_delta_fixpoint_is_quiet(self, schedule):
-        a, b, link = build_world(FederationConfig.delta())
+        a, b, link = build_world()
         for op, side, slot, content, __ in schedule:
             provider = a if side == "A" else b
             if op == "ckpt":
@@ -156,7 +163,7 @@ class TestDeltaNaiveEquivalence:
     def test_mirror_stays_protected_under_delta(self, schedule):
         """C6 on the delta path: whatever the schedule did, eve can
         never read bob's mirrored files on either provider."""
-        a, b, link = build_world(FederationConfig.delta())
+        a, b, link = build_world()
         for op, side, slot, content, __ in schedule:
             provider = a if side == "A" else b
             if op == "ckpt":

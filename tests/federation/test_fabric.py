@@ -182,7 +182,6 @@ class TestObservability:
         assert snap["envelopes_sent"] == 1
         assert snap["bytes_moved"] >= 120
         per_link = snap["per_link"][0]
-        assert per_link["delta_sync"] is True
         assert per_link["full_recons"] == 1 and per_link["delta_rounds"] == 1
 
     def test_link_federation_stats(self, fabric):

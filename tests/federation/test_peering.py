@@ -2,21 +2,25 @@
 
 import pytest
 
-from repro.federation import (FederationConfig, ProviderLink, SyncError,
-                              converged)
+from repro.federation import ProviderLink, SyncError, converged
 from repro.fs import FsView
-from repro.platform import NoSuchUser, NotAuthorized, Provider
+from repro.platform import (NoSuchUser, NotAuthorized, Provider,
+                            ProviderConfig)
 
 
-@pytest.fixture()
-def providers():
-    a = Provider(name="w5-alpha")
-    b = Provider(name="w5-beta")
+def make_providers(config=None):
+    a = Provider(name="w5-alpha", config=config)
+    b = Provider(name="w5-beta", config=config)
     a.signup("bob", "pw")
     b.signup("bob", "pw")
     a.signup("eve", "pw")
     b.signup("eve", "pw")
     return a, b
+
+
+@pytest.fixture()
+def providers():
+    return make_providers()
 
 
 @pytest.fixture()
@@ -181,12 +185,17 @@ class TestErrorPaths:
 
 
 class TestNaiveTwinConfig:
-    """FederationConfig(delta_sync=False) keeps the original engine."""
+    """Oracle-plane providers keep no journal, so every round of their
+    link is the naive content reconciliation."""
+
+    @pytest.fixture()
+    def providers(self):
+        return make_providers(ProviderConfig.oracle())
 
     @pytest.fixture()
     def naive_link(self, providers):
         a, b = providers
-        return ProviderLink(a, b, config=FederationConfig.naive())
+        return ProviderLink(a, b)
 
     def _full_link(self, link):
         link.link_account("bob")
@@ -210,9 +219,19 @@ class TestNaiveTwinConfig:
         assert b.read_user_data("bob", "f") == "from-A"
 
     def test_stats_report_engine_choice(self, providers, naive_link):
+        a, __ = providers
+        self._full_link(naive_link)
+        a.store_user_data("bob", "f", "v1")
+        assert naive_link.sync_user("bob") == 1
+        agent = a._user_agent(a.account("bob"))
+        FsView(a.fs, agent).write("/users/bob/f", "v2")
+        a.kernel.exit(agent)
+        assert naive_link.sync_user("bob") == 1
+        assert naive_link.sync_user("bob") == 0
         stats = naive_link.federation_stats()
-        assert stats["delta_sync"] is False
-        assert "delta_rounds" not in stats
+        assert stats["fallback_rounds"] == 3
+        assert stats["delta_rounds"] == stats["full_recons"] == 0
+        assert stats["cursor_lag"] == {}
 
 
 class TestDeltaEngine:

@@ -340,6 +340,23 @@ class TestHealthModel:
         assert report["state"] == "degraded"
         assert any("journal lag" in r for r in report["reasons"])
 
+    def test_oracle_plane_fabric_links_read_ok(self):
+        """Oracle-plane providers keep no journal, so their links hold
+        no cursors: every round is a full reconciliation and nothing
+        can go stale."""
+        from repro.federation import FederationFabric
+        from repro.platform import ProviderConfig
+        fabric = FederationFabric(2, provider_config=ProviderConfig.oracle())
+        fabric.signup("bob", "pw")
+        fabric.mirror("bob", 1 - fabric.home_of("bob"))
+        for name in ("f1", "f2"):
+            fabric.store_user_data("bob", name, "x")
+            fabric.sync_user("bob")
+        report = fabric.health_report()
+        assert report["state"] == "ok"
+        for link in report["links"].values():
+            assert link == {"state": "ok", "reasons": [], "cursor_lag": {}}
+
     def test_audit_drops_degrade(self):
         from repro.obs import provider_health
         from repro.platform import Provider
@@ -364,5 +381,7 @@ class TestFederationStatsProtocol:
         stats = fabric.federation_stats()
         assert {"providers", "live", "links", "per_link"} <= set(stats)
         for link in fabric.links():
-            assert {"link", "delta_sync", "linked_users",
-                    "transfers"} <= set(link.federation_stats())
+            assert {"link", "linked_users", "transfers", "delta_rounds",
+                    "full_recons", "fallback_rounds", "envelopes_sent",
+                    "envelopes_deduped", "bytes_moved",
+                    "cursor_lag"} <= set(link.federation_stats())

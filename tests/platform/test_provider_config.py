@@ -17,6 +17,7 @@ import pytest
 from repro.core import Metrics, W5System
 from repro.db import LabeledStore, restore_store
 from repro.declassify import DeclassificationService
+from repro.federation import FederationFabric, ProviderLink
 from repro.fs import LabeledFileSystem, restore_fs
 from repro.kernel import Kernel, ProcessPool
 from repro.labels import FlowCache
@@ -42,7 +43,7 @@ class TestProviderConfig:
         assert config == ProviderConfig.fast()
         assert config.plane == "fast"
         assert config.shards == 1
-        assert config.shard_engine is None
+        assert config.shard_engine == "serial"
         assert config.journal_compact_bytes == 1 << 20
 
     def test_fast_preset_enables_plans(self):
@@ -153,7 +154,8 @@ def on_provider():
 
 
 #: ``(callable, its positional arguments, a keyword it no longer takes)``
-#: for every engine switch the kernel's plane replaced.
+#: for every engine switch the kernel's plane replaced, and the
+#: federation knobs the providers' plane (or a constant) replaced.
 DELETED_KEYWORDS = [
     (Kernel, tuple, "recycle"),
     (Kernel, tuple, "lazy_audit"),
@@ -165,6 +167,10 @@ DELETED_KEYWORDS = [
     (LaunchCapIndex, on_provider, "enabled"),
     (restore_store, lambda: (Kernel(), {"tables": []}), "partitioned"),
     (restore_fs, lambda: (Kernel(), {"root": {}}), "grouped_walk"),
+    (ProviderLink, lambda: (Provider(name="a"), Provider(name="b")),
+     "config"),
+    (FederationFabric, lambda: (2,), "federation"),
+    (FederationFabric, lambda: (2,), "name_prefix"),
 ]
 
 
@@ -267,7 +273,7 @@ class TestExplain:
         assert "epoch" in out.lower()
         # every plan field rendered is one the plan carries, so none
         # prints as a None placeholder (the config section below it
-        # echoes the config's own values, e.g. shard_engine=None)
+        # echoes the config's own values verbatim)
         plan_part, __, config_part = out.partition("## Provider config")
         assert config_part
         assert "None" not in plan_part

@@ -316,6 +316,8 @@ class TestControlPlane:
             with pytest.raises(ValueError):
                 W5System(config=ProviderConfig.sharded(
                     2, shard_engine=engine))
+        with pytest.raises(ValueError):  # "serial" has one spelling
+            W5System(config=ProviderConfig.sharded(2, shard_engine=None))
 
     def test_default_engine_is_serial_and_starts_no_threads(self):
         before = threading.active_count()
