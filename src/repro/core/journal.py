@@ -65,9 +65,13 @@ class JournalError(W5Error):
 _CRC_PREFIX_LEN = len(b'{"crc":"00000000",')
 
 
+#: One compact encoder for every record: ``json.dumps`` with
+#: non-default separators builds a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _body(seq: int, op: str, data: dict[str, Any]) -> str:
-    return json.dumps({"seq": seq, "op": op, "data": data},
-                      separators=(",", ":"))
+    return _encode({"seq": seq, "op": op, "data": data})
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,8 @@ class Journal:
 
     # -- writing -----------------------------------------------------------
 
-    def append(self, op: str, data: dict[str, Any]) -> JournalRecord:
-        """Append one durable mutation; returns the sealed record.
+    def append(self, op: str, data: dict[str, Any]) -> None:
+        """Append one durable mutation.
 
         ``data`` is encoded via :func:`encode_payload`; a payload that
         cannot be encoded is replaced by a ``journal.opaque`` marker
@@ -237,11 +241,9 @@ class Journal:
         seq = self._seq + 1
         try:
             # Fast path: most payloads are already JSON-native, so one
-            # dumps call both validates and serializes them.  Tuples
+            # encode call both validates and serializes them.  Tuples
             # serialize as lists here, matching encode_payload.
-            body = json.dumps({"seq": seq, "op": op, "data": data},
-                              separators=(",", ":"))
-            encoded = data
+            body = _body(seq, op, data)
         except (TypeError, ValueError):
             try:
                 encoded = encode_payload(data)
@@ -259,7 +261,6 @@ class Journal:
         self._buf += line
         self._stats["appends"] += 1
         self._stats["bytes_written"] += len(line)
-        return JournalRecord(seq=seq, op=op, data=encoded)
 
     def reset(self) -> None:
         """Start a fresh epoch (called after a full snapshot is taken:

@@ -8,9 +8,9 @@ step with the M10 write-ahead journal: each side of a link keeps a
 per-(user, peer) :class:`~repro.core.journal.JournalCursor`, and a
 round only looks at journal records past the cursor that touch the
 linked user.  Content still moves through agents holding exactly the
-user's authority, batched as content-addressed envelopes
-(:mod:`repro.net.envelopes`), so the round costs O(dirty), not
-O(corpus) — the M15 benchmark's ~flat line.
+user's authority, batched as envelopes (:mod:`repro.net.envelopes`),
+so the round costs O(dirty), not O(corpus) — the M15 benchmark's
+~flat line.
 
 **The journal is an index, never a data source.**  Tail records tell
 the engine *which* paths and rows changed; the engine re-reads current
@@ -49,6 +49,13 @@ the naive reconciler is reproduced deliberately:
   other side's live rows, exactly as the naive content comparison
   would.
 
+**A round pays for its dirty set.**  Each touched path is walked once
+per side (:meth:`~repro.fs.LabeledFileSystem.lookup`: what the naive
+pump learns from ``exists``, ``stat`` and ``read``), and the agents
+spawn with their account's label state
+(:meth:`~repro.platform.UserAccount.agent_state`), so nothing on the
+round's path rebuilds a label or capability set per file.
+
 ``tests/federation/test_delta_differential.py`` drives an oracle-plane
 world (naive rounds only) and fast-plane worlds through identical
 random schedules and asserts identical transfer counts and final file
@@ -61,8 +68,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from ..core.journal import Journal, JournalCursor, JournalRecord
 from ..fs import FsView
-from ..labels import Label
-from ..net.envelopes import Envelope, EnvelopeChannel, content_digest
+from ..net.envelopes import Envelope, EnvelopeChannel
 
 from .peering import _row_key
 
@@ -147,8 +153,7 @@ class DeltaSync:
         self.link = link
         self._users: dict[str, _UserDelta] = {}
         #: One envelope channel per direction; the name encodes the
-        #: destination.  File digests cached here are invalidated by
-        #: the destination's own journal tail (foreign writes).
+        #: destination.
         self.channels = {
             "ab": EnvelopeChannel(f"{link.a.name}->{link.b.name}"),
             "ba": EnvelopeChannel(f"{link.b.name}->{link.a.name}"),
@@ -198,7 +203,7 @@ class DeltaSync:
         return moved
 
     def invalidate(self) -> None:
-        """Drop every cursor, book, and digest cache (a provider was
+        """Drop every cursor and book (a provider was
         replaced under the link): the next round per user is a full
         reconciliation against the new instance.  Known users are kept
         with nulled cursors rather than forgotten, so the link's
@@ -208,8 +213,6 @@ class DeltaSync:
             user.cursors["a"] = user.cursors["b"] = None
             user.books = {"a": _SideBooks(), "b": _SideBooks()}
             user.vanished = {"a": {}, "b": {}}
-        for channel in self.channels.values():
-            channel.clear()
 
     def stats(self) -> dict[str, Any]:
         out: dict[str, Any] = dict(self._stats)
@@ -272,10 +275,9 @@ class DeltaSync:
             graft=root_tracer.graft if ctx is not None else None)
 
     def _full_recon(self, state: "SyncState", user: _UserDelta) -> int:
-        """The naive round, plus bookkeeping rebuild: after it, books
-        and digest caches describe the converged state exactly."""
-        link = self.link
-        moved = link._naive_round(state)
+        """The naive round, plus bookkeeping rebuild: after it, the
+        books describe the converged rows exactly."""
+        moved = self.link._naive_round(state)
         username = state.username
         for side in ("a", "b"):
             provider = self._provider(side)
@@ -289,23 +291,6 @@ class DeltaSync:
                                     _row_key(row.values))
         user.vanished["a"].clear()
         user.vanished["b"].clear()
-        # Prime the digest caches from the converged file state: one
-        # agent-checked read per file per side, the same cost the
-        # reconciliation itself just paid.
-        for side in ("a", "b"):
-            provider = self._provider(side)
-            channel = self._channel_into(side)
-            channel.clear()
-            agent = link._agent(provider, username)
-            try:
-                fs = FsView(provider.fs, agent)
-                home = f"/users/{username}"
-                for name in fs.listdir(home):
-                    path = f"{home}/{name}"
-                    if not fs.stat(path)["is_dir"]:
-                        channel.note(path, content_digest(fs.read(path)))
-            finally:
-                provider.kernel.exit(agent)
         return moved
 
     def _ingest(self, state: "SyncState", user: _UserDelta, side: str,
@@ -321,8 +306,9 @@ class DeltaSync:
         username = state.username
         provider = self._provider(side)
         books = user.books[side]
-        into_side = self._channel_into(side)
-        tag_id = provider.account(username).data_tag.tag_id
+        account = provider.account(username)
+        user_slabel = account.agent_state()[0]
+        tag_id = account.data_tag.tag_id
         user_label = [tag_id]
         home = f"/users/{username}/"
         for record in tail:
@@ -332,8 +318,6 @@ class DeltaSync:
                 path = data["path"]
                 if path.startswith(home) and "/" not in path[len(home):]:
                     touched.add(path)
-                    # this side's content changed behind the cache
-                    into_side.forget(path)
             elif op == "db.insert":
                 if not set(data["slabel"]) <= {tag_id}:
                     continue  # invisible to the user's agent
@@ -360,8 +344,7 @@ class DeltaSync:
                         if gone is not None:
                             user.mark_vanished(side, table_name, gone)
                         books.track(table_name, row_id, new_key)
-                    if row.slabel == Label(
-                            [provider.account(username).data_tag]):
+                    if row.slabel == user_slabel:
                         candidates.setdefault(table_name, set()).add(row_id)
             elif op in ("db.delete", "db.purge"):
                 table_name = data["table"]
@@ -388,6 +371,11 @@ class DeltaSync:
         Semantics per path match the naive pump pair: both present and
         different → A wins; present on one side only → copied to the
         other (deletions resurrect); directories are never synced.
+        One :meth:`~repro.fs.LabeledFileSystem.lookup` per path per
+        side decides what each side holds, and a shipped file is then
+        written where that side holds the path (a directory there
+        raises :class:`~repro.fs.IsADirectory`, as the naive pump's
+        read does) and created where it does not.
         """
         paths = list(paths)
         if not paths:
@@ -400,38 +388,29 @@ class DeltaSync:
         try:
             fs_a = FsView(link.a.fs, agent_a)
             fs_b = FsView(link.b.fs, agent_b)
-            channel_ab = self.channels["ab"]
-            channel_ba = self.channels["ba"]
+            held_a: set[str] = set()
+            held_b: set[str] = set()
             ship_ab: list[Envelope] = []
             ship_ba: list[Envelope] = []
             for path in paths:
-                a_has = fs_a.exists(path) and not fs_a.stat(path)["is_dir"]
-                b_has = fs_b.exists(path) and not fs_b.stat(path)["is_dir"]
-                if a_has:
-                    data_a = fs_a.read(path)
-                    digest_a = content_digest(data_a)
-                    channel_ba.note(path, digest_a)
-                    envelope = Envelope("file", path, digest_a, data_a)
-                    if b_has:
-                        if channel_ab.dedup(envelope):
-                            continue  # destination provably unchanged
-                        if fs_b.read(path) != data_a:
-                            ship_ab.append(envelope)
-                        else:
-                            channel_ab.note(path, digest_a)
-                    else:
-                        ship_ab.append(envelope)
+                node_a, data_a = fs_a.lookup(path)
+                node_b, data_b = fs_b.lookup(path)
+                if node_a is not None:
+                    held_a.add(path)
+                if node_b is not None:
+                    held_b.add(path)
+                b_has = node_b is not None and not node_b.is_dir()
+                if node_a is not None and not node_a.is_dir():
+                    if not b_has or data_b != data_a:
+                        ship_ab.append(Envelope("file", path, data_a))
                 elif b_has:
-                    data_b = fs_b.read(path)
-                    digest_b = content_digest(data_b)
-                    channel_ab.note(path, digest_b)
-                    ship_ba.append(Envelope("file", path, digest_b, data_b))
+                    ship_ba.append(Envelope("file", path, data_b))
             moved += self._transfer(
-                channel_ab, ship_ab,
-                lambda e: self._apply_file(fs_b, e, state), "b")
+                self.channels["ab"], ship_ab,
+                lambda e: self._apply_file(fs_b, e, state, held_b), "b")
             moved += self._transfer(
-                channel_ba, ship_ba,
-                lambda e: self._apply_file(fs_a, e, state), "a")
+                self.channels["ba"], ship_ba,
+                lambda e: self._apply_file(fs_a, e, state, held_a), "a")
         finally:
             link.a.kernel.exit(agent_a)
             link.b.kernel.exit(agent_b)
@@ -439,9 +418,9 @@ class DeltaSync:
         return moved
 
     @staticmethod
-    def _apply_file(fs: FsView, envelope: Envelope,
-                    state: "SyncState") -> None:
-        if fs.exists(envelope.key):
+    def _apply_file(fs: FsView, envelope: Envelope, state: "SyncState",
+                    held: set[str]) -> None:
+        if envelope.key in held:
             fs.write(envelope.key, envelope.payload)
         else:
             fs.create(envelope.key, envelope.payload)
@@ -467,8 +446,7 @@ class DeltaSync:
                         | {t for t, keys in vanished_dst.items() if keys})
         if not tables:
             return 0
-        src_tag = src.account(username).data_tag
-        user_slabel = Label([src_tag])
+        user_slabel = src.account(username).agent_state()[0]
         channel = self._channel_into(dst_side)
         moved = 0
         src_agent = link._agent(src, username)
@@ -489,9 +467,8 @@ class DeltaSync:
                         continue
                     if _row_key(row.values) in known_dst:
                         continue
-                    values = dict(row.values)
-                    envelopes.append(Envelope(
-                        "row", table_name, content_digest(values), values))
+                    envelopes.append(Envelope("row", table_name,
+                                              dict(row.values)))
                 if not envelopes:
                     continue
                 if table_name not in dst.db.tables():

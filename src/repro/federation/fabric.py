@@ -228,8 +228,7 @@ class FederationFabric:
         and envelope traffic totals (for ``Metrics.attach``)."""
         links = [link.federation_stats() for __, link in
                  sorted(self._links.items())]
-        totals = {"envelopes_sent": 0, "envelopes_deduped": 0,
-                  "bytes_moved": 0, "transfers": 0}
+        totals = {"envelopes_sent": 0, "bytes_moved": 0, "transfers": 0}
         for stats in links:
             for key in totals:
                 totals[key] += stats.get(key, 0)

@@ -38,7 +38,7 @@ from typing import Any, Optional
 
 from ..fs import FsView
 from ..kernel import Process
-from ..labels import CapabilitySet, Label
+from ..labels import Label
 from ..platform import NoSuchUser, NotAuthorized, Provider
 
 
@@ -257,12 +257,9 @@ class ProviderLink:
         """The transfer agent on one side: a process holding exactly
         the linked user's authority there — the import/export
         declassifier of §3.3."""
-        account = provider.account(username)
         return provider.kernel.spawn_trusted(
             f"sync-agent:{username}",
-            slabel=Label([account.data_tag]),
-            ilabel=Label([account.write_tag]),
-            caps=CapabilitySet.owning(account.data_tag, account.write_tag),
+            *provider.account(username).agent_state(),
             owner_user=username)
 
 
@@ -279,11 +276,8 @@ def converged(link: ProviderLink, username: str) -> bool:
 
 
 def _snapshot(provider: Provider, username: str) -> dict[str, Any]:
-    account = provider.account(username)
     agent = provider.kernel.spawn_trusted(
-        f"snapshot:{username}",
-        slabel=Label([account.data_tag]),
-        caps=CapabilitySet.owning(account.data_tag, account.write_tag),
+        f"snapshot:{username}", *provider.account(username).agent_state(),
         owner_user=username)
     out: dict[str, Any] = {}
     try:

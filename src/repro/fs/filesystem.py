@@ -190,7 +190,9 @@ class LabeledFileSystem:
     # resolution
     # ------------------------------------------------------------------
 
-    def _resolve(self, process: Process, parts: list[str]) -> Inode:
+    def _resolve(self, process: Process, parts: list[str],
+                 final: Optional[str] = None,
+                 want: Optional[str] = None) -> Inode:
         """Walk the tree along ``parts`` (from :func:`split_path`),
         read-checking every directory traversed.
 
@@ -198,11 +200,19 @@ class LabeledFileSystem:
         each component must be readable by ``process`` — otherwise the
         existence of names inside a secret directory would itself leak.
 
+        With ``final`` set, the walk also read-checks the node it ends
+        on, naming ``final`` in a denial: the operation reads that node
+        (``read``, ``stat``, ``listdir``) or writes an entry into it
+        (the parent of ``create``, ``mkdir`` and ``delete``).  ``want``
+        is the node's required shape, checked before its read check:
+        ``"file"`` raises :class:`IsADirectory`, ``"dir"`` and
+        ``"parent"`` raise :class:`NotADirectory`.
+
         The walk fetches the read verdicts of the process's label state
         once (:meth:`~repro.labels.FlowCache.read_table`) and probes
-        them once per directory.  Only a cached allow skips the check:
-        a miss or a cached deny goes through :meth:`_check_read`, which
-        computes and stores the verdict, or raises and audits the
+        them once per node checked.  Only a cached allow skips the
+        check: a miss or a cached deny goes through :meth:`_check_read`,
+        which computes and stores the verdict, or raises and audits the
         refusal.  The table lives for this one walk only, in which the
         process's labels cannot change.
         """
@@ -223,6 +233,18 @@ class LabeledFileSystem:
                     node = node.entries[part]
                 except KeyError:
                     raise NoSuchPath("/" + "/".join(parts[:i + 1])) from None
+            if final is not None:
+                if want == "file":
+                    if isinstance(node, Directory):
+                        raise IsADirectory(final)
+                elif want is not None and not isinstance(node, Directory):
+                    raise NotADirectory(
+                        final if want == "dir"
+                        else f"parent of {final} is not a directory")
+                if table.get((node.slabel, node.ilabel)) is True:
+                    hits += 1
+                else:
+                    self._check_read(process, node, final)
         finally:
             if hits:
                 cache.count_hits("fs.read", hits)
@@ -230,14 +252,13 @@ class LabeledFileSystem:
 
     def _parent_and_leaf(self, process: Process,
                          path: str) -> tuple[Directory, str, str]:
-        """The parent directory of ``path``, its leaf name and the
-        canonical spelling of ``path``, from one split."""
+        """The read-checked parent directory of ``path``, its leaf name
+        and the canonical spelling of ``path``, from one split."""
         parts = split_path(path)
         if not parts:
             raise FsError("path has no parent")
-        parent = self._resolve(process, parts[:-1])
-        if not isinstance(parent, Directory):
-            raise NotADirectory(f"parent of {path} is not a directory")
+        parent = self._resolve(process, parts[:-1], path, "parent")
+        assert isinstance(parent, Directory)
         return parent, parts[-1], "/" + "/".join(parts)
 
     # ------------------------------------------------------------------
@@ -283,7 +304,6 @@ class LabeledFileSystem:
                slabel: Optional[Label],
                ilabel: Optional[Label]) -> Directory:
         parent, leaf, canon = self._parent_and_leaf(process, path)
-        self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         if leaf in parent.entries:
             raise PathExists(path)
@@ -319,7 +339,6 @@ class LabeledFileSystem:
                 slabel: Optional[Label],
                 ilabel: Optional[Label]) -> File:
         parent, leaf, canon = self._parent_and_leaf(process, path)
-        self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         if leaf in parent.entries:
             raise PathExists(path)
@@ -358,14 +377,15 @@ class LabeledFileSystem:
             return self._read(process, path)
 
     def _read(self, process: Process, path: str) -> Any:
-        node = self._resolve(process, split_path(path))
-        if node.is_dir():
-            raise IsADirectory(path)
-        self._check_read(process, node, path)
+        node = self._resolve(process, split_path(path), path, "file")
+        assert isinstance(node, File)
+        return self._load(process, node, path)
+
+    def _load(self, process: Process, node: File, path: str) -> Any:
+        """A read-checked file's payload, charged and audited."""
         self.kernel.resources.charge(process, "disk_read", 1)
         self.kernel.audit.record_lazy(A.FILE_READ, True, process.name,
                                       "read %s", (path,))
-        assert isinstance(node, File)
         return copy.deepcopy(node.data)
 
     def write(self, process: Process, path: str, data: Any) -> File:
@@ -399,7 +419,6 @@ class LabeledFileSystem:
 
     def _delete(self, process: Process, path: str) -> None:
         parent, leaf, canon = self._parent_and_leaf(process, path)
-        self._check_read(process, parent, path)
         self._check_write(process, parent, path)
         try:
             node = parent.entries[leaf]
@@ -420,17 +439,13 @@ class LabeledFileSystem:
             return self._listdir(process, path)
 
     def _listdir(self, process: Process, path: str = "/") -> list[str]:
-        node = self._resolve(process, split_path(path))
-        if not node.is_dir():
-            raise NotADirectory(path)
-        self._check_read(process, node, path)
+        node = self._resolve(process, split_path(path), path, "dir")
         assert isinstance(node, Directory)
         return sorted(node.entries)
 
     def stat(self, process: Process, path: str) -> dict[str, Any]:
         """Metadata for a path (requires readability of the object)."""
-        node = self._resolve(process, split_path(path))
-        self._check_read(process, node, path)
+        node = self._resolve(process, split_path(path), path)
         info: dict[str, Any] = {
             "name": node.name,
             "is_dir": node.is_dir(),
@@ -449,12 +464,37 @@ class LabeledFileSystem:
         Deliberately label-checked: a path inside an unreadable
         directory reports ``False`` rather than leaking existence.
         """
+        return self._find(process, path) is not None
+
+    def _find(self, process: Process, path: str) -> Optional[Inode]:
+        """The node at ``path``, or ``None`` where :meth:`exists` says
+        ``False``."""
         try:
-            self._resolve(process, split_path(path))
-            return True
+            return self._resolve(process, split_path(path))
         except (NoSuchPath, SecrecyViolation, IntegrityViolation,
                 NotADirectory):
-            return False
+            return None
+
+    def lookup(self, process: Process,
+               path: str) -> tuple[Optional[Inode], Any]:
+        """``exists``, ``stat`` and ``read`` of one path in one walk, for
+        a caller that reconciles what each side of a link holds.
+
+        A path that does not resolve for ``process`` (missing, or
+        behind an unreadable directory) gives ``(None, None)``, where
+        :meth:`exists` reports ``False``.  A found node takes
+        :meth:`stat`'s read check, whose denial raises.  A directory
+        gives ``(node, None)``; a file gives ``(node, payload)``, the
+        payload charged and audited as :meth:`read` does.
+        """
+        with self.kernel.tracer.detail("fs.lookup", path=path):
+            node = self._find(process, path)
+            if node is None:
+                return None, None
+            self._check_read(process, node, path)
+            if isinstance(node, File):
+                return node, self._load(process, node, path)
+            return node, None
 
     def walk(self, process: Process, path: str = "/") -> Iterable[tuple[str, Inode]]:
         """Yield (path, inode) for every object readable by ``process``.
@@ -556,6 +596,9 @@ class FsView:
 
     def exists(self, path: str) -> bool:
         return self._fs.exists(self._process, path)
+
+    def lookup(self, path: str) -> tuple[Optional[Inode], Any]:
+        return self._fs.lookup(self._process, path)
 
     def walk(self, path: str = "/") -> Iterable[tuple[str, Inode]]:
         return self._fs.walk(self._process, path)

@@ -4,7 +4,7 @@ from .browser import Browser, Frame, FrameIsolationError
 from .client import ExternalClient, Transport
 from .dns import NameNotFound, Resolver, WebBrowserClient, split_url
 from .email import Email, EmailGateway, Mailbox
-from .envelopes import Envelope, EnvelopeChannel, content_digest
+from .envelopes import Envelope, EnvelopeChannel
 from .gateway import (JS_ALLOW, JS_BLOCK, AuthorityFn, ExportViolation,
                       Gateway)
 from .http import (GET, POST, HttpRequest, HttpResponse, contains_javascript,
@@ -16,7 +16,7 @@ __all__ = [
     "ExternalClient", "Transport",
     "NameNotFound", "Resolver", "WebBrowserClient", "split_url",
     "Email", "EmailGateway", "Mailbox",
-    "Envelope", "EnvelopeChannel", "content_digest",
+    "Envelope", "EnvelopeChannel",
     "JS_ALLOW", "JS_BLOCK", "AuthorityFn", "ExportViolation", "Gateway",
     "GET", "POST", "HttpRequest", "HttpResponse", "contains_javascript",
     "error", "ok", "strip_javascript",

@@ -1,74 +1,46 @@
-"""Content-addressed inter-provider envelopes (M15).
+"""Batched inter-provider envelopes (M15).
 
 Federated sync moves user data between providers.  The naive mover
-ships every file as its own read/compare/write round trip and has no
-memory of what it already sent; at production corpus sizes that is
-both O(corpus) traffic and O(corpus) latency per round.  This module
-is the transport half of the fix, lifted from the decentralized-web
-designs in PAPERS.md (Secure Web Objects' named, verifiable object
-envelopes; append-only-log replication's content dedup):
+ships every file as its own read/compare/write round trip; at
+production corpus sizes that is O(corpus) latency per round.  This
+module is the transport half of the fix:
 
 * an :class:`Envelope` names one unit of transfer (a file or a row)
-  by a **blake2b content digest**, so equality is decided without
-  shipping or even touching the destination copy;
-* an :class:`EnvelopeChannel` is one direction of one provider link.
-  It remembers the digest each key last held on the *destination*
-  (the per-link seen-digest cache): re-offering unchanged content is
-  dropped at the transport layer, counted, and never turns into a
-  read or write on the far side;
-* :meth:`EnvelopeChannel.transfer_batch` applies a whole batch of
+  and carries its payload;
+* an :class:`EnvelopeChannel` is one direction of one provider link:
+  :meth:`EnvelopeChannel.transfer_batch` applies a whole batch of
   dirty envelopes through a single destination-side applier call —
-  one agent, one pass — instead of N independent round trips.
+  one agent, one pass — instead of N independent round trips, and
+  counts what it moved.
 
-The transport is deliberately policy-free: envelopes are built and
-applied by agents that hold exactly the linked user's authority on
-each side (``repro.federation``), so every byte still moves through
-the reference monitor.  The channel only ever *suppresses* work it
-can prove redundant by digest; it never writes on its own.
+Which envelopes a round ships is the reconciler's decision
+(``repro.federation.delta``): it compares current content on both
+sides, so the transport keeps no memory of what it already sent.  The
+transport is deliberately policy-free: envelopes are built and applied
+by agents that hold exactly the linked user's authority on each side,
+so every byte still moves through the reference monitor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from hashlib import blake2b
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Envelope", "EnvelopeChannel", "content_digest"]
-
-#: 128-bit digests: collision-safe for dedup at any realistic corpus
-#: size while keeping envelope headers short.
-DIGEST_SIZE = 16
+__all__ = ["Envelope", "EnvelopeChannel"]
 
 
-def content_digest(payload: Any, *, size: int = DIGEST_SIZE) -> str:
-    """The blake2b content address of one transferable payload.
-
-    Payloads are whatever the labeled stores hold (str and bytes in
-    practice; the canonical ``repr`` covers the long tail of JSON-ish
-    values deterministically within a process).
-    """
-    if isinstance(payload, bytes):
-        raw = b"b\x00" + payload
-    elif isinstance(payload, str):
-        raw = b"s\x00" + payload.encode("utf-8", "surrogatepass")
-    else:
-        raw = b"r\x00" + repr(payload).encode("utf-8", "surrogatepass")
-    return blake2b(raw, digest_size=size).hexdigest()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
-    """One content-addressed unit of inter-provider transfer.
+    """One unit of inter-provider transfer.
 
     ``kind`` is ``"file"`` or ``"row"``; ``key`` names the destination
     slot (a path, or a table name — rows are append-only so the key is
-    not unique per row); ``digest`` addresses the payload.
+    not unique per row).
     """
 
     kind: str
     key: str
-    digest: str
-    payload: Any = field(compare=False)
+    payload: Any
 
     def approx_bytes(self) -> int:
         payload = self.payload
@@ -80,61 +52,11 @@ class Envelope:
 
 
 class EnvelopeChannel:
-    """One direction of a provider link's transport, with dedup memory.
-
-    ``holds``/``note`` manage the seen-digest cache: what this channel
-    believes each file key currently contains on the destination.
-    Entries are written when the channel itself ships content or when
-    the reconciler observes byte equality, and **invalidated** whenever
-    the destination's own journal shows a foreign write to the key
-    (:meth:`forget`) — the cache is a performance fact, never a
-    substitute for the reconciler's authority checks.
-
-    Row envelopes are batched and counted here but never digest-
-    deduplicated: the row mirror is append-only and duplicate row
-    *content* is legitimate (two identical posts are two rows), so row
-    dedup belongs to the semantic layer above (the per-link key
-    bookkeeping in ``repro.federation.delta``).
-    """
+    """One direction of a provider link's transport."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        #: file key -> digest we believe the destination holds.
-        self._dest_digest: dict[str, str] = {}
-        self.stats = {"envelopes_sent": 0, "envelopes_deduped": 0,
-                      "bytes_moved": 0, "batches": 0}
-
-    # -- the seen-digest cache ---------------------------------------------
-
-    def holds(self, key: str, digest: str) -> bool:
-        """Does the destination already hold ``digest`` at ``key``?"""
-        return self._dest_digest.get(key) == digest
-
-    def note(self, key: str, digest: str) -> None:
-        """Record that the destination now holds ``digest`` at ``key``."""
-        self._dest_digest[key] = digest
-
-    def forget(self, key: str) -> None:
-        """Drop the cache entry for ``key`` (a foreign write landed on
-        the destination; its content is unknown until re-read)."""
-        self._dest_digest.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop the whole cache (cursor loss, provider recovery)."""
-        self._dest_digest.clear()
-
-    def dedup(self, envelope: Envelope) -> bool:
-        """True (and counted) iff ``envelope`` is redundant by digest.
-
-        Only file envelopes are eligible — see the class docstring.
-        """
-        if envelope.kind == "file" \
-                and self.holds(envelope.key, envelope.digest):
-            self.stats["envelopes_deduped"] += 1
-            return True
-        return False
-
-    # -- batched application -----------------------------------------------
+        self.stats = {"envelopes_sent": 0, "bytes_moved": 0, "batches": 0}
 
     def transfer_batch(self, envelopes: Iterable[Envelope],
                        apply: Callable[[Envelope], None],
@@ -154,9 +76,9 @@ class EnvelopeChannel:
         resulting skeleton is handed to ``graft`` so the sync side can
         stitch it under ``fed.sync``, and the destination's sampling
         decision follows the origin's (one fold decision per sync).
-        Returns the number of envelopes applied (post-dedup).
+        Returns the number of envelopes applied.
         """
-        batch = [e for e in envelopes if not self.dedup(e)]
+        batch = list(envelopes)
         if not batch:
             return 0
         self.stats["batches"] += 1
@@ -186,5 +108,3 @@ class EnvelopeChannel:
             apply(envelope)
             self.stats["envelopes_sent"] += 1
             self.stats["bytes_moved"] += envelope.approx_bytes()
-            if envelope.kind == "file":
-                self.note(envelope.key, envelope.digest)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..labels import Tag
+from ..labels import CapabilitySet, Label, Tag
 
 
 @dataclass
@@ -49,11 +49,28 @@ class UserAccount:
     #: §3.2 audit pinning: app name -> version this user audited.  The
     #: platform launches exactly the pinned version on her requests.
     audited_versions: dict[str, str] = field(default_factory=dict)
+    #: The label state of a process with the user's full authority,
+    #: built on first use (:meth:`agent_state`).  Derived from the two
+    #: tags, so it is neither durable nor part of equality.
+    _agent_state: Optional[tuple[Label, Label, CapabilitySet]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def home(self) -> str:
         """The account's home directory in the labeled filesystem."""
         return f"/users/{self.username}"
+
+    def agent_state(self) -> tuple[Label, Label, CapabilitySet]:
+        """``(slabel, ilabel, caps)`` of the user's agents: her data
+        tag, her write tag, and ownership of both (§3.3's import/export
+        agent and the provider acting for her).  One value per account,
+        so spawning an agent builds no label or capability set."""
+        state = self._agent_state
+        if state is None:
+            state = self._agent_state = (
+                Label([self.data_tag]), Label([self.write_tag]),
+                CapabilitySet.owning(self.data_tag, self.write_tag))
+        return state
 
     def has_enabled(self, app_name: str) -> bool:
         return app_name in self.enabled_apps

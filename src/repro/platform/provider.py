@@ -554,15 +554,18 @@ class Provider:
         service (models a direct provider-form upload)."""
         account = self.account(username)
         agent = self._user_agent(account)
-        FsView(self.fs, agent).create(f"{account.home}/{path}", data)
-        self.kernel.exit(agent)
+        try:
+            self.fs.create(agent, f"{account.home}/{path}", data)
+        finally:
+            self.kernel.exit(agent)
 
     def read_user_data(self, username: str, path: str) -> Any:
         account = self.account(username)
         agent = self._user_agent(account)
-        data = FsView(self.fs, agent).read(f"{account.home}/{path}")
-        self.kernel.exit(agent)
-        return data
+        try:
+            return self.fs.read(agent, f"{account.home}/{path}")
+        finally:
+            self.kernel.exit(agent)
 
     def _make_home(self, path: str, data_tag: Tag, write_tag: Tag) -> None:
         """Create a user's or group's home under its new tag pair.
@@ -597,10 +600,7 @@ class Provider:
     def _user_agent(self, account: UserAccount) -> Process:
         """A short-lived trusted process with the user's full authority."""
         return self.kernel.spawn_trusted(
-            f"agent:{account.username}",
-            slabel=Label([account.data_tag]),
-            ilabel=Label([account.write_tag]),
-            caps=CapabilitySet.owning(account.data_tag, account.write_tag),
+            f"agent:{account.username}", *account.agent_state(),
             owner_user=account.username)
 
     # ------------------------------------------------------------------

@@ -109,7 +109,10 @@ ops = st.lists(
 
 
 class TestDeltaNaiveEquivalence:
-    @settings(max_examples=60, deadline=None)
+    # three fifths of the active profile's budget: 60 schedules by
+    # default, 600 under ``--hypothesis-profile=deep``
+    @settings(max_examples=max(1, settings.default.max_examples * 3 // 5),
+              deadline=None)
     @given(ops)
     def test_worlds_are_indistinguishable(self, schedule):
         worlds = {

@@ -189,21 +189,21 @@ class TestObservability:
         link = fabric.link_between(home, mirror)
         assert link.federation_stats()["linked_users"] == 1
 
-    def test_envelope_dedup_counts(self, fabric):
-        """A file rewritten with identical bytes is suppressed at the
-        transport layer (the seen-digest cache), not re-shipped."""
+    def test_identical_rewrite_ships_nothing(self, fabric):
+        """A file rewritten with identical bytes is touched in the
+        journal, but the round's content comparison finds both sides
+        equal and ships no envelope."""
         from repro.fs import FsView
         home, mirror = setup_mirrored_user(fabric)
         fabric.store_user_data("bob", "f", "same")
         fabric.sync_user("bob")
-        # rewrite identical bytes on the link's A side: its digest
-        # matches what the channel knows B holds, so nothing ships
+        sent = fabric.federation_stats()["envelopes_sent"]
         provider = fabric.provider(min(home, mirror))
         agent = provider._user_agent(provider.account("bob"))
         FsView(provider.fs, agent).write("/users/bob/f", "same")
         provider.kernel.exit(agent)
         assert fabric.sync_user("bob") == 0
-        assert fabric.federation_stats()["envelopes_deduped"] >= 1
+        assert fabric.federation_stats()["envelopes_sent"] == sent
 
     def test_sync_spans_reach_trace_report(self):
         fabric = FederationFabric(2, tracing=True)

@@ -192,6 +192,98 @@ class TestWalkDenial:
         # and 3 took all three verdicts, the deny too, from the cache
         assert counted == (2, 7)
 
+    #: (operation, path, error, masked message, refusal detail or None).
+    #: Final-node denials (read, stat, listdir), parent denials (create,
+    #: mkdir, delete), and the shape errors that precede a denial.
+    CASES = [
+        ("read", "/pub/secret", SecrecyViolation,
+         "snoop cannot read /pub/secret: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/secret refused"),
+        ("read", "/pub/plain", IntegrityViolation,
+         "judge requires integrity Label{#:w} but /pub/plain only has Label{}",
+         "read /pub/plain refused"),
+        ("stat", "/pub/secret", SecrecyViolation,
+         "snoop cannot read /pub/secret: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/secret refused"),
+        ("stat", "/pub/vault", SecrecyViolation,
+         "snoop cannot read /pub/vault: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault refused"),
+        ("stat", "/pub/plain", IntegrityViolation,
+         "judge requires integrity Label{#:w} but /pub/plain only has Label{}",
+         "read /pub/plain refused"),
+        ("listdir", "/pub/vault", SecrecyViolation,
+         "snoop cannot read /pub/vault: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault refused"),
+        ("create", "/pub/vault/x", SecrecyViolation,
+         "snoop cannot read /pub/vault/x: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault/x refused"),
+        ("mkdir", "/pub/vault/x", SecrecyViolation,
+         "snoop cannot read /pub/vault/x: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault/x refused"),
+        ("delete", "/pub/vault/x", SecrecyViolation,
+         "snoop cannot read /pub/vault/x: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault/x refused"),
+        ("read", "/pub/vault/x", SecrecyViolation,
+         "snoop cannot read /pub/vault: object secrecy Label{#:bob} exceeds "
+         "process secrecy Label{}", "read /pub/vault refused"),
+        # shape before denial: no refusal record
+        ("read", "/pub/vault", IsADirectory, "/pub/vault", None),
+        ("listdir", "/pub/secret", NotADirectory, "/pub/secret", None),
+        ("read", "/pub/secret/x", NotADirectory,
+         "/pub/secret is not a directory", None),
+        ("create", "/pub/secret/x", NotADirectory,
+         "parent of /pub/secret/x is not a directory", None),
+        ("mkdir", "/pub/secret/x", NotADirectory,
+         "parent of /pub/secret/x is not a directory", None),
+        ("delete", "/pub/secret/x", NotADirectory,
+         "parent of /pub/secret/x is not a directory", None),
+    ]
+
+    @staticmethod
+    def attempts(cache, op, path, subject):
+        """Two attempts of one refused operation by fresh processes of
+        the same label state (the second meets a cached verdict): the
+        errors with digits masked, and the refusal records."""
+        kernel = Kernel(flow_cache=cache)
+        fs = LabeledFileSystem(kernel)
+        provider = kernel.spawn_trusted("provider")
+        t = kernel.create_tag(provider, purpose="bob")
+        w = kernel.create_tag(provider, purpose="w", kind="integrity")
+        high = Label([w])
+        fs.root.ilabel = high
+        fs.mkdir(provider, "/pub", ilabel=high)
+        fs.create(provider, "/pub/secret", "x", slabel=Label([t]),
+                  ilabel=high)
+        fs.mkdir(provider, "/pub/vault", slabel=Label([t]), ilabel=high)
+        fs.create(provider, "/pub/vault/x", "x", slabel=Label([t]),
+                  ilabel=high)
+        fs.create(provider, "/pub/plain", "p")
+        args = ("data",) if op == "create" else ()
+        errors = []
+        for _ in range(2):
+            proc = kernel.spawn_trusted(
+                subject, ilabel=high if subject == "judge" else Label.EMPTY)
+            try:
+                getattr(fs, op)(proc, path, *args)
+            except Exception as err:  # noqa: BLE001 - compared below
+                errors.append((type(err), re.sub(r"\d+", "#", str(err))))
+        refusals = [(e.category, e.subject, e.detail)
+                    for e in kernel.audit if not e.allowed]
+        return errors, refusals
+
+    @pytest.mark.parametrize("op,path,error,message,refusal", CASES)
+    def test_denials_and_their_precedence(self, op, path, error, message,
+                                          refusal):
+        subject = "judge" if path == "/pub/plain" else "snoop"
+        cached = self.attempts(FlowCache(), op, path, subject)
+        assert cached == self.attempts(FlowCache(enabled=False), op, path,
+                                       subject)
+        errors, refusals = cached
+        assert errors == [(error, message)] * 2
+        expected = [] if refusal is None else [("file_read", subject,
+                                                refusal)] * 2
+        assert refusals == expected
+
 
 class TestWriteProtection:
     """W5 §3.1: user data is write-protected by default; write privilege

@@ -383,5 +383,4 @@ class TestFederationStatsProtocol:
         for link in fabric.links():
             assert {"link", "linked_users", "transfers", "delta_rounds",
                     "full_recons", "fallback_rounds", "envelopes_sent",
-                    "envelopes_deduped", "bytes_moved",
-                    "cursor_lag"} <= set(link.federation_stats())
+                    "bytes_moved", "cursor_lag"} <= set(link.federation_stats())

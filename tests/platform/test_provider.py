@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.fs import NoSuchPath, PathExists
 from repro.labels import Label
 from repro.net import ExternalClient, HttpRequest
 from repro.platform import (AppModule, NoSuchApp, NoSuchUser, PlatformError,
-                            Provider)
+                            Provider, UserAccount)
+from repro.platform.persist import account_dict
 
 
 @pytest.fixture()
@@ -58,6 +60,31 @@ class TestAccounts:
         provider.signup("bob", "pw")
         provider.store_user_data("bob", "photo.jpg", b"bits")
         assert provider.read_user_data("bob", "photo.jpg") == b"bits"
+
+    def test_failed_store_and_read_exit_their_agent(self, provider):
+        """An agent holds the user's full authority, so it must not
+        outlive a call that raised."""
+        provider.signup("bob", "pw")
+        provider.store_user_data("bob", "f", "x")
+        with pytest.raises(PathExists):
+            provider.store_user_data("bob", "f", "y")
+        with pytest.raises(NoSuchPath):
+            provider.read_user_data("bob", "missing")
+        assert [p.name for p in provider.kernel.processes()
+                if p.name == "agent:bob"] == []
+
+    def test_agent_state_is_one_value_outside_durable_state(self, provider):
+        account = provider.signup("bob", "pw")
+        slabel, ilabel, caps = account.agent_state()
+        assert account.agent_state() is account.agent_state()
+        assert slabel == Label([account.data_tag])
+        assert ilabel == Label([account.write_tag])
+        assert caps.owns(account.data_tag) and caps.owns(account.write_tag)
+        fresh = UserAccount(username="bob", data_tag=account.data_tag,
+                            write_tag=account.write_tag,
+                            email_address=account.email_address)
+        assert fresh == account and "_agent_state" not in repr(account)
+        assert "_agent_state" not in account_dict(account)
 
     def test_profile(self, provider):
         provider.signup("bob", "pw")
