@@ -30,7 +30,6 @@ must work without the package context.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from typing import Any
@@ -86,7 +85,7 @@ def run_tier(n_users: int, dirty_frac: float = 0.01,
     latency at ``dirty_frac`` dirty accounts, plus recovery timing."""
     p = build_provider(n_users, incremental=True)
     # a fresh provider's first snapshot is full: the operator's base
-    base = copy.deepcopy(p.snapshot_incremental())
+    base = p.snapshot_incremental()
 
     n_dirty = max(1, int(n_users * dirty_frac))
     for i in range(n_dirty):

@@ -14,6 +14,14 @@ Record format (one record per line, pure JSON)::
 
     {"crc": "9a2b3c4d", "data": {...}, "op": "fs.write", "seq": 17}\n
 
+An epoch that extends a checkpoint starts with one header line naming
+it, checksummed the same way::
+
+    {"crc": "0c1d2e3f", "base": "5f0e...c4"}\n
+
+so the journal bytes themselves say which full snapshot they extend,
+and a fold over any other one is refused (``recover_provider``).
+
 * ``seq`` is a monotone sequence number starting at 1 after each
   compaction; a gap or regression means corruption and truncates the
   journal there.
@@ -74,6 +82,13 @@ def _body(seq: int, op: str, data: dict[str, Any]) -> str:
     return _encode({"seq": seq, "op": op, "data": data})
 
 
+def _line(raw: bytes) -> bytes:
+    """One journal line: ``raw`` (a JSON object) with its CRC-32
+    spliced in as the fixed-width first field."""
+    return b'{"crc":"%08x",' % (zlib.crc32(raw) & 0xFFFFFFFF) \
+        + raw[1:] + b"\n"
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One verified durable mutation."""
@@ -129,6 +144,9 @@ class ReplayReport:
     #: ``journal.opaque`` markers seen (mutations whose payload could
     #: not be journaled; their state is only in full snapshots).
     opaque_records: int = 0
+    #: The checkpoint id the header names (``None`` when the image
+    #: has no complete header).
+    base: Optional[str] = None
 
 
 # -- payload transport ------------------------------------------------------
@@ -209,6 +227,8 @@ class Journal:
         #: base snapshot and no segment of it is kept).
         self.epoch = 0
         self._buf = bytearray()
+        #: Bytes of the header line at the front of ``_buf``.
+        self._head_len = 0
         self._seq = 0
         #: Byte offset where each record's line starts:
         #: ``_offsets[k]`` is the offset of the record with seq
@@ -254,24 +274,26 @@ class Journal:
                 op = "journal.opaque"
             body = _body(seq, op, encoded)
         self._seq = seq
-        raw = body.encode("utf-8")
-        line = b'{"crc":"%08x",' % (zlib.crc32(raw) & 0xFFFFFFFF) \
-            + raw[1:] + b"\n"
+        line = _line(body.encode("utf-8"))
         self._offsets.append(len(self._buf))
         self._buf += line
         self._stats["appends"] += 1
         self._stats["bytes_written"] += len(line)
 
-    def reset(self) -> None:
-        """Start a fresh epoch (called after a full snapshot is taken:
-        everything the journal recorded is now in the base).  The
+    def reset(self, base: Optional[str] = None) -> None:
+        """Start a fresh epoch (at a checkpoint: everything the journal
+        recorded is now in the base).  With ``base``, the epoch's
+        image starts with a header naming that checkpoint.  The
         ending epoch is kept for tailing if a cursor was minted in it,
         replacing any older kept epoch, so cursors minted before the
         reset stay valid for exactly one reset."""
         self._kept = (self.epoch, self._buf, self._offsets) \
             if self._cursor_minted else None
         self._cursor_minted = False
-        self._buf = bytearray()
+        self._buf = bytearray() if base is None else bytearray(
+            _line(_encode({"base": base}).encode("ascii")))
+        self._head_len = len(self._buf)
+        self._stats["bytes_written"] += self._head_len
         self._seq = 0
         self._offsets = []
         self.epoch_opaque = 0
@@ -289,7 +311,9 @@ class Journal:
         return len(self._buf)
 
     def needs_compaction(self) -> bool:
-        return len(self._buf) > self.compact_threshold
+        """Whether the epoch's records (its header aside) outgrew the
+        compaction threshold."""
+        return len(self._buf) - self._head_len > self.compact_threshold
 
     def raw_bytes(self) -> bytes:
         """The byte image a real deployment would have on disk."""
@@ -377,9 +401,10 @@ class Journal:
         """Parse a (possibly torn) journal image.
 
         Returns every verified record before the first sign of damage,
-        plus a report saying how many tail bytes were dropped and why.
-        Damage never raises: a journal is exactly as good as its
-        longest verifiable prefix.
+        plus a report saying how many tail bytes were dropped and why,
+        and the checkpoint id a complete header names.  Damage never
+        raises: a journal is exactly as good as its longest verifiable
+        prefix.
         """
         records: list[JournalRecord] = []
         report = ReplayReport()
@@ -395,10 +420,16 @@ class Journal:
             try:
                 obj = json.loads(line)
                 crc = obj.pop("crc")
-                seq, op, data = obj["seq"], obj["op"], obj["data"]
-                if not isinstance(seq, int) or not isinstance(op, str) \
-                        or not isinstance(data, dict):
-                    raise ValueError("bad field types")
+                header = offset == 0 and obj.keys() == {"base"}
+                if header:
+                    if not isinstance(obj["base"], str):
+                        raise ValueError("bad header")
+                else:
+                    seq, op, data = obj["seq"], obj["op"], obj["data"]
+                    if not isinstance(seq, int) \
+                            or not isinstance(op, str) \
+                            or not isinstance(data, dict):
+                        raise ValueError("bad field types")
             except (ValueError, KeyError, UnicodeDecodeError):
                 report.truncated_bytes = len(raw) - offset
                 report.truncation_reason = "unparseable record"
@@ -409,6 +440,10 @@ class Journal:
                 report.truncated_bytes = len(raw) - offset
                 report.truncation_reason = "checksum mismatch"
                 break
+            if header:
+                report.base = obj["base"]
+                offset = nl + 1
+                continue
             if seq != expect:
                 report.truncated_bytes = len(raw) - offset
                 report.truncation_reason = (

@@ -18,11 +18,18 @@ On top of placement the fabric manages:
   and reads there; if the home is down, the read fails over to a live
   mirror (the mirrored copy is as protected as the original — C6 — so
   this changes availability, never policy);
-* **failure + recovery** — ``crash(i)`` captures the provider's
-  durable state (base snapshot + journal bytes, exactly what M10
-  persists) and takes it offline; ``recover(i)`` rebuilds it with
-  :func:`~repro.platform.recover_provider` and swaps it back into
-  every link.  The recovered journal has a fresh identity (unlike a
+* **failure + recovery** — the fabric is its providers' operator: it
+  holds each provider's base, the full snapshot its first
+  ``snapshot_incremental()`` returns when the fabric builds or
+  recovers it.  ``crash(i)`` keeps the raw journal bytes beside that
+  base (exactly what M10 persists) and takes the provider offline;
+  ``recover(i)`` folds them with
+  :func:`~repro.platform.recover_provider` and swaps the result back
+  into every link.  A journal compacted behind the fabric's back (a
+  direct ``snapshot_incremental()`` that returned a full snapshot)
+  extends a checkpoint the fabric does not hold: recovery refuses it
+  with :class:`~repro.platform.BaseMismatch` rather than lose the
+  writes that snapshot carried.  The recovered journal has a fresh identity (unlike a
   compaction, which keeps the ending epoch for the cursors reading
   it), so every delta-sync cursor into it is stale by construction:
   the next sync round per user runs one full content-based
@@ -32,7 +39,6 @@ On top of placement the fabric manages:
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Optional
 
 from ..platform import (NoSuchUser, Provider, ProviderConfig, ShardMap,
@@ -59,13 +65,16 @@ class FederationFabric:
             Provider(name=f"w5-{i}", config=provider_config,
                      tracing=tracing)
             for i in range(n_providers)]
+        #: index -> the base the fabric holds: the provider's first
+        #: snapshot_incremental(), a full snapshot.
+        self._bases = [p.snapshot_incremental() for p in self.providers]
         #: (lo, hi) provider-index pair -> the link between them.
         self._links: dict[tuple[int, int], ProviderLink] = {}
         #: username -> mirror provider indices (home not included).
         self._mirrors: dict[str, set[int]] = {}
         self._passwords: dict[str, str] = {}
-        #: crashed index -> (old instance, base snapshot, journal bytes)
-        self._wreckage: dict[int, tuple[Provider, dict, bytes]] = {}
+        #: crashed index -> (old instance, journal bytes)
+        self._wreckage: dict[int, tuple[Provider, bytes]] = {}
 
     # ------------------------------------------------------------------
     # directory
@@ -181,17 +190,15 @@ class FederationFabric:
 
     def crash(self, index: int) -> None:
         """Take provider ``index`` down, keeping only what M10 made
-        durable: the base snapshot and the raw journal bytes."""
+        durable: the raw journal bytes, beside the base the fabric
+        already holds."""
         provider = self.provider(index)
         manager = provider._durability
         if manager is None:
             raise SyncError(
                 f"provider {index} has no durability manager; nothing "
                 f"would survive a crash")
-        self._wreckage[index] = (
-            provider,
-            copy.deepcopy(manager.base),
-            bytes(manager.journal.raw_bytes()))
+        self._wreckage[index] = (provider, manager.journal.raw_bytes())
         self.providers[index] = None
 
     def recover(self, index: int) -> dict[str, Any]:
@@ -199,13 +206,17 @@ class FederationFabric:
         from snapshot + journal, swap it into every link, and
         invalidate the links' cursors (the fresh journal identity
         makes them stale anyway — the swap just makes it explicit).
-        Returns the replay report."""
+        Returns the replay report.  A journal that does not extend the
+        held base raises :class:`~repro.platform.BaseMismatch` and
+        leaves the provider down."""
         if index not in self._wreckage:
             raise SyncError(f"provider {index} did not crash")
-        old, base, journal = self._wreckage.pop(index)
+        old, journal = self._wreckage[index]
         recovered, report = recover_provider(
-            base, journal, config=self._provider_config,
+            self._bases[index], journal, config=self._provider_config,
             tracing=self._tracing)
+        del self._wreckage[index]
+        self._bases[index] = recovered.snapshot_incremental()
         self.providers[index] = recovered
         for (i, j), link in self._links.items():
             if index in (i, j):

@@ -5,8 +5,8 @@ from .config import ProviderConfig
 from .context import AppContext, AppHandler
 from .debug import CrashReport, DebugService
 from .endorsement import EndorsementService
-from .errors import (AppCrashed, NoSuchApp, NoSuchUser, NotAuthorized,
-                     PlatformError)
+from .errors import (AppCrashed, BaseMismatch, NoSuchApp, NoSuchUser,
+                     NotAuthorized, PlatformError)
 from .durability import DurabilityManager, recover_provider
 from .groups import GroupService, GroupSpace
 from .inspect import Explanation, PolicyInspector
@@ -22,8 +22,8 @@ __all__ = [
     "PlanCache", "RequestPlan",
     "AppContext", "AppHandler",
     "CrashReport", "DebugService", "EndorsementService",
-    "AppCrashed", "NoSuchApp", "NoSuchUser", "NotAuthorized",
-    "PlatformError",
+    "AppCrashed", "BaseMismatch", "NoSuchApp", "NoSuchUser",
+    "NotAuthorized", "PlatformError",
     "DurabilityManager", "recover_provider",
     "GroupService", "GroupSpace",
     "Explanation", "PolicyInspector",

@@ -11,22 +11,27 @@ This module makes the incremental artifact the journal itself:
   platform-level mutations the provider performs itself (account
   lifecycle, enablements, group rosters, ledgers).  Each mutation
   becomes one checksummed :class:`~repro.core.journal.Journal` record.
-* :meth:`emit_snapshot` returns the journal since the last full
-  checkpoint as a **delta** (its cost is one copy of the journal
-  image), or a fresh full snapshot when the operator holds no base
-  yet or the journal outgrew its threshold (compaction).  Deltas are
+* The operator holds the base, not the provider.  A checkpoint only
+  resets the journal onto a new checkpoint id, which the journal's
+  header names.  :meth:`emit_snapshot` returns the journal since the
+  last checkpoint as a **delta** (its cost is one copy of the journal
+  image), or a fresh full snapshot carrying a new checkpoint id when
+  the operator holds no base yet or the journal outgrew its threshold
+  (compaction); the provider keeps no copy of it.  Deltas are
   *cumulative* since the checkpoint, so an operator retains exactly
   two artifacts: the base and the latest delta.
 * Every durable object — tag, file node, table, row, account, grant,
   group, endorsement, the declassifier clock — is re-created by one
   installer: the applier of its journal record, or the subsystem
-  installer that applier calls.  :func:`recover_provider` installs a
-  full snapshot through those installers (the reader,
+  installer that applier calls.  :func:`recover_provider` refuses a
+  journal whose header names another checkpoint than the base's
+  (:class:`~repro.platform.errors.BaseMismatch`), installs a full
+  snapshot through those installers (the reader,
   :func:`repro.platform.persist.install_snapshot`, sits beside the
   writer), replays the journal's verified prefix through the same
   ones (a torn tail is truncated, never guessed at), aligns the
-  caches once and checkpoints once; ``restore_provider`` is the same
-  body without a journal.  The
+  caches once and resets the journal; it takes no full snapshot.
+  ``restore_provider`` is the same body without a journal.  The
   differential tests interleave random mutations with crashes at
   every journal byte offset and compare against a full restore.
 
@@ -39,6 +44,7 @@ throughout — installing state is not a new mutation.
 from __future__ import annotations
 
 import itertools
+import os
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
@@ -47,6 +53,7 @@ from ..declassify import BUILTINS
 from ..declassify import Group as GroupPolicy
 from ..labels import Label
 from .accounts import UserAccount
+from .errors import BaseMismatch
 from .groups import GroupSpace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,28 +62,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DurabilityManager:
-    """Owns the journal and the base snapshot it is relative to."""
+    """Owns the journal; the operator holds the base it extends."""
 
     def __init__(self, provider: "Provider",
                  compact_threshold: int = 1 << 20) -> None:
         self.provider = provider
         self.journal = Journal(compact_threshold=compact_threshold)
         self._suspend_depth = 0
-        #: The last full snapshot; every journal record is relative to
-        #: this.
-        self.base: dict[str, Any] = {}
-        #: Whether the operator holds :attr:`base` (a delta only
-        #: extends a base the operator holds).
+        #: Whether the operator holds a full snapshot of the checkpoint
+        #: the journal extends (a delta only extends a base the
+        #: operator holds).
         self.base_held = False
         self._stats = {"compactions": 0, "full_snapshots": 0,
                        "incremental_snapshots": 0, "replay_records": 0,
                        "torn_truncations": 0}
         self.wire()
-        # The initial checkpoint: a fresh provider's bootstrap state
-        # (its write tag, /users, /groups) is the first base, so the
-        # journal covers every mutation of the provider's lifetime.
-        # The operator never received it, so the first emit_snapshot
-        # is a full snapshot.
+        # The first checkpoint covers the provider's bootstrap state
+        # (its write tag, /users, /groups), so the journal covers every
+        # mutation of the provider's lifetime.  The operator holds no
+        # snapshot of it, so the first emit_snapshot is a full one.
         self.checkpoint(held=False)
 
     # -- hook wiring ---------------------------------------------------
@@ -108,21 +112,19 @@ class DurabilityManager:
 
     # -- snapshots -----------------------------------------------------
 
-    def checkpoint(self, held: bool = True) -> dict[str, Any]:
-        """Take a full snapshot, make it the new base, and reset the
-        journal.  ``held`` says whether the operator receives this
-        base (later deltas extend it)."""
-        from .persist import snapshot_provider
-        # The old base is garbage once the new one exists; let it go
-        # first, so a checkpoint never holds two full snapshots.
-        self.base = {}
-        with self.suspended():
-            full = snapshot_provider(self.provider)
-        self.base = full
+    def checkpoint(self, held: bool = True,
+                   base_id: Optional[str] = None) -> str:
+        """Reset the journal onto checkpoint ``base_id`` and return the
+        id, which the journal's header names: random bytes in hex
+        when ``None``, or a restored snapshot's id (``""`` for one
+        that carries none).  ``held`` says whether the operator holds
+        a full snapshot of the current state (later deltas extend
+        it).  Builds no snapshot."""
+        if base_id is None:
+            base_id = os.urandom(16).hex()
         self.base_held = held
-        self.journal.reset()
-        self._stats["full_snapshots"] += 1
-        return full
+        self.journal.reset(base_id)
+        return base_id
 
     def emit_snapshot(self) -> dict[str, Any]:
         """The operator's snapshot call: the journal since the last
@@ -131,8 +133,9 @@ class DurabilityManager:
         A delta is ``{"kind": "delta", "name", "journal_seq",
         "journal"}``, where ``journal`` is the current epoch's journal
         image as ASCII text, so the artifact stays JSON-compatible.
-        Deltas are cumulative since the checkpoint: the operator
-        keeps the base and the latest delta, and
+        Its header names the checkpoint it extends.  Deltas are
+        cumulative since the checkpoint: the operator keeps the base
+        and the latest delta, and
         ``recover_provider(base, delta["journal"].encode("ascii"))``
         folds them.
 
@@ -141,12 +144,11 @@ class DurabilityManager:
         first call on a provider built by ``Provider(...)`` or by
         :func:`recover_provider`), and when the epoch holds a
         ``journal.opaque`` record: replay cannot reproduce the state
-        such a record covers, so only a full snapshot carries it.
-
-        Read-only: a full snapshot returned here is the live
-        :attr:`base` every later delta is relative to, and within it
-        the label dicts are shared between nodes and rows.
-        ``copy.deepcopy`` it (or JSON round-trip it) before editing."""
+        such a record covers, so only a full snapshot carries it.  Its
+        ``"checkpoint"`` key is the new checkpoint's id.  The provider
+        keeps no reference to it; within it the label dicts are shared
+        between nodes and rows, so ``copy.deepcopy`` it (or JSON
+        round-trip it) before editing."""
         if self.journal.needs_compaction():
             self._stats["compactions"] += 1
         elif self.base_held and not self.journal.epoch_opaque:
@@ -154,7 +156,12 @@ class DurabilityManager:
             return {"kind": "delta", "name": self.provider.name,
                     "journal_seq": self.journal.seq,
                     "journal": self.journal.text()}
-        return self.checkpoint()
+        from .persist import snapshot_provider
+        with self.suspended():
+            full = snapshot_provider(self.provider)
+        full["checkpoint"] = self.checkpoint()
+        self._stats["full_snapshots"] += 1
+        return full
 
     def stats(self) -> dict[str, Any]:
         return {**self.journal.stats(), **self._stats}
@@ -173,9 +180,12 @@ def recover_provider(base_state: dict[str, Any],
 
     The one fold of a base and a delta: an operator's delta folds as
     ``recover_provider(base, delta["journal"].encode("ascii"))``.  A
-    fresh provider installs ``base_state`` (:func:`install_snapshot`),
-    replays the journal's verified prefix through the same installers,
-    aligns its caches once and checkpoints once.  A torn journal tail
+    journal whose header names another checkpoint than
+    ``base_state["checkpoint"]`` raises :class:`BaseMismatch` before
+    anything is installed.  A fresh provider installs ``base_state``
+    (:func:`install_snapshot`), replays the journal's verified prefix
+    through the same installers, aligns its caches once and resets
+    its journal; no full snapshot is taken.  A torn journal tail
     (crash mid-append) is dropped; the report says how much and why.
     The recovered provider is byte-identical (snapshot-wise) to
     ``restore_provider`` of a snapshot taken right after the last
@@ -186,10 +196,18 @@ def recover_provider(base_state: dict[str, Any],
     ``snapshot_incremental()`` is a full one.
 
     ``journal_raw=None`` is ``restore_provider``: no replay, no replay
-    counts in the report, and the operator holds ``base_state``.
+    counts in the report, and the operator holds ``base_state``: the
+    journal extends its checkpoint id (``""`` when it carries none).
     """
     from .persist import install_snapshot, skipped_key
     from .provider import Provider
+    base_id = base_state.get("checkpoint", "")
+    if journal_raw is not None:
+        records, jreport = Journal.recover(journal_raw)
+        if jreport.base is not None and jreport.base != base_id:
+            raise BaseMismatch(
+                f"the journal extends checkpoint {jreport.base!r}, the "
+                f"base snapshot is checkpoint {base_id!r}")
     provider = Provider(name=base_state["name"], resources=resources,
                         config=config, tracing=tracing)
     manager = provider._durability
@@ -198,7 +216,6 @@ def recover_provider(base_state: dict[str, Any],
     with manager.suspended() if manager is not None else nullcontext():
         install_snapshot(provider, base_state, app_catalog)
         if journal_raw is not None:
-            records, jreport = Journal.recover(journal_raw)
             report.update({
                 "records_replayed": jreport.records,
                 "truncated_bytes": jreport.truncated_bytes,
@@ -225,8 +242,10 @@ def recover_provider(base_state: dict[str, Any],
         # the install replaced the registry/fs/db objects: point the
         # hooks at the new ones, then make the state the journal's base
         manager.wire()
-        manager.checkpoint(held=journal_raw is None)
-        if journal_raw is not None:
+        if journal_raw is None:
+            manager.checkpoint(base_id=base_id)
+        else:
+            manager.checkpoint(held=False)
             manager._stats["replay_records"] += jreport.records
             manager._stats["torn_truncations"] += bool(
                 jreport.truncated_bytes)

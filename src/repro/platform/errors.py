@@ -24,3 +24,8 @@ class NotAuthorized(PlatformError, FlowDenied):
 class AppCrashed(PlatformError):
     """Developer code raised; the platform converts this to a 500
     without leaking internals (§3.5 Debugging)."""
+
+
+class BaseMismatch(PlatformError):
+    """A journal was folded over a full snapshot it does not extend:
+    the checkpoint id its header names is not the snapshot's."""

@@ -182,8 +182,8 @@ def restore_provider(state: dict[str, Any],
     plus a report: declassifier grants that could not be restored and
     enabled apps missing from the reinstalled catalog.  The operator
     holds ``state``, so the provider's first ``snapshot_incremental()``
-    is a delta over it.  The body is :func:`recover_provider`'s, with
-    no journal to replay.
+    is a delta over it: the journal names ``state``'s checkpoint id.
+    The body is :func:`recover_provider`'s, with no journal to replay.
     """
     return recover_provider(state, None, app_catalog, resources, config)
 

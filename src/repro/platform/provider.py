@@ -158,8 +158,9 @@ class Provider:
         #: ``journal_compact_bytes``.  The oracle keeps none: its
         #: snapshots are always the full re-serialization.  Created
         #: last so the provider's own bootstrap (tags, /users,
-        #: /groups) lands in the initial base checkpoint, not the
-        #: journal.
+        #: /groups) precedes the first checkpoint instead of being
+        #: journaled: the operator receives it in the full snapshot
+        #: the first :meth:`snapshot_incremental` returns.
         self._durability = None
         if config.plane == "fast":
             from .durability import DurabilityManager

@@ -20,8 +20,8 @@ from repro.kernel.errors import (DeadProcess, EndpointMisuse, KernelError,
 from repro.labels import (CapabilityError, FlowViolation, IntegrityViolation,
                           LabelError, SecrecyViolation, TagError,
                           WriteIntegrityViolation, WriteSecrecyViolation)
-from repro.platform.errors import (AppCrashed, NoSuchApp, NoSuchUser,
-                                   NotAuthorized, PlatformError)
+from repro.platform.errors import (AppCrashed, BaseMismatch, NoSuchApp,
+                                   NoSuchUser, NotAuthorized, PlatformError)
 
 
 ALL_LAYER_ERRORS = [
@@ -32,6 +32,7 @@ ALL_LAYER_ERRORS = [
     FsError, NoSuchPath, PathExists, NotADirectory, IsADirectory,
     DbError, NoSuchTable, TableExists, NoSuchRow, SchemaError,
     PlatformError, NoSuchUser, NoSuchApp, NotAuthorized, AppCrashed,
+    BaseMismatch,
 ]
 
 

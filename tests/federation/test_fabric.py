@@ -4,7 +4,7 @@ import pytest
 
 from repro.federation import (FederationFabric, ProviderDown, SyncError,
                               converged)
-from repro.platform import NoSuchUser, ProviderConfig
+from repro.platform import BaseMismatch, NoSuchUser, ProviderConfig
 
 
 @pytest.fixture()
@@ -157,6 +157,39 @@ class TestFailureRecovery:
     def test_recover_without_crash_rejected(self, fabric):
         with pytest.raises(SyncError):
             fabric.recover(0)
+
+    def test_recover_refuses_a_journal_compacted_behind_its_back(self):
+        """The fabric holds each provider's base.  A direct
+        snapshot_incremental() that compacts hands a new base to
+        someone else: the journal then extends a checkpoint the fabric
+        does not hold, and recovery refuses it instead of folding it
+        over the old base and losing the compacted writes."""
+        fabric = FederationFabric(
+            2, provider_config=ProviderConfig(journal_compact_bytes=1))
+        home = fabric.signup("bob", "pw")
+        fabric.store_user_data("bob", "f", "v1")
+        snap = fabric.provider(home).snapshot_incremental()
+        assert snap.get("kind") != "delta"
+        fabric.store_user_data("bob", "g", "v2")
+        fabric.crash(home)
+        with pytest.raises(BaseMismatch):
+            fabric.recover(home)
+        with pytest.raises(ProviderDown):
+            fabric.provider(home)
+
+    def test_recovered_provider_crashes_and_recovers_again(self, fabric):
+        """Recovery hands the fabric the recovered provider's base, so
+        a second crash folds over it."""
+        home = fabric.signup("bob", "pw")
+        fabric.store_user_data("bob", "f", "v1")
+        fabric.crash(home)
+        fabric.recover(home)
+        fabric.store_user_data("bob", "g", "v2")
+        fabric.crash(home)
+        report = fabric.recover(home)
+        assert report["records_replayed"] > 0
+        assert fabric.read_user_data("bob", "f") == "v1"
+        assert fabric.read_user_data("bob", "g") == "v2"
 
     def test_crashed_provider_is_unaddressable(self, fabric):
         fabric.crash(2)

@@ -135,7 +135,7 @@ def restarted(how: str, plane: str, history) -> Provider:
         return restore_provider(state, STANDARD_CATALOG,
                                 config=PLANES[plane]())[0]
     live = _live(ProviderConfig.fast())
-    base = copy.deepcopy(live.snapshot_incremental())
+    base = live.snapshot_incremental()
     history(live)
     journal = bytes(live._durability.journal.raw_bytes())
     return recover_provider(base, journal, STANDARD_CATALOG,

@@ -8,15 +8,20 @@ provider's full snapshot.
 """
 
 import copy
+import gc
+import types
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import STANDARD_CATALOG, install_standard_apps
 from repro.core.journal import Journal
 from repro.declassify import AnyOf, ViewerPredicate
-from repro.platform import (Provider, ProviderConfig, recover_provider,
-                            restore_provider, snapshot_provider)
+from repro.platform import (BaseMismatch, Provider, ProviderConfig,
+                            recover_provider, restore_provider,
+                            snapshot_provider)
+from repro.platform import persist
 
 from .test_journal_replay import (MUTATIONS, TIMELINE, canon,
                                   fresh_provider, operator_base,
@@ -83,9 +88,11 @@ class TestDeltaMergeEqualsFull:
         snapshot lists, from the base and the journal alike."""
         def anyone():
             return ViewerPredicate({"predicate": lambda o, v, a: True})
-        p, __, __ = run_timeline(["signup", "signup2"])
+        p = fresh_provider()
+        MUTATIONS["signup"](p)
+        MUTATIONS["signup2"](p)
         p.grant_declassifier("bob", anyone())
-        base = copy.deepcopy(p._durability.checkpoint())
+        base = operator_base(p)
         p.grant_declassifier("amy", anyone())
         p.grant_declassifier("amy", AnyOf(anyone()))
         p.revoke_declassifier("bob", "viewer-predicate")
@@ -116,7 +123,7 @@ class TestDeltaIsODirty:
             p.signup(f"user{i:03d}", "pw")
         p._durability.checkpoint()  # everything is in the base
         clean = p.snapshot_incremental()
-        assert clean["journal"] == "" and clean["journal_seq"] == 0
+        assert delta_ops(clean) == [] and clean["journal_seq"] == 0
         p.set_profile("user005", mood="good")
         delta = p.snapshot_incremental()
         assert delta_ops(delta) == ["account.profile"]
@@ -162,15 +169,14 @@ class TestCompaction:
         assert p._durability.journal.needs_compaction()
         snap = p.snapshot_incremental()
         assert snap.get("kind") != "delta"  # escalated to full
-        assert p._durability.journal.size_bytes == 0  # re-based
+        assert p._durability.journal.seq == 0  # re-based
         stats = p.persistence_stats()
         assert stats["compactions"] == 1
         # below threshold again: back to deltas
         p.set_profile("bob", mood="ok")
         delta = p.snapshot_incremental()
         assert delta["kind"] == "delta"
-        p2, __ = recover_provider(copy.deepcopy(snap),
-                                  delta["journal"].encode("ascii"),
+        p2, __ = recover_provider(snap, delta["journal"].encode("ascii"),
                                   app_catalog=STANDARD_CATALOG)
         assert canon(snapshot_provider(p2)) == canon(snapshot_provider(p))
 
@@ -197,7 +203,7 @@ class TestOperatorHoldsTheBase:
 
     def test_fresh_provider_hands_out_its_base_first(self):
         p = timeline_provider()
-        base = copy.deepcopy(p.snapshot_incremental())
+        base = p.snapshot_incremental()
         assert base.get("kind") != "delta"
         assert canon(base) == canon(snapshot_provider(p))
         MUTATIONS["profile"](p)
@@ -207,12 +213,12 @@ class TestOperatorHoldsTheBase:
 
     def test_recovered_provider_hands_out_its_base_first(self):
         p = timeline_provider()
-        base = copy.deepcopy(p.snapshot_incremental())
+        base = p.snapshot_incremental()
         MUTATIONS["profile"](p)
         p2, __ = recover_provider(
             base, p.snapshot_incremental()["journal"].encode("ascii"),
             app_catalog=STANDARD_CATALOG)
-        base2 = copy.deepcopy(p2.snapshot_incremental())
+        base2 = p2.snapshot_incremental()
         assert base2.get("kind") != "delta"
         assert canon(base2) == canon(snapshot_provider(p))
         p2.signup("carol", "pw")
@@ -231,18 +237,96 @@ class TestOperatorHoldsTheBase:
         assert delta["kind"] == "delta"
         assert_fold_equals_live(state, delta, p2)
 
-    def test_recovery_takes_one_full_snapshot(self):
-        """The bootstrap checkpoint every Provider() takes, and the
-        recovered state: no snapshot of the installed base between."""
+    def test_no_full_snapshot_in_recovery(self):
+        """A checkpoint is a journal reset: neither the bootstrap
+        checkpoint every Provider() takes, nor recovery, nor a restore
+        builds a full snapshot.  Only the operator's call does."""
         p = timeline_provider()
-        base = copy.deepcopy(p.snapshot_incremental())
+        base = p.snapshot_incremental()
         MUTATIONS["profile"](p)
         p2, __ = recover_provider(
             base, p.snapshot_incremental()["journal"].encode("ascii"),
             app_catalog=STANDARD_CATALOG)
-        assert p2.persistence_stats()["full_snapshots"] == 2
+        assert p2.persistence_stats()["full_snapshots"] == 0
         p3, __ = restore_provider(base, app_catalog=STANDARD_CATALOG)
-        assert p3.persistence_stats()["full_snapshots"] == 2
+        assert p3.persistence_stats()["full_snapshots"] == 0
+        assert p2.snapshot_incremental().get("kind") != "delta"
+        assert p2.persistence_stats()["full_snapshots"] == 1
+
+    def test_provider_keeps_no_snapshot_it_hands_out(self):
+        """Once returned, a full snapshot is the operator's alone:
+        nothing reachable from the provider refers to it."""
+        p = timeline_provider()
+        snap = p.snapshot_incremental()
+        assert snap.get("kind") != "delta"
+        gc.collect()
+        assert [r for r in gc.get_referrers(snap)
+                if not isinstance(r, types.FrameType)] == []
+
+
+
+class TestBaseIdentity:
+    """Every full snapshot carries a checkpoint id, and the journal
+    names the id of the base it extends: a fold over another base is
+    refused."""
+
+    def compacted(self):
+        """A provider whose operator holds ``first``, then receives
+        ``second`` from a compaction, then ``third``, a delta over
+        ``second``."""
+        p = Provider(name="w5",
+                     config=ProviderConfig(journal_compact_bytes=512))
+        p.signup("bob", "pw")
+        first = p.snapshot_incremental()
+        for i in range(6):
+            p.store_user_data("bob", f"f{i}", "x" * 200)
+        second = p.snapshot_incremental()
+        assert second.get("kind") != "delta"
+        assert p.persistence_stats()["compactions"] == 1
+        p.store_user_data("bob", "f6", "y" * 200)
+        third = p.snapshot_incremental()
+        assert third["kind"] == "delta"
+        return p, first, second, third
+
+    def test_fold_over_a_replaced_base_is_refused(self, monkeypatch):
+        p, first, second, third = self.compacted()
+        assert first["checkpoint"] != second["checkpoint"]
+        journal = third["journal"].encode("ascii")
+
+        def no_install(*args):
+            raise AssertionError("installed state before the check")
+
+        with monkeypatch.context() as m:
+            m.setattr(persist, "install_snapshot", no_install)
+            with pytest.raises(BaseMismatch):
+                recover_provider(first, journal)
+        recovered, report = recover_provider(second, journal)
+        assert report["records_replayed"] == 1
+        for i in range(6):
+            assert recovered.read_user_data("bob", f"f{i}") == "x" * 200
+        assert recovered.read_user_data("bob", "f6") == "y" * 200
+
+    def test_restore_adopts_the_snapshot_id(self):
+        """A restored provider's deltas name the snapshot it installed,
+        so they fold over it and over nothing else."""
+        p, first, second, __ = self.compacted()
+        restored, __ = restore_provider(second)
+        restored.store_user_data("bob", "g", "after the restore")
+        delta = restored.snapshot_incremental()
+        assert delta["kind"] == "delta"
+        journal = delta["journal"].encode("ascii")
+        with pytest.raises(BaseMismatch):
+            recover_provider(first, journal)
+        recovered, __ = recover_provider(second, journal)
+        assert recovered.read_user_data("bob", "g") == "after the restore"
+
+    def test_ids_are_not_a_counter(self):
+        """Two providers built the same way name different
+        checkpoints: an id is random bytes, not a per-process
+        counter another provider (or process) repeats."""
+        ids = {Provider(name="w5").snapshot_incremental()["checkpoint"]
+               for __ in range(2)}
+        assert len(ids) == 2 and all(len(i) == 32 for i in ids)
 
 
 class TestOpaqueRecords:
@@ -260,7 +344,7 @@ class TestOpaqueRecords:
         MUTATIONS["profile"](p)
         delta = p.snapshot_incremental()
         assert delta["kind"] == "delta"
-        recovered = fold(copy.deepcopy(snap), delta)
+        recovered = fold(snap, delta)
         assert recovered.read_user_data("bob", "s.bin") == {1, 2, 3}
         assert canon(snapshot_provider(recovered)) == \
             canon(snapshot_provider(p))

@@ -18,14 +18,18 @@ from hypothesis import strategies as st
 
 from repro.apps import STANDARD_CATALOG, install_standard_apps
 from repro.net import ExternalClient
-from repro.platform import (Provider, recover_provider, restore_provider,
-                            set_password, snapshot_provider)
+from repro.platform import (BaseMismatch, Provider, recover_provider,
+                            restore_provider, set_password,
+                            snapshot_provider)
 
 
 def canon(state) -> str:
     """Canonical snapshot bytes: dict order is irrelevant, list order
     must be deterministic (the satellite-1 sorting guarantees it);
-    bytes payloads (legal in in-memory snapshots) hex-encode."""
+    bytes payloads (legal in in-memory snapshots) hex-encode.  The
+    checkpoint id names the snapshot, not the state, so it is left
+    out."""
+    state = {k: v for k, v in state.items() if k != "checkpoint"}
     return json.dumps(
         state, sort_keys=True, separators=(",", ":"),
         default=lambda o: {"__bytes__": o.hex()}
@@ -43,7 +47,7 @@ def operator_base(p: Provider):
     first ``snapshot_incremental()`` is a full snapshot."""
     base = p.snapshot_incremental()
     assert base.get("kind") != "delta"
-    return copy.deepcopy(base)
+    return base
 
 
 def assert_equiv(p_full: Provider, p_rec: Provider) -> None:
@@ -238,6 +242,28 @@ class TestCrashAtEveryOffset:
             assert canon(snapshot_provider(p_rec)) == bound_canon[floor], \
                 f"crash at byte {cut}"
             assert report["truncated_bytes"] == cut - floor
+
+    def test_every_byte_offset_names_its_base(self):
+        """The journal's first line names the checkpoint it extends.
+        Cut anywhere, the journal folds over its own base; once that
+        line is whole, it is refused over another provider's base.  A
+        cut inside it leaves no records, so no base is refused."""
+        p, base, __ = run_timeline(["signup", "store"])
+        other = operator_base(fresh_provider())
+        journal = bytes(p._durability.journal.raw_bytes())
+        header = journal.index(b"\n") + 1
+        assert base["checkpoint"].encode("ascii") in journal[:header]
+        for cut in range(len(journal) + 1):
+            recover_provider(base, journal[:cut],
+                             app_catalog=STANDARD_CATALOG)
+            if cut < header:
+                __, report = recover_provider(
+                    other, journal[:cut], app_catalog=STANDARD_CATALOG)
+                assert report["records_replayed"] == 0
+            else:
+                with pytest.raises(BaseMismatch):
+                    recover_provider(other, journal[:cut],
+                                     app_catalog=STANDARD_CATALOG)
 
 
 class TestRandomInterleavings:

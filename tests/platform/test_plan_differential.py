@@ -405,13 +405,11 @@ class TestPlanInvalidation:
         assert r.status == 403
 
     def test_journal_replay_restore_starts_plans_cold(self):
-        import copy
-
         from repro.apps import STANDARD_CATALOG
         from repro.platform import recover_provider, set_password
 
         w5 = build_deployment()
-        base = copy.deepcopy(w5.provider.snapshot_incremental())
+        base = w5.provider.snapshot_incremental()
         w5.client("alice").get("/app/blog/post", title="t", body="b")
         self._warm(w5)
         journal = bytes(w5.provider._durability.journal.raw_bytes())

@@ -36,7 +36,6 @@ and every invariant, so a history spends all its steps on one
 concern; the plan, pool and scoped-authority differentials use it.
 """
 
-import copy
 import dataclasses
 
 from hypothesis import settings
@@ -127,8 +126,7 @@ class PlaneMachine(RuleBasedStateMachine):
                 config, journal_compact_bytes=self.JOURNAL_COMPACT_BYTES)))
         #: The full snapshot the fast plane's deltas are relative to:
         #: a fresh provider's first snapshot_incremental() is full.
-        self.base = copy.deepcopy(
-            self.pair.fast.provider.snapshot_incremental())
+        self.base = self.pair.fast.provider.snapshot_incremental()
         #: The model: whom each author's data is released to.
         self.friends = {user: set() for user in USERS}
         self.friends["alice"].add("bob")
@@ -248,7 +246,7 @@ class PlaneMachine(RuleBasedStateMachine):
         live = canon(snapshot_provider(fast))
         if snap.get("kind") != "delta":
             assert canon(snap) == live
-            self.base = copy.deepcopy(snap)
+            self.base = snap
             return
         recovered, report = recover_provider(
             self.base, snap["journal"].encode("ascii"),
