@@ -134,8 +134,8 @@ def bench_m8(repeat: int) -> dict:
     """Per-request latency vs. deployment size, fast and oracle planes.
 
     The interesting number is the growth ratio: flat (~1x) on the fast
-    plane (compiled plans over the capability index + authority cache,
-    the pool), linear on the oracle plane.
+    plane (compiled plans over the capability index, each holding its
+    viewer's export authority; the pool), linear on the oracle plane.
     """
     from m8_scaling import run_tier
 
@@ -147,7 +147,7 @@ def bench_m8(repeat: int) -> dict:
             "throughput_rps": tier["throughput_rps"],
             "plan_hits": tier["plans"]["hits"],
             "launch_cap_hits": tier["launch_caps"]["hits"],
-            "authority_hits": tier["authority"]["hits"],
+            "authority_refreshes": tier["authority"]["refreshes"],
             "audit_dropped": tier["audit_dropped"],
         }
     for n_users in (10, 100, 1_000):

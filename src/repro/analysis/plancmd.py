@@ -57,14 +57,15 @@ def render_plan(desc: dict[str, Any]) -> str:
 
     egress = desc.get("egress", {})
     out += ["", "## Egress", ""]
-    if egress.get("precomputed"):
-        auth = egress.get("authority") or []
-        out.append(f"- export authority precomputed ({len(auth)} caps)")
-        for cap in auth:
-            out.append(f"  - `{cap}`")
-    else:
-        out.append("- export authority resolved live (a time-dependent "
-                   "declassifier grant exists)")
+    auth = egress.get("authority") or []
+    out.append(f"- export authority compiled ({len(auth)} caps, "
+               f"{egress.get('approving_grants', 0)} approving grants)")
+    for cap in auth:
+        out.append(f"  - `{cap}`")
+    live = egress.get("live_grants", 0)
+    if live:
+        out.append(f"- plus the live verdicts of {live} time-dependent "
+                   "grant(s) at egress")
 
     epochs = desc.get("epochs", {})
     out += ["", "## Validity (epoch stamps)", "",

@@ -7,6 +7,12 @@ in a response destined for viewer v?*  This service computes that — the
 ``authority_for`` oracle the platform plugs into the gateway — by
 consulting every grant whose declassifier approves ``v``.
 
+The service keeps no per-viewer answers.  A compiled request plan
+(:mod:`repro.platform.plans`) holds its viewer's cacheable authority,
+and :meth:`DeclassificationService.refresh_authority` brings a stale
+one up to date: each epoch bump records the owners it concerns, and a
+refresh re-runs only those owners' cacheable grants.
+
 Every positive decision is an audited declassification event; every
 negative one is an audited refusal, so experiments can count both.
 """
@@ -17,21 +23,16 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Collection, Iterable, Iterator, Optional,
-                    Sequence)
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..kernel import Kernel
 from ..kernel import audit as A
 from ..labels import CapabilitySet, Tag, minus
 from .base import Declassifier, ReleaseContext
 
-#: Authority epochs the dirty log remembers.  A memo entry computed
-#: more edits ago than this is recomputed in full instead of refreshed.
+#: Authority epochs the dirty log remembers.  Authority held from more
+#: edits ago than this is recomputed in full instead of refreshed.
 DIRTY_LOG_EPOCHS = 256
-
-#: Bound on the authority memo: (viewer, own tags) entries kept before
-#: the memo is cleared.
-MAX_AUTHORITY_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -45,21 +46,6 @@ class Grant:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Grant({self.owner}: tag {self.tag.tag_id} via "
                 f"{self.declassifier.name})")
-
-
-class _Authority:
-    """One memoized (viewer, own_tags) answer of the cacheable grants."""
-
-    __slots__ = ("epoch", "approved", "caps")
-
-    def __init__(self, epoch: int, approved: tuple[Grant, ...],
-                 caps: CapabilitySet) -> None:
-        #: ``authority_epoch`` the entry is current for.
-        self.epoch = epoch
-        #: The cacheable grants approving the viewer (each names its
-        #: owner, so a refresh can swap out one owner's approvals).
-        self.approved = approved
-        self.caps = caps
 
 
 def _tree(declassifier: Declassifier) -> Iterator[Declassifier]:
@@ -100,9 +86,6 @@ class DeclassificationService:
         self._now: float = 0.0
         #: Durability hook: ``(op, data)`` per policy mutation (journal).
         self.on_mutate: Optional[Callable[[str, dict], None]] = None
-        #: Memoized per-viewer export authority (the cacheable part).
-        self.cache_authority = kernel.plane == "fast"
-        self._authority_memo: dict[Any, _Authority] = {}
         #: Bumped by every authority-changing event; readable by tests.
         self.authority_epoch = 0
         #: What each of the last epoch bumps changed: the owners whose
@@ -112,8 +95,9 @@ class DeclassificationService:
         #: stops tracking tuples of strings, so they add no GC work.)
         self._dirty_log: deque[Optional[tuple[str, ...]]] = deque(
             maxlen=DIRTY_LOG_EPOCHS)
-        self._stats = {"hits": 0, "misses": 0, "refreshes": 0,
-                       "invalidations": 0, "bypasses": 0}
+        #: Scoped refreshes: held authority brought up to date by
+        #: re-running only the dirtied owners' grants.
+        self._refreshes = 0
 
     # -- durability plumbing --------------------------------------------
 
@@ -158,21 +142,21 @@ class DeclassificationService:
                 "owner": owner, "tag_id": tag.tag_id, "name": name,
                 "changes": serial})
 
-    # -- authority-cache plumbing ---------------------------------------
+    # -- held-authority plumbing ----------------------------------------
 
     def invalidate_authority(
             self, reason: str = "", *,
             owners: Optional[Iterable[str]] = None,
             declassifiers: Optional[Iterable[Declassifier]] = None) -> None:
-        """Mark memoized export authority stale.
+        """Mark held export authority stale.
 
         Called on every event that can change what some viewer may see.
         ``grant``/``revoke`` name their owner; a config edit (friendship
         edits, group roster changes) passes the declassifier objects it
         mutated, which concern the owner of every grant whose policy
         tree contains one of them.  With neither, everything changed
-        (restore, journal replay).  A stale memo entry re-runs only the
-        changed owners' grants on its next lookup.
+        (restore, journal replay).  Authority held from before the bump
+        re-runs only the changed owners' grants on its next refresh.
         """
         changed: Optional[tuple[str, ...]] = None
         if declassifiers is not None:
@@ -184,8 +168,6 @@ class DeclassificationService:
             changed = tuple(owners)
         self.authority_epoch += 1
         self._dirty_log.append(changed)
-        if self._authority_memo:
-            self._stats["invalidations"] += 1
 
     def _dirtied_since(self, epoch: int) -> Optional[set[str]]:
         """Owners changed after ``epoch``; ``None`` when some bump
@@ -201,10 +183,7 @@ class DeclassificationService:
         return owners
 
     def authority_stats(self) -> dict[str, int]:
-        stats = dict(self._stats)
-        stats["entries"] = len(self._authority_memo)
-        stats["epoch"] = self.authority_epoch
-        return stats
+        return {"epoch": self.authority_epoch, "refreshes": self._refreshes}
 
     # -- policy management (driven by the provider's web forms) ---------
 
@@ -314,102 +293,76 @@ class DeclassificationService:
     def authority_for(self, viewer: Optional[str],
                       own_tags: Iterable[Tag] = (),
                       kind: str = "", **attributes: Any) -> CapabilitySet:
-        """The export authority the gateway should use for ``viewer``.
+        """The export authority the gateway should use for ``viewer``,
+        evaluated live: the reference every other answer must equal.
 
         ``own_tags`` are the viewer's own data tags (always
         exportable to herself — the boilerplate policy); on top of
         those, every granted tag whose declassifier approves ``viewer``
-        contributes its ``t-``.
-
-        On the fast plane the decisions of *cacheable* declassifiers
-        (pure functions of viewer + config) are memoized per (viewer,
-        own_tags), grouped by grant owner.  A policy edit
-        marks the owners it concerns, and a stale entry re-runs only
-        those owners' grants; non-cacheable grants (time embargoes,
-        custom predicates) are re-evaluated on every call and merged
-        in, so ``ReleaseContext.now`` semantics are untouched.  Calls
-        with a ``kind`` or attributes bypass the cache entirely — any
-        declassifier may read those.
+        contributes its ``t-``.  Unplanned egress, email, the
+        universal feed and the oracle plane ask here; a planned
+        request exports under its plan's held authority plus
+        :meth:`with_live_grants`.
         """
-        return self._authority_for(viewer, own_tags, kind, attributes)
+        approved = self._evaluate(self._grants, len(self._by_owner),
+                                  viewer, kind, attributes)
+        return CapabilitySet([minus(t) for t in own_tags]
+                             + [minus(g.tag) for g in approved])
 
-    def _authority_for(self, viewer: Optional[str],
-                       own_tags: Iterable[Tag], kind: str,
-                       attributes: dict[str, Any]) -> CapabilitySet:
-        own_tags = tuple(own_tags)
-        cacheable_ok = (self.cache_authority and kind == ""
-                        and not attributes)
-        if not cacheable_ok:
-            if self.cache_authority:
-                self._stats["bypasses"] += 1
-            approved = self._evaluate(self._grants, len(self._by_owner),
-                                      viewer, kind, attributes)
-            return CapabilitySet([minus(t) for t in own_tags]
-                                 + [minus(g.tag) for g in approved])
+    def refresh_authority(
+            self, viewer: Optional[str], own_tags: Sequence[Tag],
+            held: Optional[tuple[tuple[Grant, ...], CapabilitySet]] = None,
+            epoch: int = 0) -> tuple[tuple[Grant, ...], CapabilitySet]:
+        """``viewer``'s authority under the cacheable grants, current at
+        ``authority_epoch``: the approving grants and their caps.
 
-        key = (viewer, frozenset(own_tags))
-        entry = self._authority_memo.get(key)
-        owners: Optional[set[str]] = None
-        if entry is not None and entry.epoch != self.authority_epoch:
-            owners = self._dirtied_since(entry.epoch)
-            if owners is None:  # older than the log: recompute in full
-                entry = None
-        if entry is None:
-            self._stats["misses"] += 1
-            if len(self._authority_memo) >= MAX_AUTHORITY_ENTRIES:
-                self._authority_memo.clear()
-            entry = self._authority_memo[key] = self._memoize(viewer,
-                                                              own_tags)
-        elif owners:
-            self._stats["refreshes"] += 1
-            entry = self._authority_memo[key] = self._memoize(
-                viewer, own_tags, entry, owners)
-        else:  # current, or no edit since concerns any grant owner
-            self._stats["hits"] += 1
-            entry.epoch = self.authority_epoch
-        cached = entry.caps
-        uncacheable = self._uncacheable
-        if not uncacheable:
-            return cached
-        extra = [minus(g.tag) for g in uncacheable
-                 if g.declassifier.decide(ReleaseContext(
-                     owner=g.owner, viewer=viewer, kind=kind, now=self.now,
-                     attributes=dict(attributes)))]
-        return cached | extra if extra else cached
-
-    def _memoize(self, viewer: Optional[str], own_tags: tuple[Tag, ...],
-                 stale: Optional[_Authority] = None,
-                 owners: Collection[str] = ()) -> _Authority:
-        """A current memo entry for ``viewer``: every cacheable grant
-        evaluated, or ``stale`` with only those of ``owners``
-        re-evaluated."""
-        if stale is None:
-            owners = self._by_owner
+        ``held`` is that answer for the same ``own_tags`` at ``epoch``:
+        only the cacheable grants of the owners dirtied since then are
+        re-run, and an unchanged answer comes back as it was.  With
+        nothing held, or a log that no longer reaches back to
+        ``epoch``, every cacheable grant is evaluated.
+        """
+        owners = None if held is None else self._dirtied_since(epoch)
+        if owners is None:
             grants = [g for g in self._grants if g.declassifier.cacheable]
+            approved = self._evaluate(grants, len(self._by_owner),
+                                      viewer, "", {})
+        elif not owners:  # no edit since concerns any grant owner
+            return held
         else:
+            self._refreshes += 1
+            stale = held[0]
             grants = [g for o in owners for g in self._by_owner.get(o, ())
                       if g.declassifier.cacheable]
-        approved = self._evaluate(grants, len(owners), viewer, "", {})
-        if stale is not None:
-            replaced = {id(g) for g in stale.approved if g.owner in owners}
+            approved = self._evaluate(grants, len(owners), viewer, "", {})
+            replaced = {id(g) for g in stale if g.owner in owners}
             if replaced == {id(g) for g in approved}:
                 # the usual edit: nothing changed for this viewer
-                stale.epoch = self.authority_epoch
-                return stale
-            approved += [g for g in stale.approved if g.owner not in owners]
+                return held
+            approved += [g for g in stale if g.owner not in owners]
         caps = CapabilitySet([minus(t) for t in own_tags]
                              + [minus(g.tag) for g in approved])
-        return _Authority(self.authority_epoch, tuple(approved), caps)
+        return tuple(approved), caps
+
+    def with_live_grants(self, caps: CapabilitySet,
+                         viewer: Optional[str]) -> CapabilitySet:
+        """``caps`` plus the ``t-`` of every non-cacheable grant that
+        approves ``viewer`` now: what completes a plan's held authority
+        at egress (``ReleaseContext.now`` is read per call)."""
+        extra = [minus(g.tag) for g in self._uncacheable
+                 if g.declassifier.decide(ReleaseContext(
+                     owner=g.owner, viewer=viewer, now=self.now))]
+        return caps | extra if extra else caps
 
     def _evaluate(self, grants: Sequence[Grant], owners: int,
                   viewer: Optional[str], kind: str,
                   attributes: dict[str, Any]) -> list[Grant]:
         """The grants among ``grants`` that approve ``viewer``."""
         # the declassifier evaluation loop is the expensive part of the
-        # oracle, so the span lives here: memoized authority hits (the
-        # steady-state request path) cost no span at all, while every
-        # real evaluation — cold cache, bypass, scoped refresh — shows
-        # up in the trace as declass.authority
+        # oracle, so the span lives here: a current plan (the
+        # steady-state request path) costs no span at all, while every
+        # real evaluation — live call, plan compile, scoped refresh —
+        # shows up in the trace as declass.authority
         with self.kernel.tracer.span("declass.authority",
                                      viewer=viewer or "anonymous",
                                      grants=len(grants), owners=owners):

@@ -25,7 +25,9 @@ This module makes the incremental artifact the journal itself:
   installer: the applier of its journal record, or the subsystem
   installer that applier calls.  :func:`recover_provider` refuses a
   journal whose header names another checkpoint than the base's
-  (:class:`~repro.platform.errors.BaseMismatch`), installs a full
+  (:class:`~repro.platform.errors.BaseMismatch`; a snapshot without
+  a checkpoint id is named by a digest of its content,
+  :func:`checkpoint_id`), installs a full
   snapshot through those installers (the reader,
   :func:`repro.platform.persist.install_snapshot`, sits beside the
   writer), replays the journal's verified prefix through the same
@@ -44,6 +46,7 @@ throughout — installing state is not a new mutation.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
@@ -116,10 +119,9 @@ class DurabilityManager:
                    base_id: Optional[str] = None) -> str:
         """Reset the journal onto checkpoint ``base_id`` and return the
         id, which the journal's header names: random bytes in hex
-        when ``None``, or a restored snapshot's id (``""`` for one
-        that carries none).  ``held`` says whether the operator holds
-        a full snapshot of the current state (later deltas extend
-        it).  Builds no snapshot."""
+        when ``None``, or a restored snapshot's :func:`checkpoint_id`.
+        ``held`` says whether the operator holds a full snapshot of the
+        current state (later deltas extend it).  Builds no snapshot."""
         if base_id is None:
             base_id = os.urandom(16).hex()
         self.base_held = held
@@ -171,6 +173,23 @@ class DurabilityManager:
 # restore and crash recovery: install the base, replay the journal
 # ----------------------------------------------------------------------
 
+def checkpoint_id(state: dict[str, Any]) -> str:
+    """The checkpoint id a base snapshot names: its ``"checkpoint"``
+    key, or for a snapshot that carries none (``snapshot_provider``'s
+    own output) a sha256 of its canonical JSON, so two id-less
+    snapshots of different states never pass for one another."""
+    checkpoint = state.get("checkpoint")
+    if checkpoint is not None:
+        return checkpoint
+    # imported on first use: at module level, hashlib (which loads
+    # OpenSSL) raised delta_sync's peak RSS by about 0.6 MiB
+    import hashlib
+    text = json.dumps(state, sort_keys=True, separators=(",", ":"),
+                      default=lambda o: {"__bytes__": o.hex()}
+                      if isinstance(o, (bytes, bytearray)) else repr(o))
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
 def recover_provider(base_state: dict[str, Any],
                      journal_raw: Optional[bytes],
                      app_catalog: Iterable["AppModule"] = (),
@@ -197,11 +216,12 @@ def recover_provider(base_state: dict[str, Any],
 
     ``journal_raw=None`` is ``restore_provider``: no replay, no replay
     counts in the report, and the operator holds ``base_state``: the
-    journal extends its checkpoint id (``""`` when it carries none).
+    journal extends its :func:`checkpoint_id`, which both compute
+    before installing anything.
     """
     from .persist import install_snapshot, skipped_key
     from .provider import Provider
-    base_id = base_state.get("checkpoint", "")
+    base_id = checkpoint_id(base_state)
     if journal_raw is not None:
         records, jreport = Journal.recover(journal_raw)
         if jreport.base is not None and jreport.base != base_id:

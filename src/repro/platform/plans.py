@@ -1,35 +1,38 @@
 """Compiled request plans: the M12 dispatch fast path.
 
-The hot request is fully memoized by M8–M11 — the LaunchCapIndex, the
-authority memo and the flow cache's subject verdicts each answer in
-O(1) — but the pipeline still *interprets* its way through them:
-resolve the app, hash (app, viewer) into the cap index, then re-derive
-the viewer's export authority.  A :class:`RequestPlan` compiles that,
-once per (app, viewer) pair, into one record of inputs for the request
+The hot request is fully memoized by M8–M11 — the LaunchCapIndex and
+the flow cache's subject verdicts each answer in O(1) — but the
+pipeline still *interprets* its way through them: resolve the app,
+hash (app, viewer) into the cap index, then re-derive the viewer's
+export authority.  A :class:`RequestPlan` compiles that, once per
+(app, viewer) pair, into one record of inputs for the request
 pipeline:
 
 * the resolved :class:`~repro.platform.registry.AppModule`;
 * the launch :class:`~repro.labels.CapabilitySet` and the shared
   process name the pool checks out under;
-* the viewer's precomputed export authority.
+* the viewer's export authority under the cacheable grants, and the
+  grants that approve it: the only per-viewer authority memo (egress
+  adds the live verdicts of time embargoes and other uncacheables).
 
 A plan holds no read verdicts: the partition scans the handler runs
 take theirs from the flow cache, keyed on the process's label state,
 so fresh processes (the tainted-read steady state) reuse them across
 requests.
 
-Validity is epoch-guarded by the exact invalidation hooks the memo
-layers below it already fire: :class:`LaunchCapIndex.epoch` covers
+Validity is epoch-guarded by the exact invalidation hooks the layers
+below it already fire: :class:`LaunchCapIndex.epoch` covers
 enable/disable/delete-account/group events/restore,
 ``DeclassificationService.authority_epoch`` covers grant/revoke/config
 updates (befriend/unfriend), and ``Registry.epoch`` covers uploads and
 forks that re-point ``name`` resolution.  A plan whose stamps disagree
 with any of the three is recompiled on next use — there is no
 invalidation callback to forget.  The authority stamp is global: one
-owner's friend-list edit retires every viewer's plan, and each
-recompile asks the authority memo, which re-runs only the grants that
-edit could change (its dirty log is scoped by owner), so a post-edit
-recompile costs one owner's grants, not every grant.
+owner's friend-list edit retires every viewer's plan, and the
+recompile hands the stale plan's authority (if its account, and so its
+own data tag, is unchanged) to ``DeclassificationService.
+refresh_authority``, which re-runs only the grants of the owners the
+dirty log names: a post-edit recompile costs one owner's grants.
 
 Plans only ever replace *pure recomputation*: the provider runs the
 same admission, launch, handler, audit and egress stages with or
@@ -47,6 +50,7 @@ from typing import Any, Optional, TYPE_CHECKING
 from ..labels import CapabilitySet, Label
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..declassify.service import Grant
     from .accounts import UserAccount
     from .provider import Provider
     from .registry import AppModule
@@ -60,13 +64,14 @@ class RequestPlan:
     """The compiled pipeline inputs for one (app, viewer) pair."""
 
     __slots__ = ("app_ref", "viewer", "app", "account", "caps",
-                 "process_name", "authority", "cap_epoch", "auth_epoch",
-                 "reg_epoch")
+                 "process_name", "approved", "authority", "cap_epoch",
+                 "auth_epoch", "reg_epoch")
 
     def __init__(self, app_ref: str, viewer: Optional[str],
                  app: "AppModule", account: "Optional[UserAccount]",
-                 caps: CapabilitySet, authority: Optional[CapabilitySet],
-                 cap_epoch: int, auth_epoch: int, reg_epoch: int) -> None:
+                 caps: CapabilitySet, approved: "tuple[Grant, ...]",
+                 authority: CapabilitySet, cap_epoch: int, auth_epoch: int,
+                 reg_epoch: int) -> None:
         self.app_ref = app_ref
         self.viewer = viewer
         self.app = app
@@ -76,9 +81,10 @@ class RequestPlan:
         #: each process and audit record launched under it keeps a
         #: reference, not a fresh copy.
         self.process_name = f"app:{app.name}"
-        #: Precomputed export authority, or None when any uncacheable
-        #: (time-dependent) declassifier grant exists — then egress
-        #: falls back to the live oracle.
+        #: The cacheable grants approving the viewer (each names its
+        #: owner, so a refresh can swap out one owner's approvals) and
+        #: the export authority they give, current at ``auth_epoch``.
+        self.approved = approved
         self.authority = authority
         self.cap_epoch = cap_epoch
         self.auth_epoch = auth_epoch
@@ -107,9 +113,8 @@ class RequestPlan:
                          "ilabel": repr(Label.EMPTY),
                          "caps": len(self.caps)},
             "egress": {
-                "authority": (sorted(str(c) for c in self.authority)
-                              if self.authority is not None else None),
-                "precomputed": self.authority is not None,
+                "authority": sorted(str(c) for c in self.authority),
+                "approving_grants": len(self.approved),
             },
             "epochs": {"capindex": self.cap_epoch,
                        "authority": self.auth_epoch,
@@ -158,7 +163,7 @@ class PlanCache:
             return plan
         if plan is not None:
             self._stats["invalidated"] += 1
-        plan = self._compile(app_ref, viewer)
+        plan = self._compile(app_ref, viewer, plan)
         if plan is None:
             self._stats["bypasses"] += 1
             return None
@@ -168,8 +173,11 @@ class PlanCache:
         self._plans[key] = plan
         return plan
 
-    def _compile(self, app_ref: str,
-                 viewer: Optional[str]) -> Optional[RequestPlan]:
+    def _compile(self, app_ref: str, viewer: Optional[str],
+                 stale: Optional[RequestPlan] = None
+                 ) -> Optional[RequestPlan]:
+        """A current plan for (app_ref, viewer), refreshing ``stale``'s
+        authority when it was computed for the same account."""
         p = self.provider
         # Stamp epochs *before* reading any state: a concurrent-looking
         # invalidation between reads then simply retires the plan.
@@ -182,11 +190,16 @@ class PlanCache:
                                     or account.audited_versions):
             return None
         caps = p.launch_caps(app, viewer)
-        authority = None
-        if not p.declass._uncacheable:
-            authority = p._authority_for(viewer)
-        return RequestPlan(app_ref, viewer, app, account, caps, authority,
-                           cap_epoch, auth_epoch, reg_epoch)
+        # the viewer's own tags are its account's data tag: a held
+        # authority is handed on only for the same account
+        held = None
+        if stale is not None and stale.account is account:
+            held = (stale.approved, stale.authority)
+        approved, authority = p.declass.refresh_authority(
+            viewer, (account.data_tag,) if account is not None else (),
+            held, stale.auth_epoch if held else 0)
+        return RequestPlan(app_ref, viewer, app, account, caps, approved,
+                           authority, cap_epoch, auth_epoch, reg_epoch)
 
     def invalidate_all(self, reason: str = "") -> None:
         """Drop every compiled plan (tests; epochs already make stale

@@ -218,7 +218,8 @@ class Provider:
     def stats(self) -> dict[str, Any]:
         """The engine ``plane`` and every plane's counters in one tree:
         the flow cache, compiled plans, the launch-capability index,
-        the authority memo, the process pool, the data plane
+        the authority epoch and scoped refreshes (whose results the
+        plans hold), the process pool, the data plane
         (``db``/``fs``) and the durability plane (each its component's
         own ``stats()``), plus the gateway edge's and the audit ring's
         counters.  The operator view and
@@ -851,11 +852,14 @@ class Provider:
         if viewer is not None and viewer in self._accounts:
             js_policy = self._accounts[viewer].js_policy or None
         # the plan's export authority only while no grant, revoke or
-        # config update has happened since it was compiled
+        # config update has happened since it was compiled; the
+        # non-cacheable grants (time embargoes) are asked live
         authority = None
-        if plan is not None \
-                and plan.auth_epoch == self.declass.authority_epoch:
+        declass = self.declass
+        if plan is not None and plan.auth_epoch == declass.authority_epoch:
             authority = plan.authority
+            if declass._uncacheable:
+                authority = declass.with_live_grants(authority, viewer)
         return self.gateway.egress(internal, viewer, js_policy, authority)
 
     def _lookup_plan(self, app_ref: str,
@@ -897,6 +901,7 @@ class Provider:
                               "audited version pin) forces the generic "
                               "path for this viewer"}
         description = plan.describe()
+        description["egress"]["live_grants"] = len(self.declass._uncacheable)
         description["provider"] = self.name
         description["planned"] = True
         description["dispatch_enabled"] = self.plans.enabled

@@ -64,8 +64,21 @@ def normalized_audit(audit: Any) -> list[tuple]:
 
 
 def authority_view(w5: W5System, viewer: Any) -> list[tuple]:
-    """``viewer``'s export authority, comparable across deployments."""
-    caps = w5.provider._authority_for(viewer)
+    """``viewer``'s export authority, comparable across deployments.
+
+    Where planned dispatch is on, it is the authority a planned blog
+    request exports under: the plan's held authority (refreshed, if the
+    plan went stale, through the dirty log) plus the live verdicts of
+    the non-cacheable grants.  Elsewhere it is the live evaluation of
+    every grant, the reference.
+    """
+    provider = w5.provider
+    plan = (provider.plans.lookup("blog", viewer)
+            if provider.plans.enabled else None)
+    if plan is None:
+        caps = provider._authority_for(viewer)
+    else:
+        caps = provider.declass.with_live_grants(plan.authority, viewer)
     return sorted((c.tag.tag_id, c.tag.purpose, c.sign) for c in caps)
 
 

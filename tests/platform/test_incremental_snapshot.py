@@ -320,6 +320,34 @@ class TestBaseIdentity:
         recovered, __ = recover_provider(second, journal)
         assert recovered.read_user_data("bob", "g") == "after the restore"
 
+    def test_idless_snapshots_do_not_fold_over_each_other(
+            self, monkeypatch):
+        """``snapshot_provider`` output carries no checkpoint id: a
+        restore names it by its content, so a delta over one id-less
+        snapshot is refused over another before anything is
+        installed."""
+        p = Provider(name="w5")
+        p.signup("bob", "pw")
+        p.store_user_data("bob", "f1", "one")
+        s1 = copy.deepcopy(snapshot_provider(p))
+        p.store_user_data("bob", "f2", "two")
+        s2 = copy.deepcopy(snapshot_provider(p))
+        p2, __ = restore_provider(copy.deepcopy(s2))
+        p2.store_user_data("bob", "f3", "three")
+        journal = p2.snapshot_incremental()["journal"].encode("ascii")
+
+        def no_install(*args):
+            raise AssertionError("installed state before the check")
+
+        with monkeypatch.context() as m:
+            m.setattr(persist, "install_snapshot", no_install)
+            with pytest.raises(BaseMismatch):
+                recover_provider(s1, journal)
+        recovered, report = recover_provider(s2, journal)
+        assert report["records_replayed"] >= 1
+        assert recovered.read_user_data("bob", "f2") == "two"
+        assert recovered.read_user_data("bob", "f3") == "three"
+
     def test_ids_are_not_a_counter(self):
         """Two providers built the same way name different
         checkpoints: an id is random bytes, not a per-process

@@ -14,8 +14,10 @@ every step:
 
 * responses, charges, denials and audit streams agree
   (:meth:`PlanePair.assert_equivalent`);
-* every viewer's export authority agrees, which checks the fast
-  plane's scoped authority memo against a full recomputation;
+* every viewer's export authority agrees: on the fast plane the one
+  a planned blog request exports under (the plan's held authority,
+  refreshed through the owner-scoped dirty log), against the oracle's
+  live evaluation of every grant;
 * no pooled process sits idle with a label or capability it did not
   launch with;
 * a viewer got 200 on another user's post only when the machine's own

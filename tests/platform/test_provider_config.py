@@ -55,7 +55,7 @@ class TestProviderConfig:
         assert p._durability is not None
         assert p.kernel.audit.lazy
         assert p.kernel.flow_cache.enabled
-        assert p.capindex.enabled and p.declass.cache_authority
+        assert p.capindex.enabled
 
     def test_oracle_uses_every_reference_path(self):
         p = Provider(name="x", config=ProviderConfig.oracle())
@@ -69,7 +69,6 @@ class TestProviderConfig:
         assert p.kernel.flow_cache.enabled
         assert not p.plans.enabled
         assert not p.capindex.enabled
-        assert not p.declass.cache_authority
 
     def test_frozen_with_replace(self):
         config = ProviderConfig()
@@ -109,8 +108,7 @@ class TestComponentKnobs:
 
     Adding a knob to one of these takes a deliberate edit here.  The
     kernel's ``plane`` is the only engine switch; memo bounds are
-    module constants (``MAX_ENTRIES``, ``MAX_PLANS``,
-    ``MAX_AUTHORITY_ENTRIES``), not parameters.
+    module constants (``MAX_ENTRIES``, ``MAX_PLANS``), not parameters.
     """
 
     PARAMETERS = {
@@ -140,7 +138,6 @@ def engines(kernel):
     return {"audit": kernel.audit.lazy, "pool": kernel.pool.enabled,
             "db": LabeledStore(kernel).partitioned,
             "fs": LabeledFileSystem(kernel).grouped_walk,
-            "declass": DeclassificationService(kernel).cache_authority,
             "plans": PlanCache(provider).enabled,
             "capindex": LaunchCapIndex(provider).enabled}
 

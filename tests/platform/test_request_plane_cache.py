@@ -1,18 +1,21 @@
 """Invalidation coverage for the O(1) request plane.
 
-The launch-capability index and the authority memo are only sound if
-every policy-changing event drops the affected entries.  Each test
-here warms a cache, flips one policy mid-session, and asserts the next
-request sees the new world — plus the one *negative* case that must
-never be cached: a time-dependent declassifier.
+The launch-capability index and the export authority a compiled plan
+holds are only sound if every policy-changing event retires the
+affected entries.  Each test here warms a cache, flips one policy
+mid-session, and asserts the next request sees the new world — plus
+the one *negative* case that must never be held: a time-dependent
+declassifier, whose verdict egress asks live.
 
-The authority memo's invalidation is scoped to the owners an edit
-concerns, so ``TestScopedAuthority`` also pins what that scope must
-cover (a group policy shared inside another owner's combinator), what
-it may cost (one owner's grants) and its bounded dirty log, and
+A stale plan refreshes its held authority through the service's dirty
+log, which is scoped to the owners an edit concerns, so
+``TestScopedAuthority`` also pins what that scope must cover (a group
+policy shared inside another owner's combinator), what it may cost
+(one owner's grants), its bounded log, and that held authority is
+never reused across a change of the viewer's own tags.
 ``TestScopedAuthorityHistory`` runs the plane state machine
 (``tests/platform/test_plane_machine.py``) focused on friendships,
-grants, club roster changes and reads, checking every viewer's
+grants, club roster changes and reads, checking every viewer's planned
 authority against the oracle plane after every step.
 
 Partition scans take their read verdicts from the flow cache's
@@ -28,7 +31,7 @@ from repro.declassify import AnyOf, Declassifier, TimeEmbargo
 from repro.declassify.service import DIRTY_LOG_EPOCHS
 from repro.labels import minus, plus
 from repro.labels.cache import MAX_STATES
-from repro.net import HttpRequest
+from repro.net import ExternalClient, HttpRequest
 
 from .._differential import PlanePair
 from .test_plane_machine import run_focused
@@ -44,6 +47,33 @@ def w5():
 
 def alice_tag(w5):
     return w5.provider.account("alice").data_tag
+
+
+def planned(w5, viewer):
+    """The authority a planned blog request for ``viewer`` exports
+    under: the plan's held authority plus the live verdicts of the
+    non-cacheable grants."""
+    plan = w5.provider.plans.lookup("blog", viewer)
+    return w5.provider.declass.with_live_grants(plan.authority, viewer)
+
+
+def evaluations(monkeypatch, declass):
+    """The size of every grant evaluation ``declass`` runs from now on
+    (live calls, plan compiles and scoped refreshes alike)."""
+    sizes = []
+    evaluate = declass._evaluate
+
+    def spy(grants, *args):
+        sizes.append(len(grants))
+        return evaluate(grants, *args)
+
+    monkeypatch.setattr(declass, "_evaluate", spy)
+    return sizes
+
+
+def cacheable(declass, *owners):
+    return [g for o in owners for g in declass.grants_for(o)
+            if g.declassifier.cacheable]
 
 
 class TestLaunchCapIndex:
@@ -108,54 +138,57 @@ class TestLaunchCapIndex:
 
 
 class TestAuthorityCache:
-    def test_warm_oracle_hits(self, w5):
-        w5.provider._authority_for("bob")
-        before = w5.provider.declass.authority_stats()
-        w5.provider._authority_for("bob")
-        after = w5.provider.declass.authority_stats()
-        assert after["hits"] == before["hits"] + 1
+    def test_current_plan_evaluates_no_grant(self, w5, monkeypatch):
+        w5.client("bob").get("/app/blog/post", title="t", body="b")
+        w5.provider.plans.lookup("blog", "bob")  # compiled: a full scan
+        sizes = evaluations(monkeypatch, w5.provider.declass)
+        assert minus(w5.provider.account("bob").data_tag) \
+            in planned(w5, "bob")
+        r = w5.client("bob").get("/app/blog/read", author="bob", title="t")
+        assert r.ok and r.body["body"] == "b"
+        assert sizes == []
 
     def test_friendship_added_mid_session(self, w5):
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
         w5.befriend("alice", "bob")
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
 
     def test_friendship_removed_mid_session(self, w5):
         w5.befriend("alice", "bob")
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
         w5.unfriend("alice", "bob")
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
 
     def test_config_update_invalidates(self, w5):
-        w5.provider._authority_for("bob")  # warm
+        planned(w5, "bob")  # warm
         w5.provider.update_declassifier_config(
             "alice", "friends-only", friends={"bob"})
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
 
     def test_revoke_invalidates(self, w5):
         w5.befriend("alice", "bob")
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
         w5.provider.revoke_declassifier("alice", "friends-only")
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
 
     def test_grant_invalidates(self, w5):
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
         w5.provider.grant_builtin_declassifier("alice", "public")
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
 
     def test_time_embargo_is_never_cached(self, w5):
         w5.provider.grant_declassifier(
             "alice", TimeEmbargo({"release_at": 100.0}))
         declass = w5.provider.declass
         # before the embargo lifts: warm the cache thoroughly
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
         # the clock advances with NO invalidation event at all
         declass.now = 150.0
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
         # and back (e.g. a re-imposed embargo): still live
         declass.now = 0.0
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
 
     def test_end_to_end_export_follows_friendship(self, w5):
         w5.client("alice").get("/app/blog/post", title="t", body="b")
@@ -171,20 +204,27 @@ class TestAuthorityCache:
                                  title="t")
         assert r.status == 403
 
-    def test_kind_and_attribute_calls_bypass_the_cache(self, w5):
+    def test_kind_and_attribute_calls_are_live(self, w5, monkeypatch):
         declass = w5.provider.declass
-        before = declass.authority_stats()["bypasses"]
+        w5.provider.plans.lookup("blog", "bob")
+        sizes = evaluations(monkeypatch, declass)
         declass.authority_for("bob", kind="photo")
-        assert declass.authority_stats()["bypasses"] == before + 1
+        declass.authority_for("bob", app="blog")
+        assert sizes == [len(declass._grants)] * 2
 
-    def test_disabled_plane_computes_fresh(self):
+    def test_oracle_plane_evaluates_every_call(self, monkeypatch):
         slow = W5System(name="slow-plane", config=ProviderConfig.oracle())
         slow.add_user("alice")
-        slow.add_user("bob")
+        slow.add_user("bob", apps=("blog",))
+        declass = slow.provider.declass
+        sizes = evaluations(monkeypatch, declass)
         slow.provider._authority_for("bob")
         slow.provider._authority_for("bob")
-        stats = slow.provider.declass.authority_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        assert sizes == [len(declass._grants)] * 2
+        assert slow.client("bob").get("/app/blog/post", title="t",
+                                      body="b").ok
+        assert sizes == [len(declass._grants)] * 3  # its egress asks live
+        assert slow.provider.plans.stats()["hits"] == 0
         assert slow.provider.capindex.stats()["hits"] == 0
 
 
@@ -221,40 +261,52 @@ class CountingFriends(Declassifier):
 class TestScopedAuthority:
     def test_shared_group_policy_invalidates_other_owner(self):
         pair = PlanePair(build_club)
-        pair.assert_authority_agrees(VIEWERS)  # warm every fast-plane entry
+        pair.assert_authority_agrees(VIEWERS)  # plan every fast viewer
         carol_tag = minus(pair.fast.provider.account("carol").data_tag)
-        assert carol_tag not in pair.fast.provider._authority_for("dave")
+        assert carol_tag not in planned(pair.fast, "dave")
         for w5 in (pair.fast, pair.oracle):
             w5.provider.groups.add_member("alice", "club", "dave")
-        assert carol_tag in pair.fast.provider._authority_for("dave")
+        assert carol_tag in planned(pair.fast, "dave")
         pair.assert_authority_agrees(VIEWERS)
         for w5 in (pair.fast, pair.oracle):
             w5.provider.groups.remove_member("alice", "club", "dave")
-        assert carol_tag not in pair.fast.provider._authority_for("dave")
+        assert carol_tag not in planned(pair.fast, "dave")
         pair.assert_authority_agrees(VIEWERS)
         assert pair.fast.provider.declass.authority_stats()["refreshes"] > 0
         pair.assert_equivalent()
 
-    def test_time_embargo_flips_on_top_of_a_refresh(self, w5):
+    def test_time_embargo_flips_on_top_of_a_refresh(self, w5, monkeypatch):
         w5.add_user("carol")
         w5.provider.grant_declassifier(
             "alice", TimeEmbargo({"release_at": 100.0}))
         declass = w5.provider.declass
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
-        w5.befriend("carol", "bob")  # a scoped edit: bob's entry refreshes
+        w5.client("alice").get("/app/blog/post", title="t", body="b")
+
+        def read():
+            return w5.client("bob").get("/app/blog/read", author="alice",
+                                        title="t").status
+
+        assert read() == 403
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
+        w5.befriend("carol", "bob")  # a scoped edit: bob's plan refreshes
         before = declass.authority_stats()
+        sizes = evaluations(monkeypatch, declass)
         carol = minus(w5.provider.account("carol").data_tag)
-        authority = w5.provider._authority_for("bob")
+        authority = planned(w5, "bob")
         assert carol in authority and minus(alice_tag(w5)) not in authority
         after = declass.authority_stats()
         assert after["refreshes"] == before["refreshes"] + 1
-        assert after["misses"] == before["misses"]
-        # the clock alone lifts the embargo, and re-imposes it
+        assert sizes == [len(cacheable(declass, "carol", "bob"))]
+        # the clock alone lifts the embargo, and re-imposes it, on a
+        # plan that stays current
         declass.now = 150.0
-        authority = w5.provider._authority_for("bob")
+        authority = planned(w5, "bob")
         assert carol in authority and minus(alice_tag(w5)) in authority
+        assert read() == 200
         declass.now = 0.0
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
+        assert read() == 403
+        assert len(sizes) == 1
 
     def test_edit_re_evaluates_only_the_editors_grants(self):
         w5 = W5System(name="counting")
@@ -265,21 +317,22 @@ class TestScopedAuthority:
         for user in owners:
             policies[user] = CountingFriends({"friends": ["bob"]})
             w5.provider.grant_declassifier(user, policies[user])
-        w5.provider._authority_for("bob")  # warm: a full scan
+        w5.provider.plans.lookup("blog", "bob")  # compiled: a full scan
         assert all(p.calls == 1 for p in policies.values())
         for p in policies.values():
             p.calls = 0
         w5.provider.update_declassifier_config("u3", "counting", friends=[])
-        authority = w5.provider._authority_for("bob")
+        authority = planned(w5, "bob")
         assert {u: p.calls for u, p in policies.items() if p.calls} \
             == {"u3": 1}
         assert minus(w5.provider.account("u3").data_tag) not in authority
         assert minus(w5.provider.account("u4").data_tag) in authority
         assert w5.provider.declass.authority_stats()["refreshes"] == 1
 
-    def test_dirty_log_is_bounded_and_falls_back_to_a_full_scan(self, w5):
+    def test_dirty_log_is_bounded_and_falls_back_to_a_full_scan(
+            self, w5, monkeypatch):
         declass = w5.provider.declass
-        assert minus(alice_tag(w5)) not in w5.provider._authority_for("bob")
+        assert minus(alice_tag(w5)) not in planned(w5, "bob")
         grant = declass.grant_for("alice", "friends-only")
         for i in range(10_000):
             friends = ["bob"] if i == 9_999 else [f"x{i % 7}"]
@@ -288,10 +341,34 @@ class TestScopedAuthority:
             assert len(declass._dirty_log) <= DIRTY_LOG_EPOCHS
         assert grant.declassifier.config["friends"] == {"bob"}
         before = declass.authority_stats()
-        assert minus(alice_tag(w5)) in w5.provider._authority_for("bob")
+        sizes = evaluations(monkeypatch, declass)
+        assert minus(alice_tag(w5)) in planned(w5, "bob")
         after = declass.authority_stats()
-        assert after["misses"] == before["misses"] + 1
+        assert sizes == [len(cacheable(declass, *declass._by_owner))]
         assert after["refreshes"] == before["refreshes"]
+
+    def test_signup_again_gets_the_new_data_tag(self, w5):
+        """A deleted viewer signed up again under the same name holds
+        a new data tag.  With no grant of their own, neither the
+        deletion nor the signup bumps the authority epoch, so only the
+        own-tag check keeps the stale plan's authority from being
+        handed on."""
+        w5.provider.revoke_declassifier("alice", "friends-only")
+        old = minus(alice_tag(w5))
+        assert old in planned(w5, "alice")
+        epoch = w5.provider.declass.authority_epoch
+        w5.provider.delete_account("alice")
+        alice = ExternalClient("alice", w5.provider.transport())
+        alice.post("/signup", params={"username": "alice", "password": "pw"})
+        alice.login("pw")
+        alice.post("/policy/enable", params={"app": "blog"})
+        assert w5.provider.declass.authority_epoch == epoch
+        new = minus(alice_tag(w5))
+        authority = planned(w5, "alice")
+        assert new in authority and old not in authority
+        assert alice.get("/app/blog/post", title="t", body="b").ok
+        r = alice.get("/app/blog/read", author="alice", title="t")
+        assert r.ok and r.body["body"] == "b"
 
 
 class TestScopedAuthorityHistory:
